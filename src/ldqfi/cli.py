@@ -11,10 +11,8 @@ import argparse
 import configparser
 import dataclasses
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -49,13 +47,11 @@ from .zoo import (
     coherent_qfi_bvn,
     coherent_qfi_ld2,
     coherent_trace_table,
-    default_sweep_param,
     default_two_level_1,
     geometric_family,
     grid_domain,
     sweep_family,
     two_level_closed_forms,
-    validate_family_config,
     verification_tasks,
 )
 
@@ -140,8 +136,7 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
     if unknown:
         raise InvalidInput(f"unknown [sweep] keys {sorted(unknown)}")
 
-    sweep_param = sweep.get("sweep_param") or default_sweep_param(name)
-    validate_family_config(name, params, sweep_param)
+    sweep_param, domain = grid_domain(name, params, sweep.get("sweep_param") or None)
 
     if "grid" in sweep:
         if any(k in sweep for k in ("start", "stop", "count")):
@@ -181,14 +176,8 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
     if step is not None and mode != "central":
         raise InvalidInput("[sweep] step only applies with derivative_mode = central")
 
-    lo, hi, closed_lo = grid_domain(name, params, sweep_param)
     for v in grid:
-        below = v < lo if closed_lo else v <= lo
-        if below or v >= hi:
-            raise InvalidInput(
-                f"grid value {v!r} outside the admissible {sweep_param} interval "
-                f"{'[' if closed_lo else '('}{lo:g}, {hi:g})"
-            )
+        domain.check(f"{sweep_param} grid value", v)
 
     out = out_override if out_override is not None else sweep.get("out")
     fmt = fmt_override if fmt_override is not None else sweep.get("format", "csv")
@@ -218,27 +207,19 @@ def _apply_derivative_mode(fam: StateFamily, cfg: SweepConfig) -> StateFamily:
     return dataclasses.replace(fam, derivative_mode=CentralDifference(step=cfg.step))
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("QFI_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidInput(f"QFI_THREADS={raw!r} is not an integer") from None
-        if cap < 1:
-            raise InvalidInput("QFI_THREADS must be at least 1")
-    return max(1, min(cap, n_tasks))
-
-
 def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
-    """Evaluate the configured grid; rows ordered by grid index."""
-
-    def point(grid_value: float) -> dict[str, float | None]:
-        fam, theta = sweep_family(cfg.family, cfg.params, cfg.sweep_param, grid_value)
-        fam = _apply_derivative_mode(fam, cfg)
-        rep = compute_report(fam, theta, cfg.models)
+    """Evaluate the configured grid in order; the first failing grid point
+    raises QfiError naming it."""
+    rows: list[dict[str, float | None]] = []
+    for grid_value in cfg.grid:
+        try:
+            fam, theta = sweep_family(cfg.family, cfg.params, cfg.sweep_param, grid_value)
+            fam = _apply_derivative_mode(fam, cfg)
+            rep = compute_report(fam, theta, cfg.models)
+        except QfiError as exc:
+            raise QfiError(
+                f"at {cfg.sweep_param}={_g17(grid_value)}: {type(exc).__name__}: {exc}"
+            ) from exc
         row: dict[str, float | None] = {c: None for c in COLUMNS}
         row["theta"] = grid_value
         row["i1"] = rep.i1
@@ -247,30 +228,8 @@ def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
         for m in cfg.models:
             row[f"qfi_{m}"] = rep.qfi[m]
             row[f"i2_{m}"] = rep.i2[m]
-        return row
-
-    results: list[dict[str, float | None] | None] = [None] * len(cfg.grid)
-    failures: list[tuple[float, QfiError]] = []
-
-    def guarded(idx: int) -> None:
-        gv = cfg.grid[idx]
-        try:
-            results[idx] = point(gv)
-        except QfiError as exc:
-            failures.append((gv, exc))
-
-    workers = _worker_count(len(cfg.grid))
-    if workers == 1:
-        for i in range(len(cfg.grid)):
-            guarded(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(guarded, range(len(cfg.grid))))
-
-    if failures:
-        gv, exc = min(failures, key=lambda f: cfg.grid.index(f[0]))
-        raise QfiError(f"at {cfg.sweep_param}={_g17(gv)}: {type(exc).__name__}: {exc}")
-    return [r for r in results if r is not None]
+        rows.append(row)
+    return rows
 
 
 def write_csv(rows: Sequence[Mapping[str, float | None]], fh) -> None:
@@ -300,9 +259,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     try:
         rows = run_sweep(cfg)
-    except InvalidInput as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except QfiError as exc:
         print(f"runtime error {exc}", file=sys.stderr)
         return 3
@@ -568,16 +524,16 @@ def _suite_coherent(seed: int) -> list[Line]:
 
 def _suite_cr(seed: int) -> list[Line]:
     rng = np.random.default_rng(seed)
+    # (label, family, theta, family commutes with its derivative)
     targets = [
-        ("two_level_1", default_two_level_1().family(), 0.3),
-        ("two_level_2", TwoLevelFamily2(r=0.5).family(), 0.4),
-        ("geometric", geometric_family(math.log(2.0)), math.log(2.0)),
-        ("coherent", coherent_family(1.0).family(), 0.1),
+        ("two_level_1", default_two_level_1().family(), 0.3, False),
+        ("two_level_2", TwoLevelFamily2(r=0.5).family(), 0.4, False),
+        ("geometric", geometric_family(math.log(2.0)), math.log(2.0), True),
+        ("coherent", coherent_family(1.0).family(), 0.1, False),
     ]
     lines: list[Line] = []
-    for label, fam, theta in targets:
+    for label, fam, theta, commuting in targets:
         br = branches_at(fam, theta)
-        commuting = label == "geometric"
         for model in MODELS:
             min_slack = math.inf
             for _ in range(100):
@@ -682,14 +638,8 @@ def cmd_ld(args: argparse.Namespace) -> int:
         params = dict(_parse_param(t) for t in args.param)
         if args.model not in MODELS:
             raise InvalidInput(f"unknown model {args.model!r}; expected one of {MODELS}")
-        sweep_param = "theta"
-        validate_family_config(args.family, params, sweep_param)
-        lo, hi, closed_lo = grid_domain(args.family, params, sweep_param)
-        below = args.theta < lo if closed_lo else args.theta <= lo
-        if below or args.theta >= hi:
-            raise InvalidInput(
-                f"theta {args.theta!r} outside the admissible interval ({lo:g}, {hi:g})"
-            )
+        sweep_param, domain = grid_domain(args.family, params, "theta")
+        domain.check("theta", args.theta)
     except InvalidInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,13 @@
 """Hermitian linear algebra primitives used by every higher layer.
 
-All eigen-decompositions in the package flow through :func:`hermitian_eig`
-so that ordering and validation conventions are fixed in one place.
+Hermiticity checks, spectral matrix functions, the logarithmic-mean kernel
+and Schatten norms.  Other modules call numpy's eigensolvers directly; the
+clustered spectral decomposition of a family's state is
+``family.spectral_branches``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,28 +53,6 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
     return hermitize(a)
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigen-decomposition of a Hermitian matrix.
-
-    values are real and ascending; vectors holds the matching orthonormal
-    eigenvectors as columns, so A = V diag(values) V†.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Eigen-decompose a Hermitian matrix with ascending eigenvalue order."""
-    a = require_hermitian(a)
-    values, vectors = np.linalg.eigh(a)
-    return HermitianEig(values=values, vectors=vectors)
-
-
 def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
@@ -81,19 +60,19 @@ def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     a non-finite number is outside the function's domain and raises
     DomainError carrying the offending eigenvalue.
     """
-    eig = hermitian_eig(a)
+    values, vectors = np.linalg.eigh(require_hermitian(a))
     with np.errstate(all="ignore"):
-        fw = np.asarray(f(eig.values), dtype=float)
-    if fw.shape != eig.values.shape:
+        fw = np.asarray(f(values), dtype=float)
+    if fw.shape != values.shape:
         raise InvalidInput("f must map eigenvalues elementwise")
     bad = ~np.isfinite(fw)
     if np.any(bad):
-        offending = float(eig.values[bad][0])
+        offending = float(values[bad][0])
         raise DomainError(
             f"eigenvalue {offending:.6g} outside the domain of the matrix function",
             value=offending,
         )
-    return (eig.vectors * fw) @ eig.vectors.conj().T
+    return (vectors * fw) @ vectors.conj().T
 
 
 def logmean_kernel(a: float, b: float) -> float:

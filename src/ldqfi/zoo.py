@@ -12,7 +12,8 @@ origin.
 Each family carries the closed forms used to cross-check the generic
 eigendecomposition route, plus the truncation bookkeeping (tail mass,
 rank floor, displacement accuracy) that makes the finite-dimensional
-surrogates trustworthy.
+surrogates trustworthy.  FAMILIES is the table of families a sweep can
+name: their parameters, sweep coordinates and admissible intervals.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import DomainError, InvalidInput, SingularState, TruncationError
 from .family import (
     RANK_TOL,
     CentralDifference,
-    DensityMatrix,
     SpectralBranches,
     StateFamily,
     branches_at,
@@ -449,7 +449,9 @@ class CoherentFamily:
         dev = float(np.abs(w[:bulk, :bulk] - exact).max())
         gram = w.T @ w - np.eye(n)
         unit = float(np.linalg.norm(gram[:bulk, :bulk], 2))
-        if dev > DISPLACEMENT_TOL or unit > DISPLACEMENT_TOL:
+        # Negated test: a non-finite closed-form entry makes dev NaN, which
+        # must fail the check rather than pass it.
+        if not (dev <= DISPLACEMENT_TOL and unit <= DISPLACEMENT_TOL):
             raise TruncationError(
                 f"bulk displacement deviates from the closed form by {dev:.3e} "
                 f"(bulk unitarity defect {unit:.3e}) at dimension {n}; enlarge trunc_dim"
@@ -518,12 +520,6 @@ def coherent_family(
         trunc_dim=n,
         theta_domain=theta_domain,
     )
-
-
-def coherent_rho(fam: CoherentFamily, theta: float) -> DensityMatrix:
-    """Displaced thermal state at amplitude theta, bulk-validated."""
-    w = fam.checked_displacement(theta)
-    return DensityMatrix(w @ fam.rho0() @ w.T)
 
 
 def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranches:
@@ -719,61 +715,109 @@ def counterexample_family(step: float | None = None, richardson: bool = False) -
 
 
 # ---------------------------------------------------------------------------
-# family registry for sweeps and verification
+# family table for sweeps and verification
 
 
-FAMILY_NAMES = ("two_level_1", "two_level_2", "geometric", "coherent", "counterexample31")
+@dataclass(frozen=True)
+class Interval:
+    """Admissible values of a family parameter or sweep coordinate: finite
+    numbers above lo (or equal to it when closed_lo) and below hi,
+    optionally only integers."""
 
-_ALLOWED_PARAMS = {
-    "two_level_1": frozenset(),
-    "two_level_2": frozenset({"r", "theta"}),
-    "geometric": frozenset({"trunc_dim"}),
-    "coherent": frozenset({"M", "trunc_dim"}),
-    "counterexample31": frozenset({"step"}),
+    lo: float
+    hi: float
+    closed_lo: bool = False
+    integer: bool = False
+
+    def __str__(self) -> str:
+        return f"{'[' if self.closed_lo else '('}{self.lo:g}, {self.hi:g})"
+
+    def check(self, label: str, value: float) -> None:
+        """Raise InvalidInput unless value is admissible; NaN and infinities never are."""
+        inside = (
+            math.isfinite(value)
+            and (self.lo <= value if self.closed_lo else self.lo < value)
+            and value < self.hi
+            and not (self.integer and value != int(value))
+        )
+        if not inside:
+            kind = "integers" if self.integer else "interval"
+            raise InvalidInput(f"{label} {value!r} outside the admissible {kind} {self}")
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One named family of the sweep table.
+
+    params are the fixed parameters a configuration may set and coords the
+    coordinates a grid may run over, the default first, each with its
+    admissible interval.  build receives the fixed parameters with the
+    swept coordinate set to the grid value and returns the family instance
+    and its evaluation point.
+    """
+
+    params: Mapping[str, Interval]
+    coords: Mapping[str, Interval]
+    build: Callable[[Mapping[str, float]], tuple[StateFamily, float]]
+
+
+_TWO_LEVEL_THETA = Interval(-1.5, 1.5)
+_RADIUS = Interval(0.0, 1.0, closed_lo=True)
+_TRUNC_DIM = Interval(2.0, math.inf, closed_lo=True, integer=True)
+
+FAMILIES: Mapping[str, FamilySpec] = {
+    "two_level_1": FamilySpec(
+        params={},
+        coords={"theta": _TWO_LEVEL_THETA},
+        build=lambda v: (default_two_level_1().family(), v["theta"]),
+    ),
+    # Sweeps the radius r at theta = 0.4 by default, or theta at r = 0.5.
+    "two_level_2": FamilySpec(
+        params={"r": _RADIUS, "theta": _TWO_LEVEL_THETA},
+        coords={"r": _RADIUS, "theta": _TWO_LEVEL_THETA},
+        build=lambda v: (TwoLevelFamily2(r=v.get("r", 0.5)).family(), v.get("theta", 0.4)),
+    ),
+    "geometric": FamilySpec(
+        params={"trunc_dim": _TRUNC_DIM},
+        coords={"theta": Interval(GEOMETRIC_HALF_WIDTH, math.inf)},
+        build=lambda v: (geometric_family(v["theta"], v.get("trunc_dim")), v["theta"]),
+    ),
+    "coherent": FamilySpec(
+        params={"M": Interval(0.0, math.inf), "trunc_dim": _TRUNC_DIM},
+        coords={"theta": Interval(-0.3, 0.3)},
+        build=lambda v: (coherent_family(v.get("M", 1.0), v.get("trunc_dim")).family(), v["theta"]),
+    ),
+    "counterexample31": FamilySpec(
+        params={"step": Interval(0.0, math.inf)},
+        coords={"theta": Interval(-1.0, 1.0)},
+        build=lambda v: (counterexample_family(step=v.get("step")), v["theta"]),
+    ),
 }
 
 
-def default_sweep_param(name: str) -> str:
-    """Grid coordinate a named family sweeps by default."""
-    if name not in _ALLOWED_PARAMS:
-        raise InvalidInput(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-    return "r" if name == "two_level_2" else "theta"
+def grid_domain(
+    name: str, params: Mapping[str, float], sweep_param: str | None = None
+) -> tuple[str, Interval]:
+    """Check a family configuration against FAMILIES and return the sweep
+    coordinate (the family's default when sweep_param is None) with its
+    admissible interval.
 
-
-def validate_family_config(name: str, params: Mapping[str, float], sweep_param: str) -> None:
-    """Reject unknown family names, parameter keys and sweep coordinates."""
-    if name not in _ALLOWED_PARAMS:
-        raise InvalidInput(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-    unknown = set(params) - _ALLOWED_PARAMS[name]
+    Unknown names, parameter keys and coordinates, and fixed parameter
+    values outside their intervals, are rejected as InvalidInput.
+    """
+    spec = FAMILIES.get(name)
+    if spec is None:
+        raise InvalidInput(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+    unknown = set(params) - set(spec.params)
     if unknown:
         raise InvalidInput(f"family {name!r} does not take parameters {sorted(unknown)}")
-    if sweep_param != default_sweep_param(name) and not (
-        name == "two_level_2" and sweep_param == "theta"
-    ):
+    for key, value in params.items():
+        spec.params[key].check(f"parameter {key}", value)
+    if sweep_param is None:
+        sweep_param = next(iter(spec.coords))
+    if sweep_param not in spec.coords:
         raise InvalidInput(f"family {name!r} cannot sweep over {sweep_param!r}")
-
-
-def grid_domain(name: str, params: Mapping[str, float], sweep_param: str) -> tuple[float, float, bool]:
-    """(lo, hi, closed_lo): admissible grid interval for the sweep coordinate."""
-    validate_family_config(name, params, sweep_param)
-    if name == "two_level_2" and sweep_param == "r":
-        return 0.0, 1.0, True
-    if name == "geometric":
-        return GEOMETRIC_HALF_WIDTH, math.inf, False
-    if name == "coherent":
-        return -0.3, 0.3, False
-    if name == "counterexample31":
-        return -1.0, 1.0, False
-    return -1.5, 1.5, False
-
-
-def _int_param(params: Mapping[str, float], key: str) -> int | None:
-    if key not in params:
-        return None
-    v = float(params[key])
-    if v != int(v):
-        raise InvalidInput(f"parameter {key}={v!r} must be an integer")
-    return int(v)
+    return sweep_param, spec.coords[sweep_param]
 
 
 def sweep_family(
@@ -784,26 +828,11 @@ def sweep_family(
 ) -> tuple[StateFamily, float]:
     """Family instance and evaluation point for one grid value.
 
-    two_level_2 sweeps r by default (theta then comes from params, default
-    0.4) or theta with r from params (default 0.5); every other family
-    sweeps theta.  Unknown names, parameters or sweep coordinates are
-    rejected as InvalidInput.
+    The configuration is checked by grid_domain; the grid value is checked
+    by the family itself when it is built or evaluated.
     """
-    validate_family_config(name, params, sweep_param)
-    if name == "two_level_1":
-        return default_two_level_1().family(), grid_value
-    if name == "two_level_2":
-        if sweep_param == "r":
-            fam2 = TwoLevelFamily2(r=grid_value)
-            return fam2.family(), float(params.get("theta", 0.4))
-        fam2 = TwoLevelFamily2(r=float(params.get("r", 0.5)))
-        return fam2.family(), grid_value
-    if name == "geometric":
-        return geometric_family(grid_value, _int_param(params, "trunc_dim")), grid_value
-    if name == "coherent":
-        fam = coherent_family(float(params.get("M", 1.0)), _int_param(params, "trunc_dim"))
-        return fam.family(), grid_value
-    return counterexample_family(step=params.get("step")), grid_value
+    grid_domain(name, params, sweep_param)
+    return FAMILIES[name].build({**params, sweep_param: grid_value})
 
 
 def verification_tasks() -> list[tuple[str, StateFamily, float, bool]]:
@@ -812,18 +841,19 @@ def verification_tasks() -> list[tuple[str, StateFamily, float, bool]]:
     out: list[tuple[str, StateFamily, float, bool]] = []
     f1 = default_two_level_1().family()
     for th in np.linspace(-1.0, 1.0, 50):
-        out.append(("two_level_1", f1, float(th), True))
+        out.append((f1.name, f1, float(th), True))
     f2 = TwoLevelFamily2(r=0.5).family()
     for th in np.linspace(-0.8, 0.8, 21):
-        out.append(("two_level_2", f2, float(th), True))
+        out.append((f2.name, f2, float(th), True))
     for r in (0.1, 0.3, 0.7, 0.9):
-        out.append(("two_level_2", TwoLevelFamily2(r=r).family(), 0.4, True))
+        out.append((f2.name, TwoLevelFamily2(r=r).family(), 0.4, True))
     for tc in (0.5, math.log(2.0), 0.9):
-        out.append(("geometric", geometric_family(tc), tc, True))
+        fg = geometric_family(tc)
+        out.append((fg.name, fg, tc, True))
     cf = coherent_family(1.0).family()
     for th in (0.0, 0.1, 0.2):
-        out.append(("coherent", cf, th, True))
+        out.append((cf.name, cf, th, True))
     ce = counterexample_family()
     for th in (0.4, 0.7):
-        out.append(("counterexample31", ce, th, False))
+        out.append((ce.name, ce, th, False))
     return out

@@ -15,6 +15,7 @@ import textwrap
 import pytest
 
 from ldqfi.cli import COLUMNS, load_sweep_config, main, run_sweep
+from ldqfi.zoo import FAMILIES
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,24 @@ class TestConfigErrors:
         assert code == 2
         assert "outside the admissible" in err
 
+    @pytest.mark.parametrize(
+        "family, sweep",
+        [
+            ("name = two_level_2\nr = 1.5", "sweep_param = theta\ngrid = 0.1"),
+            ("name = coherent\nM = -1", "grid = 0"),
+            ("name = two_level_2\ntheta = 5", "grid = 0.5"),
+            ("name = coherent\ntrunc_dim = 2.5", "grid = 0"),
+            ("name = geometric", "grid = nan"),
+            ("name = coherent", "grid = nan"),
+        ],
+        ids=["r_fixed", "M_negative", "theta_fixed", "trunc_dim_fractional", "geometric_nan", "coherent_nan"],
+    )
+    def test_bad_fixed_parameter_or_grid_value(self, tmp_path, capsys, family, sweep):
+        cfg = write_cfg(tmp_path, f"[family]\n{family}\n[sweep]\n{sweep}\n")
+        code, _, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 2
+        assert "config error" in err and "outside the admissible" in err
+
     def test_bad_format(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -288,6 +307,36 @@ class TestConfigErrors:
         )
         with pytest.raises(Exception, match="does not take parameters"):
             load_sweep_config(cfg, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the family table, entry by entry
+
+
+def _inner_points(dom):
+    if math.isinf(dom.hi):
+        return dom.lo + 0.5, dom.lo + 1.0
+    return dom.lo + 0.25 * (dom.hi - dom.lo), dom.lo + 0.75 * (dom.hi - dom.lo)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_table_entry(tmp_path, capsys, name):
+    spec = FAMILIES[name]
+    inner = _inner_points(next(iter(spec.coords.values())))
+    cfg = write_cfg(tmp_path, f"[family]\nname = {name}\n[sweep]\ngrid = {inner[0]!r}\n")
+    assert load_sweep_config(cfg, None, None).sweep_param == next(iter(spec.coords))
+    for coord, dom in spec.coords.items():
+        body = f"[family]\nname = {name}\n[sweep]\nsweep_param = {coord}\ngrid = %s\n"
+        cfg = write_cfg(tmp_path, body % " ".join(map(repr, _inner_points(dom))))
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 0, err
+        assert len(parse_csv(out)) == 2
+        below = math.nextafter(dom.lo, -math.inf) if dom.closed_lo else dom.lo
+        for value in (below, dom.hi):
+            cfg = write_cfg(tmp_path, body % repr(value))
+            code, _, err = run_cli(["sweep", "--config", cfg], capsys)
+            assert code == 2, (coord, value)
+            assert "outside the admissible" in err
 
 
 # ---------------------------------------------------------------------------
@@ -497,37 +546,6 @@ class TestSweepOutput:
         row_c = parse_csv(out_c)[0]
         for m in ("bvn", "ld1", "ld2", "sld"):
             assert row_c[f"qfi_{m}"] == pytest.approx(row_a[f"qfi_{m}"], rel=1e-7)
-
-
-# ---------------------------------------------------------------------------
-# threading
-
-class TestThreads:
-    def test_thread_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        cfg = write_cfg(
-            tmp_path,
-            """\
-            [family]
-            name = two_level_1
-            [sweep]
-            start = -0.5
-            stop = 0.5
-            count = 9
-            """,
-        )
-        monkeypatch.setenv("QFI_THREADS", "1")
-        _, out_1, _ = run_cli(["sweep", "--config", cfg], capsys)
-        monkeypatch.setenv("QFI_THREADS", "4")
-        _, out_4, _ = run_cli(["sweep", "--config", cfg], capsys)
-        assert out_1 == out_4
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_invalid_thread_count(self, tmp_path, capsys, monkeypatch, value):
-        cfg = write_cfg(tmp_path, TWO_LEVEL_2_CFG)
-        monkeypatch.setenv("QFI_THREADS", value)
-        code, _, err = run_cli(["sweep", "--config", cfg], capsys)
-        assert code == 2
-        assert "QFI_THREADS" in err
 
 
 # ---------------------------------------------------------------------------

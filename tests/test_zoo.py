@@ -40,13 +40,13 @@ from ldqfi import (
     two_level_qfi_oracle,
 )
 from ldqfi.errors import DomainError, InvalidInput, SingularState, TruncationError
+from ldqfi import zoo
 from ldqfi.zoo import (
-    default_sweep_param,
+    FAMILIES,
     grid_domain,
     sweep_family,
     tanh_weight,
     tanh_weight_prime,
-    validate_family_config,
     verification_tasks,
 )
 
@@ -341,6 +341,18 @@ class TestCoherentFamily:
                 qfi_value(generic, model), rel=1e-9
             )
 
+    def test_non_finite_closed_form_fails_displacement_check(self, monkeypatch) -> None:
+        closed_form = zoo.displacement_closed_form
+
+        def one_nan(theta: float, dim: int) -> np.ndarray:
+            out = closed_form(theta, dim)
+            out[dim // 2, dim // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(zoo, "displacement_closed_form", one_nan)
+        with pytest.raises(TruncationError):
+            coherent_family(1.0).checked_displacement(0.1)
+
     def test_theta_independence(self) -> None:
         sf = coherent_family(1.0).family()
         vals = [qfi_bvn(branches_at(sf, t)) for t in (0.0, 0.1, 0.2)]
@@ -421,26 +433,28 @@ class TestCounterexampleFamily:
 
 class TestRegistry:
     def test_default_sweep_params(self) -> None:
-        assert default_sweep_param("two_level_2") == "r"
+        assert next(iter(FAMILIES["two_level_2"].coords)) == "r"
         for name in ("two_level_1", "geometric", "coherent", "counterexample31"):
-            assert default_sweep_param(name) == "theta"
+            assert next(iter(FAMILIES[name].coords)) == "theta"
+        for name, spec in FAMILIES.items():
+            assert grid_domain(name, {})[0] == next(iter(spec.coords))
 
     def test_validate_family_config(self) -> None:
-        validate_family_config("coherent", {"M": 1.0}, "theta")
+        grid_domain("coherent", {"M": 1.0}, "theta")
         with pytest.raises(InvalidInput):
-            validate_family_config("bogus", {}, "theta")
+            grid_domain("bogus", {}, "theta")
         with pytest.raises(InvalidInput):
-            validate_family_config("coherent", {"x": 1.0}, "theta")
+            grid_domain("coherent", {"x": 1.0}, "theta")
         with pytest.raises(InvalidInput):
-            validate_family_config("two_level_1", {}, "r")
+            grid_domain("two_level_1", {}, "r")
 
     def test_grid_domains(self) -> None:
-        lo, hi, closed_lo = grid_domain("two_level_2", {}, "r")
-        assert (lo, hi, closed_lo) == (0.0, 1.0, True)
-        lo, hi, closed_lo = grid_domain("geometric", {}, "theta")
-        assert closed_lo is False and lo > 0.0 and math.isinf(hi)
-        lo, hi, _ = grid_domain("coherent", {"M": 1.0}, "theta")
-        assert (lo, hi) == (-0.3, 0.3)
+        _, dom = grid_domain("two_level_2", {}, "r")
+        assert (dom.lo, dom.hi, dom.closed_lo) == (0.0, 1.0, True)
+        _, dom = grid_domain("geometric", {}, "theta")
+        assert dom.closed_lo is False and dom.lo > 0.0 and math.isinf(dom.hi)
+        _, dom = grid_domain("coherent", {"M": 1.0}, "theta")
+        assert (dom.lo, dom.hi) == (-0.3, 0.3)
 
     def test_sweep_family_r_sweep(self) -> None:
         fam, theta = sweep_family("two_level_2", {}, "r", 0.5)
