@@ -46,21 +46,30 @@ TRACE_TOL_NUMERIC = 1e-7
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, full rank."""
+    """Validated density matrix: Hermitian, unit trace, full rank.
+
+    eigenvalues (ascending) and eigenvectors (columns) are the state's
+    single eigendecomposition; the rank decision and every spectral
+    quantity of the state are taken from them.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = require_hermitian(np.asarray(self.matrix), "density matrix")
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-12:
             raise InvalidInput(f"density matrix trace {tr!r} differs from 1")
-        w = np.linalg.eigvalsh(mat)
+        w, v = np.linalg.eigh(mat)
         if w[0] <= RANK_TOL:
             raise SingularState(
                 f"smallest eigenvalue {w[0]:.3e} at or below rank tolerance {RANK_TOL:g}"
             )
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
 
     @property
     def dim(self) -> int:
@@ -174,17 +183,6 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
     return rp
 
 
-@dataclass(frozen=True)
-class SpectralCluster:
-    """One eigenvalue branch: value, multiplicity, projection and derivatives."""
-
-    value: float
-    multiplicity: int
-    projection: np.ndarray
-    value_prime: float
-    projection_prime: np.ndarray
-
-
 class SpectralBranches:
     """Eigen-data of (rho, rho') resolved into clustered spectral branches.
 
@@ -224,6 +222,11 @@ class SpectralBranches:
     def cluster_mults(self) -> np.ndarray:
         return np.array([s.stop - s.start for s in self.cluster_slices])
 
+    @cached_property
+    def cluster_index(self) -> np.ndarray:
+        """Cluster number of each eigenvector column."""
+        return np.repeat(np.arange(self.n_clusters), self.cluster_mults)
+
     def rho(self) -> np.ndarray:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T
 
@@ -247,39 +250,16 @@ class SpectralBranches:
             block[sk, sj] = self.rho_prime_eig[sk, sj] / gap
         return self.basis @ block @ self.basis.conj().T
 
-    @cached_property
-    def clusters(self) -> tuple[SpectralCluster, ...]:
-        out = []
-        for k in range(self.n_clusters):
-            out.append(
-                SpectralCluster(
-                    value=float(self.cluster_values[k]),
-                    multiplicity=self.cluster_slices[k].stop - self.cluster_slices[k].start,
-                    projection=self.projection(k),
-                    value_prime=float(self.cluster_value_primes[k]),
-                    projection_prime=self.projection_prime(k),
-                )
-            )
-        return tuple(out)
 
-
-def _cluster_slices(w: np.ndarray, cluster_tol: float | None) -> list[slice]:
-    n = w.shape[0]
-    diam = float(w[-1] - w[0])
+def _cluster_starts(w: np.ndarray, cluster_tol: float | None) -> np.ndarray:
+    """Index of the first eigenvalue of each cluster of an ascending spectrum."""
     gaps = np.diff(w)
     if cluster_tol is not None:
         merge = gaps <= cluster_tol
     else:
-        floor = CLUSTER_ABS_FLOOR_REL * diam
+        floor = CLUSTER_ABS_FLOOR_REL * float(w[-1] - w[0])
         merge = gaps <= np.maximum(floor, CLUSTER_REL * 0.5 * (w[:-1] + w[1:]))
-    slices = []
-    start = 0
-    for i in range(n - 1):
-        if not merge[i]:
-            slices.append(slice(start, i + 1))
-            start = i + 1
-    slices.append(slice(start, n))
-    return slices
+    return np.concatenate(([0], np.flatnonzero(~merge) + 1))
 
 
 def spectral_branches(
@@ -297,37 +277,38 @@ def spectral_branches(
     rotation rate ||coupling||/gap exceeds MIXING_CAP.  The caller may then
     refine theta or pass a larger cluster_tol to accept a merged cluster.
     """
-    if isinstance(rho, DensityMatrix):
-        mat = rho.matrix
-    else:
-        mat = DensityMatrix(np.asarray(rho)).matrix
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(np.asarray(rho))
     rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
-    if rho_prime.shape != mat.shape:
+    if rho_prime.shape != rho.matrix.shape:
         raise InvalidInput("rho and rho_prime must share a dimension")
 
-    w, v = np.linalg.eigh(mat)
-    if w[0] <= RANK_TOL:
-        raise SingularState(f"smallest eigenvalue {w[0]:.3e} at or below {RANK_TOL:g}")
+    w, v = rho.eigenvalues, rho.eigenvectors
     rp_eig = v.conj().T @ rho_prime @ v
 
-    slices = _cluster_slices(w, cluster_tol)
-    values = np.array([float(w[s].mean()) for s in slices])
-    primes = np.array([float(np.trace(rp_eig[s, s]).real) / (s.stop - s.start) for s in slices])
+    starts = _cluster_starts(w, cluster_tol)
+    mults = np.diff(np.append(starts, w.size))
+    slices = [slice(int(a), int(a + m)) for a, m in zip(starts, mults)]
+    values = np.add.reduceat(w, starts) / mults
+    primes = np.add.reduceat(np.diag(rp_eig).real, starts) / mults
 
-    for k in range(len(slices) - 1):
-        gap = values[k + 1] - values[k]
-        if gap_tol is not None and gap < gap_tol:
+    # Frobenius norm of each coupling block between neighbouring clusters.
+    block_sq = np.add.reduceat(np.add.reduceat(np.abs(rp_eig) ** 2, starts, axis=0), starts, axis=1)
+    gaps = np.diff(values)
+    rates = np.sqrt(np.diagonal(block_sq, 1)) / gaps
+    too_close = gaps < gap_tol if gap_tol is not None else np.zeros(gaps.shape, dtype=bool)
+    for k in np.flatnonzero(too_close | (rates > MIXING_CAP))[:1]:
+        pair = (float(values[k]), float(values[k + 1]))
+        if too_close[k]:
             raise DegenerateCrossing(
-                f"clusters at {values[k]:.6g} and {values[k + 1]:.6g} closer than gap_tol {gap_tol:g}",
-                pair=(float(values[k]), float(values[k + 1])),
+                f"clusters at {pair[0]:.6g} and {pair[1]:.6g} closer than gap_tol {gap_tol:g}",
+                pair=pair,
             )
-        coupling = np.linalg.norm(rp_eig[slices[k], slices[k + 1]])
-        if coupling / gap > MIXING_CAP:
-            raise DegenerateCrossing(
-                f"projection rotation rate {coupling / gap:.3e} exceeds {MIXING_CAP:g} "
-                f"between eigenvalues {values[k]:.6g} and {values[k + 1]:.6g}",
-                pair=(float(values[k]), float(values[k + 1])),
-            )
+        raise DegenerateCrossing(
+            f"projection rotation rate {rates[k]:.3e} exceeds {MIXING_CAP:g} "
+            f"between eigenvalues {pair[0]:.6g} and {pair[1]:.6g}",
+            pair=pair,
+        )
 
     return SpectralBranches(
         basis=v,
@@ -370,23 +351,22 @@ class ProjectionAuditReport:
 
 def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
     """Evaluate the projection-derivative identities on dense cluster data."""
-    cl = br.clusters
+    proj = [br.projection(k) for k in range(br.n_clusters)]
+    prime = [br.projection_prime(k) for k in range(br.n_clusters)]
     eye = np.eye(br.dim)
     off = 0.0
     comp = 0.0
     adj = 0.0
-    for j, cj in enumerate(cl):
-        pj, dpj = cj.projection, cj.projection_prime
+    for j, (pj, dpj) in enumerate(zip(proj, prime)):
         off = max(off, float(np.linalg.norm(dpj @ pj - (eye - pj) @ dpj)))
         off = max(off, float(np.linalg.norm(dpj @ (eye - pj) - pj @ dpj)))
-        for k, ck in enumerate(cl):
-            pk, dpk = ck.projection, ck.projection_prime
+        for k, (pk, dpk) in enumerate(zip(proj, prime)):
             if k != j:
                 off = max(off, float(np.linalg.norm(dpj @ pk + pj @ dpk)))
             comp = max(comp, float(np.linalg.norm(pk @ dpj @ pk)))
             prod = dpj @ dpk
             adj = max(adj, float(np.linalg.norm(prod @ pj - pj @ prod.conj().T)))
-    weighted = sum(c.value * c.projection_prime for c in cl)
+    weighted = sum(value * dp for value, dp in zip(br.cluster_values, prime))
     rho = br.rho()
     rho_prime = br.rho_prime()
     comm = rho @ rho_prime - rho_prime @ rho

@@ -63,14 +63,6 @@ class LdOperator:
     h2: np.ndarray | None = None
 
 
-def _column_cluster_ratios(br: SpectralBranches) -> np.ndarray:
-    """Per eigenvector column, the shared ratio value_prime/value of its cluster."""
-    ratios = np.empty(br.dim)
-    for k, s in enumerate(br.cluster_slices):
-        ratios[s] = br.cluster_value_primes[k] / br.cluster_values[k]
-    return ratios
-
-
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:
     """Construct the LD operator of a model from spectral branches.
 
@@ -87,19 +79,15 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     if not split:
         return LdOperator(model=model, matrix=matrix)
 
-    ratios = _column_cluster_ratios(br)
+    idx = br.cluster_index
+    ratios = (br.cluster_value_primes / br.cluster_values)[idx]
     h1 = hermitize((v * ratios) @ v.conj().T)
     if model == "bvn":
         # sum_k ln(lambda_k) P'_k collapses, pair by pair of clusters, to
         # division of rho' by the logarithmic mean of the cluster values,
         # with vanishing blocks inside each cluster.
-        col_values = np.empty(br.dim)
-        col_index = np.empty(br.dim, dtype=int)
-        for k, s in enumerate(br.cluster_slices):
-            col_values[s] = br.cluster_values[k]
-            col_index[s] = k
-        same = col_index[:, None] == col_index[None, :]
-        kern_c = logmean_matrix(col_values)
+        same = idx[:, None] == idx[None, :]
+        kern_c = logmean_matrix(br.cluster_values[idx])
         h2_eig = np.where(same, 0.0, br.rho_prime_eig / kern_c)
         h2 = hermitize(v @ h2_eig @ v.conj().T)
     else:

@@ -17,8 +17,6 @@ from .errors import DomainError, InvalidInput
 # Relative tolerance used when deciding whether a matrix is Hermitian.
 HERMITICITY_TOL = 1e-12
 
-# Switch point of the logarithmic-mean kernel: below this relative gap the
-# direct ratio (a-b)/(ln a - ln b) loses all significant digits.
 # Relative half-gap below which the logarithmic mean switches to its series.
 # At the boundary u = ln(hi/lo) ~ 1e-2: the direct ratio's error is ~eps/u
 # (subtraction of logs), the six-term series' truncation is u^6/5040 ~ 2e-16,
@@ -78,26 +76,22 @@ def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
 def logmean_kernel(a: float, b: float) -> float:
     """Logarithmic mean (a - b)/(ln a - ln b) of two positive numbers.
 
-    Continuous at a = b where it equals a.  Near-degenerate arguments switch
-    to a short series in u = ln(hi/lo) because the direct ratio cancels.
-    Equals the integral of a^t b^(1-t) over t in [0, 1].
+    Continuous at a = b where it equals a; the off-diagonal entry of
+    logmean_matrix([a, b]).  Equals the integral of a^t b^(1-t) over t in
+    [0, 1].
     """
     if not (a > 0.0 and b > 0.0) or not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("logmean_kernel needs strictly positive finite arguments",
                           value=float(min(a, b)))
-    lo, hi = (a, b) if a <= b else (b, a)
-    if hi - lo > LOGMEAN_SWITCH * (hi + lo):
-        return (hi - lo) / (np.log(hi) - np.log(lo))
-    u = np.log(hi / lo)
-    # lo*(e^u - 1)/u expanded to six terms; u <= ~1e-2 here so the tail
-    # u^6/5040 is below machine epsilon.
-    return lo * (1.0 + u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0)))))
+    return float(logmean_matrix(np.array([a, b]))[0, 1])
 
 
 def logmean_matrix(w: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise logarithmic means K[i, j] = logmean(w[i], w[j]).
+    """Matrix of pairwise logarithmic means K[i, j] = logmean(w[i], w[j])
+    of a strictly positive spectrum.
 
-    Vectorized companion of logmean_kernel for strictly positive spectra.
+    Near-degenerate pairs switch to a short series in u = ln(hi/lo)
+    because the direct ratio cancels.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:

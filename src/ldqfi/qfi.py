@@ -29,27 +29,22 @@ from .ldops import (
     ld_operator,
     zero_expectation_check,
 )
-from .linalg import logmean_matrix, matrix_function, require_hermitian
+from .linalg import logmean_matrix, require_hermitian
 
 # Explicit tensor construction of n-copy states is capped at this dimension.
 NCOPY_DIM_CAP = 4096
 
 
-def qfi_bvn(br: SpectralBranches, ld: LdOperator | None = None) -> float:
+def qfi_bvn(br: SpectralBranches) -> float:
     """Fisher information of the KMB pairing,
-    sum_ij |H_ij|^2 logmean(lambda_i, lambda_j) in the eigenbasis.
+    sum_ij |rho'_ij|^2 / logmean(lambda_i, lambda_j) in the eigenbasis.
 
-    With no operator supplied the sum is taken directly on the branch data
-    as sum_ij |rho'_ij|^2 / logmean(lambda_i, lambda_j), skipping the dense
-    operator build.
+    This is sum_ij |H_ij|^2 logmean(lambda_i, lambda_j) for the bvn
+    operator H, without building H.
     """
+    # Kernel first, so that |rho'|^2 does not add one more N^2 array to its peak.
     kern = logmean_matrix(br.eigenvalues)
-    if ld is None:
-        return float(np.sum(np.abs(br.rho_prime_eig) ** 2 / kern).real)
-    if ld.model != "bvn":
-        raise InvalidInput(f"qfi_bvn needs the bvn operator, got {ld.model!r}")
-    h_eig = br.basis.conj().T @ ld.matrix @ br.basis
-    return float(np.sum(np.abs(h_eig) ** 2 * kern).real)
+    return float(np.sum(np.abs(br.rho_prime_eig) ** 2 / kern))
 
 
 def qfi_variance(rho: DensityMatrix | np.ndarray, ld: LdOperator | np.ndarray) -> float:
@@ -99,23 +94,20 @@ def classical_information(br: SpectralBranches) -> float:
     return float(np.sum(mults * br.cluster_value_primes**2 / br.cluster_values))
 
 
-def qfi_value(br: SpectralBranches, model: str, ld: LdOperator | None = None) -> float:
+def qfi_value(br: SpectralBranches, model: str) -> float:
     """Information value of a model from branch data.
 
-    With no operator supplied, Tr(rho H^2) is assembled in the eigenbasis
-    as sum_i lambda_i sum_j |rho'_ij / kernel_ij|^2 without materializing H.
-    The mean Tr(rho H) then equals Tr(rho') and needs no separate check.
+    bvn is qfi_bvn; the other models' Tr(rho H^2) is assembled in the
+    eigenbasis as sum_i lambda_i sum_j |rho'_ij / kernel_ij|^2 without
+    materializing H.  The mean Tr(rho H) then equals Tr(rho') and needs no
+    separate check.
     """
     if model == "bvn":
-        return qfi_bvn(br, ld)
+        return qfi_bvn(br)
     if model not in MODELS:
         raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
-    if ld is None:
-        h_eig = br.rho_prime_eig / kernel_matrix(br.eigenvalues, model)
-        return float(np.sum(br.eigenvalues[:, None] * np.abs(h_eig) ** 2).real)
-    if ld.model != model:
-        raise InvalidInput(f"operator model {ld.model!r} does not match {model!r}")
-    return qfi_variance(br.rho(), ld)
+    h_eig = br.rho_prime_eig / kernel_matrix(br.eigenvalues, model)
+    return float(np.sum(br.eigenvalues[:, None] * np.abs(h_eig) ** 2))
 
 
 def qfi_split(br: SpectralBranches, model: str) -> tuple[float, float]:
@@ -216,11 +208,15 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
     return value
 
 
+def _log_state(state: DensityMatrix) -> np.ndarray:
+    v = state.eigenvectors
+    return (v * np.log(state.eigenvalues)) @ v.conj().T
+
+
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
-    """Umegaki relative entropy Tr sigma (ln sigma - ln rho) of full-rank states."""
-    log_sigma = matrix_function(sigma.matrix, np.log)
-    log_rho = matrix_function(rho.matrix, np.log)
-    return float(np.trace(sigma.matrix @ (log_sigma - log_rho)).real)
+    """Umegaki relative entropy Tr sigma (ln sigma - ln rho) of full-rank
+    states, with both logarithms taken on the states' eigendecompositions."""
+    return float(np.trace(sigma.matrix @ (_log_state(sigma) - _log_state(rho))).real)
 
 
 def relent_limit(fam: StateFamily, theta: float,
@@ -291,14 +287,14 @@ def compute_report(fam: StateFamily, theta: float,
     br = branches_at(fam, theta)
     rho = br.rho()
     i1 = classical_information(br)
-    qfi: dict[str, float] = {}
-    i2: dict[str, float] = {}
-    worst_expect = 0.0
+    qfi = {m: qfi_value(br, m) for m in models}
+    i2 = {m: qfi[m] - i1 for m in models}
+    # The values come from the eigenbasis formulas; the assembled operators
+    # are still built to check Tr(rho H) = 0 and the KMB equation.
     bvn_op = bvn_ld(br, split=False)
+    worst_expect = 0.0
     for m in models:
         op = bvn_op if m == "bvn" else ld_operator(br, m, split=False)
-        qfi[m] = qfi_value(br, m, op)
-        i2[m] = qfi[m] - i1
         worst_expect = max(worst_expect, abs(zero_expectation_check(rho, op)))
     residual = kmb_residual(br, bvn_op)
     if not math.isfinite(residual):

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.linalg
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from .errors import DomainError, InvalidInput, SingularState, TruncationError
 from .family import (
@@ -372,26 +372,35 @@ def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
     """Matrix elements <m| e^{theta (a+ - a)} |n> of the untruncated
     displacement with real amplitude theta, on the first dim levels.
 
-    Evaluated through log-factorials and generalized Laguerre polynomials,
-    stable for all level pairs in the supported range.
+    Below the diagonal, with m = n + d, the element is
+    e_n(d) = e^{-x/2} theta^d sqrt(n!/(n+d)!) L_n^(d)(x), x = theta^2; above
+    it the transpose picks up (-1)^d.  The Laguerre three-term recurrence in
+    n, rescaled by sqrt(n!/(n+d)!), gives
+      e_{n+1} = ((2n+1+d-x) e_n - sqrt(n (n+d)) e_{n-1}) / sqrt((n+1)(n+1+d))
+    starting from e_0(d) = e^{-x/2} theta^d / sqrt(d!).  Every term stays
+    bounded, so large dimensions cannot form the 0 * inf of a separately
+    evaluated factorial ratio and Laguerre value; a starting value that
+    underflows only loses elements far below double precision.
     """
     if dim < 1:
         raise InvalidInput("dim must be positive")
     if theta == 0.0:
         return np.eye(dim)
     x = theta * theta
-    log_fact = gammaln(np.arange(1, dim + 1, dtype=float))
-    log_abs = math.log(abs(theta))
+    d = np.arange(dim, dtype=float)
+    odd = d % 2 == 1
+    parity = np.where(odd, -1.0, 1.0)
+    cur = np.exp(d * math.log(abs(theta)) - 0.5 * x - 0.5 * gammaln(d + 1.0))
+    cur[odd] *= math.copysign(1.0, theta)
+    prev = np.zeros(dim)
     out = np.empty((dim, dim))
-    for d in range(dim):
-        n = np.arange(dim - d)
-        amp = np.exp(0.5 * (log_fact[n] - log_fact[n + d]) + d * log_abs - 0.5 * x)
-        amp *= eval_genlaguerre(n, d, x)
-        # theta^{m-n} below the diagonal, (-theta)^{n-m} above it
-        sgn_low = -1.0 if (d % 2 == 1 and theta < 0.0) else 1.0
-        sgn_up = -1.0 if (d % 2 == 1 and theta > 0.0) else 1.0
-        out[n + d, n] = sgn_low * amp
-        out[n, n + d] = sgn_up * amp
+    for n in range(dim):
+        k = dim - n
+        out[n:, n] = cur[:k]
+        out[n, n:] = parity[:k] * cur[:k]
+        dd = d[: k - 1]
+        nxt = (2 * n + 1 + dd - x) * cur[: k - 1] - math.sqrt(n) * np.sqrt(n + dd) * prev[: k - 1]
+        prev, cur = cur, nxt / np.sqrt((n + 1) * (n + 1 + dd))
     return out
 
 
@@ -753,17 +762,23 @@ class FamilySpec:
     coordinates a grid may run over, the default first, each with its
     admissible interval.  build receives the fixed parameters with the
     swept coordinate set to the grid value and returns the family instance
-    and its evaluation point.
+    and its evaluation point.  analytic tells whether the family supplies
+    its derivative in closed form.
     """
 
     params: Mapping[str, Interval]
     coords: Mapping[str, Interval]
     build: Callable[[Mapping[str, float]], tuple[StateFamily, float]]
+    analytic: bool = True
 
 
 _TWO_LEVEL_THETA = Interval(-1.5, 1.5)
 _RADIUS = Interval(0.0, 1.0, closed_lo=True)
 _TRUNC_DIM = Interval(2.0, math.inf, closed_lo=True, integer=True)
+
+# Admissible finite-difference steps, for counterexample31's step and a
+# sweep's central-difference step alike.
+STEP_DOMAIN = Interval(0.0, math.inf)
 
 FAMILIES: Mapping[str, FamilySpec] = {
     "two_level_1": FamilySpec(
@@ -788,9 +803,10 @@ FAMILIES: Mapping[str, FamilySpec] = {
         build=lambda v: (coherent_family(v.get("M", 1.0), v.get("trunc_dim")).family(), v["theta"]),
     ),
     "counterexample31": FamilySpec(
-        params={"step": Interval(0.0, math.inf)},
+        params={"step": STEP_DOMAIN},
         coords={"theta": Interval(-1.0, 1.0)},
         build=lambda v: (counterexample_family(step=v.get("step")), v["theta"]),
+        analytic=False,
     ),
 }
 
@@ -802,8 +818,9 @@ def grid_domain(
     coordinate (the family's default when sweep_param is None) with its
     admissible interval.
 
-    Unknown names, parameter keys and coordinates, and fixed parameter
-    values outside their intervals, are rejected as InvalidInput.
+    Unknown names, parameter keys and coordinates, fixed parameter values
+    outside their intervals, and a coordinate that is also fixed, are
+    rejected as InvalidInput.
     """
     spec = FAMILIES.get(name)
     if spec is None:
@@ -817,6 +834,8 @@ def grid_domain(
         sweep_param = next(iter(spec.coords))
     if sweep_param not in spec.coords:
         raise InvalidInput(f"family {name!r} cannot sweep over {sweep_param!r}")
+    if sweep_param in params:
+        raise InvalidInput(f"parameter {sweep_param!r} is both fixed and swept")
     return sweep_param, spec.coords[sweep_param]
 
 

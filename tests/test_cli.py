@@ -268,14 +268,36 @@ class TestConfigErrors:
             ("name = coherent\ntrunc_dim = 2.5", "grid = 0"),
             ("name = geometric", "grid = nan"),
             ("name = coherent", "grid = nan"),
+            ("name = counterexample31", "grid = 0.4\nderivative_mode = analytic"),
+            ("name = two_level_1", "grid = 0.3\nderivative_mode = central\nstep = 0"),
         ],
-        ids=["r_fixed", "M_negative", "theta_fixed", "trunc_dim_fractional", "geometric_nan", "coherent_nan"],
+        ids=[
+            "r_fixed", "M_negative", "theta_fixed", "trunc_dim_fractional", "geometric_nan",
+            "coherent_nan", "analytic_mode_without_closed_form", "zero_step",
+        ],
     )
     def test_bad_fixed_parameter_or_grid_value(self, tmp_path, capsys, family, sweep):
         cfg = write_cfg(tmp_path, f"[family]\n{family}\n[sweep]\n{sweep}\n")
         code, _, err = run_cli(["sweep", "--config", cfg], capsys)
         assert code == 2
         assert "config error" in err and "outside the admissible" in err
+
+    def test_fixed_parameter_that_is_also_swept(self, tmp_path, capsys):
+        # r is the default sweep coordinate of two_level_2; fixing it as
+        # well would be overwritten by every grid value
+        cfg = write_cfg(
+            tmp_path,
+            """\
+            [family]
+            name = two_level_2
+            r = 0.3
+            [sweep]
+            grid = 0.5
+            """,
+        )
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "config error" in err and "both fixed and swept" in err
 
     def test_bad_format(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -712,6 +734,15 @@ class TestLdReport:
         )
         assert code == 2
         assert "must look like key=value" in err
+
+    def test_param_that_is_the_theta_coordinate_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["ld", "--family", "two_level_2", "--theta", "0.1", "--model", "sld",
+             "--param", "theta=0.2"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "both fixed and swept" in err
 
     def test_param_forwarded(self, capsys):
         code, out, _ = run_cli(

@@ -1,0 +1,185 @@
+"""One eigendecomposition per state, and the eigenbasis formulas of every
+information value against the dense operator oracles."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import ldqfi
+from ldqfi import (
+    MODELS,
+    StateFamily,
+    branches_at,
+    breve_variance,
+    bvn_ld,
+    classical_information,
+    compute_report,
+    ld1,
+    ld2,
+    ld_operator,
+    qfi_variance,
+    random_analytic_family,
+    random_hermitian,
+    relent_limit,
+    spectral_branches,
+)
+from ldqfi.errors import DegenerateCrossing
+from ldqfi.family import MIXING_CAP, eval_rho, eval_rho_prime
+
+
+def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
+    real = getattr(owner, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_branches_at_runs_one_eigh(monkeypatch, random_family) -> None:
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, np.linalg, "eigh", counts)
+    _counting(monkeypatch, np.linalg, "eigvalsh", counts)
+    branches_at(random_family, 0.2)
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_relent_limit_runs_one_eigh_per_state(monkeypatch, tanh_family) -> None:
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, np.linalg, "eigh", counts)
+    for mod in (ldqfi.linalg, ldqfi.family, ldqfi.ldops, ldqfi.qfi):
+        if hasattr(mod, "matrix_function"):
+            _counting(monkeypatch, mod, "matrix_function", counts)
+    eps = (1e-2, 5e-3, 2.5e-3)
+    relent_limit(tanh_family, 0.3, eps)
+    assert counts.pop("eigh") == len(eps) + 1
+    assert set(counts.values()) <= {0}
+
+
+def _multiplet_family(dim: int, rng: np.random.Generator) -> StateFamily:
+    """rho = U D U^dagger with U = exp(theta A), A anti-Hermitian, and
+    normalized weights D = exp(c + theta s) whose first two entries
+    coincide for every theta: a rotating doubly degenerate cluster."""
+    gen = 1j * random_hermitian(dim, rng, scale=0.4)
+    c = rng.uniform(-1.0, 1.0, dim)
+    s = rng.uniform(-1.0, 1.0, dim)
+    c[1], s[1] = c[0], s[0]
+
+    def weights(theta: float) -> tuple[np.ndarray, np.ndarray]:
+        p = np.exp(c + theta * s)
+        p /= p.sum()
+        return p, p * (s - p @ s)
+
+    def rho_of(theta: float) -> np.ndarray:
+        u = scipy.linalg.expm(theta * gen)
+        return (u * weights(theta)[0]) @ u.conj().T
+
+    def rho_prime_of(theta: float) -> np.ndarray:
+        u = scipy.linalg.expm(theta * gen)
+        rho = rho_of(theta)
+        return gen @ rho - rho @ gen + (u * weights(theta)[1]) @ u.conj().T
+
+    return StateFamily(
+        dim=dim, theta_domain=(-1.0, 1.0), rho_of=rho_of, rho_prime_of=rho_prime_of,
+        name="multiplet",
+    )
+
+
+def _cluster_reference(br) -> tuple[np.ndarray, np.ndarray]:
+    values = [br.eigenvalues[s].mean() for s in br.cluster_slices]
+    primes = [np.trace(br.rho_prime_eig[s, s]).real / (s.stop - s.start) for s in br.cluster_slices]
+    return np.array(values), np.array(primes)
+
+
+def _split_reference(br, model: str) -> tuple[np.ndarray, np.ndarray]:
+    """h1 = sum_k (lambda'_k / lambda_k) P_k; for bvn h2 = sum_k ln(lambda_k) P'_k,
+    otherwise the remainder of the operator."""
+    ks = range(br.n_clusters)
+    h1 = sum(br.cluster_value_primes[k] / br.cluster_values[k] * br.projection(k) for k in ks)
+    if model == "bvn":
+        return h1, sum(np.log(br.cluster_values[k]) * br.projection_prime(k) for k in ks)
+    return h1, ld_operator(br, model, split=False).matrix - h1
+
+
+@pytest.mark.parametrize("kind", ["commuting", "noncommuting", "multiplet"])
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_eigenbasis_values_match_dense_oracles(dim: int, kind: str) -> None:
+    rng = np.random.default_rng([dim, len(kind)])
+    if kind == "multiplet":
+        fam = _multiplet_family(dim, rng)
+    else:
+        fam = random_analytic_family(dim, rng, commuting=kind == "commuting", min_rel_gap=1e-3)
+    theta = 0.3
+    rep = compute_report(fam, theta)
+    br = branches_at(fam, theta)
+    assert rep.i1 == classical_information(br)
+
+    # dense oracles: Tr(rho H^2) of the assembled and the direct operators,
+    # and the KMB-weighted variance of the assembled bvn operator
+    rho = eval_rho(fam, theta)
+    rho_prime = eval_rho_prime(fam, theta)
+    oracles = {
+        m: [qfi_variance(rho, ld_operator(br, m, split=False))] for m in MODELS if m != "bvn"
+    }
+    oracles["ld1"].append(qfi_variance(rho, ld1(rho, rho_prime)))
+    oracles["ld2"].append(qfi_variance(rho, ld2(rho, rho_prime)))
+    oracles["bvn"] = [breve_variance(br, bvn_ld(br, split=False).matrix)]
+    for m, values in oracles.items():
+        for v in values:
+            assert rep.qfi[m] == pytest.approx(v, rel=1e-10, abs=1e-12), m
+        assert rep.i2[m] == pytest.approx(rep.qfi[m] - rep.i1, abs=1e-15)
+
+    # cluster bookkeeping and the h1/h2 split against per-cluster loops, also
+    # with the closest eigenvalue pair merged into one cluster by cluster_tol
+    closest = float(np.diff(br.eigenvalues).min())
+    clustered = branches_at(fam, theta, cluster_tol=max(1e-9, 1.5 * closest))
+    assert max(clustered.cluster_mults) >= 2
+    if kind == "multiplet":
+        assert br.n_clusters == dim - 1
+    for b in (br, clustered):
+        values, primes = _cluster_reference(b)
+        np.testing.assert_allclose(b.cluster_values, values, rtol=1e-14)
+        np.testing.assert_allclose(b.cluster_value_primes, primes, rtol=1e-12, atol=1e-14)
+        for m in MODELS:
+            op = ld_operator(b, m, split=True)
+            h1, h2 = _split_reference(b, m)
+            scale = max(1.0, float(np.abs(op.matrix).max()))
+            assert np.abs(op.h1 - h1).max() <= 1e-10 * scale, m
+            assert np.abs(op.h2 - h2).max() <= 1e-10 * scale, m
+
+
+def _first_crossing_reference(w, rp, gap_tol):
+    """Loop over neighbouring clusters of a diagonal state: the first pair
+    whose gap is below gap_tol or whose rotation rate exceeds MIXING_CAP."""
+    br = spectral_branches(np.diag(w).astype(complex), np.zeros_like(rp), cluster_tol=None)
+    s, v = br.cluster_slices, br.cluster_values
+    for k in range(br.n_clusters - 1):
+        gap = v[k + 1] - v[k]
+        rate = np.linalg.norm(rp[s[k], s[k + 1]]) / gap
+        if (gap_tol is not None and gap < gap_tol) or rate > MIXING_CAP:
+            return (float(v[k]), float(v[k + 1]))
+    return None
+
+
+@pytest.mark.parametrize("coupling", [1e-3, 1.0])
+@pytest.mark.parametrize("gap_tol", [None, 1e-3])
+def test_crossing_check_matches_cluster_loop(coupling: float, gap_tol) -> None:
+    # clusters of multiplicity 2, 1, 1, 1, 1: before normalization, a close
+    # pair at 0.15 (gap 1e-4) and a near-crossing at 0.2 (gap 2e-9) that
+    # rotates fast for coupling 1
+    w = np.array([0.1, 0.1, 0.15, 0.15 + 1e-4, 0.2, 0.2 + 2e-9])
+    w /= w.sum()
+    rp = np.zeros((6, 6), dtype=complex)
+    rp[0, 2] = rp[2, 0] = rp[1, 3] = rp[3, 1] = 0.05
+    rp[4, 5] = rp[5, 4] = coupling
+    expected = _first_crossing_reference(w, rp, gap_tol)
+    if expected is None:
+        assert spectral_branches(np.diag(w).astype(complex), rp, gap_tol=gap_tol).n_clusters == 5
+    else:
+        with pytest.raises(DegenerateCrossing) as err:
+            spectral_branches(np.diag(w).astype(complex), rp, gap_tol=gap_tol)
+        assert err.value.pair == expected

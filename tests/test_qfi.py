@@ -40,7 +40,6 @@ class TestConventions:
         op = bvn_ld(br)
         direct = float(np.trace(br.rho_prime() @ op.matrix).real)
         assert qfi_bvn(br) == pytest.approx(direct, rel=1e-12)
-        assert qfi_bvn(br, op) == pytest.approx(direct, rel=1e-12)
 
     def test_qfi_bvn_equals_breve_variance(self, random_branches) -> None:
         br = random_branches
@@ -68,7 +67,6 @@ class TestConventions:
             else:
                 direct = float(np.trace(br.rho() @ op.matrix @ op.matrix).real)
             assert qfi_value(br, model) == pytest.approx(direct, rel=1e-11)
-            assert qfi_value(br, model, op) == pytest.approx(direct, rel=1e-11)
             # the ordinary moment itself is available for every model
             assert qfi_variance(br.rho(), op) == pytest.approx(
                 float(np.trace(br.rho() @ op.matrix @ op.matrix).real), rel=1e-11

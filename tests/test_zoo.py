@@ -258,6 +258,20 @@ class TestDisplacementOperator:
         w_neg = displacement_closed_form(-0.17, 25)
         assert np.allclose(w_neg, w_pos.T, atol=1e-13)
 
+    def test_large_dimension_is_finite_and_consistent(self) -> None:
+        # a separately evaluated factorial ratio and Laguerre value give
+        # 0 * inf = NaN on the far diagonals from N ~ 1100 on at theta = 0.1
+        big = displacement_closed_form(0.1, 1200)
+        assert np.all(np.isfinite(big))
+        assert np.abs(big[:600, :600] - displacement_closed_form(0.1, 600)).max() <= 1e-12
+        bulk = 1200 - zoo._bulk_margin(0.1, 1200)
+        norms = np.linalg.norm(big[:, :bulk], axis=0)
+        assert np.abs(norms - 1.0).max() <= 1e-10
+
+    def test_large_occupation_displacement_passes_check(self) -> None:
+        w = zoo.CoherentFamily(100.0, 1200).checked_displacement(0.1)
+        assert w.shape == (1200, 1200)
+
 
 class TestCoherentFamily:
     def test_auto_trunc_dims(self) -> None:
@@ -431,6 +445,10 @@ class TestCounterexampleFamily:
 # registry helpers
 
 
+def _inner(dom) -> float:
+    return dom.lo + 0.5 if math.isinf(dom.hi) else 0.5 * (dom.lo + dom.hi)
+
+
 class TestRegistry:
     def test_default_sweep_params(self) -> None:
         assert next(iter(FAMILIES["two_level_2"].coords)) == "r"
@@ -447,6 +465,19 @@ class TestRegistry:
             grid_domain("coherent", {"x": 1.0}, "theta")
         with pytest.raises(InvalidInput):
             grid_domain("two_level_1", {}, "r")
+
+    def test_swept_coordinate_cannot_be_fixed(self) -> None:
+        with pytest.raises(InvalidInput, match="both fixed and swept"):
+            grid_domain("two_level_2", {"r": 0.3})
+        with pytest.raises(InvalidInput, match="both fixed and swept"):
+            sweep_family("two_level_2", {"theta": 0.2}, "theta", 0.7)
+        assert grid_domain("two_level_2", {"theta": 0.2})[0] == "r"
+
+    def test_only_counterexample_lacks_analytic_derivative(self) -> None:
+        for name, spec in FAMILIES.items():
+            fam, _ = spec.build({c: _inner(dom) for c, dom in spec.coords.items()})
+            assert spec.analytic == (fam.rho_prime_of is not None), name
+        assert not FAMILIES["counterexample31"].analytic
 
     def test_grid_domains(self) -> None:
         _, dom = grid_domain("two_level_2", {}, "r")
