@@ -27,7 +27,7 @@ from .family import (
     projection_curvature_residual,
     random_analytic_family,
 )
-from .ldops import MODELS, bvn_ld, ld_operator
+from .ldops import MODELS, bvn_ld, kmb_residual, ld_operator, zero_expectation_check
 from .linalg import random_hermitian
 from .qfi import (
     breve_variance,
@@ -666,11 +666,8 @@ def cmd_ld(args: argparse.Namespace) -> int:
     print("H (imag part):")
     for row in op.matrix.imag:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))
-    mean = float(np.trace(rho @ op.matrix).real)
-    from .ldops import kmb_residual as _kmb
-
-    print(f"Tr(rho H) = {_g17(mean)}")
-    print(f"KMB residual = {_g17(_kmb(br, op))}")
+    print(f"Tr(rho H) = {_g17(zero_expectation_check(rho, op))}")
+    print(f"KMB residual = {_g17(kmb_residual(br, op))}")
     h1 = float(np.linalg.norm(op.h1)) if op.h1 is not None else float("nan")
     h2 = float(np.linalg.norm(op.h2)) if op.h2 is not None else float("nan")
     print(f"||H1||_F = {_g17(h1)}  ||H2||_F = {_g17(h2)}")

@@ -22,7 +22,7 @@ from .errors import (
     InvalidInput,
     SingularState,
 )
-from .linalg import hermitize, is_hermitian, random_hermitian, require_hermitian
+from .linalg import hermitize, is_hermitian, logmean_matrix, random_hermitian, require_hermitian
 
 # A state is rejected as numerically rank deficient below this eigenvalue.
 RANK_TOL = 1e-12
@@ -226,6 +226,12 @@ class SpectralBranches:
     def cluster_index(self) -> np.ndarray:
         """Cluster number of each eigenvector column."""
         return np.repeat(np.arange(self.n_clusters), self.cluster_mults)
+
+    @cached_property
+    def logmean(self) -> np.ndarray:
+        """Pairwise logarithmic means of the eigenvalues, the bvn kernel;
+        built once and shared by every reader of this point."""
+        return logmean_matrix(self.eigenvalues)
 
     def rho(self) -> np.ndarray:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T

@@ -26,6 +26,7 @@ from .linalg import (
     matrix_function,
     require_hermitian,
     schatten_norm,
+    trace_product,
 )
 
 MODELS = ("bvn", "ld1", "ld2", "sld")
@@ -63,6 +64,16 @@ class LdOperator:
     h2: np.ndarray | None = None
 
 
+def ld_eig(br: SpectralBranches, model: str) -> np.ndarray:
+    """The LD operator of a model in the eigenbasis of rho: rho'_ij divided
+    by the model's mean of (lambda_i, lambda_j).  The bvn kernel is the
+    point's shared log-mean table."""
+    if model not in MODELS:
+        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
+    kern = br.logmean if model == "bvn" else kernel_matrix(br.eigenvalues, model)
+    return br.rho_prime_eig / kern
+
+
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:
     """Construct the LD operator of a model from spectral branches.
 
@@ -70,12 +81,8 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     for bvn, h2 = sum_k ln(lambda_k) P'_k assembled from the branch data;
     for the other models h2 = matrix - h1.
     """
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
     v = br.basis
-    kern = kernel_matrix(br.eigenvalues, model)
-    h_eig = br.rho_prime_eig / kern
-    matrix = hermitize(v @ h_eig @ v.conj().T)
+    matrix = hermitize(v @ ld_eig(br, model) @ v.conj().T)
     if not split:
         return LdOperator(model=model, matrix=matrix)
 
@@ -135,13 +142,15 @@ def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
     """
     h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
     h_eig = br.basis.conj().T @ h @ br.basis
-    recon = h_eig * logmean_matrix(br.eigenvalues)
+    recon = h_eig * br.logmean
     return schatten_norm(recon - br.rho_prime_eig, 1)
 
 
 def zero_expectation_check(rho: DensityMatrix | np.ndarray, ld: LdOperator | np.ndarray) -> float:
-    """Tr(rho H).  Every LD operator of a trace-preserving family has
-    vanishing expectation; callers assert the magnitude."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
-    return float(np.trace(mat @ h).real)
+    """Tr(rho H), in O(d^2) and in any common basis of the two operands.
+    Every LD operator of a trace-preserving family has vanishing
+    expectation; callers assert the magnitude.  Operands that are not
+    square matrices of one shape raise InvalidInput."""
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    h = ld.matrix if isinstance(ld, LdOperator) else ld
+    return trace_product(mat, h)

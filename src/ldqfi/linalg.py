@@ -1,9 +1,9 @@
 """Hermitian linear algebra primitives used by every higher layer.
 
-Hermiticity checks, spectral matrix functions, the logarithmic-mean kernel
-and Schatten norms.  Other modules call numpy's eigensolvers directly; the
-clustered spectral decomposition of a family's state is
-``family.spectral_branches``.
+Hermiticity checks, spectral matrix functions, the logarithmic-mean kernel,
+the trace of a product and Schatten norms.  Other modules call numpy's
+eigensolvers directly; the clustered spectral decomposition of a family's
+state is ``family.spectral_branches``.
 """
 
 from __future__ import annotations
@@ -110,6 +110,21 @@ def logmean_matrix(w: np.ndarray) -> np.ndarray:
         1.0 + u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0))))
     )
     return np.where(near, series, ratio)
+
+
+def trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Real part of Tr(AB) as sum_ij a_ij b_ji, in O(d^2) without forming AB.
+
+    Both operands must be square matrices of one shape; for Hermitian A and
+    B the real part is the whole trace.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise InvalidInput(
+            f"trace of a product needs two square matrices of one shape, got {a.shape} and {b.shape}"
+        )
+    return float(np.sum(a * b.T).real)
 
 
 def schatten_norm(a: np.ndarray, p: int | str) -> float:

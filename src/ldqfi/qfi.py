@@ -19,17 +19,26 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInformation, InvalidInput, ResourceLimit
-from .family import DensityMatrix, SpectralBranches, StateFamily, branches_at, default_step, eval_rho
+from .family import (
+    DensityMatrix,
+    SpectralBranches,
+    StateFamily,
+    branches_at,
+    default_step,
+    eval_rho,
+    eval_rho_prime,
+    spectral_branches,
+)
 from .ldops import (
     MODELS,
     LdOperator,
     bvn_ld,
-    kernel_matrix,
     kmb_residual,
+    ld_eig,
     ld_operator,
     zero_expectation_check,
 )
-from .linalg import logmean_matrix, require_hermitian
+from .linalg import logmean_matrix, require_hermitian, trace_product
 
 # Explicit tensor construction of n-copy states is capped at this dimension.
 NCOPY_DIM_CAP = 4096
@@ -42,8 +51,8 @@ def qfi_bvn(br: SpectralBranches) -> float:
     This is sum_ij |H_ij|^2 logmean(lambda_i, lambda_j) for the bvn
     operator H, without building H.
     """
-    # Kernel first, so that |rho'|^2 does not add one more N^2 array to its peak.
-    kern = logmean_matrix(br.eigenvalues)
+    # Table first, so that |rho'|^2 does not add one more N^2 array to its peak.
+    kern = br.logmean
     return float(np.sum(np.abs(br.rho_prime_eig) ** 2 / kern))
 
 
@@ -62,11 +71,11 @@ def qfi_variance(rho: DensityMatrix | np.ndarray, ld: LdOperator | np.ndarray) -
         h = ld.matrix
     else:
         h = require_hermitian(np.asarray(ld), "observable")
-    mean = float(np.trace(mat @ h).real)
+    mean = trace_product(mat, h)
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if abs(mean) > 1e-6 * scale:
         raise InvalidInput(f"Tr(rho H) = {mean:.3e} is not numerically zero")
-    return float(np.trace(mat @ h @ h).real)
+    return trace_product(mat @ h, h)
 
 
 def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
@@ -83,8 +92,7 @@ def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
     y_eig = br.basis.conj().T @ y @ br.basis
     mean = float(np.sum(br.eigenvalues * np.diag(y_eig).real))
     z = y_eig - mean * np.eye(br.dim)
-    kern = logmean_matrix(br.eigenvalues)
-    return float(np.sum(np.abs(z) ** 2 * kern).real)
+    return float(np.sum(np.abs(z) ** 2 * br.logmean).real)
 
 
 def classical_information(br: SpectralBranches) -> float:
@@ -104,9 +112,7 @@ def qfi_value(br: SpectralBranches, model: str) -> float:
     """
     if model == "bvn":
         return qfi_bvn(br)
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
-    h_eig = br.rho_prime_eig / kernel_matrix(br.eigenvalues, model)
+    h_eig = ld_eig(br, model)
     return float(np.sum(br.eigenvalues[:, None] * np.abs(h_eig) ** 2))
 
 
@@ -149,13 +155,13 @@ def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str,
     info = qfi_value(br, model)
     if info <= 1e-14:
         raise DegenerateInformation(f"information value {info:.3e} is numerically zero")
-    u = float(np.trace(br.rho_prime() @ y).real)
+    u = trace_product(br.rho_prime(), y)
     if model == "bvn":
         lhs = breve_variance(br, y)
     else:
         rho = br.rho()
-        mean = float(np.trace(rho @ y).real)
-        lhs = float(np.trace(rho @ y @ y).real) - mean**2
+        mean = trace_product(rho, y)
+        lhs = trace_product(rho @ y, y) - mean**2
     rhs = u**2 / info
     return CrCheck(model=model, u=u, lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack_tol)
 
@@ -199,7 +205,7 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
         h_eig = v.conj().T @ h_n @ v
         value = float(np.sum(np.abs(h_eig) ** 2 * logmean_matrix(w)).real)
     else:
-        value = float(np.trace(rho_n @ h_n @ h_n).real)
+        value = trace_product(rho_n @ h_n, h_n)
     expect = n * single
     if abs(value - expect) > 1e-8 * max(1.0, abs(expect)):
         raise InvalidInput(
@@ -216,7 +222,9 @@ def _log_state(state: DensityMatrix) -> np.ndarray:
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     """Umegaki relative entropy Tr sigma (ln sigma - ln rho) of full-rank
     states, with both logarithms taken on the states' eigendecompositions."""
-    return float(np.trace(sigma.matrix @ (_log_state(sigma) - _log_state(rho))).real)
+    if sigma.dim != rho.dim:
+        raise InvalidInput(f"states of dimensions {sigma.dim} and {rho.dim} cannot be compared")
+    return trace_product(sigma.matrix, _log_state(sigma) - _log_state(rho))
 
 
 def relent_limit(fam: StateFamily, theta: float,
@@ -254,7 +262,7 @@ def maximality_check(fam: StateFamily, theta: float, step: float | None = None) 
     minus = bvn_ld(branches_at(fam, theta - h), split=False).matrix
     h_prime = (plus - minus) / (2.0 * h)
     br = branches_at(fam, theta)
-    e_prime = float(np.trace(br.rho() @ h_prime).real)
+    e_prime = trace_product(br.rho(), h_prime)
     return e_prime, -qfi_bvn(br)
 
 
@@ -284,19 +292,18 @@ def compute_report(fam: StateFamily, theta: float,
             raise InvalidInput(f"unknown model {m!r}")
     if not models:
         raise InvalidInput("at least one model is required")
-    br = branches_at(fam, theta)
-    rho = br.rho()
+    rho = eval_rho(fam, theta)
+    br = spectral_branches(rho, eval_rho_prime(fam, theta))
     i1 = classical_information(br)
     qfi = {m: qfi_value(br, m) for m in models}
     i2 = {m: qfi[m] - i1 for m in models}
-    # The values come from the eigenbasis formulas; the assembled operators
-    # are still built to check Tr(rho H) = 0 and the KMB equation.
-    bvn_op = bvn_ld(br, split=False)
-    worst_expect = 0.0
-    for m in models:
-        op = bvn_op if m == "bvn" else ld_operator(br, m, split=False)
-        worst_expect = max(worst_expect, abs(zero_expectation_check(rho, op)))
-    residual = kmb_residual(br, bvn_op)
+    # Tr(rho H) of every model is taken in the eigenbasis with the state's
+    # own matrix, so it also sees how well the basis diagonalizes rho; only
+    # the bvn operator is assembled, for the KMB equation.
+    v = br.basis
+    rho_eig = v.conj().T @ rho.matrix @ v
+    worst_expect = max(abs(zero_expectation_check(rho_eig, ld_eig(br, m))) for m in models)
+    residual = kmb_residual(br, bvn_ld(br, split=False))
     if not math.isfinite(residual):
         raise InvalidInput("KMB residual is not finite")
     return QfiReport(

@@ -467,22 +467,26 @@ class CoherentFamily:
             )
         return w
 
+    def state(self, theta: float) -> np.ndarray:
+        """Displaced thermal state D rho0 D^T with D the checked displacement."""
+        w = self.checked_displacement(theta)
+        return w @ self.rho0() @ w.T
+
     def family(self) -> StateFamily:
-        rho0 = self.rho0()
         gen = self.generator()
         memo: dict[float, np.ndarray] = {}
 
-        def disp(theta: float) -> np.ndarray:
-            w = memo.get(theta)
-            if w is None:
+        def rho_of(theta: float) -> np.ndarray:
+            # One state per theta: rho_prime_of reads the state that
+            # eval_rho has just formed.  Read-only, since callers share it.
+            rho = memo.get(theta)
+            if rho is None:
                 if len(memo) > 64:
                     memo.clear()
-                w = memo.setdefault(theta, self.checked_displacement(theta))
-            return w
-
-        def rho_of(theta: float) -> np.ndarray:
-            w = disp(theta)
-            return w @ rho0 @ w.T
+                rho = self.state(theta)
+                rho.flags.writeable = False
+                memo[theta] = rho
+            return rho
 
         def rho_prime_of(theta: float) -> np.ndarray:
             rho = rho_of(theta)

@@ -1,7 +1,12 @@
-"""One eigendecomposition per state, and the eigenbasis formulas of every
-information value against the dense operator oracles."""
+"""One eigendecomposition, one log-mean table and one assembled operator per
+point, and the eigenbasis formulas of every information value and of
+Tr(rho H) against the dense operator oracles."""
 
 from __future__ import annotations
+
+import dataclasses
+import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from ldqfi import (
     spectral_branches,
 )
 from ldqfi.errors import DegenerateCrossing
-from ldqfi.family import MIXING_CAP, eval_rho, eval_rho_prime
+from ldqfi.family import MIXING_CAP, TRACE_TOL_ANALYTIC, eval_rho, eval_rho_prime
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
@@ -46,6 +51,33 @@ def test_branches_at_runs_one_eigh(monkeypatch, random_family) -> None:
     _counting(monkeypatch, np.linalg, "eigvalsh", counts)
     branches_at(random_family, 0.2)
     assert counts == {"eigh": 1, "eigvalsh": 0}
+
+
+def _counting_everywhere(monkeypatch, fn, counts: dict[str, int]) -> None:
+    """Count calls of a library function in every ldqfi module that binds it."""
+    name = fn.__name__
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ldqfi" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_compute_report_assembles_one_operator_and_one_logmean_table(
+    monkeypatch, random_family
+) -> None:
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, np.linalg, "eigh", counts)
+    _counting_everywhere(monkeypatch, ldqfi.ldops.ld_operator, counts)
+    _counting_everywhere(monkeypatch, ldqfi.linalg.logmean_matrix, counts)
+    points = (0.1, 0.2, 0.3)
+    for theta in points:
+        compute_report(random_family, theta)
+    assert counts == {"eigh": len(points), "ld_operator": len(points), "logmean_matrix": len(points)}
 
 
 def test_relent_limit_runs_one_eigh_per_state(monkeypatch, tanh_family) -> None:
@@ -133,6 +165,12 @@ def test_eigenbasis_values_match_dense_oracles(dim: int, kind: str) -> None:
             assert rep.qfi[m] == pytest.approx(v, rel=1e-10, abs=1e-12), m
         assert rep.i2[m] == pytest.approx(rep.qfi[m] - rep.i1, abs=1e-15)
 
+    # Tr(rho H) in the eigenbasis against the trace of the dense product
+    ops = [ld_operator(br, m, split=False).matrix for m in MODELS]
+    dense = max(abs(np.trace(br.rho() @ h).real) for h in ops)
+    scale = max(1.0, max(float(np.abs(h).max()) for h in ops))
+    assert abs(rep.max_zero_expectation - dense) <= 1e-13 * scale
+
     # cluster bookkeeping and the h1/h2 split against per-cluster loops, also
     # with the closest eigenvalue pair merged into one cluster by cluster_tol
     closest = float(np.diff(br.eigenvalues).min())
@@ -183,3 +221,20 @@ def test_crossing_check_matches_cluster_loop(coupling: float, gap_tol) -> None:
         with pytest.raises(DegenerateCrossing) as err:
             spectral_branches(np.diag(w).astype(complex), rp, gap_tol=gap_tol)
         assert err.value.pair == expected
+
+
+def test_zero_expectation_sees_a_trace_defect_of_rho_prime(random_family) -> None:
+    # rho' + c I passes the analytic trace check, and every model's
+    # Tr(rho H) then equals Tr(rho') = d c
+    dim = random_family.dim
+    defect = 5e-13
+    assert defect < TRACE_TOL_ANALYTIC
+    base = random_family.rho_prime_of
+    fam = dataclasses.replace(
+        random_family, rho_prime_of=lambda t: base(t) + (defect / dim) * np.eye(dim)
+    )
+    assert compute_report(random_family, 0.2).max_zero_expectation < 1e-14
+    for k in range(1, len(MODELS) + 1):
+        for models in itertools.combinations(MODELS, k):
+            rep = compute_report(fam, 0.2, models)
+            assert rep.max_zero_expectation == pytest.approx(defect, rel=1e-2), models

@@ -4,13 +4,16 @@ functions, Schatten norms."""
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldqfi import logmean_kernel, logmean_matrix, random_hermitian, schatten_norm
+import ldqfi
+from ldqfi import logmean_kernel, logmean_matrix, random_hermitian, schatten_norm, trace_product
 from ldqfi.linalg import hermitize, is_hermitian, matrix_function, require_hermitian
 from ldqfi.errors import InvalidInput
 
@@ -115,3 +118,32 @@ def test_random_hermitian_is_hermitian(rng) -> None:
     a = random_hermitian(6, rng)
     assert is_hermitian(a)
     assert a.shape == (6, 6)
+
+
+def test_trace_product_matches_trace_of_matmul(rng) -> None:
+    a = random_hermitian(5, rng)
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    assert trace_product(a, b) == pytest.approx(np.trace(a @ b).real, abs=1e-13)
+    assert trace_product(a.real, b.real) == pytest.approx(np.trace(a.real @ b.real), abs=1e-13)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 2), (3, 3)), ((2, 2), (2,)), ((2,), (2,)),
+                                              ((2, 3), (2, 3)), ((2, 2), (1, 2, 2))])
+def test_trace_product_rejects_mismatched_or_non_square(a_shape, b_shape) -> None:
+    with pytest.raises(InvalidInput):
+        trace_product(np.ones(a_shape), np.ones(b_shape))
+
+
+# np.trace applied directly to an @ product, an O(d^3) product for an O(d^2)
+# trace; the argument may hold one level of calls, as in np.trace(br.rho() @ h).
+_TRACE_OF_MATMUL = re.compile(r"np\.trace\((?:[^()]|\([^()]*\))*@")
+
+
+def test_library_takes_no_trace_of_a_matrix_product() -> None:
+    offenders = []
+    for path in sorted(Path(ldqfi.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in _TRACE_OF_MATMUL.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            offenders.append(f"{path.name}:{line}: {text.splitlines()[line - 1].strip()}")
+    assert not offenders, "use trace_product for Tr(AB):\n" + "\n".join(offenders)

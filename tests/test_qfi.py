@@ -11,6 +11,7 @@ import pytest
 
 from ldqfi import (
     MODELS,
+    DensityMatrix,
     StateFamily,
     branches_at,
     breve_variance,
@@ -29,6 +30,7 @@ from ldqfi import (
     random_hermitian,
     relative_entropy,
     relent_limit,
+    zero_expectation_check,
 )
 from ldqfi.errors import DegenerateInformation, InvalidInput
 from ldqfi.family import eval_rho
@@ -206,8 +208,6 @@ class TestRelativeEntropy:
         assert relative_entropy(a, b) > 0.0
 
     def test_closed_form_two_level_diagonal(self) -> None:
-        from ldqfi import DensityMatrix
-
         p, q = 0.7, 0.4
         sigma = DensityMatrix(np.diag([p, 1 - p]).astype(complex))
         rho = DensityMatrix(np.diag([q, 1 - q]).astype(complex))
@@ -241,3 +241,27 @@ class TestReport:
     def test_report_rejects_unknown_model(self, tanh_family) -> None:
         with pytest.raises(InvalidInput):
             compute_report(tanh_family, 0.3, models=("bvn", "xxx"))
+
+
+class TestOperandShapes:
+    """Every Tr(AB) of the library checks its operands: a mismatch is a
+    typed InvalidInput, never a numpy broadcast error or a silent broadcast."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda br: zero_expectation_check(np.eye(2) / 2, np.eye(3)),
+            lambda br: zero_expectation_check(np.eye(2) / 2, np.ones(2)),
+            lambda br: qfi_variance(np.eye(2) / 2, np.eye(3)),
+            lambda br: local_cr_check(br, np.eye(3), "sld"),
+            lambda br: local_cr_check(br, np.eye(3), "bvn"),
+            lambda br: relative_entropy(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)),
+        ],
+        ids=["zero_expectation", "zero_expectation_1d", "qfi_variance", "local_cr_sld",
+             "local_cr_bvn", "relative_entropy"],
+    )
+    def test_dimension_mismatch_is_invalid_input(self, call, tanh_family) -> None:
+        br = branches_at(tanh_family, 0.3)
+        assert br.dim == 2
+        with pytest.raises(InvalidInput):
+            call(br)

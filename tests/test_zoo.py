@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from ldqfi import (
     MODELS,
+    CoherentFamily,
     TwoLevelFamily1,
     TwoLevelFamily2,
     branches_at,
@@ -25,6 +26,7 @@ from ldqfi import (
     coherent_qfi_ld2,
     coherent_trace_table,
     coherent_trunc_dim,
+    compute_report,
     counterexample_family,
     default_two_level_1,
     displacement_closed_form,
@@ -295,6 +297,22 @@ class TestCoherentFamily:
         # floor before the tail guard can be satisfied
         with pytest.raises(SingularState):
             coherent_family(0.25, trunc_dim=60)
+
+    def test_report_point_forms_the_state_once(self, monkeypatch) -> None:
+        # eval_rho forms the displaced state; the derivative reads it back
+        real = CoherentFamily.state
+        calls = []
+
+        def counted(self, theta):
+            calls.append(theta)
+            return real(self, theta)
+
+        monkeypatch.setattr(CoherentFamily, "state", counted)
+        fam = coherent_family(1.0).family()
+        compute_report(fam, 0.1)
+        assert calls == [0.1]
+        with pytest.raises(ValueError):
+            fam.rho_of(0.1)[0, 0] = 0.0
 
     def test_closed_form_bvn(self) -> None:
         for m in (0.5, 1.0, 2.0):
