@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateCrossing,
@@ -22,7 +21,15 @@ from .errors import (
     InvalidInput,
     SingularState,
 )
-from .linalg import hermitize, is_hermitian, logmean_matrix, random_hermitian, require_hermitian
+from .linalg import (
+    expm,
+    expm_frechet,
+    hermitize,
+    is_hermitian,
+    logmean_matrix,
+    random_hermitian,
+    require_hermitian,
+)
 
 # A state is rejected as numerically rank deficient below this eigenvalue.
 RANK_TOL = 1e-12
@@ -119,6 +126,12 @@ class StateFamily:
         return lo < theta < hi
 
 
+def _check_step(h: float) -> float:
+    if not (h > 0.0 and math.isfinite(h)):
+        raise InvalidInput(f"invalid finite-difference step {h!r}")
+    return h
+
+
 def default_step(theta: float) -> float:
     """Central-difference step balancing truncation against rounding."""
     return max(1e-5, float(np.cbrt(np.finfo(float).eps)) * (1.0 + abs(theta)))
@@ -163,9 +176,7 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
         rp = np.asarray(fam.rho_prime_of(theta))
         tol = TRACE_TOL_ANALYTIC
     else:
-        h = mode.step if mode.step is not None else default_step(theta)
-        if not (h > 0.0 and math.isfinite(h)):
-            raise InvalidInput(f"invalid finite-difference step {h!r}")
+        h = _check_step(mode.step if mode.step is not None else default_step(theta))
         _check_theta(fam, theta, pad=h)
         rp = _central_difference(fam, theta, h)
         if mode.richardson:
@@ -393,7 +404,9 @@ def projection_curvature_residual(fam: StateFamily, theta: float, h: float = 1e-
 
     Clusters are matched across the stencil by ascending order, so the
     family must keep a constant cluster count on [theta - h, theta + h].
+    A step that is not positive and finite raises InvalidInput.
     """
+    _check_step(h)
     brs = [
         branches_at(fam, t)
         for t in (theta - h, theta - h / 2, theta, theta + h / 2, theta + h)
@@ -495,11 +508,11 @@ def random_analytic_family(
             continue
 
         def rho_of(theta: float, g0=g0, g1=g1) -> np.ndarray:
-            e = scipy.linalg.expm(g0 + theta * g1)
+            e = expm(g0 + theta * g1)
             return e / np.trace(e).real
 
         def rho_prime_of(theta: float, g0=g0, g1=g1) -> np.ndarray:
-            e, de = scipy.linalg.expm_frechet(g0 + theta * g1, g1)
+            e, de = expm_frechet(g0 + theta * g1, g1)
             t = np.trace(e).real
             dt = np.trace(de).real
             return de / t - e * (dt / t**2)

@@ -24,6 +24,7 @@ from .linalg import (
     hermitize,
     logmean_matrix,
     matrix_function,
+    positive_spectrum,
     require_hermitian,
     schatten_norm,
     trace_product,
@@ -33,8 +34,11 @@ MODELS = ("bvn", "ld1", "ld2", "sld")
 
 
 def kernel_matrix(w: np.ndarray, model: str) -> np.ndarray:
-    """Pairwise mean kernel of a positive spectrum for the given model."""
-    w = np.asarray(w, dtype=float)
+    """Pairwise mean kernel of a positive spectrum for the given model.
+
+    A spectrum with a non-positive or non-finite eigenvalue raises
+    DomainError, one that is not 1-d InvalidInput."""
+    w = positive_spectrum(w, "kernel_matrix")
     a = w[:, None]
     b = w[None, :]
     if model == "bvn":

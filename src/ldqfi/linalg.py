@@ -1,13 +1,16 @@
-"""Hermitian linear algebra primitives used by every higher layer.
+"""Linear algebra primitives used by every higher layer.
 
 Hermiticity checks, spectral matrix functions, the logarithmic-mean kernel,
-the trace of a product and Schatten norms.  Other modules call numpy's
-eigensolvers directly; the clustered spectral decomposition of a family's
-state is ``family.spectral_branches``.
+the trace of a product, Schatten norms, and the matrix exponential of a
+general square matrix with its Frechet derivative (``expm``,
+``expm_frechet``).  Everything here runs on numpy alone.  Other modules
+call numpy's eigensolvers directly; the clustered spectral decomposition of
+a family's state is ``family.spectral_branches``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -22,6 +25,33 @@ HERMITICITY_TOL = 1e-12
 # (subtraction of logs), the six-term series' truncation is u^6/5040 ~ 2e-16,
 # so both branches stay at machine precision everywhere.
 LOGMEAN_SWITCH = 5e-3
+
+# Coefficients b_0..b_m of the diagonal [m/m] Pade approximant to e^x, each
+# with the largest 1-norm theta_m at which it meets double-precision unit
+# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+# Degree 13 with scaling and squaring covers every norm above theta_9.  The
+# tables hold the coefficients as rows over the stacked even powers I, A^2,
+# A^4, ...: for degree m <= 9, U = A (row 0) and V = row 1; degree 13 splits
+# each sum at A^6, U = A (A^6 row 0 + row 2) and V = A^6 row 1 + row 3.
+_PADE_LOW = tuple((theta, np.array([b[1::2], b[0::2]])) for theta, b in (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+                           2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+))
+_THETA_13 = 5.371920351148152e0
+_PADE_13_B = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_PADE_13 = np.array([
+    (0.0,) + _PADE_13_B[9::2],
+    (0.0,) + _PADE_13_B[8::2],
+    _PADE_13_B[1:8:2],
+    _PADE_13_B[0:8:2],
+])
 
 
 def _as_square_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -73,6 +103,21 @@ def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     return (vectors * fw) @ vectors.conj().T
 
 
+def positive_spectrum(w: np.ndarray, name: str) -> np.ndarray:
+    """w as a 1-d float array of strictly positive finite eigenvalues: the
+    domain of every mean kernel.  Any other shape raises InvalidInput, any
+    other value DomainError carrying the first offending eigenvalue."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise InvalidInput(f"{name} expects a 1-d array of eigenvalues")
+    # min and max see a NaN too; the two reductions keep this check cheap on
+    # the per-point path
+    if w.size and not (0.0 < w.min() and w.max() < np.inf):
+        offending = w[~((w > 0.0) & (w < np.inf))][0]
+        raise DomainError(f"{name} needs strictly positive finite eigenvalues", value=float(offending))
+    return w
+
+
 def logmean_kernel(a: float, b: float) -> float:
     """Logarithmic mean (a - b)/(ln a - ln b) of two positive numbers.
 
@@ -93,12 +138,7 @@ def logmean_matrix(w: np.ndarray) -> np.ndarray:
     Near-degenerate pairs switch to a short series in u = ln(hi/lo)
     because the direct ratio cancels.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise InvalidInput("logmean_matrix expects a 1-d array of eigenvalues")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise DomainError("logmean_matrix needs strictly positive finite eigenvalues",
-                          value=float(w.min(initial=np.nan)))
+    w = positive_spectrum(w, "logmean_matrix")
     lo = np.minimum(w[:, None], w[None, :])
     hi = np.maximum(w[:, None], w[None, :])
     diff = hi - lo
@@ -137,6 +177,81 @@ def schatten_norm(a: np.ndarray, p: int | str) -> float:
     if p == "op":
         return float(np.linalg.norm(a, 2))
     raise InvalidInput(f"unsupported Schatten order {p!r}; use 1, 2 or 'op'")
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix by Pade scaling and squaring.
+
+    The Pade degree (3, 5, 7, 9 or 13) is the lowest whose theta_m bounds
+    the 1-norm of A; above theta_13, A is scaled by 2^-s into range and the
+    degree-13 approximant squared s times (Higham 2005).  A matrix that is
+    not square or has non-finite entries raises InvalidInput, one whose
+    1-norm overflows double precision DomainError.
+    """
+    return _pade_expm(_as_square_matrix(a))
+
+
+def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^A and its Frechet derivative L(A, E) = d/dt e^(A + tE) at t = 0.
+
+    Both come from one exponential of the block matrix [[A, E], [0, A]],
+    whose upper-right block is L(A, E) (Higham, Functions of Matrices,
+    2008, section 3.2).  A and E must be square, finite and of one shape.
+    """
+    a = _as_square_matrix(a)
+    e = _as_square_matrix(e, "direction")
+    if e.shape != a.shape:
+        raise InvalidInput(f"direction of shape {e.shape} does not match matrix of shape {a.shape}")
+    n = a.shape[0]
+    block = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, e, float))
+    block[:n, :n] = a
+    block[n:, n:] = a
+    block[:n, n:] = e
+    x = _pade_expm(block)
+    return x[:n, :n], x[:n, n:]
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    a = a.astype(np.result_type(a, float), copy=False)
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if norm == math.inf:
+        raise DomainError("the 1-norm of the matrix overflows double precision", value=norm)
+    for theta, coef in _PADE_LOW:
+        if norm <= theta:
+            odd, v = _combine(coef, _even_powers(a @ a, coef.shape[1]))
+            u = a @ odd
+            return np.linalg.solve(v - u, v + u)
+    # scale before forming any power, so a huge norm cannot overflow A^2
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    if s:
+        a = a / 2.0**s
+    powers = _even_powers(a @ a, 4)
+    a6 = powers[3]
+    odd_hi, v_hi, odd_lo, v_lo = _combine(_PADE_13, powers)
+    u = a @ (a6 @ odd_hi + odd_lo)
+    v = a6 @ v_hi + v_lo
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _even_powers(a2: np.ndarray, k: int) -> np.ndarray:
+    """The stack I, A^2, ..., A^(2k-2) of shape (k, n, n)."""
+    powers = np.empty((k,) + a2.shape, dtype=a2.dtype)
+    powers[0] = np.eye(len(a2))
+    powers[1] = a2
+    for j in range(2, k):
+        np.matmul(powers[j - 1], a2, out=powers[j])
+    return powers
+
+
+def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Each row of coef as a linear combination of the stacked powers, in
+    one product."""
+    k, n, _ = powers.shape
+    return (coef @ powers.reshape(k, n * n)).reshape(len(coef), n, n)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -182,8 +182,8 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
     checked against additivity (n times the single-copy value) before being
     returned.  Larger n returns the additivity formula directly.
     """
-    if n < 1:
-        raise InvalidInput("n must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInput(f"n must be a positive integer, got {n!r}")
     single = qfi_value(br, model)
     if n == 1:
         return single

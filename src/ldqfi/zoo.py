@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 from .errors import DomainError, InvalidInput, SingularState, TruncationError
 from .family import (
@@ -36,6 +34,7 @@ from .family import (
     nonsmooth_projection_state,
 )
 from .ldops import MODELS
+from .linalg import expm
 from .qfi import qfi_bvn, qfi_value
 
 # Geometric truncation: discarded tail target at the slow edge of the
@@ -390,17 +389,20 @@ def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
     d = np.arange(dim, dtype=float)
     odd = d % 2 == 1
     parity = np.where(odd, -1.0, 1.0)
-    cur = np.exp(d * math.log(abs(theta)) - 0.5 * x - 0.5 * gammaln(d + 1.0))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    cur = np.exp(d * math.log(abs(theta)) - 0.5 * x - 0.5 * log_fact)
     cur[odd] *= math.copysign(1.0, theta)
     prev = np.zeros(dim)
+    # sqrt(j) for every j the recurrence meets: n + d and n + 1 + d stay <= dim
+    root = np.sqrt(np.arange(dim + 1.0))
+    shift = 1.0 + d - x
     out = np.empty((dim, dim))
     for n in range(dim):
         k = dim - n
         out[n:, n] = cur[:k]
         out[n, n:] = parity[:k] * cur[:k]
-        dd = d[: k - 1]
-        nxt = (2 * n + 1 + dd - x) * cur[: k - 1] - math.sqrt(n) * np.sqrt(n + dd) * prev[: k - 1]
-        prev, cur = cur, nxt / np.sqrt((n + 1) * (n + 1 + dd))
+        nxt = (2 * n + shift[: k - 1]) * cur[: k - 1] - root[n] * root[n : n + k - 1] * prev[: k - 1]
+        prev, cur = cur, nxt / (root[n + 1] * root[n + 1 : n + k])
     return out
 
 
@@ -453,7 +455,7 @@ class CoherentFamily:
             raise TruncationError(
                 f"dimension {n} leaves no bulk to validate at amplitude {theta!r}; enlarge trunc_dim"
             )
-        w = scipy.linalg.expm(theta * self.generator())
+        w = expm(theta * self.generator())
         exact = displacement_closed_form(theta, bulk)
         dev = float(np.abs(w[:bulk, :bulk] - exact).max())
         gram = w.T @ w - np.eye(n)

@@ -816,6 +816,45 @@ class TestSubprocess:
             outs.append(dest.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        """import ldqfi, a coherent sweep away from theta = 0 (the displacement
+        exponential), the lemma33 suite (random analytic families) and a
+        coherent ld report run on numpy alone."""
+        cfg = write_cfg(
+            tmp_path,
+            """\
+            [family]
+            name = coherent
+            M = 1.0
+            [sweep]
+            grid = 0.1 0.2
+            """,
+        )
+        script = textwrap.dedent(
+            """\
+            import contextlib, io, json, sys
+            import ldqfi
+            from ldqfi.cli import main
+            codes = []
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]))
+                codes.append(main(["verify", "lemma33", "--seed", "7"]))
+                codes.append(main(["ld", "--family", "coherent", "--theta", "0.1", "--model", "bvn"]))
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            print(json.dumps({"codes": codes, "scipy": loaded}))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cfg, str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        assert len((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()) == 3
+        assert result["scipy"] == []
+
     def test_verify_stdout_is_byte_identical_across_runs(self):
         runs = [
             subprocess.run(

@@ -159,6 +159,11 @@ class TestProjectionAudit:
             worst = max(worst, projection_curvature_residual(fam, 0.15))
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_curvature_rejects_bad_step(self, h: float, random_family) -> None:
+        with pytest.raises(InvalidInput, match="step"):
+            projection_curvature_residual(random_family, 0.3, h=h)
+
 
 class TestDerivativeModes:
     def test_central_difference_matches_analytic(self, rng) -> None:

@@ -12,6 +12,8 @@ independent second route:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -30,7 +32,7 @@ from ldqfi import (
     sld,
     zero_expectation_check,
 )
-from ldqfi.errors import InvalidInput
+from ldqfi.errors import DomainError, InvalidInput
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,19 @@ def test_kernel_values() -> None:
 def test_kernel_rejects_unknown_model() -> None:
     with pytest.raises(InvalidInput):
         kernel_matrix(np.array([0.5, 0.5]), "xxx")
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("bad", [-0.1, 0.0, np.nan, np.inf])
+def test_kernel_rejects_spectrum_outside_domain(model: str, bad: float) -> None:
+    with pytest.raises(DomainError) as err:
+        kernel_matrix(np.array([0.5, bad]), model)
+    assert err.value.value == bad or (math.isnan(bad) and math.isnan(err.value.value))
+
+
+def test_kernel_rejects_non_vector_spectrum() -> None:
+    with pytest.raises(InvalidInput):
+        kernel_matrix(np.eye(2), "ld2")
 
 
 # ---------------------------------------------------------------------------

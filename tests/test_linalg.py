@@ -1,5 +1,6 @@
 """Scalar and matrix helpers: logarithmic-mean kernel, spectral matrix
-functions, Schatten norms."""
+functions, Schatten norms, the matrix exponential and its Frechet
+derivative."""
 
 from __future__ import annotations
 
@@ -13,9 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldqfi
-from ldqfi import logmean_kernel, logmean_matrix, random_hermitian, schatten_norm, trace_product
-from ldqfi.linalg import hermitize, is_hermitian, matrix_function, require_hermitian
-from ldqfi.errors import InvalidInput
+from ldqfi import (
+    CoherentFamily,
+    expm,
+    expm_frechet,
+    logmean_kernel,
+    logmean_matrix,
+    random_hermitian,
+    schatten_norm,
+    trace_product,
+)
+from ldqfi.linalg import _PADE_LOW, _THETA_13, hermitize, is_hermitian, matrix_function, require_hermitian
+from ldqfi.errors import DomainError, InvalidInput
 
 positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -147,3 +157,131 @@ def test_library_takes_no_trace_of_a_matrix_product() -> None:
             line = text.count("\n", 0, match.start()) + 1
             offenders.append(f"{path.name}:{line}: {text.splitlines()[line - 1].strip()}")
     assert not offenders, "use trace_product for Tr(AB):\n" + "\n".join(offenders)
+
+
+_SCIPY_IMPORT = re.compile(r"^\s*(?:import|from)\s+scipy\b", re.MULTILINE)
+
+
+def test_library_source_imports_no_scipy() -> None:
+    """The runtime is numpy only; scipy serves the tests as an oracle."""
+    offenders = []
+    for path in sorted(Path(ldqfi.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in _SCIPY_IMPORT.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            offenders.append(f"{path.name}:{line}")
+    assert not offenders, "scipy imported at " + ", ".join(offenders)
+
+
+# ---------------------------------------------------------------------------
+# matrix exponential against scipy as an independent oracle
+
+EXPM_RTOL = 1e-13
+
+
+def _rel_err(x: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+def _with_norm(a: np.ndarray, norm: float) -> np.ndarray:
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+_PADE_THETAS = [theta for theta, _ in _PADE_LOW] + [_THETA_13]
+
+
+@pytest.mark.parametrize("theta", _PADE_THETAS)
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_matches_scipy_on_each_pade_branch(theta: float, side: float, dtype, rng) -> None:
+    from scipy.linalg import expm as scipy_expm
+
+    a = rng.standard_normal((6, 6))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((6, 6))
+    a = _with_norm(a, theta * side)
+    assert _rel_err(expm(a), scipy_expm(a)) <= EXPM_RTOL
+
+
+def test_expm_with_squaring_matches_scipy(rng) -> None:
+    from scipy.linalg import expm as scipy_expm
+
+    for _ in range(5):
+        a = _with_norm(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), 50.0)
+        assert _rel_err(expm(a), scipy_expm(a)) <= EXPM_RTOL
+
+
+def test_expm_with_squaring_real_non_normal_matches_high_precision(rng) -> None:
+    """Real non-normal input of 1-norm 50, against a 40-digit exponential.
+    scipy's own result for such input can be 1e-13 off, so the oracle here
+    is mpmath."""
+    import mpmath
+
+    a = _with_norm(rng.standard_normal((6, 6)), 50.0)
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+    assert _rel_err(expm(a), exact) <= EXPM_RTOL
+
+
+@pytest.mark.parametrize("dim", [2, 34, 57])
+@pytest.mark.parametrize("theta", [0.05, 0.137, -0.29])
+def test_expm_of_coherent_generator_matches_scipy(dim: int, theta: float) -> None:
+    from scipy.linalg import expm as scipy_expm
+
+    gen = CoherentFamily(1.0, dim).generator()
+    assert _rel_err(expm(theta * gen), scipy_expm(theta * gen)) <= EXPM_RTOL
+
+
+def test_expm_complex_hermitian_and_one_by_one(rng) -> None:
+    from scipy.linalg import expm as scipy_expm
+
+    h = random_hermitian(7, rng)
+    assert _rel_err(expm(h), scipy_expm(h)) <= EXPM_RTOL
+    w, v = np.linalg.eigh(h)
+    assert _rel_err(expm(h), (v * np.exp(w)) @ v.conj().T) <= EXPM_RTOL
+    for z in (0.0, 2.5, -40.0, 3.0 - 1.5j, -1e200):
+        one = expm(np.array([[z]]))
+        assert one.shape == (1, 1)
+        assert one[0, 0] == pytest.approx(complex(np.exp(z)), rel=EXPM_RTOL)
+    assert expm(np.array([[3]]))[0, 0] == pytest.approx(math.exp(3.0), rel=EXPM_RTOL)
+
+
+@pytest.mark.parametrize("norm", [0.5, 3.0, 12.0])
+def test_expm_frechet_matches_scipy_and_central_difference(norm: float, rng) -> None:
+    from scipy.linalg import expm_frechet as scipy_frechet
+
+    a = _with_norm(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)), norm)
+    e = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    x, l = expm_frechet(a, e)
+    x_ref, l_ref = scipy_frechet(a, e)
+    assert _rel_err(x, x_ref) <= EXPM_RTOL
+    assert _rel_err(l, l_ref) <= EXPM_RTOL
+    assert _rel_err(x, expm(a)) <= EXPM_RTOL
+    h = 1e-5
+    central = (expm(a + h * e) - expm(a - h * e)) / (2.0 * h)
+    assert _rel_err(l, central) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2)),
+                                 np.array([[1.0, np.nan], [0.0, 1.0]]),
+                                 np.array([[np.inf, 0.0], [0.0, 1.0]])])
+def test_expm_rejects_non_square_or_non_finite(bad: np.ndarray) -> None:
+    with pytest.raises(InvalidInput):
+        expm(bad)
+    with pytest.raises(InvalidInput):
+        expm_frechet(bad, np.eye(2))
+    with pytest.raises(InvalidInput):
+        expm_frechet(np.eye(2), bad)
+
+
+def test_expm_rejects_norm_beyond_double_range() -> None:
+    a = np.array([[1e308, 0.0], [1e308, 0.0]])
+    with pytest.raises(DomainError):
+        expm(a)
+    with pytest.raises(DomainError):
+        expm_frechet(np.zeros((2, 2)), a)
+
+
+def test_expm_frechet_rejects_mismatched_direction() -> None:
+    with pytest.raises(InvalidInput):
+        expm_frechet(np.eye(2), np.eye(3))

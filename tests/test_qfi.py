@@ -196,6 +196,12 @@ class TestNCopy:
         with pytest.raises(InvalidInput):
             ncopy_qfi(br, "sld", 0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, 4.5, "2", True])
+    def test_non_integer_n_is_invalid_input(self, n, tanh_family) -> None:
+        br = branches_at(tanh_family, 0.3)
+        with pytest.raises(InvalidInput, match="positive integer"):
+            ncopy_qfi(br, "bvn", n)
+
 
 class TestRelativeEntropy:
     def test_zero_on_equal_states(self, tanh_family) -> None:
