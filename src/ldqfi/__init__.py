@@ -6,7 +6,8 @@ parametrized state family — defined by dividing the eigenbasis matrix of
 the state derivative by the logarithmic, harmonic, geometric or arithmetic
 mean of eigenvalue pairs — and evaluates the associated information
 quantities, Cramér–Rao bounds and closed-form references on a zoo of
-finite and truncated infinite-dimensional models.
+finite and truncated infinite-dimensional models.  The verification suites
+live in ldqfi.verify, which this package does not import.
 """
 
 from __future__ import annotations
@@ -102,87 +103,5 @@ from .zoo import (
     two_level_closed_forms,
     two_level_qfi_oracle,
 )
-
-__all__ = [
-    "FAMILIES",
-    "Analytic",
-    "CentralDifference",
-    "CoherentFamily",
-    "CrCheck",
-    "DegenerateCrossing",
-    "DegenerateInformation",
-    "DensityMatrix",
-    "DomainError",
-    "InvalidInput",
-    "Ld2Verdict",
-    "LdOperator",
-    "MODELS",
-    "NonsmoothProjectionState",
-    "ProjectionAuditReport",
-    "QfiError",
-    "QfiReport",
-    "ResourceLimit",
-    "SingularState",
-    "SpectralBranches",
-    "StateFamily",
-    "TraceRow",
-    "TruncationError",
-    "TwoLevelFamily1",
-    "TwoLevelFamily2",
-    "TwoLevelForms",
-    "branches_at",
-    "breve_variance",
-    "bvn_ld",
-    "classical_information",
-    "coherent_branches",
-    "coherent_family",
-    "coherent_projection_prime",
-    "coherent_qfi_bvn",
-    "coherent_qfi_ld2",
-    "coherent_trace_table",
-    "coherent_trunc_dim",
-    "compute_report",
-    "counterexample_family",
-    "default_two_level_1",
-    "displacement_closed_form",
-    "expm",
-    "expm_frechet",
-    "geometric_family",
-    "geometric_information",
-    "geometric_qfi",
-    "geometric_trunc_dim",
-    "grid_domain",
-    "kernel_matrix",
-    "kmb_residual",
-    "ld1",
-    "ld2",
-    "ld_eig",
-    "ld_operator",
-    "local_cr_check",
-    "logmean_kernel",
-    "logmean_matrix",
-    "matrix_function",
-    "maximality_check",
-    "ncopy_qfi",
-    "nonsmooth_projection_state",
-    "projection_audit",
-    "projection_curvature_residual",
-    "qfi_bvn",
-    "qfi_split",
-    "qfi_value",
-    "qfi_variance",
-    "random_analytic_family",
-    "random_hermitian",
-    "relative_entropy",
-    "relent_limit",
-    "schatten_norm",
-    "sld",
-    "spectral_branches",
-    "sweep_family",
-    "trace_product",
-    "two_level_closed_forms",
-    "two_level_qfi_oracle",
-    "zero_expectation_check",
-]
 
 __version__ = "0.1.0"

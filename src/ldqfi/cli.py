@@ -1,5 +1,5 @@
-"""Command-line front end: theta-grid sweeps, verification suites and
-single-point LD operator reports.
+"""Command-line front end: theta-grid sweeps, verification suites (run from
+ldqfi.verify) and single-point LD operator reports.
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 runtime model
 error (singular state, bad truncation, failed verification).
@@ -14,47 +14,16 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import verify
 from .errors import InvalidInput, QfiError
-from .family import (
-    CentralDifference,
-    StateFamily,
-    branches_at,
-    projection_audit,
-    projection_curvature_residual,
-    random_analytic_family,
-)
-from .ldops import MODELS, bvn_ld, kmb_residual, ld_operator, zero_expectation_check
-from .linalg import random_hermitian
-from .qfi import (
-    breve_variance,
-    classical_information,
-    compute_report,
-    local_cr_check,
-    maximality_check,
-    qfi_bvn,
-    qfi_value,
-    qfi_variance,
-    relent_limit,
-)
-from .zoo import (
-    FAMILIES,
-    STEP_DOMAIN,
-    TwoLevelFamily2,
-    coherent_family,
-    coherent_qfi_bvn,
-    coherent_qfi_ld2,
-    coherent_trace_table,
-    default_two_level_1,
-    geometric_family,
-    grid_domain,
-    sweep_family,
-    two_level_closed_forms,
-    verification_tasks,
-)
+from .family import CentralDifference, StateFamily, branches_at
+from .ldops import MODELS, kmb_residual, ld_operator, zero_expectation_check
+from .qfi import compute_report
+from .zoo import FAMILIES, STEP_DOMAIN, grid_domain, sweep_family
 
 COLUMNS = (
     "theta",
@@ -71,7 +40,7 @@ COLUMNS = (
     "max_zero_expectation",
 )
 
-SUITES = ("all", "lemma33", "kmb", "tables", "coherent", "cr", "entropy")
+SUITES = ("all", *verify.SUITES)
 
 _SWEEP_KEYS = {
     "start", "stop", "count", "grid", "models", "sweep_param",
@@ -153,7 +122,7 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
         start = _parse_float("sweep", "start", sweep["start"])
         stop = _parse_float("sweep", "stop", sweep["stop"])
         count_f = _parse_float("sweep", "count", sweep["count"])
-        if count_f != int(count_f) or int(count_f) < 1:
+        if not math.isfinite(count_f) or count_f != int(count_f) or count_f < 1:
             raise InvalidInput(f"[sweep] count = {sweep['count']!r} must be a positive integer")
         count = int(count_f)
         grid = tuple(float(v) for v in np.linspace(start, stop, count))
@@ -278,351 +247,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-Line = tuple[bool, str]
-
-
-def _suite_lemma33(seed: int) -> list[Line]:
-    rng = np.random.default_rng(seed)
-    n_fam = 100
-    worst_ident = 0.0
-    comm_prime, comm_comm = 0.0, 0.0
-    nonc_prime, nonc_comm = math.inf, math.inf
-    n_comm = 0
-    for i in range(n_fam):
-        commuting = i % 5 == 0
-        fam = random_analytic_family(4, rng, commuting=commuting)
-        theta = float(rng.uniform(-0.25, 0.25))
-        try:
-            br = branches_at(fam, theta)
-        except QfiError:
-            br = branches_at(fam, 0.0)
-        rep = projection_audit(br)
-        worst_ident = max(worst_ident, rep.max_identity_residual())
-        if commuting:
-            n_comm += 1
-            comm_prime = max(comm_prime, rep.weighted_prime_sum)
-            comm_comm = max(comm_comm, rep.commutator)
-        else:
-            nonc_prime = min(nonc_prime, rep.weighted_prime_sum)
-            nonc_comm = min(nonc_comm, rep.commutator)
-    worst_curv = 0.0
-    for _ in range(10):
-        fam = random_analytic_family(4, rng)
-        worst_curv = max(worst_curv, projection_curvature_residual(fam, 0.15))
-    return [
-        (
-            worst_ident <= 1e-7,
-            f"lemma33.identities families={n_fam} max_residual={worst_ident:.3e} tol=1e-07",
-        ),
-        (
-            worst_curv <= 1e-6,
-            f"lemma33.curvature families=10 max_residual={worst_curv:.3e} tol=1e-06",
-        ),
-        (
-            comm_prime <= 1e-8 and comm_comm <= 1e-8,
-            f"lemma33.part2_commuting families={n_comm} max_prime_sum={comm_prime:.3e} "
-            f"max_commutator={comm_comm:.3e} tol=1e-08",
-        ),
-        (
-            nonc_prime > 1e-6 and nonc_comm > 1e-6,
-            f"lemma33.part2_noncommuting families={n_fam - n_comm} min_prime_sum={nonc_prime:.3e} "
-            f"min_commutator={nonc_comm:.3e} floor=1e-06",
-        ),
-    ]
-
-
-def _suite_kmb(seed: int) -> list[Line]:
-    del seed  # deterministic without randomness
-    groups: dict[str, list[tuple[StateFamily, float, bool]]] = {}
-    for label, fam, theta, analytic in verification_tasks():
-        groups.setdefault(label, []).append((fam, theta, analytic))
-    lines: list[Line] = []
-    for label, pts in groups.items():
-        worst_res = 0.0
-        worst_mean = 0.0
-        tol_mean = 1e-10 if pts[0][2] else 1e-8
-        for fam, theta, _ in pts:
-            rep = compute_report(fam, theta)
-            worst_res = max(worst_res, rep.kmb_residual)
-            worst_mean = max(worst_mean, rep.max_zero_expectation)
-        lines.append(
-            (
-                worst_res <= 1e-8 and worst_mean <= tol_mean,
-                f"kmb.{label} points={len(pts)} max_kmb_residual={worst_res:.3e} "
-                f"max_abs_mean={worst_mean:.3e} tol_mean={tol_mean:g}",
-            )
-        )
-    breve_pts = [
-        (default_two_level_1().family(), -0.7),
-        (default_two_level_1().family(), 0.3),
-        (TwoLevelFamily2(r=0.5).family(), 0.4),
-        (geometric_family(math.log(2.0)), math.log(2.0)),
-        (coherent_family(1.0).family(), 0.1),
-    ]
-    worst = 0.0
-    for fam, theta in breve_pts:
-        br = branches_at(fam, theta)
-        q = qfi_bvn(br)
-        breve = breve_variance(br, bvn_ld(br, split=False).matrix)
-        worst = max(worst, abs(breve - q) / max(1.0, abs(q)))
-    lines.append(
-        (
-            worst <= 1e-10,
-            f"kmb.breve_identity points={len(breve_pts)} max_rel_dev={worst:.3e} tol=1e-10",
-        )
-    )
-    return lines
-
-
-def _two_level_table_lines(
-    tag: str,
-    weights: Sequence[tuple[float, float]],
-    points: Sequence[tuple[StateFamily, float]],
-) -> list[Line]:
-    """Compare pipeline values against the closed-form reference table.
-
-    The reference second parts for ld1 and ld2 equal the unweighted moment
-    Tr(H2^2); at dimension two that is exactly twice the weighted
-    Tr(rho H2^2) the pipeline computes, so those two comparisons state the
-    factor the computation actually produces.
-    """
-    err_i1 = 0.0
-    err_i2 = {m: 0.0 for m in MODELS}
-    min_order_slack = math.inf
-    for (lam, dlam), (fam, theta) in zip(weights, points):
-        forms = two_level_closed_forms(lam, dlam)
-        br = branches_at(fam, theta)
-        i1 = classical_information(br)
-        err_i1 = max(err_i1, abs(i1 - forms.i1))
-        var_i2 = {}
-        for m in MODELS:
-            op = ld_operator(br, m, split=False)
-            var_i2[m] = qfi_variance(br.rho(), op) - i1
-            err_i2[m] = max(err_i2[m], abs(var_i2[m] - forms.i2[m]))
-        chain = (var_i2["ld1"], var_i2["ld2"], var_i2["bvn"], var_i2["sld"])
-        for a, b in zip(chain, chain[1:]):
-            min_order_slack = min(min_order_slack, a - b)
-    lines: list[Line] = [
-        (
-            err_i1 <= 1e-10,
-            f"tables.{tag}.i1 points={len(points)} max_abs_err={err_i1:.3e} tol=1e-10",
-        )
-    ]
-    for m in MODELS:
-        ok = err_i2[m] <= 1e-10
-        note = ""
-        if not ok and m in ("ld1", "ld2"):
-            note = (
-                " note=pipeline second part Tr(rho H2^2)-I1 is exactly half the reference"
-                " entry, which equals the unweighted moment Tr(H2^2) at dimension two"
-            )
-        lines.append(
-            (
-                ok,
-                f"tables.{tag}.i2_{m} points={len(points)} max_abs_err={err_i2[m]:.3e} tol=1e-10{note}",
-            )
-        )
-    lines.append(
-        (
-            min_order_slack >= -1e-10,
-            f"tables.{tag}.ordering points={len(points)} min_slack={min_order_slack:.3e} "
-            f"chain=ld1>=ld2>=bvn>=sld slack_tol=1e-10",
-        )
-    )
-    return lines
-
-
-def _suite_tables(seed: int) -> list[Line]:
-    del seed
-    lines: list[Line] = []
-    fam1 = default_two_level_1()
-    sf1 = fam1.family()
-    grid1 = [float(t) for t in np.linspace(-1.0, 1.0, 50)]
-    lines.extend(
-        _two_level_table_lines(
-            "table1",
-            [fam1.weight(t) for t in grid1],
-            [(sf1, t) for t in grid1],
-        )
-    )
-    grid2 = [float(r) for r in np.linspace(0.0, 0.95, 50)]
-    weights2 = []
-    points2 = []
-    for r in grid2:
-        f2 = TwoLevelFamily2(r=r)
-        weights2.append(f2.weight(0.4))
-        points2.append((f2.family(), 0.4))
-    lines.extend(_two_level_table_lines("table2", weights2, points2))
-    origin = compute_report(TwoLevelFamily2(r=0.0).family(), 0.4)
-    worst0 = max(
-        [abs(v) for v in origin.qfi.values()]
-        + [abs(v) for v in origin.i2.values()]
-        + [abs(origin.i1)]
-    )
-    lines.append(
-        (
-            worst0 <= 1e-12,
-            f"tables.table2.origin r=0 max_abs_value={worst0:.3e} tol=1e-12",
-        )
-    )
-    return lines
-
-
-def _suite_coherent(seed: int) -> list[Line]:
-    del seed
-    lines: list[Line] = []
-    for m in (0.5, 1.0, 2.0):
-        closed = 2.0 * math.log1p(1.0 / m)
-        try:
-            val = coherent_qfi_bvn(m)
-            rel = abs(val - closed) / abs(closed)
-            lines.append(
-                (
-                    rel <= 1e-6,
-                    f"coherent.qfi_bvn M={m:g} value={val:.12g} closed={closed:.12g} "
-                    f"rel_err={rel:.3e} tol=1e-06",
-                )
-            )
-        except QfiError as exc:
-            lines.append((False, f"coherent.qfi_bvn M={m:g} error={exc}"))
-    fam = coherent_family(1.0).family()
-    vals = [qfi_bvn(branches_at(fam, t)) for t in (0.0, 0.1, 0.2)]
-    spread = max(vals) - min(vals)
-    lines.append(
-        (
-            spread <= 1e-6 * (1.0 + abs(vals[0])),
-            f"coherent.theta_independence M=1 thetas=0,0.1,0.2 spread={spread:.3e} tol=1e-06",
-        )
-    )
-    for m in (0.5, 1.0, 2.0):
-        v = coherent_qfi_ld2(m)
-        definite = v.matches in ("A", "B", "neither")
-        lines.append(
-            (
-                definite,
-                f"coherent.ld2_verdict M={m:g} numeric={v.numeric:.12g} "
-                f"A={v.formula_a:.12g} B={v.formula_b:.12g} matches={v.matches}",
-            )
-        )
-    worst_trace = 0.0
-    for k in range(11):
-        for row in coherent_trace_table(k, 30):
-            worst_trace = max(worst_trace, abs(row.value - row.expected))
-    lines.append(
-        (
-            worst_trace <= 1e-9,
-            f"coherent.trace_table k=0..10 trunc_dim=30 max_abs_err={worst_trace:.3e} tol=1e-09",
-        )
-    )
-    big_m = 100.0
-    val = coherent_qfi_bvn(big_m, check_traces=False)
-    scaled = big_m * val
-    lines.append(
-        (
-            abs(scaled - 2.0) <= 0.02 * 2.0,
-            f"coherent.scaling M={big_m:g} M_times_value={scaled:.12g} target=2 tol_rel=0.02",
-        )
-    )
-    return lines
-
-
-def _suite_cr(seed: int) -> list[Line]:
-    rng = np.random.default_rng(seed)
-    # (label, family, theta, family commutes with its derivative)
-    targets = [
-        ("two_level_1", default_two_level_1().family(), 0.3, False),
-        ("two_level_2", TwoLevelFamily2(r=0.5).family(), 0.4, False),
-        ("geometric", geometric_family(math.log(2.0)), math.log(2.0), True),
-        ("coherent", coherent_family(1.0).family(), 0.1, False),
-    ]
-    lines: list[Line] = []
-    for label, fam, theta, commuting in targets:
-        br = branches_at(fam, theta)
-        for model in MODELS:
-            min_slack = math.inf
-            for _ in range(100):
-                y = random_hermitian(br.dim, rng)
-                chk = local_cr_check(br, y, model)
-                min_slack = min(min_slack, chk.slack)
-            lines.append(
-                (
-                    min_slack >= -1e-10,
-                    f"cr.bound.{label}.{model} obs=100 min_slack={min_slack:.3e} slack_tol=-1e-10",
-                )
-            )
-        for model in MODELS:
-            if model in ("ld1", "ld2") and not commuting:
-                continue
-            info = qfi_value(br, model)
-            direction = ld_operator(br, model, split=False).matrix / info
-            chk = local_cr_check(br, direction, model)
-            gap = abs(chk.lhs - chk.rhs)
-            lines.append(
-                (
-                    gap <= 1e-8 * max(1.0, abs(chk.rhs)),
-                    f"cr.saturation.{label}.{model} gap={gap:.3e} tol=1e-08",
-                )
-            )
-    return lines
-
-
-def _suite_entropy(seed: int) -> list[Line]:
-    del seed
-    points = [
-        ("two_level_1.a", default_two_level_1().family(), -0.5),
-        ("two_level_1.b", default_two_level_1().family(), 0.3),
-        ("two_level_2", TwoLevelFamily2(r=0.5).family(), 0.4),
-        ("geometric", geometric_family(math.log(2.0)), math.log(2.0)),
-    ]
-    lines: list[Line] = []
-    for label, fam, theta in points:
-        q = qfi_bvn(branches_at(fam, theta))
-        rl = relent_limit(fam, theta)
-        rel = abs(rl - q) / abs(q)
-        lines.append(
-            (
-                rel <= 1e-4,
-                f"entropy.relent.{label} value={rl:.12g} qfi_bvn={q:.12g} rel_err={rel:.3e} tol=1e-04",
-            )
-        )
-        e_prime, neg_q = maximality_check(fam, theta)
-        rel2 = abs(e_prime - neg_q) / abs(q)
-        lines.append(
-            (
-                rel2 <= 1e-4,
-                f"entropy.maximality.{label} trace_h_prime={e_prime:.12g} minus_qfi={neg_q:.12g} "
-                f"rel_err={rel2:.3e} tol=1e-04",
-            )
-        )
-    return lines
-
-
-_SUITE_FNS: dict[str, Callable[[int], list[Line]]] = {
-    "lemma33": _suite_lemma33,
-    "kmb": _suite_kmb,
-    "tables": _suite_tables,
-    "coherent": _suite_coherent,
-    "cr": _suite_cr,
-    "entropy": _suite_entropy,
-}
+# verify subcommand
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(_SUITE_FNS) if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     passed = 0
     failed = 0
     for name in names:
         print(f"suite {name} seed={args.seed}")
-        for ok, text in _SUITE_FNS[name](args.seed):
-            print(("PASS " if ok else "FAIL ") + text)
-            if ok:
+        for check in verify.SUITES[name](args.seed):
+            print(f"{'PASS' if check.passed else 'FAIL'} {check.name} {check.detail}")
+            if check.passed:
                 passed += 1
             else:
                 failed += 1
     print(f"summary: {passed} passed, {failed} failed")
     return 0 if failed == 0 else 3
+
+
+def _seed(raw: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is negative; expected a non-negative integer")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
 
     p_ld = sub.add_parser("ld", help="print one LD operator with diagnostics")
     p_ld.add_argument("--family", required=True)

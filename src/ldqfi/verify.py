@@ -1,0 +1,429 @@
+"""Verification suites: the paper's identities, reference tables and bounds
+checked on the reference families.
+
+Each suite takes a seed (the deterministic suites ignore it) and returns its
+checks, in a fixed order, as Check records.  SUITES maps each suite name to
+its function, in the order ``qfi verify all`` runs them.  The package does
+not import this module; ``import ldqfi.verify`` loads it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import QfiError
+from .family import (
+    Analytic,
+    StateFamily,
+    branches_at,
+    projection_audit,
+    projection_curvature_residual,
+    random_analytic_family,
+)
+from .ldops import MODELS, bvn_ld, ld_operator
+from .linalg import random_hermitian
+from .qfi import (
+    breve_variance,
+    classical_information,
+    compute_report,
+    local_cr_check,
+    maximality_check,
+    qfi_bvn,
+    qfi_value,
+    qfi_variance,
+    relent_limit,
+)
+from .zoo import (
+    TwoLevelFamily2,
+    coherent_family,
+    coherent_qfi_bvn,
+    coherent_qfi_ld2,
+    coherent_trace_table,
+    counterexample_family,
+    default_two_level_1,
+    geometric_family,
+    two_level_closed_forms,
+)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict.  name is the dotted check name (``tables.table1.i2_ld1``);
+    detail holds its parameters, measured values and tolerance as printed
+    after the name."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def verification_tasks() -> list[tuple[str, StateFamily, float]]:
+    """(label, family, theta) points covering every reference family on its
+    natural grid, for the residual audits."""
+    out: list[tuple[str, StateFamily, float]] = []
+    f1 = default_two_level_1().family()
+    for th in np.linspace(-1.0, 1.0, 50):
+        out.append((f1.name, f1, float(th)))
+    f2 = TwoLevelFamily2(r=0.5).family()
+    for th in np.linspace(-0.8, 0.8, 21):
+        out.append((f2.name, f2, float(th)))
+    for r in (0.1, 0.3, 0.7, 0.9):
+        out.append((f2.name, TwoLevelFamily2(r=r).family(), 0.4))
+    for tc in (0.5, math.log(2.0), 0.9):
+        fg = geometric_family(tc)
+        out.append((fg.name, fg, tc))
+    cf = coherent_family(1.0).family()
+    for th in (0.0, 0.1, 0.2):
+        out.append((cf.name, cf, th))
+    ce = counterexample_family()
+    for th in (0.4, 0.7):
+        out.append((ce.name, ce, th))
+    return out
+
+
+def lemma33(seed: int) -> list[Check]:
+    """Projection and eigenvalue derivative identities on seeded random
+    four-level families, and the collapse of the commuting members."""
+    rng = np.random.default_rng(seed)
+    n_fam = 100
+    worst_ident = 0.0
+    comm_prime, comm_comm = 0.0, 0.0
+    nonc_prime, nonc_comm = math.inf, math.inf
+    n_comm = 0
+    for i in range(n_fam):
+        commuting = i % 5 == 0
+        fam = random_analytic_family(4, rng, commuting=commuting)
+        theta = float(rng.uniform(-0.25, 0.25))
+        try:
+            br = branches_at(fam, theta)
+        except QfiError:
+            br = branches_at(fam, 0.0)
+        rep = projection_audit(br)
+        worst_ident = max(worst_ident, rep.max_identity_residual())
+        if commuting:
+            n_comm += 1
+            comm_prime = max(comm_prime, rep.weighted_prime_sum)
+            comm_comm = max(comm_comm, rep.commutator)
+        else:
+            nonc_prime = min(nonc_prime, rep.weighted_prime_sum)
+            nonc_comm = min(nonc_comm, rep.commutator)
+    worst_curv = 0.0
+    for _ in range(10):
+        fam = random_analytic_family(4, rng)
+        worst_curv = max(worst_curv, projection_curvature_residual(fam, 0.15))
+    return [
+        Check(
+            "lemma33.identities",
+            worst_ident <= 1e-7,
+            f"families={n_fam} max_residual={worst_ident:.3e} tol=1e-07",
+        ),
+        Check(
+            "lemma33.curvature",
+            worst_curv <= 1e-6,
+            f"families=10 max_residual={worst_curv:.3e} tol=1e-06",
+        ),
+        Check(
+            "lemma33.part2_commuting",
+            comm_prime <= 1e-8 and comm_comm <= 1e-8,
+            f"families={n_comm} max_prime_sum={comm_prime:.3e} "
+            f"max_commutator={comm_comm:.3e} tol=1e-08",
+        ),
+        Check(
+            "lemma33.part2_noncommuting",
+            nonc_prime > 1e-6 and nonc_comm > 1e-6,
+            f"families={n_fam - n_comm} min_prime_sum={nonc_prime:.3e} "
+            f"min_commutator={nonc_comm:.3e} floor=1e-06",
+        ),
+    ]
+
+
+def kmb(seed: int) -> list[Check]:
+    """Transport residual and zero expectation on every reference family,
+    and the breve-variance identity."""
+    del seed  # deterministic without randomness
+    groups: dict[str, list[tuple[StateFamily, float]]] = {}
+    for label, fam, theta in verification_tasks():
+        groups.setdefault(label, []).append((fam, theta))
+    checks: list[Check] = []
+    for label, pts in groups.items():
+        worst_res = 0.0
+        worst_mean = 0.0
+        tol_mean = 1e-10 if isinstance(pts[0][0].derivative_mode, Analytic) else 1e-8
+        for fam, theta in pts:
+            rep = compute_report(fam, theta)
+            worst_res = max(worst_res, rep.kmb_residual)
+            worst_mean = max(worst_mean, rep.max_zero_expectation)
+        checks.append(
+            Check(
+                f"kmb.{label}",
+                worst_res <= 1e-8 and worst_mean <= tol_mean,
+                f"points={len(pts)} max_kmb_residual={worst_res:.3e} "
+                f"max_abs_mean={worst_mean:.3e} tol_mean={tol_mean:g}",
+            )
+        )
+    breve_pts = [
+        (default_two_level_1().family(), -0.7),
+        (default_two_level_1().family(), 0.3),
+        (TwoLevelFamily2(r=0.5).family(), 0.4),
+        (geometric_family(math.log(2.0)), math.log(2.0)),
+        (coherent_family(1.0).family(), 0.1),
+    ]
+    worst = 0.0
+    for fam, theta in breve_pts:
+        br = branches_at(fam, theta)
+        q = qfi_bvn(br)
+        breve = breve_variance(br, bvn_ld(br, split=False).matrix)
+        worst = max(worst, abs(breve - q) / max(1.0, abs(q)))
+    checks.append(
+        Check(
+            "kmb.breve_identity",
+            worst <= 1e-10,
+            f"points={len(breve_pts)} max_rel_dev={worst:.3e} tol=1e-10",
+        )
+    )
+    return checks
+
+
+def _table_checks(
+    tag: str,
+    weights: Sequence[tuple[float, float]],
+    points: Sequence[tuple[StateFamily, float]],
+) -> list[Check]:
+    """Compare pipeline values against the closed-form reference table.
+
+    The reference second parts for ld1 and ld2 equal the unweighted moment
+    Tr(H2^2); at dimension two that is exactly twice the weighted
+    Tr(rho H2^2) the pipeline computes, so those two comparisons state the
+    factor the computation actually produces.
+    """
+    err_i1 = 0.0
+    err_i2 = {m: 0.0 for m in MODELS}
+    min_order_slack = math.inf
+    for (lam, dlam), (fam, theta) in zip(weights, points):
+        forms = two_level_closed_forms(lam, dlam)
+        br = branches_at(fam, theta)
+        i1 = classical_information(br)
+        err_i1 = max(err_i1, abs(i1 - forms.i1))
+        var_i2 = {}
+        for m in MODELS:
+            op = ld_operator(br, m, split=False)
+            var_i2[m] = qfi_variance(br.rho(), op) - i1
+            err_i2[m] = max(err_i2[m], abs(var_i2[m] - forms.i2[m]))
+        chain = (var_i2["ld1"], var_i2["ld2"], var_i2["bvn"], var_i2["sld"])
+        for a, b in zip(chain, chain[1:]):
+            min_order_slack = min(min_order_slack, a - b)
+    checks = [
+        Check(
+            f"tables.{tag}.i1",
+            err_i1 <= 1e-10,
+            f"points={len(points)} max_abs_err={err_i1:.3e} tol=1e-10",
+        )
+    ]
+    for m in MODELS:
+        ok = err_i2[m] <= 1e-10
+        note = ""
+        if not ok and m in ("ld1", "ld2"):
+            note = (
+                " note=pipeline second part Tr(rho H2^2)-I1 is exactly half the reference"
+                " entry, which equals the unweighted moment Tr(H2^2) at dimension two"
+            )
+        checks.append(
+            Check(
+                f"tables.{tag}.i2_{m}",
+                ok,
+                f"points={len(points)} max_abs_err={err_i2[m]:.3e} tol=1e-10{note}",
+            )
+        )
+    checks.append(
+        Check(
+            f"tables.{tag}.ordering",
+            min_order_slack >= -1e-10,
+            f"points={len(points)} min_slack={min_order_slack:.3e} "
+            f"chain=ld1>=ld2>=bvn>=sld slack_tol=1e-10",
+        )
+    )
+    return checks
+
+
+def tables(seed: int) -> list[Check]:
+    """The two two-level families against their closed-form tables."""
+    del seed
+    fam1 = default_two_level_1()
+    sf1 = fam1.family()
+    grid1 = [float(t) for t in np.linspace(-1.0, 1.0, 50)]
+    checks = _table_checks("table1", [fam1.weight(t) for t in grid1], [(sf1, t) for t in grid1])
+    weights2 = []
+    points2 = []
+    for r in np.linspace(0.0, 0.95, 50):
+        f2 = TwoLevelFamily2(r=float(r))
+        weights2.append(f2.weight(0.4))
+        points2.append((f2.family(), 0.4))
+    checks.extend(_table_checks("table2", weights2, points2))
+    origin = compute_report(TwoLevelFamily2(r=0.0).family(), 0.4)
+    worst0 = max(
+        [abs(v) for v in origin.qfi.values()]
+        + [abs(v) for v in origin.i2.values()]
+        + [abs(origin.i1)]
+    )
+    checks.append(
+        Check(
+            "tables.table2.origin",
+            worst0 <= 1e-12,
+            f"r=0 max_abs_value={worst0:.3e} tol=1e-12",
+        )
+    )
+    return checks
+
+
+def coherent(seed: int) -> list[Check]:
+    """Displaced thermal family: closed-form values, theta independence,
+    the projection-derivative trace table and the large-M scaling."""
+    del seed
+    checks: list[Check] = []
+    for m in (0.5, 1.0, 2.0):
+        closed = 2.0 * math.log1p(1.0 / m)
+        try:
+            val = coherent_qfi_bvn(m)
+        except QfiError as exc:
+            checks.append(Check("coherent.qfi_bvn", False, f"M={m:g} error={exc}"))
+            continue
+        rel = abs(val - closed) / abs(closed)
+        checks.append(
+            Check(
+                "coherent.qfi_bvn",
+                rel <= 1e-6,
+                f"M={m:g} value={val:.12g} closed={closed:.12g} rel_err={rel:.3e} tol=1e-06",
+            )
+        )
+    fam = coherent_family(1.0).family()
+    vals = [qfi_bvn(branches_at(fam, t)) for t in (0.0, 0.1, 0.2)]
+    spread = max(vals) - min(vals)
+    checks.append(
+        Check(
+            "coherent.theta_independence",
+            spread <= 1e-6 * (1.0 + abs(vals[0])),
+            f"M=1 thetas=0,0.1,0.2 spread={spread:.3e} tol=1e-06",
+        )
+    )
+    for m in (0.5, 1.0, 2.0):
+        v = coherent_qfi_ld2(m)
+        derived = (2.0 * m + 1.0) / (m * (m + 1.0))
+        checks.append(
+            Check(
+                "coherent.ld2_verdict",
+                abs(v.numeric - derived) <= 1e-6 * derived,
+                f"M={m:g} numeric={v.numeric:.12g} "
+                f"A={v.formula_a:.12g} B={v.formula_b:.12g} matches={v.matches}",
+            )
+        )
+    worst_trace = 0.0
+    for k in range(11):
+        for row in coherent_trace_table(k, 30):
+            worst_trace = max(worst_trace, abs(row.value - row.expected))
+    checks.append(
+        Check(
+            "coherent.trace_table",
+            worst_trace <= 1e-9,
+            f"k=0..10 trunc_dim=30 max_abs_err={worst_trace:.3e} tol=1e-09",
+        )
+    )
+    big_m = 100.0
+    scaled = big_m * coherent_qfi_bvn(big_m, check_traces=False)
+    checks.append(
+        Check(
+            "coherent.scaling",
+            abs(scaled - 2.0) <= 0.02 * 2.0,
+            f"M={big_m:g} M_times_value={scaled:.12g} target=2 tol_rel=0.02",
+        )
+    )
+    return checks
+
+
+def cr(seed: int) -> list[Check]:
+    """Cramér–Rao bound for seeded random observables, and its saturation
+    by the efficient direction where the bound is attainable."""
+    rng = np.random.default_rng(seed)
+    # (label, family, theta, family commutes with its derivative)
+    targets = [
+        ("two_level_1", default_two_level_1().family(), 0.3, False),
+        ("two_level_2", TwoLevelFamily2(r=0.5).family(), 0.4, False),
+        ("geometric", geometric_family(math.log(2.0)), math.log(2.0), True),
+        ("coherent", coherent_family(1.0).family(), 0.1, False),
+    ]
+    checks: list[Check] = []
+    for label, fam, theta, commuting in targets:
+        br = branches_at(fam, theta)
+        for model in MODELS:
+            min_slack = math.inf
+            for _ in range(100):
+                y = random_hermitian(br.dim, rng)
+                min_slack = min(min_slack, local_cr_check(br, y, model).slack)
+            checks.append(
+                Check(
+                    f"cr.bound.{label}.{model}",
+                    min_slack >= -1e-10,
+                    f"obs=100 min_slack={min_slack:.3e} slack_tol=-1e-10",
+                )
+            )
+        for model in MODELS:
+            if model in ("ld1", "ld2") and not commuting:
+                continue
+            info = qfi_value(br, model)
+            direction = ld_operator(br, model, split=False).matrix / info
+            chk = local_cr_check(br, direction, model)
+            gap = abs(chk.lhs - chk.rhs)
+            checks.append(
+                Check(
+                    f"cr.saturation.{label}.{model}",
+                    gap <= 1e-8 * max(1.0, abs(chk.rhs)),
+                    f"gap={gap:.3e} tol=1e-08",
+                )
+            )
+    return checks
+
+
+def entropy(seed: int) -> list[Check]:
+    """Relative-entropy limit and maximality against the KMB information."""
+    del seed
+    points = [
+        ("two_level_1.a", default_two_level_1().family(), -0.5),
+        ("two_level_1.b", default_two_level_1().family(), 0.3),
+        ("two_level_2", TwoLevelFamily2(r=0.5).family(), 0.4),
+        ("geometric", geometric_family(math.log(2.0)), math.log(2.0)),
+    ]
+    checks: list[Check] = []
+    for label, fam, theta in points:
+        q = qfi_bvn(branches_at(fam, theta))
+        rl = relent_limit(fam, theta)
+        rel = abs(rl - q) / abs(q)
+        checks.append(
+            Check(
+                f"entropy.relent.{label}",
+                rel <= 1e-4,
+                f"value={rl:.12g} qfi_bvn={q:.12g} rel_err={rel:.3e} tol=1e-04",
+            )
+        )
+        e_prime, neg_q = maximality_check(fam, theta)
+        rel2 = abs(e_prime - neg_q) / abs(q)
+        checks.append(
+            Check(
+                f"entropy.maximality.{label}",
+                rel2 <= 1e-4,
+                f"trace_h_prime={e_prime:.12g} minus_qfi={neg_q:.12g} rel_err={rel2:.3e} tol=1e-04",
+            )
+        )
+    return checks
+
+
+SUITES: dict[str, Callable[[int], list[Check]]] = {
+    "lemma33": lemma33,
+    "kmb": kmb,
+    "tables": tables,
+    "coherent": coherent,
+    "cr": cr,
+    "entropy": entropy,
+}

@@ -264,28 +264,23 @@ def geometric_trunc_dim(theta_lo: float, theta_hi: float) -> int:
     return max(2, min(n_tail, n_rank))
 
 
-def geometric_family(
-    theta_center: float,
-    trunc_dim: int | None = None,
-    half_width: float = GEOMETRIC_HALF_WIDTH,
-) -> StateFamily:
+def geometric_family(theta_center: float, trunc_dim: int | None = None) -> StateFamily:
     """Truncated geometric family lambda_j(theta) ~ e^{-j theta}, j < N,
-    renormalized over the kept levels, on (theta_center +- half_width).
+    renormalized over the kept levels, on (theta_center +- GEOMETRIC_HALF_WIDTH).
 
     The family is diagonal for every theta, so it commutes with its
     derivative and all four models carry the same information.  The
     derivative is analytic:
       lambda'_j = lambda_j (1/(e^theta - 1) - j - N/(e^{N theta} - 1)).
     """
-    if not (half_width > 0.0 and math.isfinite(half_width)):
-        raise InvalidInput(f"half_width {half_width!r} must be positive")
-    if not (math.isfinite(theta_center) and theta_center > half_width):
+    if not (math.isfinite(theta_center) and theta_center > GEOMETRIC_HALF_WIDTH):
         raise DomainError(
-            f"theta_center {theta_center!r} must exceed half_width {half_width:g} to keep the window positive",
+            f"theta_center {theta_center!r} must exceed half_width {GEOMETRIC_HALF_WIDTH:g} "
+            "to keep the window positive",
             value=theta_center,
         )
-    lo = theta_center - half_width
-    hi = theta_center + half_width
+    lo = theta_center - GEOMETRIC_HALF_WIDTH
+    hi = theta_center + GEOMETRIC_HALF_WIDTH
     n = geometric_trunc_dim(lo, hi) if trunc_dim is None else int(trunc_dim)
     if n < 2:
         raise InvalidInput(f"trunc_dim {n} must be at least 2")
@@ -639,7 +634,6 @@ def coherent_trace_table(k: int, trunc_dim: int) -> tuple[TraceRow, ...]:
 def coherent_qfi_bvn(
     mean_occupation: float,
     trunc_dim: int | None = None,
-    theta: float = 0.0,
     check_traces: bool = True,
 ) -> float:
     """KMB information of the displaced thermal family, closed form
@@ -659,7 +653,7 @@ def coherent_qfi_bvn(
                     raise TruncationError(
                         f"trace identity {row.label} = {row.value!r} misses integer {row.expected}"
                     )
-    value = qfi_bvn(coherent_branches(fam, theta))
+    value = qfi_bvn(coherent_branches(fam))
     closed = 2.0 * math.log1p(1.0 / mean_occupation)
     if abs(value - closed) > 1e-6 * (1.0 + abs(value)):
         raise TruncationError(
@@ -710,7 +704,7 @@ def coherent_qfi_ld2(mean_occupation: float, trunc_dim: int | None = None) -> Ld
 # projection-oscillation counterexample
 
 
-def counterexample_family(step: float | None = None, richardson: bool = False) -> StateFamily:
+def counterexample_family(step: float | None = None) -> StateFamily:
     """Two-level family with smooth eigenvalues but eigenprojections that
     oscillate without a limit at theta = 0.
 
@@ -724,13 +718,13 @@ def counterexample_family(step: float | None = None, richardson: bool = False) -
         dim=2,
         theta_domain=(-1.0, 1.0),
         rho_of=rho_of,
-        derivative_mode=CentralDifference(step=step, richardson=richardson),
+        derivative_mode=CentralDifference(step=step),
         name="counterexample31",
     )
 
 
 # ---------------------------------------------------------------------------
-# family table for sweeps and verification
+# family table for sweeps
 
 
 @dataclass(frozen=True)
@@ -858,27 +852,3 @@ def sweep_family(
     """
     grid_domain(name, params, sweep_param)
     return FAMILIES[name].build({**params, sweep_param: grid_value})
-
-
-def verification_tasks() -> list[tuple[str, StateFamily, float, bool]]:
-    """(label, family, theta, analytic) points covering every reference
-    family on its natural grid, for the residual audits."""
-    out: list[tuple[str, StateFamily, float, bool]] = []
-    f1 = default_two_level_1().family()
-    for th in np.linspace(-1.0, 1.0, 50):
-        out.append((f1.name, f1, float(th), True))
-    f2 = TwoLevelFamily2(r=0.5).family()
-    for th in np.linspace(-0.8, 0.8, 21):
-        out.append((f2.name, f2, float(th), True))
-    for r in (0.1, 0.3, 0.7, 0.9):
-        out.append((f2.name, TwoLevelFamily2(r=r).family(), 0.4, True))
-    for tc in (0.5, math.log(2.0), 0.9):
-        fg = geometric_family(tc)
-        out.append((fg.name, fg, tc, True))
-    cf = coherent_family(1.0).family()
-    for th in (0.0, 0.1, 0.2):
-        out.append((cf.name, cf, th, True))
-    ce = counterexample_family()
-    for th in (0.4, 0.7):
-        out.append((ce.name, ce, th, False))
-    return out

@@ -42,7 +42,7 @@ from ldqfi import (
     TwoLevelFamily2,
     default_two_level_1,
 )
-from ldqfi import cli
+from ldqfi import verify
 
 
 def report(num: str, ok: bool, text: str) -> None:
@@ -50,10 +50,20 @@ def report(num: str, ok: bool, text: str) -> None:
     assert ok, f"acceptance {num}: {text}"
 
 
-def suite_subset(lines, keep):
-    picked = [(ok, text) for ok, text in lines if keep(text)]
-    assert picked, "suite filter selected nothing"
-    return all(ok for ok, _ in picked), picked
+def checks_named(checks, names):
+    """Verdict of the checks with the given names; each name must occur."""
+    picked = [c for c in checks if c.name in names]
+    assert {c.name for c in picked} == set(names), "suite lacks a named check"
+    return all(c.passed for c in picked)
+
+
+def table_names(tag, columns):
+    return {f"tables.{tag}.{col}" for col in columns}
+
+
+# every tables check except the ld1/ld2 second parts, which are the xfails
+TABLE_COLUMNS = ("i1", "i2_bvn", "i2_sld", "ordering")
+INTERMEDIATE_COLUMNS = ("i2_ld1", "i2_ld2")
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +73,9 @@ def suite_subset(lines, keep):
 @pytest.fixture(scope="module")
 def tables():
     t0 = time.perf_counter()
-    lines = cli._suite_tables(0)
+    checks = verify.tables(0)
     elapsed = time.perf_counter() - t0
-    return elapsed, lines
+    return elapsed, checks
 
 
 INTERMEDIATE_NOTE = (
@@ -77,13 +87,8 @@ INTERMEDIATE_NOTE = (
 
 class TestCriterion01:
     def test_criterion_01_two_level_1_reference_table(self, tables):
-        elapsed, lines = tables
-        ok, picked = suite_subset(
-            lines,
-            lambda t: t.startswith("tables.table1.")
-            and "i2_ld1" not in t
-            and "i2_ld2" not in t,
-        )
+        elapsed, checks = tables
+        ok = checks_named(checks, table_names("table1", TABLE_COLUMNS))
         ok = ok and elapsed < 1.0
         report(
             "01",
@@ -95,12 +100,8 @@ class TestCriterion01:
 
     @pytest.mark.xfail(strict=True, reason=INTERMEDIATE_NOTE)
     def test_criterion_01_two_level_1_intermediate_columns(self, tables):
-        _, lines = tables
-        ok, picked = suite_subset(
-            lines,
-            lambda t: t.startswith("tables.table1.i2_ld1")
-            or t.startswith("tables.table1.i2_ld2"),
-        )
+        _, checks = tables
+        ok = checks_named(checks, table_names("table1", INTERMEDIATE_COLUMNS))
         report(
             "01",
             ok,
@@ -111,13 +112,8 @@ class TestCriterion01:
 
 class TestCriterion02:
     def test_criterion_02_two_level_2_reference_table(self, tables):
-        elapsed, lines = tables
-        ok, picked = suite_subset(
-            lines,
-            lambda t: t.startswith("tables.table2.")
-            and "i2_ld1" not in t
-            and "i2_ld2" not in t,
-        )
+        elapsed, checks = tables
+        ok = checks_named(checks, table_names("table2", TABLE_COLUMNS + ("origin",)))
         ok = ok and elapsed < 1.0
         report(
             "02",
@@ -129,12 +125,8 @@ class TestCriterion02:
 
     @pytest.mark.xfail(strict=True, reason=INTERMEDIATE_NOTE)
     def test_criterion_02_two_level_2_intermediate_columns(self, tables):
-        _, lines = tables
-        ok, picked = suite_subset(
-            lines,
-            lambda t: t.startswith("tables.table2.i2_ld1")
-            or t.startswith("tables.table2.i2_ld2"),
-        )
+        _, checks = tables
+        ok = checks_named(checks, table_names("table2", INTERMEDIATE_COLUMNS))
         report(
             "02",
             ok,
@@ -233,14 +225,14 @@ def test_criterion_05_projection_trace_table():
 
 
 def test_criterion_06_transport_residuals():
-    lines = cli._suite_kmb(0)
-    ok = all(l[0] for l in lines)
+    checks = verify.kmb(0)
+    ok = all(c.passed for c in checks)
     report(
         "06",
         ok,
         "log-kernel transport residual <= 1e-8 and |Tr(rho H)| <= 1e-10 "
         "(analytic mode) for all four models on every reference family grid "
-        f"({len(lines)} suite checks)",
+        f"({len(checks)} suite checks)",
     )
 
 
@@ -249,15 +241,15 @@ def test_criterion_06_transport_residuals():
 
 
 def test_criterion_07_derivative_identities():
-    lines = cli._suite_lemma33(7)
-    ok = all(l[0] for l in lines)
+    checks = verify.lemma33(7)
+    ok = all(c.passed for c in checks)
     report(
         "07",
         ok,
         "projection/eigenvalue derivative identities within 1e-7 on 100 "
         "seeded random four-level families; curvature residual <= 1e-6; "
         "commuting members collapse and non-commuting members do not "
-        f"({len(lines)} suite checks)",
+        f"({len(checks)} suite checks)",
     )
 
 
@@ -298,15 +290,15 @@ def test_criterion_08_commuting_collapse():
 
 
 def test_criterion_09_cramer_rao():
-    lines = cli._suite_cr(7)
-    ok = all(l[0] for l in lines)
+    checks = verify.cr(7)
+    ok = all(c.passed for c in checks)
     report(
         "09",
         ok,
         "variance bound Var >= u^2/QFI holds with slack >= -1e-10 for 100 "
         "seeded observables per model per family; the efficient direction "
         f"saturates within 1e-8 where the bound is attainable "
-        f"({len(lines)} suite checks)",
+        f"({len(checks)} suite checks)",
     )
 
 
@@ -341,14 +333,14 @@ def test_criterion_10_ncopy_additivity():
 
 
 def test_criterion_11_entropy_limit_and_maximality():
-    lines = cli._suite_entropy(0)
-    ok = all(l[0] for l in lines)
+    checks = verify.entropy(0)
+    ok = all(c.passed for c in checks)
     report(
         "11",
         ok,
         "extrapolated 2*S_rel/eps^2 and -Tr(rho H') both match the log-kernel "
         "information within 1e-4 relative on the two-level and geometric "
-        f"families ({len(lines)} suite checks)",
+        f"families ({len(checks)} suite checks)",
     )
 
 

@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from ldqfi.cli import COLUMNS, load_sweep_config, main, run_sweep
+from ldqfi.cli import COLUMNS, SUITES, load_sweep_config, main, run_sweep
 from ldqfi.zoo import FAMILIES
 
 
@@ -155,16 +155,17 @@ class TestConfigErrors:
         assert code == 2
         assert "excludes" in err
 
-    def test_fractional_count(self, tmp_path, capsys):
+    @pytest.mark.parametrize("count", ["2.5", "inf", "nan", "1e400"])
+    def test_fractional_count(self, tmp_path, capsys, count):
         cfg = write_cfg(
             tmp_path,
-            """\
+            f"""\
             [family]
             name = two_level_1
             [sweep]
             start = 0
             stop = 1
-            count = 2.5
+            count = {count}
             """,
         )
         code, _, err = run_cli(["sweep", "--config", cfg], capsys)
@@ -610,6 +611,53 @@ class TestVerify:
         _, out_a, _ = run_cli(["verify", "entropy", "--seed", "5"], capsys)
         _, out_b, _ = run_cli(["verify", "entropy", "--seed", "5"], capsys)
         assert out_a == out_b
+
+    def test_verify_all_counts_and_failures(self, capsys):
+        # the four FAIL lines are the reference tables' Tr(H2^2) convention
+        # for ld1 and ld2; every other check passes
+        code, out, _ = run_cli(["verify", "all", "--seed", "7"], capsys)
+        assert code == 3
+        lines = out.splitlines()
+        checks = [l.split(" ", 2) for l in lines if l.startswith(("PASS ", "FAIL "))]
+        assert len(checks) == 66
+        assert sum(1 for verdict, _, _ in checks if verdict == "PASS") == 62
+        assert [name for verdict, name, _ in checks if verdict == "FAIL"] == [
+            "tables.table1.i2_ld1",
+            "tables.table1.i2_ld2",
+            "tables.table2.i2_ld1",
+            "tables.table2.i2_ld2",
+        ]
+        assert [l for l in lines if l.startswith("suite ")] == [
+            f"suite {name} seed=7" for name in SUITES[1:]
+        ]
+        assert lines[-1] == "summary: 62 passed, 4 failed"
+
+    @pytest.mark.parametrize("suite", ["lemma33", "cr", "all"])
+    def test_negative_seed_is_usage_error(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--seed", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err and "negative" in err
+
+    def test_suite_and_column_names_are_pinned(self):
+        # the benchmark harness reads both tuples
+        assert SUITES == ("all", "lemma33", "kmb", "tables", "coherent", "cr", "entropy")
+        assert COLUMNS == (
+            "theta",
+            "qfi_bvn",
+            "qfi_ld1",
+            "qfi_ld2",
+            "qfi_sld",
+            "i1",
+            "i2_bvn",
+            "i2_ld1",
+            "i2_ld2",
+            "i2_sld",
+            "kmb_residual",
+            "max_zero_expectation",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ from ldqfi.zoo import (
     sweep_family,
     tanh_weight,
     tanh_weight_prime,
-    verification_tasks,
 )
+from ldqfi.family import Analytic
+from ldqfi.verify import verification_tasks
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +519,7 @@ class TestRegistry:
         assert max(br.eigenvalues) == pytest.approx(0.65, rel=1e-12)
 
     def test_verification_tasks_cover_all_families(self) -> None:
-        labels = {label for label, _, _, _ in verification_tasks()}
+        labels = {label for label, _, _ in verification_tasks()}
         assert labels == {
             "two_level_1",
             "two_level_2",
@@ -526,5 +527,7 @@ class TestRegistry:
             "coherent",
             "counterexample31",
         }
-        for _, fam, theta, _ in verification_tasks():
+        for label, fam, theta in verification_tasks():
             assert fam.contains(theta)
+            # the kmb suite's zero-expectation tolerance follows the derivative mode
+            assert isinstance(fam.derivative_mode, Analytic) == (label != "counterexample31")
