@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import (
     SingularState,
 )
 from .linalg import (
+    HermitianTridiagonal,
+    _one_blas_thread,
     expm,
     expm_frechet,
     hermitize,
@@ -51,6 +53,15 @@ TRACE_TOL_ANALYTIC = 1e-12
 TRACE_TOL_NUMERIC = 1e-7
 
 
+def _check_rank(w: np.ndarray) -> None:
+    """Reject an ascending spectrum whose smallest eigenvalue is at or
+    below RANK_TOL."""
+    if w[0] <= RANK_TOL:
+        raise SingularState(
+            f"smallest eigenvalue {w[0]:.3e} at or below rank tolerance {RANK_TOL:g}"
+        )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, full rank.
@@ -69,11 +80,8 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-12:
             raise InvalidInput(f"density matrix trace {tr!r} differs from 1")
-        w, v = np.linalg.eigh(mat)
-        if w[0] <= RANK_TOL:
-            raise SingularState(
-                f"smallest eigenvalue {w[0]:.3e} at or below rank tolerance {RANK_TOL:g}"
-            )
+        w, v = _one_blas_thread(np.linalg.eigh, mat)
+        _check_rank(w)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
@@ -105,7 +113,13 @@ DerivativeMode = Analytic | CentralDifference
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Smooth family of full-rank states over an open parameter interval."""
+    """Smooth family of full-rank states over an open parameter interval.
+
+    branches_of, when given, returns the spectral branches at theta in
+    closed form (spectral_branches of an Eigenframe); compute_report then
+    uses it in place of eigendecomposing rho_of(theta), as long as the
+    derivative mode is Analytic.
+    """
 
     dim: int
     theta_domain: tuple[float, float]
@@ -113,6 +127,7 @@ class StateFamily:
     rho_prime_of: Callable[[float], np.ndarray] | None = None
     derivative_mode: DerivativeMode = field(default_factory=Analytic)
     name: str = "family"
+    branches_of: Callable[[float], SpectralBranches] | None = None
 
     def __post_init__(self):
         lo, hi = self.theta_domain
@@ -201,7 +216,10 @@ class SpectralBranches:
     order; eigenvalues are the raw solver values and cluster_values their
     per-cluster means.  rho' decomposes as
         rho' = sum_k value_prime_k P_k + sum_k cluster_value_k P'_k.
-    Dense per-cluster projections are materialized lazily so that
+    rho' in the eigenbasis is given as a dense matrix or, by a closed-form
+    family, as a HermitianTridiagonal (kept as band); rho_prime_eig
+    materializes a band on first use, for the readers that need the whole
+    matrix.  Dense per-cluster projections are materialized lazily so that
     information-only paths stay O(dim^2) in memory.
     """
 
@@ -209,17 +227,27 @@ class SpectralBranches:
         self,
         basis: np.ndarray,
         eigenvalues: np.ndarray,
-        rho_prime_eig: np.ndarray,
+        rho_prime_eig: np.ndarray | HermitianTridiagonal,
         cluster_slices: list[slice],
         cluster_values: np.ndarray,
         cluster_value_primes: np.ndarray,
     ):
         self.basis = basis
         self.eigenvalues = eigenvalues
-        self.rho_prime_eig = rho_prime_eig
+        if isinstance(rho_prime_eig, HermitianTridiagonal):
+            self.band = rho_prime_eig
+        else:
+            self.band = None
+            self.rho_prime_eig = rho_prime_eig
         self.cluster_slices = cluster_slices
         self.cluster_values = cluster_values
         self.cluster_value_primes = cluster_value_primes
+
+    @cached_property
+    def rho_prime_eig(self) -> np.ndarray:
+        """rho' in the eigenbasis as a dense matrix: set by __init__ for a
+        dense point, built from the band on first use for a banded one."""
+        return self.band.dense()
 
     @property
     def dim(self) -> int:
@@ -279,13 +307,28 @@ def _cluster_starts(w: np.ndarray, cluster_tol: float | None) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(~merge) + 1))
 
 
+class Eigenframe(NamedTuple):
+    """A state's eigendecomposition known in closed form: orthonormal basis
+    columns and their eigenvalues, in ascending order."""
+
+    basis: np.ndarray
+    eigenvalues: np.ndarray
+
+
 def spectral_branches(
-    rho: DensityMatrix | np.ndarray,
-    rho_prime: np.ndarray,
+    rho: DensityMatrix | np.ndarray | Eigenframe,
+    rho_prime: np.ndarray | HermitianTridiagonal,
     cluster_tol: float | None = None,
     gap_tol: float | None = None,
 ) -> SpectralBranches:
     """Resolve (rho, rho') into spectral branches.
+
+    rho is a state, eigendecomposed by DensityMatrix, and rho' its
+    derivative; or rho is the Eigenframe of a family whose spectrum is
+    known in closed form, and rho' is already given in that basis, as a
+    dense matrix or a HermitianTridiagonal (whose coupling rates come from
+    its stored entries alone).  Either way the eigenvalues pass the same
+    rank, clustering, gap and rotation-rate checks.
 
     cluster_tol overrides the default merge rule with an absolute gap below
     which consecutive eigenvalues join one cluster.  gap_tol, when given,
@@ -294,25 +337,37 @@ def spectral_branches(
     rotation rate ||coupling||/gap exceeds MIXING_CAP.  The caller may then
     refine theta or pass a larger cluster_tol to accept a merged cluster.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(np.asarray(rho))
-    rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
-    if rho_prime.shape != rho.matrix.shape:
-        raise InvalidInput("rho and rho_prime must share a dimension")
-
-    w, v = rho.eigenvalues, rho.eigenvectors
-    rp_eig = v.conj().T @ rho_prime @ v
+    if isinstance(rho, Eigenframe):
+        v, w = rho
+        _check_rank(w)
+        rp_eig = rho_prime
+    else:
+        if not isinstance(rho, DensityMatrix):
+            rho = DensityMatrix(np.asarray(rho))
+        rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
+        if rho_prime.shape != rho.matrix.shape:
+            raise InvalidInput("rho and rho_prime must share a dimension")
+        v, w = rho.eigenvectors, rho.eigenvalues
+        rp_eig = v.conj().T @ rho_prime @ v
 
     starts = _cluster_starts(w, cluster_tol)
     mults = np.diff(np.append(starts, w.size))
     slices = [slice(int(a), int(a + m)) for a, m in zip(starts, mults)]
     values = np.add.reduceat(w, starts) / mults
-    primes = np.add.reduceat(np.diag(rp_eig).real, starts) / mults
 
-    # Frobenius norm of each coupling block between neighbouring clusters.
-    block_sq = np.add.reduceat(np.add.reduceat(np.abs(rp_eig) ** 2, starts, axis=0), starts, axis=1)
+    # Squared Frobenius norm of each coupling block between neighbouring
+    # clusters; in a tridiagonal it is the one entry across the boundary.
+    if isinstance(rp_eig, HermitianTridiagonal):
+        diag = rp_eig.diag.real
+        coupling_sq = np.abs(rp_eig.upper[starts[1:] - 1]) ** 2
+    else:
+        diag = np.diag(rp_eig).real
+        block_sq = np.add.reduceat(np.add.reduceat(np.abs(rp_eig) ** 2, starts, axis=0), starts, axis=1)
+        coupling_sq = np.diagonal(block_sq, 1)
+    primes = np.add.reduceat(diag, starts) / mults
+
     gaps = np.diff(values)
-    rates = np.sqrt(np.diagonal(block_sq, 1)) / gaps
+    rates = np.sqrt(coupling_sq) / gaps
     too_close = gaps < gap_tol if gap_tol is not None else np.zeros(gaps.shape, dtype=bool)
     for k in np.flatnonzero(too_close | (rates > MIXING_CAP))[:1]:
         pair = (float(values[k]), float(values[k + 1]))
@@ -338,7 +393,8 @@ def spectral_branches(
 
 
 def branches_at(fam: StateFamily, theta: float, **kwargs) -> SpectralBranches:
-    """Convenience: branches of (rho, rho') evaluated from a family."""
+    """Convenience: branches of (rho, rho') evaluated from a family, through
+    the eigensolver even when the family has a branches_of hook."""
     return spectral_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta), **kwargs)
 
 

@@ -23,6 +23,7 @@ from .family import DensityMatrix, SpectralBranches
 from .linalg import (
     hermitize,
     logmean_matrix,
+    logmean_pairs,
     matrix_function,
     positive_spectrum,
     require_hermitian,
@@ -33,16 +34,11 @@ from .linalg import (
 MODELS = ("bvn", "ld1", "ld2", "sld")
 
 
-def kernel_matrix(w: np.ndarray, model: str) -> np.ndarray:
-    """Pairwise mean kernel of a positive spectrum for the given model.
-
-    A spectrum with a non-positive or non-finite eigenvalue raises
-    DomainError, one that is not 1-d InvalidInput."""
-    w = positive_spectrum(w, "kernel_matrix")
-    a = w[:, None]
-    b = w[None, :]
+def kernel_pairs(a: np.ndarray, b: np.ndarray, model: str) -> np.ndarray:
+    """The model's mean of positive arrays broadcast together: logarithmic
+    (bvn), harmonic (ld1), geometric (ld2) or arithmetic (sld)."""
     if model == "bvn":
-        return logmean_matrix(w)
+        return logmean_pairs(a, b)
     if model == "ld1":
         return 2.0 * a * b / (a + b)
     if model == "ld2":
@@ -50,6 +46,15 @@ def kernel_matrix(w: np.ndarray, model: str) -> np.ndarray:
     if model == "sld":
         return 0.5 * (a + b)
     raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
+
+
+def kernel_matrix(w: np.ndarray, model: str) -> np.ndarray:
+    """Pairwise mean kernel of a positive spectrum for the given model.
+
+    A spectrum with a non-positive or non-finite eigenvalue raises
+    DomainError, one that is not 1-d InvalidInput."""
+    w = positive_spectrum(w, "kernel_matrix")
+    return kernel_pairs(w[:, None], w[None, :], model)
 
 
 @dataclass(frozen=True)
@@ -68,14 +73,32 @@ class LdOperator:
     h2: np.ndarray | None = None
 
 
+def _kernel_table(br: SpectralBranches, model: str) -> np.ndarray:
+    """The model's kernel over every eigenvalue pair; for bvn the point's
+    shared log-mean table."""
+    if model not in MODELS:
+        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
+    return br.logmean if model == "bvn" else kernel_matrix(br.eigenvalues, model)
+
+
 def ld_eig(br: SpectralBranches, model: str) -> np.ndarray:
     """The LD operator of a model in the eigenbasis of rho: rho'_ij divided
     by the model's mean of (lambda_i, lambda_j).  The bvn kernel is the
     point's shared log-mean table."""
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
-    kern = br.logmean if model == "bvn" else kernel_matrix(br.eigenvalues, model)
-    return br.rho_prime_eig / kern
+    return br.rho_prime_eig / _kernel_table(br, model)
+
+
+def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda_i, rho'_ij, K_ij) over the stored entries of rho' in the
+    eigenbasis, with K the model's mean of (lambda_i, lambda_j), ready for
+    elementwise sums.  A dense point gives whole matrices (lambda_i as a
+    column, the shared log-mean table as the bvn kernel); a banded point
+    gives flat arrays over its O(dim) entries and builds no table."""
+    if br.band is None:
+        return br.eigenvalues[:, None], br.rho_prime_eig, _kernel_table(br, model)
+    rows, cols, vals = br.band.entries
+    w = br.eigenvalues
+    return w[rows], vals, kernel_pairs(w[rows], w[cols], model)
 
 
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:

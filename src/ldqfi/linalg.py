@@ -1,16 +1,20 @@
 """Linear algebra primitives used by every higher layer.
 
 Hermiticity checks, spectral matrix functions, the logarithmic-mean kernel,
-the trace of a product, Schatten norms, and the matrix exponential of a
-general square matrix with its Frechet derivative (``expm``,
-``expm_frechet``).  Everything here runs on numpy alone.  Other modules
-call numpy's eigensolvers directly; the clustered spectral decomposition of
-a family's state is ``family.spectral_branches``.
+the trace of a product, Schatten norms, Hermitian tridiagonal matrices, and
+the matrix exponential of a general square matrix with its Frechet
+derivative (``expm``, ``expm_frechet``).  Everything here runs on numpy alone.  Other
+modules call numpy's eigensolvers directly, the state's own eigensolve
+pinned to one BLAS thread by ``_one_blas_thread``; the clustered spectral
+decomposition of a family's state is ``family.spectral_branches``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -52,6 +56,60 @@ _PADE_13 = np.array([
     _PADE_13_B[1:8:2],
     _PADE_13_B[0:8:2],
 ])
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS,
+    or None where numpy links another BLAS."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+# Calls currently inside _one_blas_thread, and the thread count the first
+# of them found, guarded by _PIN_LOCK.
+_PIN_LOCK = threading.Lock()
+_pins = {"active": 0, "saved": 1}
+
+
+def _one_blas_thread(fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs) with numpy's OpenBLAS pinned to one thread.
+
+    LAPACK's blocked eigensolvers and SVDs round differently with the
+    thread count; pinned, their bytes are those of a single-thread run
+    whatever the environment sets.  The count is process-wide: the first
+    of overlapping pinned calls (from several Python threads) sets it to
+    one and the last restores the count the first found, so a pinned call
+    is never unpinned by another.  Meanwhile unpinned BLAS calls on other
+    threads also run on one thread, and a count set by other code during a
+    pin is overwritten when the pin ends.  Without numpy's bundled OpenBLAS
+    the call runs unpinned.  Private, so that a tracer wrapping the public
+    functions keeps timing the eigensolve inside its caller.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        return fn(*args, **kwargs)
+    get, put = threads
+    with _PIN_LOCK:
+        if _pins["active"] == 0:
+            _pins["saved"] = get()
+            if _pins["saved"] != 1:
+                put(1)
+        _pins["active"] += 1
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        with _PIN_LOCK:
+            _pins["active"] -= 1
+            if _pins["active"] == 0 and _pins["saved"] != 1:
+                put(_pins["saved"])
 
 
 def _as_square_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -133,14 +191,19 @@ def logmean_kernel(a: float, b: float) -> float:
 
 def logmean_matrix(w: np.ndarray) -> np.ndarray:
     """Matrix of pairwise logarithmic means K[i, j] = logmean(w[i], w[j])
-    of a strictly positive spectrum.
+    of a strictly positive spectrum."""
+    w = positive_spectrum(w, "logmean_matrix")
+    return logmean_pairs(w[:, None], w[None, :])
+
+
+def logmean_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise logarithmic mean of positive arrays broadcast together.
 
     Near-degenerate pairs switch to a short series in u = ln(hi/lo)
     because the direct ratio cancels.
     """
-    w = positive_spectrum(w, "logmean_matrix")
-    lo = np.minimum(w[:, None], w[None, :])
-    hi = np.maximum(w[:, None], w[None, :])
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
     diff = hi - lo
     near = diff <= LOGMEAN_SWITCH * (hi + lo)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,12 +234,42 @@ def schatten_norm(a: np.ndarray, p: int | str) -> float:
     """Schatten norm: p = 1 trace norm, p = 2 Frobenius, p = "op" operator norm."""
     a = _as_square_matrix(a)
     if p == 1:
-        return float(np.linalg.svd(a, compute_uv=False).sum())
+        return float(_one_blas_thread(np.linalg.svd, a, compute_uv=False).sum())
     if p == 2:
         return float(np.linalg.norm(a))
     if p == "op":
         return float(np.linalg.norm(a, 2))
     raise InvalidInput(f"unsupported Schatten order {p!r}; use 1, 2 or 'op'")
+
+
+class HermitianTridiagonal:
+    """Hermitian tridiagonal matrix kept as its diagonal and superdiagonal;
+    the subdiagonal is the conjugate of the superdiagonal."""
+
+    def __init__(self, diag: np.ndarray, upper: np.ndarray):
+        self.diag = np.asarray(diag)
+        self.upper = np.asarray(upper)
+        if self.diag.ndim != 1 or self.upper.shape != (self.diag.size - 1,):
+            raise InvalidInput("a tridiagonal needs a diagonal of length n and a superdiagonal of n - 1")
+
+    @property
+    def dim(self) -> int:
+        return self.diag.size
+
+    @functools.cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of every stored entry: the diagonal, then
+        the superdiagonal, then the subdiagonal."""
+        i = np.arange(self.dim)
+        rows = np.concatenate((i, i[:-1], i[1:]))
+        cols = np.concatenate((i, i[1:], i[:-1]))
+        return rows, cols, np.concatenate((self.diag, self.upper, self.upper.conj()))
+
+    def dense(self) -> np.ndarray:
+        rows, cols, vals = self.entries
+        out = np.zeros((self.dim, self.dim), dtype=vals.dtype)
+        out[rows, cols] = vals
+        return out
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import DegenerateInformation, InvalidInput, ResourceLimit
 from .family import (
+    Analytic,
     DensityMatrix,
     SpectralBranches,
     StateFamily,
+    _check_theta,
     branches_at,
     default_step,
     eval_rho,
@@ -33,12 +35,13 @@ from .ldops import (
     MODELS,
     LdOperator,
     bvn_ld,
+    kernel_entries,
     kmb_residual,
     ld_eig,
     ld_operator,
     zero_expectation_check,
 )
-from .linalg import logmean_matrix, require_hermitian, trace_product
+from .linalg import _one_blas_thread, logmean_matrix, require_hermitian, trace_product
 
 # Explicit tensor construction of n-copy states is capped at this dimension.
 NCOPY_DIM_CAP = 4096
@@ -49,11 +52,12 @@ def qfi_bvn(br: SpectralBranches) -> float:
     sum_ij |rho'_ij|^2 / logmean(lambda_i, lambda_j) in the eigenbasis.
 
     This is sum_ij |H_ij|^2 logmean(lambda_i, lambda_j) for the bvn
-    operator H, without building H.
+    operator H, without building H; a banded point sums its O(dim) entries.
     """
-    # Table first, so that |rho'|^2 does not add one more N^2 array to its peak.
-    kern = br.logmean
-    return float(np.sum(np.abs(br.rho_prime_eig) ** 2 / kern))
+    # kernel_entries builds the table before |rho'|^2 adds one more N^2
+    # array to the peak.
+    _, rp, kern = kernel_entries(br, "bvn")
+    return float(np.sum(np.abs(rp) ** 2 / kern))
 
 
 def qfi_variance(rho: DensityMatrix | np.ndarray, ld: LdOperator | np.ndarray) -> float:
@@ -107,13 +111,13 @@ def qfi_value(br: SpectralBranches, model: str) -> float:
 
     bvn is qfi_bvn; the other models' Tr(rho H^2) is assembled in the
     eigenbasis as sum_i lambda_i sum_j |rho'_ij / kernel_ij|^2 without
-    materializing H.  The mean Tr(rho H) then equals Tr(rho') and needs no
-    separate check.
+    materializing H, over the stored entries of rho' (see kernel_entries).
+    The mean Tr(rho H) then equals Tr(rho') and needs no separate check.
     """
     if model == "bvn":
         return qfi_bvn(br)
-    h_eig = ld_eig(br, model)
-    return float(np.sum(br.eigenvalues[:, None] * np.abs(h_eig) ** 2))
+    w, rp, kern = kernel_entries(br, model)
+    return float(np.sum(w * np.abs(rp / kern) ** 2))
 
 
 def qfi_split(br: SpectralBranches, model: str) -> tuple[float, float]:
@@ -285,23 +289,43 @@ class QfiReport:
 
 def compute_report(fam: StateFamily, theta: float,
                    models: Sequence[str] = MODELS) -> QfiReport:
-    """Evaluate the family at theta and assemble every requested information value."""
+    """Evaluate the family at theta and assemble every requested information value.
+
+    A family with a branches_of hook and an analytic derivative takes its
+    branches from the hook: no state, no rho' and no eigensolve.  The point
+    runs with numpy's OpenBLAS pinned to one thread (linalg._one_blas_thread),
+    since blocked products and eigensolvers round differently with the thread
+    count; so the report's bytes do not depend on it.
+    """
     models = list(models)
     for m in models:
         if m not in MODELS:
             raise InvalidInput(f"unknown model {m!r}")
     if not models:
         raise InvalidInput("at least one model is required")
-    rho = eval_rho(fam, theta)
-    br = spectral_branches(rho, eval_rho_prime(fam, theta))
+    return _one_blas_thread(_report, fam, theta, models)
+
+
+def _report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
+    if fam.branches_of is not None and isinstance(fam.derivative_mode, Analytic):
+        _check_theta(fam, theta)
+        br = fam.branches_of(theta)
+        # The state is basis diag(lambda) basis^dagger; seen through the
+        # basis' own Gram matrix it carries the basis' orthogonality defect.
+        gram = br.basis.conj().T @ br.basis
+        rho_eig = (gram * br.eigenvalues) @ gram
+    else:
+        rho = eval_rho(fam, theta)
+        br = spectral_branches(rho, eval_rho_prime(fam, theta))
+        # The state's own matrix in the eigenbasis, so that Tr(rho H) also
+        # sees how well the basis diagonalizes rho.
+        v = br.basis
+        rho_eig = v.conj().T @ rho.matrix @ v
     i1 = classical_information(br)
     qfi = {m: qfi_value(br, m) for m in models}
     i2 = {m: qfi[m] - i1 for m in models}
-    # Tr(rho H) of every model is taken in the eigenbasis with the state's
-    # own matrix, so it also sees how well the basis diagonalizes rho; only
-    # the bvn operator is assembled, for the KMB equation.
-    v = br.basis
-    rho_eig = v.conj().T @ rho.matrix @ v
+    # Tr(rho H) of every model is taken in the eigenbasis; only the bvn
+    # operator is assembled, for the KMB equation.
     worst_expect = max(abs(zero_expectation_check(rho_eig, ld_eig(br, m))) for m in models)
     residual = kmb_residual(br, bvn_ld(br, split=False))
     if not math.isfinite(residual):

@@ -176,9 +176,9 @@ def test_criterion_04_coherent_ld2_verdict():
         near_a = abs(v.numeric - v.formula_a) <= 1e-6 * abs(v.formula_a)
         near_b = abs(v.numeric - v.formula_b) <= 1e-6 * abs(v.formula_b)
         consistent = (
-            ("a" if near_a else "b" if near_b else "neither") == v.matches
+            ("A" if near_a else "B" if near_b else "neither") == v.matches
             if not (near_a and near_b)
-            else v.matches in ("a", "b")
+            else v.matches in ("A", "B")
         )
         derived = (2 * m + 1) / (m * (m + 1))
         ok = ok and consistent and v.matches == "neither"

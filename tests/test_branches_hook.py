@@ -1,0 +1,188 @@
+"""Closed-form branches of the displaced thermal family: the branches_of
+hook against the eigensolver path, its call counts, the banded
+functionals, and the bulk check of the displacement."""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ldqfi
+from ldqfi import (
+    MODELS,
+    CentralDifference,
+    CoherentFamily,
+    coherent_branches,
+    coherent_family,
+    coherent_qfi_bvn,
+    compute_report,
+    kernel_matrix,
+    qfi_value,
+)
+from ldqfi.errors import DegenerateCrossing, TruncationError
+from ldqfi.family import Eigenframe, spectral_branches
+from ldqfi.ldops import kernel_entries, kernel_pairs
+from ldqfi.linalg import HermitianTridiagonal, expm, logmean_matrix, logmean_pairs
+from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
+
+THETAS = np.linspace(-0.29, 0.29, 13)
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
+def test_hook_matches_eigensolver_path(m: float) -> None:
+    fam = coherent_family(m).family()
+    assert fam.dim == {1.0: 34, 2.0: 57, 10.0: 241}[m]
+    generic = dataclasses.replace(fam, branches_of=None)
+    for theta in THETAS:
+        hook = compute_report(fam, float(theta))
+        ref = compute_report(generic, float(theta))
+        for model in MODELS:
+            assert hook.qfi[model] == pytest.approx(ref.qfi[model], rel=1e-12, abs=0.0)
+        assert hook.kmb_residual <= 1e-13
+        assert hook.max_zero_expectation <= 1e-13
+
+
+def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
+    real = getattr(owner, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
+    fam = coherent_family(2.0).family()
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, np.linalg, "eigh", counts)
+    _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
+    for theta in (0.0, 0.1, -0.2):
+        compute_report(fam, theta)
+    assert counts == {"eigh": 0, "checked_displacement": 3}
+
+
+def test_central_difference_bypasses_the_hook(monkeypatch) -> None:
+    fam = dataclasses.replace(
+        coherent_family(1.0).family(), derivative_mode=CentralDifference()
+    )
+    plain = dataclasses.replace(fam, branches_of=None)
+
+    def unused(theta: float):
+        raise AssertionError("the hook serves only analytic derivatives")
+
+    monkeypatch.setattr(ldqfi.zoo, "coherent_branches", unused)
+    for theta in (0.05, 0.2):
+        assert compute_report(fam, theta) == compute_report(plain, theta)
+
+
+def test_large_occupation_bvn_is_banded() -> None:
+    tracemalloc.start()
+    try:
+        value = coherent_qfi_bvn(100.0, check_traces=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.019900661289228672, rel=1e-14, abs=0.0)
+    # the identity basis at theta = 0 (N = 2082) is the only N^2 array
+    assert peak < 40e6
+
+
+def test_band_is_the_dense_commutator() -> None:
+    fam = coherent_family(1.0)
+    br = coherent_branches(fam, 0.1)
+    assert br.band is not None
+    gen = fam.generator()
+    rho0 = fam.rho0()
+    comm = (gen @ rho0 - rho0 @ gen)[::-1, ::-1]
+    np.testing.assert_array_equal(br.rho_prime_eig, comm)
+
+
+def test_band_entries_and_kernels_match_the_tables() -> None:
+    rng = np.random.default_rng(7)
+    n = 6
+    diag = rng.standard_normal(n)
+    upper = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    band = HermitianTridiagonal(diag, upper)
+    dense = band.dense()
+    np.testing.assert_array_equal(dense, dense.conj().T)
+    np.testing.assert_array_equal(np.diagonal(dense), diag)
+    np.testing.assert_array_equal(np.diagonal(dense, 1), upper)
+    assert np.count_nonzero(np.triu(dense, 2)) == 0
+    with pytest.raises(ldqfi.InvalidInput):
+        HermitianTridiagonal(np.ones(3), np.ones(3))
+
+    w = np.sort(rng.uniform(0.1, 1.0, n))
+    w /= w.sum()
+    rows, cols, _ = band.entries
+    for model in MODELS:
+        table = kernel_matrix(w, model)
+        np.testing.assert_array_equal(table, kernel_pairs(w[:, None], w[None, :], model))
+        np.testing.assert_array_equal(kernel_pairs(w[rows], w[cols], model), table[rows, cols])
+    np.testing.assert_array_equal(logmean_matrix(w), logmean_pairs(w[:, None], w[None, :]))
+
+    frame = Eigenframe(np.eye(n), w)
+    banded = spectral_branches(frame, band)
+    full = spectral_branches(frame, dense)
+    for model in MODELS:
+        _, vals, _ = kernel_entries(banded, model)
+        assert vals.size == rows.size
+        assert qfi_value(banded, model) == pytest.approx(qfi_value(full, model), rel=1e-13)
+    np.testing.assert_array_equal(banded.cluster_value_primes, full.cluster_value_primes)
+
+
+@pytest.mark.parametrize("coupling", [1e-3, 1.0])
+def test_band_crossing_check_matches_dense(coupling: float) -> None:
+    # a near-crossing at gap 2e-9 that rotates fast for coupling 1, and a
+    # doubly degenerate cluster coupled to its neighbour
+    w = np.array([0.1, 0.1, 0.15, 0.2, 0.2 + 2e-9])
+    w /= w.sum()
+    band = HermitianTridiagonal(np.zeros(5), np.array([0.0, 0.05, 0.01, coupling]))
+    outcomes = []
+    for rp in (band, band.dense()):
+        try:
+            outcomes.append(spectral_branches(Eigenframe(np.eye(5), w), rp).n_clusters)
+        except DegenerateCrossing as err:
+            outcomes.append((str(err), err.pair))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], tuple) == (coupling == 1.0)
+
+
+def _parent_message(fam: CoherentFamily, theta: float, bulk: int) -> str:
+    """The check's message, computed with the 2-norm of the bulk Gram defect."""
+    w = ldqfi.zoo.expm(theta * fam.generator())
+    dev = float(np.abs(w[:bulk, :bulk] - displacement_closed_form(theta, bulk)).max())
+    gram = w.T @ w - np.eye(fam.trunc_dim)
+    unit = float(np.linalg.norm(gram[:bulk, :bulk], 2))
+    assert not (dev <= DISPLACEMENT_TOL and unit <= DISPLACEMENT_TOL)
+    return (
+        f"bulk displacement deviates from the closed form by {dev:.3e} "
+        f"(bulk unitarity defect {unit:.3e}) at dimension {fam.trunc_dim}; enlarge trunc_dim"
+    )
+
+
+def test_forced_deviation_keeps_the_message(monkeypatch) -> None:
+    # a margin of 2 levels puts the corrupted top of a 20-level truncation
+    # at amplitude 1 into the bulk
+    monkeypatch.setattr(ldqfi.zoo, "_bulk_margin", lambda theta, dim: 2)
+    fam = CoherentFamily(mean_occupation=1.0, trunc_dim=20)
+    expected = _parent_message(fam, 1.0, 18)
+    with pytest.raises(TruncationError) as err:
+        fam.checked_displacement(1.0)
+    assert str(err.value) == expected
+
+
+def test_forced_unitarity_defect_keeps_the_message(monkeypatch) -> None:
+    monkeypatch.setattr(ldqfi.zoo, "expm", lambda a: (1.0 + 1e-7) * expm(a))
+    fam = coherent_family(1.0)
+    bulk = fam.trunc_dim - ldqfi.zoo._bulk_margin(0.2, fam.trunc_dim)
+    expected = _parent_message(fam, 0.2, bulk)
+    # the Frobenius norm of this defect exceeds its 2-norm
+    assert "2.000e-07)" in expected
+    with pytest.raises(TruncationError) as err:
+        fam.checked_displacement(0.2)
+    assert str(err.value) == expected

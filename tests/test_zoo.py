@@ -4,6 +4,7 @@ diagnostic family."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -299,19 +300,25 @@ class TestCoherentFamily:
         with pytest.raises(SingularState):
             coherent_family(0.25, trunc_dim=60)
 
-    def test_report_point_forms_the_state_once(self, monkeypatch) -> None:
-        # eval_rho forms the displaced state; the derivative reads it back
-        real = CoherentFamily.state
-        calls = []
+    def test_report_point_forms_the_state_at_most_once(self, monkeypatch) -> None:
+        # the branches hook forms no state; without it eval_rho forms the
+        # displaced state and the derivative reads it back.  Either way the
+        # displacement is checked once per point.
+        calls: dict[str, list[float]] = {"state": [], "checked_displacement": []}
+        for name, seen in calls.items():
+            real = getattr(CoherentFamily, name)
 
-        def counted(self, theta):
-            calls.append(theta)
-            return real(self, theta)
+            def counted(self, theta, real=real, seen=seen):
+                seen.append(theta)
+                return real(self, theta)
 
-        monkeypatch.setattr(CoherentFamily, "state", counted)
+            monkeypatch.setattr(CoherentFamily, name, counted)
         fam = coherent_family(1.0).family()
-        compute_report(fam, 0.1)
-        assert calls == [0.1]
+        for f, states in ((fam, []), (dataclasses.replace(fam, branches_of=None), [0.1])):
+            for seen in calls.values():
+                seen.clear()
+            compute_report(f, 0.1)
+            assert calls == {"state": states, "checked_displacement": [0.1]}
         with pytest.raises(ValueError):
             fam.rho_of(0.1)[0, 0] = 0.0
 
