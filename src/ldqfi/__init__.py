@@ -40,22 +40,14 @@ from .family import (
 from .ldops import (
     MODELS,
     LdOperator,
-    bvn_ld,
     kernel_matrix,
     kmb_residual,
-    ld1,
-    ld2,
-    ld_eig,
     ld_operator,
-    sld,
-    zero_expectation_check,
 )
 from .linalg import (
     expm,
     expm_frechet,
     logmean_kernel,
-    logmean_matrix,
-    matrix_function,
     random_hermitian,
     schatten_norm,
     trace_product,
@@ -101,7 +93,6 @@ from .zoo import (
     grid_domain,
     sweep_family,
     two_level_closed_forms,
-    two_level_qfi_oracle,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ import numpy as np
 from . import verify
 from .errors import InvalidInput, QfiError
 from .family import CentralDifference, StateFamily, branches_at
-from .ldops import MODELS, kmb_residual, ld_operator, zero_expectation_check
+from .ldops import MODELS, kmb_residual, ld_operator
+from .linalg import trace_product
 from .qfi import compute_report
 from .zoo import FAMILIES, STEP_DOMAIN, grid_domain, sweep_family
 
@@ -318,7 +319,7 @@ def cmd_ld(args: argparse.Namespace) -> int:
     print("H (imag part):")
     for row in op.matrix.imag:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))
-    print(f"Tr(rho H) = {_g17(zero_expectation_check(rho, op))}")
+    print(f"Tr(rho H) = {_g17(trace_product(rho, op.matrix))}")
     print(f"KMB residual = {_g17(kmb_residual(br, op))}")
     h1 = float(np.linalg.norm(op.h1)) if op.h1 is not None else float("nan")
     h2 = float(np.linalg.norm(op.h2)) if op.h2 is not None else float("nan")

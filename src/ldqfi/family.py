@@ -28,7 +28,6 @@ from .linalg import (
     expm_frechet,
     hermitize,
     is_hermitian,
-    logmean_matrix,
     random_hermitian,
     require_hermitian,
 )
@@ -220,7 +219,9 @@ class SpectralBranches:
     family, as a HermitianTridiagonal (kept as band); rho_prime_eig
     materializes a band on first use, for the readers that need the whole
     matrix.  Dense per-cluster projections are materialized lazily so that
-    information-only paths stay O(dim^2) in memory.
+    information-only paths stay O(dim^2) in memory.  kernels holds the
+    point's mean kernel table of each model, filled on first use by
+    ldops.kernel_table and shared by every later reader of the point.
     """
 
     def __init__(
@@ -242,6 +243,7 @@ class SpectralBranches:
         self.cluster_slices = cluster_slices
         self.cluster_values = cluster_values
         self.cluster_value_primes = cluster_value_primes
+        self.kernels: dict[str, np.ndarray] = {}
 
     @cached_property
     def rho_prime_eig(self) -> np.ndarray:
@@ -265,12 +267,6 @@ class SpectralBranches:
     def cluster_index(self) -> np.ndarray:
         """Cluster number of each eigenvector column."""
         return np.repeat(np.arange(self.n_clusters), self.cluster_mults)
-
-    @cached_property
-    def logmean(self) -> np.ndarray:
-        """Pairwise logarithmic means of the eigenvalues, the bvn kernel;
-        built once and shared by every reader of this point."""
-        return logmean_matrix(self.eigenvalues)
 
     def rho(self) -> np.ndarray:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T

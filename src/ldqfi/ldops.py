@@ -9,7 +9,9 @@ Every model solves a different operator equation linking rho' to rho:
 
 In the eigenbasis of rho each equation becomes entrywise division of rho'
 by a symmetric positive kernel of the eigenvalue pair: the logarithmic,
-harmonic, geometric and arithmetic means respectively.
+harmonic, geometric and arithmetic means respectively.  kernel_table builds
+that kernel once per model and point and keeps it on the point's
+SpectralBranches; every reader of the point divides by the same table.
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .family import DensityMatrix, SpectralBranches
-from .linalg import (
-    hermitize,
-    logmean_matrix,
-    logmean_pairs,
-    matrix_function,
-    positive_spectrum,
-    require_hermitian,
-    schatten_norm,
-    trace_product,
-)
+from .family import SpectralBranches
+from .linalg import hermitize, logmean_pairs, positive_spectrum, schatten_norm
 
 MODELS = ("bvn", "ld1", "ld2", "sld")
 
@@ -57,6 +50,15 @@ def kernel_matrix(w: np.ndarray, model: str) -> np.ndarray:
     return kernel_pairs(w[:, None], w[None, :], model)
 
 
+def kernel_table(br: SpectralBranches, model: str) -> np.ndarray:
+    """The model's mean over every eigenvalue pair of the point, built by
+    kernel_matrix on first use and kept in br.kernels for later readers."""
+    table = br.kernels.get(model)
+    if table is None:
+        table = br.kernels[model] = kernel_matrix(br.eigenvalues, model)
+    return table
+
+
 @dataclass(frozen=True)
 class LdOperator:
     """A logarithmic-derivative operator with its optional commuting split.
@@ -73,29 +75,14 @@ class LdOperator:
     h2: np.ndarray | None = None
 
 
-def _kernel_table(br: SpectralBranches, model: str) -> np.ndarray:
-    """The model's kernel over every eigenvalue pair; for bvn the point's
-    shared log-mean table."""
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
-    return br.logmean if model == "bvn" else kernel_matrix(br.eigenvalues, model)
-
-
-def ld_eig(br: SpectralBranches, model: str) -> np.ndarray:
-    """The LD operator of a model in the eigenbasis of rho: rho'_ij divided
-    by the model's mean of (lambda_i, lambda_j).  The bvn kernel is the
-    point's shared log-mean table."""
-    return br.rho_prime_eig / _kernel_table(br, model)
-
-
 def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda_i, rho'_ij, K_ij) over the stored entries of rho' in the
     eigenbasis, with K the model's mean of (lambda_i, lambda_j), ready for
     elementwise sums.  A dense point gives whole matrices (lambda_i as a
-    column, the shared log-mean table as the bvn kernel); a banded point
-    gives flat arrays over its O(dim) entries and builds no table."""
+    column, the point's kernel_table); a banded point gives flat arrays
+    over its O(dim) entries and builds no table."""
     if br.band is None:
-        return br.eigenvalues[:, None], br.rho_prime_eig, _kernel_table(br, model)
+        return br.eigenvalues[:, None], br.rho_prime_eig, kernel_table(br, model)
     rows, cols, vals = br.band.entries
     w = br.eigenvalues
     return w[rows], vals, kernel_pairs(w[rows], w[cols], model)
@@ -109,7 +96,7 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     for the other models h2 = matrix - h1.
     """
     v = br.basis
-    matrix = hermitize(v @ ld_eig(br, model) @ v.conj().T)
+    matrix = hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().T)
     if not split:
         return LdOperator(model=model, matrix=matrix)
 
@@ -121,42 +108,12 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
         # division of rho' by the logarithmic mean of the cluster values,
         # with vanishing blocks inside each cluster.
         same = idx[:, None] == idx[None, :]
-        kern_c = logmean_matrix(br.cluster_values[idx])
+        kern_c = kernel_matrix(br.cluster_values[idx], "bvn")
         h2_eig = np.where(same, 0.0, br.rho_prime_eig / kern_c)
         h2 = hermitize(v @ h2_eig @ v.conj().T)
     else:
         h2 = matrix - h1
     return LdOperator(model=model, matrix=matrix, h1=h1, h2=h2)
-
-
-def bvn_ld(br: SpectralBranches, split: bool = True) -> LdOperator:
-    """LD operator of the KMB pairing, H = d/dtheta ln rho along the family."""
-    return ld_operator(br, "bvn", split=split)
-
-
-def sld(br: SpectralBranches, split: bool = True) -> LdOperator:
-    """Symmetric logarithmic derivative, 2 rho'_ij / (lambda_i + lambda_j)."""
-    return ld_operator(br, "sld", split=split)
-
-
-def ld1(rho: DensityMatrix, rho_prime: np.ndarray) -> LdOperator:
-    """Symmetrized one-sided derivative, (rho^-1 rho' + rho' rho^-1)/2.
-
-    Direct matrix form without spectral data; the split is not computed.
-    """
-    rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
-    x = np.linalg.solve(rho.matrix, rho_prime)
-    return LdOperator(model="ld1", matrix=hermitize(x))
-
-
-def ld2(rho: DensityMatrix, rho_prime: np.ndarray) -> LdOperator:
-    """Symmetric sandwich derivative, rho^-1/2 rho' rho^-1/2.
-
-    Direct matrix form without spectral data; the split is not computed.
-    """
-    rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
-    inv_sqrt = matrix_function(rho.matrix, lambda w: w**-0.5)
-    return LdOperator(model="ld2", matrix=hermitize(inv_sqrt @ rho_prime @ inv_sqrt))
 
 
 def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
@@ -169,15 +126,6 @@ def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
     """
     h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
     h_eig = br.basis.conj().T @ h @ br.basis
-    recon = h_eig * br.logmean
+    recon = h_eig * kernel_table(br, "bvn")
     return schatten_norm(recon - br.rho_prime_eig, 1)
 
-
-def zero_expectation_check(rho: DensityMatrix | np.ndarray, ld: LdOperator | np.ndarray) -> float:
-    """Tr(rho H), in O(d^2) and in any common basis of the two operands.
-    Every LD operator of a trace-preserving family has vanishing
-    expectation; callers assert the magnitude.  Operands that are not
-    square matrices of one shape raise InvalidInput."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    h = ld.matrix if isinstance(ld, LdOperator) else ld
-    return trace_product(mat, h)

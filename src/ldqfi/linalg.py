@@ -1,7 +1,8 @@
 """Linear algebra primitives used by every higher layer.
 
-Hermiticity checks, spectral matrix functions, the logarithmic-mean kernel,
-the trace of a product, Schatten norms, Hermitian tridiagonal matrices, and
+Hermiticity checks, the positive-spectrum check of every mean kernel, the
+logarithmic mean (pairwise, ``logmean_pairs``, and of two scalars), the
+trace of a product, Schatten norms, Hermitian tridiagonal matrices, and
 the matrix exponential of a general square matrix with its Frechet
 derivative (``expm``, ``expm_frechet``).  Everything here runs on numpy alone.  Other
 modules call numpy's eigensolvers directly, the state's own eigensolve
@@ -139,28 +140,6 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
     return hermitize(a)
 
 
-def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    f must accept an ndarray of eigenvalues.  Any eigenvalue that f maps to
-    a non-finite number is outside the function's domain and raises
-    DomainError carrying the offending eigenvalue.
-    """
-    values, vectors = np.linalg.eigh(require_hermitian(a))
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(values), dtype=float)
-    if fw.shape != values.shape:
-        raise InvalidInput("f must map eigenvalues elementwise")
-    bad = ~np.isfinite(fw)
-    if np.any(bad):
-        offending = float(values[bad][0])
-        raise DomainError(
-            f"eigenvalue {offending:.6g} outside the domain of the matrix function",
-            value=offending,
-        )
-    return (vectors * fw) @ vectors.conj().T
-
-
 def positive_spectrum(w: np.ndarray, name: str) -> np.ndarray:
     """w as a 1-d float array of strictly positive finite eigenvalues: the
     domain of every mean kernel.  Any other shape raises InvalidInput, any
@@ -179,21 +158,14 @@ def positive_spectrum(w: np.ndarray, name: str) -> np.ndarray:
 def logmean_kernel(a: float, b: float) -> float:
     """Logarithmic mean (a - b)/(ln a - ln b) of two positive numbers.
 
-    Continuous at a = b where it equals a; the off-diagonal entry of
-    logmean_matrix([a, b]).  Equals the integral of a^t b^(1-t) over t in
-    [0, 1].
+    Continuous at a = b where it equals a; the bvn entry of
+    ldops.kernel_matrix([a, b]).  Equals the integral of a^t b^(1-t) over t
+    in [0, 1].
     """
     if not (a > 0.0 and b > 0.0) or not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("logmean_kernel needs strictly positive finite arguments",
                           value=float(min(a, b)))
-    return float(logmean_matrix(np.array([a, b]))[0, 1])
-
-
-def logmean_matrix(w: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise logarithmic means K[i, j] = logmean(w[i], w[j])
-    of a strictly positive spectrum."""
-    w = positive_spectrum(w, "logmean_matrix")
-    return logmean_pairs(w[:, None], w[None, :])
+    return float(logmean_pairs(a, b))
 
 
 def logmean_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

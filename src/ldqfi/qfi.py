@@ -24,6 +24,7 @@ from .family import (
     DensityMatrix,
     SpectralBranches,
     StateFamily,
+    _check_step,
     _check_theta,
     branches_at,
     default_step,
@@ -34,14 +35,13 @@ from .family import (
 from .ldops import (
     MODELS,
     LdOperator,
-    bvn_ld,
     kernel_entries,
+    kernel_matrix,
+    kernel_table,
     kmb_residual,
-    ld_eig,
     ld_operator,
-    zero_expectation_check,
 )
-from .linalg import _one_blas_thread, logmean_matrix, require_hermitian, trace_product
+from .linalg import _one_blas_thread, require_hermitian, trace_product
 
 # Explicit tensor construction of n-copy states is capped at this dimension.
 NCOPY_DIM_CAP = 4096
@@ -96,7 +96,7 @@ def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
     y_eig = br.basis.conj().T @ y @ br.basis
     mean = float(np.sum(br.eigenvalues * np.diag(y_eig).real))
     z = y_eig - mean * np.eye(br.dim)
-    return float(np.sum(np.abs(z) ** 2 * br.logmean).real)
+    return float(np.sum(np.abs(z) ** 2 * kernel_table(br, "bvn")).real)
 
 
 def classical_information(br: SpectralBranches) -> float:
@@ -207,7 +207,7 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
     if model == "bvn":
         w, v = np.linalg.eigh(rho_n)
         h_eig = v.conj().T @ h_n @ v
-        value = float(np.sum(np.abs(h_eig) ** 2 * logmean_matrix(w)).real)
+        value = float(np.sum(np.abs(h_eig) ** 2 * kernel_matrix(w, "bvn")).real)
     else:
         value = trace_product(rho_n @ h_n, h_n)
     expect = n * single
@@ -259,11 +259,12 @@ def maximality_check(fam: StateFamily, theta: float, step: float | None = None) 
 
     Returns (Tr(rho H'), -qfi_bvn); the two agree because differentiating
     Tr(rho H) = 0 gives Tr(rho' H) + Tr(rho H') = 0 and Tr(rho' H) is the
-    information value.  H' is a symmetric difference of the operator field.
+    information value.  H' is a symmetric difference of the operator field;
+    a step that is not positive and finite raises InvalidInput.
     """
-    h = step if step is not None else default_step(theta)
-    plus = bvn_ld(branches_at(fam, theta + h), split=False).matrix
-    minus = bvn_ld(branches_at(fam, theta - h), split=False).matrix
+    h = _check_step(step if step is not None else default_step(theta))
+    plus = ld_operator(branches_at(fam, theta + h), "bvn", split=False).matrix
+    minus = ld_operator(branches_at(fam, theta - h), "bvn", split=False).matrix
     h_prime = (plus - minus) / (2.0 * h)
     br = branches_at(fam, theta)
     e_prime = trace_product(br.rho(), h_prime)
@@ -324,10 +325,13 @@ def _report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
     i1 = classical_information(br)
     qfi = {m: qfi_value(br, m) for m in models}
     i2 = {m: qfi[m] - i1 for m in models}
-    # Tr(rho H) of every model is taken in the eigenbasis; only the bvn
-    # operator is assembled, for the KMB equation.
-    worst_expect = max(abs(zero_expectation_check(rho_eig, ld_eig(br, m))) for m in models)
-    residual = kmb_residual(br, bvn_ld(br, split=False))
+    # Tr(rho H) of every model is taken in the eigenbasis, over the point's
+    # kernel tables; only the bvn operator is assembled, for the KMB
+    # equation.
+    worst_expect = max(
+        abs(trace_product(rho_eig, br.rho_prime_eig / kernel_table(br, m))) for m in models
+    )
+    residual = kmb_residual(br, ld_operator(br, "bvn", split=False))
     if not math.isfinite(residual):
         raise InvalidInput("KMB residual is not finite")
     return QfiReport(

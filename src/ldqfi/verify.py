@@ -24,7 +24,7 @@ from .family import (
     projection_curvature_residual,
     random_analytic_family,
 )
-from .ldops import MODELS, bvn_ld, ld_operator
+from .ldops import MODELS, ld_operator
 from .linalg import random_hermitian
 from .qfi import (
     breve_variance,
@@ -176,7 +176,7 @@ def kmb(seed: int) -> list[Check]:
     for fam, theta in breve_pts:
         br = branches_at(fam, theta)
         q = qfi_bvn(br)
-        breve = breve_variance(br, bvn_ld(br, split=False).matrix)
+        breve = breve_variance(br, ld_operator(br, "bvn", split=False).matrix)
         worst = max(worst, abs(breve - q) / max(1.0, abs(q)))
     checks.append(
         Check(

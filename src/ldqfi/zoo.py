@@ -178,23 +178,15 @@ class TwoLevelFamily2:
 class TwoLevelForms:
     """Closed-form information parts of a two-level point with weight lam.
 
-    i1 is the common classical part lam'^2/(lam(1-lam)).  The second parts
-    come in three conventions:
-
-      i2           the tabulated reference values.  For bvn and sld these
-                   are ordinary second moments Tr(rho H2^2); for ld1 and
-                   ld2 they are the unweighted moments Tr(H2^2), which at
-                   dimension two equal exactly twice the weighted ones.
-      i2_variance  Tr(rho H2^2) for every model, i.e. what qfi_split
-                   reports for the variance-based models.
-      i2_bvn_breve the KMB-weighted second part of the bvn model, the
-                   piece that added to i1 gives qfi_bvn.
+    i1 is the common classical part lam'^2/(lam(1-lam)).  i2 holds the
+    tabulated reference second parts: for bvn and sld the ordinary second
+    moments Tr(rho H2^2); for ld1 and ld2 the unweighted moments Tr(H2^2),
+    which at dimension two equal exactly twice the weighted ones that
+    qfi_split reports.
     """
 
     i1: float
     i2: dict[str, float]
-    i2_variance: dict[str, float]
-    i2_bvn_breve: float
 
 
 def two_level_closed_forms(lam: float, lam_prime: float) -> TwoLevelForms:
@@ -216,34 +208,7 @@ def two_level_closed_forms(lam: float, lam_prime: float) -> TwoLevelForms:
         "ld2": 2.0 * g**2 / prod,
         "sld": 4.0 * g**2,
     }
-    i2_variance = {
-        "bvn": log_ratio**2,
-        "ld1": g**2 / (4.0 * prod**2),
-        "ld2": g**2 / prod,
-        "sld": 4.0 * g**2,
-    }
-    return TwoLevelForms(
-        i1=i1,
-        i2=i2,
-        i2_variance=i2_variance,
-        i2_bvn_breve=2.0 * g * log_ratio,
-    )
-
-
-def two_level_qfi_oracle(
-    fam: TwoLevelFamily1 | TwoLevelFamily2, theta: float, model: str
-) -> tuple[float, float]:
-    """Reference (i1, i2) of a two-level family point, tabulated convention.
-
-    See TwoLevelForms: for ld1 and ld2 the reference second part is the
-    unweighted moment Tr(H2^2), twice the weighted Tr(rho H2^2) that the
-    pipeline's qfi_split returns at dimension two.
-    """
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}; expected one of {MODELS}")
-    lam, lam_prime = fam.weight(theta)
-    forms = two_level_closed_forms(lam, lam_prime)
-    return forms.i1, forms.i2[model]
+    return TwoLevelForms(i1=i1, i2=i2)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +239,7 @@ def geometric_family(theta_center: float, trunc_dim: int | None = None) -> State
     derivative and all four models carry the same information.  The
     derivative is analytic:
       lambda'_j = lambda_j (1/(e^theta - 1) - j - N/(e^{N theta} - 1)).
+    A trunc_dim that is not an integer of at least 2 raises InvalidInput.
     """
     if not (math.isfinite(theta_center) and theta_center > GEOMETRIC_HALF_WIDTH):
         raise DomainError(
@@ -283,9 +249,9 @@ def geometric_family(theta_center: float, trunc_dim: int | None = None) -> State
         )
     lo = theta_center - GEOMETRIC_HALF_WIDTH
     hi = theta_center + GEOMETRIC_HALF_WIDTH
+    if trunc_dim is not None:
+        _TRUNC_DIM.check("trunc_dim", trunc_dim)
     n = geometric_trunc_dim(lo, hi) if trunc_dim is None else int(trunc_dim)
-    if n < 2:
-        raise InvalidInput(f"trunc_dim {n} must be at least 2")
     lam_min_edge = math.exp(-(n - 1) * hi) * math.expm1(-hi) / math.expm1(-n * hi)
     if lam_min_edge <= RANK_TOL:
         raise SingularState(
@@ -515,13 +481,14 @@ def coherent_family(
 
     A caller-chosen trunc_dim is accepted only while the discarded tail
     q^N stays at or below 1e-6 (TruncationError otherwise) and the
-    smallest kept eigenvalue clears the rank floor (SingularState).
+    smallest kept eigenvalue clears the rank floor (SingularState); one
+    that is not an integer of at least 2 raises InvalidInput.
     """
     if not (mean_occupation > 0.0 and math.isfinite(mean_occupation)):
         raise InvalidInput(f"mean occupation {mean_occupation!r} must be positive")
+    if trunc_dim is not None:
+        _TRUNC_DIM.check("trunc_dim", trunc_dim)
     n = coherent_trunc_dim(mean_occupation) if trunc_dim is None else int(trunc_dim)
-    if n < 2:
-        raise InvalidInput(f"trunc_dim {n} must be at least 2")
     q = mean_occupation / (mean_occupation + 1.0)
     tail = q**n
     if tail > COHERENT_TAIL_HARD:

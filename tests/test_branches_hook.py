@@ -25,7 +25,7 @@ from ldqfi import (
 from ldqfi.errors import DegenerateCrossing, TruncationError
 from ldqfi.family import Eigenframe, spectral_branches
 from ldqfi.ldops import kernel_entries, kernel_pairs
-from ldqfi.linalg import HermitianTridiagonal, expm, logmean_matrix, logmean_pairs
+from ldqfi.linalg import HermitianTridiagonal, expm, logmean_pairs
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
 
 THETAS = np.linspace(-0.29, 0.29, 13)
@@ -123,7 +123,7 @@ def test_band_entries_and_kernels_match_the_tables() -> None:
         table = kernel_matrix(w, model)
         np.testing.assert_array_equal(table, kernel_pairs(w[:, None], w[None, :], model))
         np.testing.assert_array_equal(kernel_pairs(w[rows], w[cols], model), table[rows, cols])
-    np.testing.assert_array_equal(logmean_matrix(w), logmean_pairs(w[:, None], w[None, :]))
+    np.testing.assert_array_equal(kernel_matrix(w, "bvn"), logmean_pairs(w[:, None], w[None, :]))
 
     frame = Eigenframe(np.eye(n), w)
     banded = spectral_branches(frame, band)

@@ -1,6 +1,6 @@
-"""One eigendecomposition, one log-mean table and one assembled operator per
-point, and the eigenbasis formulas of every information value and of
-Tr(rho H) against the dense operator oracles."""
+"""One eigendecomposition, one kernel table per model and one assembled
+operator per point, and the eigenbasis formulas of every information value
+and of Tr(rho H) against the dense operator oracles."""
 
 from __future__ import annotations
 
@@ -13,16 +13,15 @@ import pytest
 import scipy.linalg
 
 import ldqfi
+import ldqfi.verify
+from dense_oracles import ld1, ld2
 from ldqfi import (
     MODELS,
     StateFamily,
     branches_at,
     breve_variance,
-    bvn_ld,
     classical_information,
     compute_report,
-    ld1,
-    ld2,
     ld_operator,
     qfi_variance,
     random_analytic_family,
@@ -53,43 +52,51 @@ def test_branches_at_runs_one_eigh(monkeypatch, random_family) -> None:
     assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
-def _counting_everywhere(monkeypatch, fn, counts: dict[str, int]) -> None:
-    """Count calls of a library function in every ldqfi module that binds it."""
-    name = fn.__name__
-    counts[name] = 0
+def _recording_everywhere(monkeypatch, fn) -> list[tuple]:
+    """The positional arguments of every call of a library function, patched
+    in every ldqfi module that binds it."""
+    calls: list[tuple] = []
 
-    def counted(*args, **kwargs):
-        counts[name] += 1
+    def recorded(*args, **kwargs):
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "ldqfi" and getattr(mod, name, None) is fn:
-            monkeypatch.setattr(mod, name, counted)
+        if mod_name.split(".")[0] == "ldqfi" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, recorded)
+    return calls
 
 
-def test_compute_report_assembles_one_operator_and_one_logmean_table(
+def test_compute_report_assembles_one_operator_and_one_kernel_table_per_model(
     monkeypatch, random_family
 ) -> None:
     counts: dict[str, int] = {}
     _counting(monkeypatch, np.linalg, "eigh", counts)
-    _counting_everywhere(monkeypatch, ldqfi.ldops.ld_operator, counts)
-    _counting_everywhere(monkeypatch, ldqfi.linalg.logmean_matrix, counts)
+    operators = _recording_everywhere(monkeypatch, ldqfi.ldops.ld_operator)
+    tables = _recording_everywhere(monkeypatch, ldqfi.ldops.kernel_matrix)
     points = (0.1, 0.2, 0.3)
-    for theta in points:
+    for k, theta in enumerate(points, 1):
+        del tables[:]
         compute_report(random_family, theta)
-    assert counts == {"eigh": len(points), "ld_operator": len(points), "logmean_matrix": len(points)}
+        assert sorted(model for _, model in tables) == sorted(MODELS)
+        assert counts == {"eigh": k}
+        assert len(operators) == k
+
+
+def test_verify_cr_builds_one_kernel_table_per_model_and_branch_set(monkeypatch) -> None:
+    # four reference points, each checked with every model against 100
+    # random observables and its efficient directions
+    tables = _recording_everywhere(monkeypatch, ldqfi.ldops.kernel_matrix)
+    ldqfi.verify.cr(7)
+    assert len(tables) <= 4 * len(MODELS)
 
 
 def test_relent_limit_runs_one_eigh_per_state(monkeypatch, tanh_family) -> None:
     counts: dict[str, int] = {}
     _counting(monkeypatch, np.linalg, "eigh", counts)
-    for mod in (ldqfi.linalg, ldqfi.family, ldqfi.ldops, ldqfi.qfi):
-        if hasattr(mod, "matrix_function"):
-            _counting(monkeypatch, mod, "matrix_function", counts)
     eps = (1e-2, 5e-3, 2.5e-3)
     relent_limit(tanh_family, 0.3, eps)
-    assert counts.pop("eigh") == len(eps) + 1
-    assert set(counts.values()) <= {0}
+    assert counts == {"eigh": len(eps) + 1}
 
 
 def _multiplet_family(dim: int, rng: np.random.Generator) -> StateFamily:
@@ -159,7 +166,7 @@ def test_eigenbasis_values_match_dense_oracles(dim: int, kind: str) -> None:
     }
     oracles["ld1"].append(qfi_variance(rho, ld1(rho, rho_prime)))
     oracles["ld2"].append(qfi_variance(rho, ld2(rho, rho_prime)))
-    oracles["bvn"] = [breve_variance(br, bvn_ld(br, split=False).matrix)]
+    oracles["bvn"] = [breve_variance(br, ld_operator(br, "bvn", split=False).matrix)]
     for m, values in oracles.items():
         for v in values:
             assert rep.qfi[m] == pytest.approx(v, rel=1e-10, abs=1e-12), m

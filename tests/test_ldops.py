@@ -19,18 +19,15 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import fractional_matrix_power, sqrtm
 
+from dense_oracles import ld1, ld2
 from ldqfi import (
     MODELS,
     branches_at,
-    bvn_ld,
     kernel_matrix,
     kmb_residual,
-    ld1,
-    ld2,
     ld_operator,
     random_analytic_family,
-    sld,
-    zero_expectation_check,
+    trace_product,
 )
 from ldqfi.errors import DomainError, InvalidInput
 
@@ -145,7 +142,7 @@ def test_operator_matches_independent_route(model: str, random_branches) -> None
 
 def test_bvn_solves_forward_integral(random_branches) -> None:
     br = random_branches
-    op = bvn_ld(br)
+    op = ld_operator(br, "bvn")
     back = kmb_forward(br.rho(), op.matrix)
     assert np.linalg.norm(back - br.rho_prime()) <= 1e-9
 
@@ -155,12 +152,12 @@ def test_operator_is_hermitian_and_centered(model: str, random_branches) -> None
     br = random_branches
     op = ld_operator(br, model)
     assert np.linalg.norm(op.matrix - op.matrix.conj().T) <= 1e-12
-    assert abs(zero_expectation_check(br.rho(), op)) <= 1e-12
+    assert abs(trace_product(br.rho(), op.matrix)) <= 1e-12
 
 
 def test_sld_jordan_equation(random_branches) -> None:
     br = random_branches
-    op = sld(br)
+    op = ld_operator(br, "sld")
     rho = br.rho()
     jordan = 0.5 * (rho @ op.matrix + op.matrix @ rho)
     assert np.linalg.norm(jordan - br.rho_prime()) <= 1e-11
@@ -186,7 +183,7 @@ def test_ld2_direct_solver_matches_eigen_route(random_branches) -> None:
 
 def test_kmb_residual_small_for_bvn_only(random_branches) -> None:
     br = random_branches
-    assert kmb_residual(br, bvn_ld(br)) <= 1e-12
+    assert kmb_residual(br, ld_operator(br, "bvn")) <= 1e-12
     # the other kernels do not satisfy the logarithmic-mean equation on a
     # non-commuting state
     for model in ("ld1", "ld2", "sld"):
@@ -240,5 +237,5 @@ def test_operators_on_degenerate_cluster(rng) -> None:
     for model in MODELS:
         op = ld_operator(br, model)
         assert np.linalg.norm(op.matrix - op.matrix.conj().T) <= 1e-12
-        assert abs(zero_expectation_check(br.rho(), op)) <= 1e-12
-    assert kmb_residual(br, bvn_ld(br)) <= 1e-12
+        assert abs(trace_product(br.rho(), op.matrix)) <= 1e-12
+    assert kmb_residual(br, ld_operator(br, "bvn")) <= 1e-12

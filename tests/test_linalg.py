@@ -1,5 +1,5 @@
-"""Scalar and matrix helpers: logarithmic-mean kernel, spectral matrix
-functions, Schatten norms, the matrix exponential and its Frechet
+"""Scalar and matrix helpers: logarithmic-mean kernel and its table, the
+dense oracles' spectral matrix function, Schatten norms, the matrix exponential and its Frechet
 derivative."""
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldqfi
+from dense_oracles import matrix_function
 from ldqfi import (
     CoherentFamily,
     expm,
     expm_frechet,
+    kernel_matrix,
     logmean_kernel,
-    logmean_matrix,
     random_hermitian,
     schatten_norm,
     trace_product,
 )
-from ldqfi.linalg import _PADE_LOW, _THETA_13, hermitize, is_hermitian, matrix_function, require_hermitian
+from ldqfi.linalg import _PADE_LOW, _THETA_13, hermitize, is_hermitian, require_hermitian
 from ldqfi.errors import DomainError, InvalidInput
 
 positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -68,7 +69,7 @@ def test_logmean_accuracy_across_switch_boundary() -> None:
         ma, mb = mpmath.mpf(a), mpmath.mpf(b)
         exact = float((mb - ma) / (mpmath.log(mb) - mpmath.log(ma))) if b != a else a
         assert logmean_kernel(a, b) == pytest.approx(exact, rel=5e-15)
-        arr = logmean_matrix(np.array([a, b]))
+        arr = kernel_matrix(np.array([a, b]), "bvn")
         assert arr[0, 1] == pytest.approx(exact, rel=5e-15)
 
 
@@ -79,7 +80,7 @@ def test_logmean_against_definition() -> None:
 
 def test_logmean_matrix_entries() -> None:
     w = np.array([0.5, 0.3, 0.2])
-    k = logmean_matrix(w)
+    k = kernel_matrix(w, "bvn")
     assert k.shape == (3, 3)
     for i in range(3):
         for j in range(3):

@@ -18,7 +18,6 @@ from ldqfi import (
     TwoLevelFamily2,
     branches_at,
     breve_variance,
-    bvn_ld,
     classical_information,
     coherent_branches,
     coherent_family,
@@ -36,11 +35,11 @@ from ldqfi import (
     geometric_qfi,
     geometric_trunc_dim,
     ld_operator,
+    logmean_kernel,
     qfi_bvn,
     qfi_value,
     qfi_variance,
     two_level_closed_forms,
-    two_level_qfi_oracle,
 )
 from ldqfi.errors import DomainError, InvalidInput, SingularState, TruncationError
 from ldqfi import zoo
@@ -59,6 +58,26 @@ from ldqfi.verify import verification_tasks
 # two-level closed forms
 
 
+def _weighted_second_parts(lam: float) -> dict[str, float]:
+    """Tr(rho H2^2) of every model at two-level weight lam, the moments the
+    pipeline computes: the tabulated value for bvn and sld, half of it for
+    ld1 and ld2."""
+    g = 2.0 * lam - 1.0
+    prod = lam * (1.0 - lam)
+    return {
+        "bvn": math.log(lam / (1.0 - lam)) ** 2,
+        "ld1": g**2 / (4.0 * prod**2),
+        "ld2": g**2 / prod,
+        "sld": 4.0 * g**2,
+    }
+
+
+def _breve_second_part(lam: float) -> float:
+    """KMB-weighted second part of the bvn model at two-level weight lam,
+    the piece that added to i1 gives qfi_bvn."""
+    return 2.0 * (2.0 * lam - 1.0) * math.log(lam / (1.0 - lam))
+
+
 class TestTwoLevelForms:
     def test_reference_table_values(self) -> None:
         lam, dlam = 0.75, 0.1
@@ -74,16 +93,18 @@ class TestTwoLevelForms:
 
     def test_variance_convention_is_half_for_ld1_ld2(self) -> None:
         f = two_level_closed_forms(0.7, 0.2)
-        assert f.i2_variance["ld1"] == pytest.approx(f.i2["ld1"] / 2, rel=1e-14)
-        assert f.i2_variance["ld2"] == pytest.approx(f.i2["ld2"] / 2, rel=1e-14)
-        assert f.i2_variance["bvn"] == pytest.approx(f.i2["bvn"], rel=1e-14)
-        assert f.i2_variance["sld"] == pytest.approx(f.i2["sld"], rel=1e-14)
+        weighted = _weighted_second_parts(0.7)
+        assert weighted["ld1"] == pytest.approx(f.i2["ld1"] / 2, rel=1e-14)
+        assert weighted["ld2"] == pytest.approx(f.i2["ld2"] / 2, rel=1e-14)
+        assert weighted["bvn"] == pytest.approx(f.i2["bvn"], rel=1e-14)
+        assert weighted["sld"] == pytest.approx(f.i2["sld"], rel=1e-14)
 
     def test_breve_form(self) -> None:
+        # both off-diagonal entries of rho' in the eigenbasis are 2 lam - 1,
+        # each divided by the logarithmic mean of the pair
         lam = 0.7
-        f = two_level_closed_forms(lam, 0.0)
-        assert f.i2_bvn_breve == pytest.approx(
-            2 * (2 * lam - 1) * math.log(lam / (1 - lam)), rel=1e-14
+        assert _breve_second_part(lam) == pytest.approx(
+            2 * (2 * lam - 1) ** 2 / logmean_kernel(lam, 1 - lam), rel=1e-14
         )
 
     def test_rejects_degenerate_weight(self) -> None:
@@ -103,24 +124,23 @@ class TestTwoLevelForms:
             for model in MODELS:
                 op = ld_operator(br, model, split=False)
                 i2 = qfi_variance(br.rho(), op) - i1
-                assert i2 == pytest.approx(f.i2_variance[model], abs=1e-12)
+                assert i2 == pytest.approx(_weighted_second_parts(lam)[model], abs=1e-12)
 
     def test_pipeline_breve_matches_closed_form(self, tanh_family) -> None:
         for theta in (-0.5, 0.4):
-            lam, dlam = tanh_weight(theta), tanh_weight_prime(theta)
-            f = two_level_closed_forms(lam, dlam)
+            lam = tanh_weight(theta)
             br = branches_at(tanh_family, theta)
             assert qfi_bvn(br) - classical_information(br) == pytest.approx(
-                f.i2_bvn_breve, abs=1e-12
+                _breve_second_part(lam), abs=1e-12
             )
 
     def test_oracle_returns_printed_convention(self) -> None:
         fam = default_two_level_1()
-        i1, i2 = two_level_qfi_oracle(fam, 0.3, "ld2")
+        forms = two_level_closed_forms(*fam.weight(0.3))
         lam, dlam = tanh_weight(0.3), tanh_weight_prime(0.3)
         f = two_level_closed_forms(lam, dlam)
-        assert i1 == pytest.approx(f.i1, rel=1e-14)
-        assert i2 == pytest.approx(f.i2["ld2"], rel=1e-14)
+        assert forms.i1 == pytest.approx(f.i1, rel=1e-14)
+        assert forms.i2["ld2"] == pytest.approx(f.i2["ld2"], rel=1e-14)
 
 
 class TestTanhFamily:
@@ -354,7 +374,7 @@ class TestCoherentFamily:
             assert qfi_value(br, "ld1") == pytest.approx(ld1_expected, rel=1e-6)
             assert qfi_value(br, "sld") == pytest.approx(sld_expected, rel=1e-6)
             assert qfi_value(br, "ld2") == pytest.approx(ld2_expected, rel=1e-6)
-            h = bvn_ld(br, split=False)
+            h = ld_operator(br, "bvn", split=False)
             assert qfi_variance(br.rho(), h) == pytest.approx(
                 bvn_moment_expected, rel=1e-6
             )
@@ -401,7 +421,7 @@ class TestCoherentFamily:
     def test_breve_identity_on_displaced_state(self) -> None:
         sf = coherent_family(1.0).family()
         br = branches_at(sf, 0.15)
-        op = bvn_ld(br, split=False)
+        op = ld_operator(br, "bvn", split=False)
         assert breve_variance(br, op.matrix) == pytest.approx(qfi_bvn(br), rel=1e-10)
 
 
@@ -473,6 +493,18 @@ class TestCounterexampleFamily:
 
 def _inner(dom) -> float:
     return dom.lo + 0.5 if math.isinf(dom.hi) else 0.5 * (dom.lo + dom.hi)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: geometric_family(math.log(2.0), n), lambda n: coherent_family(1.0, n)],
+    ids=["geometric", "coherent"],
+)
+@pytest.mark.parametrize("trunc_dim", [math.nan, math.inf, 2.5, 1, -3])
+def test_constructors_reject_bad_trunc_dim(build, trunc_dim: float) -> None:
+    # the sweep table's domain rule: a finite integer of at least 2
+    with pytest.raises(InvalidInput, match="trunc_dim"):
+        build(trunc_dim)
 
 
 class TestRegistry:
