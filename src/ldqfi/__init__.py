@@ -59,6 +59,7 @@ from .qfi import (
     classical_information,
     compute_report,
     local_cr_check,
+    local_cr_terms,
     maximality_check,
     ncopy_qfi,
     qfi_bvn,

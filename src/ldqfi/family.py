@@ -75,7 +75,10 @@ class DensityMatrix:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = require_hermitian(np.asarray(self.matrix), "density matrix")
+        mat = np.asarray(self.matrix)
+        if mat.ndim != 2:
+            raise InvalidInput(f"density matrix must be square, got shape {mat.shape}")
+        mat = require_hermitian(mat, "density matrix")
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-12:
             raise InvalidInput(f"density matrix trace {tr!r} differs from 1")
@@ -278,17 +281,32 @@ class SpectralBranches:
         cols = self.basis[:, self.cluster_slices[k]]
         return cols @ cols.conj().T
 
+    def projections(self) -> np.ndarray:
+        """Every cluster projection P_k as a stack of shape (K, dim, dim)."""
+        return np.stack([self.projection(k) for k in range(self.n_clusters)])
+
     def projection_prime(self, k: int) -> np.ndarray:
-        """dP_k/dtheta from first-order perturbation of the other clusters."""
-        sk = self.cluster_slices[k]
-        block = np.zeros((self.dim, self.dim), dtype=complex)
-        for j in range(self.n_clusters):
-            if j == k:
-                continue
-            sj = self.cluster_slices[j]
-            gap = self.cluster_values[k] - self.cluster_values[j]
-            block[sj, sk] = self.rho_prime_eig[sj, sk] / gap
-            block[sk, sj] = self.rho_prime_eig[sk, sj] / gap
+        """dP_k/dtheta from first-order perturbation of the other clusters.
+
+        In the eigenbasis it carries rho'_ab / (value_k - value_j) at every
+        entry coupling cluster k with another cluster j, in either order,
+        and zero elsewhere.
+        """
+        return self._primes(k)
+
+    def projection_primes(self) -> np.ndarray:
+        """Every dP_k/dtheta as a stack of shape (K, dim, dim)."""
+        return self._primes(np.arange(self.n_clusters)[:, None, None])
+
+    def _primes(self, k: int | np.ndarray) -> np.ndarray:
+        # k is an integer, or an index array of shape (n, 1, 1) for a stack
+        idx = self.cluster_index
+        in_row = idx[:, None] == k
+        in_col = idx[None, :] == k
+        coupling = in_row != in_col
+        other = np.where(in_col, idx[:, None], idx[None, :])
+        gap = np.where(coupling, self.cluster_values[k] - self.cluster_values[other], 1.0)
+        block = np.where(coupling, self.rho_prime_eig / gap, 0j)
         return self.basis @ block @ self.basis.conj().T
 
 
@@ -419,23 +437,34 @@ class ProjectionAuditReport:
 
 
 def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
-    """Evaluate the projection-derivative identities on dense cluster data."""
-    proj = [br.projection(k) for k in range(br.n_clusters)]
-    prime = [br.projection_prime(k) for k in range(br.n_clusters)]
-    eye = np.eye(br.dim)
-    off = 0.0
+    """Evaluate the projection-derivative identities on dense cluster data.
+
+    The K projections and their derivatives are stacks of shape (K, d, d);
+    each cluster j meets all K clusters k in one broadcast product, so
+    memory stays of the order of the stacks.
+    """
+    proj = br.projections()
+    prime = br.projection_primes()
+    rest = np.eye(br.dim) - proj
+
+    def norms(a: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(a, axis=(-2, -1))
+
+    off = max(
+        float(norms(prime @ proj - rest @ prime).max()),
+        float(norms(prime @ rest - proj @ prime).max()),
+    )
     comp = 0.0
     adj = 0.0
     for j, (pj, dpj) in enumerate(zip(proj, prime)):
-        off = max(off, float(np.linalg.norm(dpj @ pj - (eye - pj) @ dpj)))
-        off = max(off, float(np.linalg.norm(dpj @ (eye - pj) - pj @ dpj)))
-        for k, (pk, dpk) in enumerate(zip(proj, prime)):
-            if k != j:
-                off = max(off, float(np.linalg.norm(dpj @ pk + pj @ dpk)))
-            comp = max(comp, float(np.linalg.norm(pk @ dpj @ pk)))
-            prod = dpj @ dpk
-            adj = max(adj, float(np.linalg.norm(prod @ pj - pj @ prod.conj().T)))
-    weighted = sum(value * dp for value, dp in zip(br.cluster_values, prime))
+        # axis 0 of each product indexes k
+        exchange = norms(dpj @ proj + pj @ prime)
+        exchange[j] = 0.0  # only k != j
+        off = max(off, float(exchange.max()))
+        comp = max(comp, float(norms(proj @ dpj @ proj).max()))
+        prod = dpj @ prime
+        adj = max(adj, float(norms(prod @ pj - pj @ prod.conj().swapaxes(-1, -2)).max()))
+    weighted = np.sum(br.cluster_values[:, None, None] * prime, axis=0)
     rho = br.rho()
     rho_prime = br.rho_prime()
     comm = rho @ rho_prime - rho_prime @ rho
@@ -469,6 +498,8 @@ def projection_curvature_residual(fam: StateFamily, theta: float, h: float = 1e-
             "cluster count changes across the finite-difference stencil; refine theta or h"
         )
     mid = brs[2]
+    proj = mid.projections()
+    prime = mid.projection_primes()
 
     def second_diff(lo: SpectralBranches, hi: SpectralBranches, step: float, k: int) -> np.ndarray:
         return (hi.projection(k) - 2.0 * mid.projection(k) + lo.projection(k)) / step**2
@@ -480,11 +511,7 @@ def projection_curvature_residual(fam: StateFamily, theta: float, h: float = 1e-
     worst = 0.0
     for j in range(mid.n_clusters):
         for k in range(mid.n_clusters):
-            lhs = (
-                mid.projection(j) @ second[k]
-                + second[j] @ mid.projection(k)
-                + 2.0 * mid.projection_prime(j) @ mid.projection_prime(k)
-            )
+            lhs = proj[j] @ second[k] + second[j] @ proj[k] + 2.0 * prime[j] @ prime[k]
             rhs = second[j] if j == k else np.zeros_like(lhs)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .family import SpectralBranches
-from .linalg import hermitize, logmean_pairs, positive_spectrum, schatten_norm
+from .linalg import hermitize, logmean_pairs, positive_spectrum, schatten_norm, trace_product
 
 MODELS = ("bvn", "ld1", "ld2", "sld")
 
@@ -86,6 +86,17 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
     rows, cols, vals = br.band.entries
     w = br.eigenvalues
     return w[rows], vals, kernel_pairs(w[rows], w[cols], model)
+
+
+def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
+    """Tr(rho H) for the model's operator H_eig = rho'_eig / K, with rho
+    given in the eigenbasis, summed over the stored entries of rho' (see
+    kernel_entries) and read against rho_eig at the transposed positions."""
+    _, rp, kern = kernel_entries(br, model)
+    if br.band is None:
+        return trace_product(rho_eig, rp / kern)
+    rows, cols, _ = br.band.entries
+    return float(np.sum(rho_eig[cols, rows] * (rp / kern)).real)
 
 
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:

@@ -113,9 +113,11 @@ def _one_blas_thread(fn: Callable, *args, **kwargs):
                 put(_pins["saved"])
 
 
-def _as_square_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square_matrix(a: np.ndarray, name: str = "matrix", ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """a as a finite array whose last two axes are square: a matrix, or a
+    stack of them where ndims allows 3 axes."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} contains non-finite entries")
@@ -123,18 +125,24 @@ def _as_square_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (A + A†)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Project onto the Hermitian part, (A + A†)/2, of a matrix or of each
+    matrix of a stack (the last two axes)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Whether a matrix, or each matrix of a stack (the last two axes), is
+    Hermitian within tol relative to its largest entry (at least 1)."""
     a = np.asarray(a)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol * scale)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return bool(np.all(dev <= tol * scale))
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
-    a = _as_square_matrix(a, name)
+    """The Hermitian part of a finite square matrix, or of a stack of them
+    of shape (k, d, d), checked Hermitian within tol (see is_hermitian)."""
+    a = _as_square_matrix(a, name, ndims=(2, 3))
     if not is_hermitian(a, tol):
         raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
     return hermitize(a)
@@ -172,19 +180,24 @@ def logmean_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise logarithmic mean of positive arrays broadcast together.
 
     Near-degenerate pairs switch to a short series in u = ln(hi/lo)
-    because the direct ratio cancels.
+    because the direct ratio cancels.  The logarithms of the direct ratio
+    are taken before broadcasting (N of them for a column against a row),
+    since ln(hi) - ln(lo) is |ln a - ln b| exactly; the series' ln(hi/lo)
+    is taken at the near pairs alone.
     """
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    log_gap = np.abs(np.log(a) - np.log(b))
+    lo = np.asarray(np.minimum(a, b))
+    hi = np.asarray(np.maximum(a, b))
     diff = hi - lo
-    near = diff <= LOGMEAN_SWITCH * (hi + lo)
+    near = np.asarray(diff <= LOGMEAN_SWITCH * (hi + lo))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = diff / (np.log(hi) - np.log(lo))
-    u = np.log(hi / np.where(near, lo, 1.0))
-    series = lo * (
+        out = np.asarray(diff / log_gap)
+    lo_near = lo[near]
+    u = np.log(hi[near] / lo_near)
+    out[near] = lo_near * (
         1.0 + u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0))))
     )
-    return np.where(near, series, ratio)
+    return out
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -319,7 +332,27 @@ def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (coef @ powers.reshape(k, n * n)).reshape(len(coef), n, n)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix, used by verification suites and tests."""
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(x) * scale
+def _positive_int(n, name: str) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInput(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
+                     count: int | None = None) -> np.ndarray:
+    """Gaussian Hermitian matrix, used by verification suites and tests.
+
+    With a count, a stack of shape (count, dim, dim) drawn from the same
+    generator stream: bitwise the matrices that count successive single
+    draws return.  A dimension or count that is not a positive integer
+    raises InvalidInput.
+    """
+    dim = _positive_int(dim, "dimension")
+    k = 1 if count is None else _positive_int(count, "count")
+    # each matrix draws its real part, then its imaginary part
+    z = rng.standard_normal((k, 2, dim, dim))
+    x = np.empty((k, dim, dim), dtype=complex)
+    x.real, x.imag = z[:, 0], z[:, 1]
+    x = hermitize(x)
+    x *= scale
+    return x[0] if count is None else x

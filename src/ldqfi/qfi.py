@@ -35,13 +35,19 @@ from .family import (
 from .ldops import (
     MODELS,
     LdOperator,
+    expectation,
     kernel_entries,
     kernel_matrix,
     kernel_table,
     kmb_residual,
     ld_operator,
 )
-from .linalg import _one_blas_thread, require_hermitian, trace_product
+from .linalg import (
+    _one_blas_thread,
+    _positive_int,
+    require_hermitian,
+    trace_product,
+)
 
 # Explicit tensor construction of n-copy states is capped at this dimension.
 NCOPY_DIM_CAP = 4096
@@ -91,12 +97,18 @@ def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
     the bvn LD operator it returns qfi_bvn.
     """
     y = require_hermitian(np.asarray(obs), "observable")
-    if y.shape[0] != br.dim:
+    if y.shape != (br.dim, br.dim):
         raise InvalidInput("observable dimension does not match the state")
-    y_eig = br.basis.conj().T @ y @ br.basis
-    mean = float(np.sum(br.eigenvalues * np.diag(y_eig).real))
-    z = y_eig - mean * np.eye(br.dim)
-    return float(np.sum(np.abs(z) ** 2 * kernel_table(br, "bvn")).real)
+    return float(_breve_variances(br, y[None])[0])
+
+
+def _breve_variances(br: SpectralBranches, ys: np.ndarray) -> np.ndarray:
+    """breve_variance of each matrix of a checked Hermitian stack (k, d, d)."""
+    v = br.basis
+    y_eig = v.conj().T @ ys @ v
+    means = np.sum(br.eigenvalues * np.diagonal(y_eig, axis1=-2, axis2=-1).real, axis=-1)
+    z = y_eig - means[:, None, None] * np.eye(br.dim)
+    return np.sum(np.abs(z) ** 2 * kernel_table(br, "bvn"), axis=(-2, -1))
 
 
 def classical_information(br: SpectralBranches) -> float:
@@ -144,30 +156,53 @@ class CrCheck:
         return self.lhs - self.rhs
 
 
-def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str,
-                   slack_tol: float = 1e-10) -> CrCheck:
-    """Check Var(Theta) >= u^2 / QFI with u = Tr(rho' Theta).
+def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
+                   model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, lhs, rhs) of the local Cramer-Rao bound Var(Theta) >= u^2 / QFI
+    for each observable of a stack of shape (k, d, d), as arrays of length k,
+    with u = Tr(rho' Theta) and rhs = u^2 / QFI.
 
     The bvn model uses the KMB-weighted variance on the left (its bound is
-    stated in that metric); the others use the ordinary variance.  A zero
-    information value makes the bound vacuous and raises
-    DegenerateInformation.
+    stated in that metric); the others use the ordinary variance.  The
+    information value, rho and rho' are formed once for the whole stack.  A
+    stack of the wrong shape, with a non-finite entry or a non-Hermitian
+    slice raises InvalidInput; a zero information value makes the bound
+    vacuous and raises DegenerateInformation.
     """
-    y = require_hermitian(np.asarray(obs), "observable")
+    ys = np.asarray(obs)
+    if ys.ndim != 3 or ys.shape[1:] != (br.dim, br.dim):
+        raise InvalidInput(f"observables must have shape (k, {br.dim}, {br.dim}), got {ys.shape}")
+    ys = require_hermitian(ys, "observables")
     if model not in MODELS:
         raise InvalidInput(f"unknown model {model!r}")
     info = qfi_value(br, model)
     if info <= 1e-14:
         raise DegenerateInformation(f"information value {info:.3e} is numerically zero")
-    u = trace_product(br.rho_prime(), y)
+    ys_t = ys.swapaxes(-1, -2)
+    u = np.sum(br.rho_prime() * ys_t, axis=(-2, -1)).real
     if model == "bvn":
-        lhs = breve_variance(br, y)
+        lhs = _breve_variances(br, ys)
     else:
         rho = br.rho()
-        mean = trace_product(rho, y)
-        lhs = trace_product(rho @ y, y) - mean**2
-    rhs = u**2 / info
-    return CrCheck(model=model, u=u, lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack_tol)
+        mean = np.sum(rho * ys_t, axis=(-2, -1)).real
+        lhs = np.sum((rho @ ys) * ys_t, axis=(-2, -1)).real - mean**2
+    return u, lhs, u**2 / info
+
+
+def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str,
+                   slack_tol: float = 1e-10) -> CrCheck:
+    """Check Var(Theta) >= u^2 / QFI with u = Tr(rho' Theta) for one
+    observable: local_cr_terms of a stack of one, holding when the slack
+    is at least -slack_tol.  A slack_tol that is not finite raises
+    InvalidInput."""
+    if not math.isfinite(slack_tol):
+        raise InvalidInput(f"slack_tol must be finite, got {slack_tol!r}")
+    y = np.asarray(obs)
+    if y.ndim != 2:
+        raise InvalidInput(f"observable must be a square matrix, got shape {y.shape}")
+    u, lhs, rhs = local_cr_terms(br, y[None], model)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return CrCheck(model=model, u=float(u[0]), lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack_tol)
 
 
 def _embed(h: np.ndarray, slot: int, n: int) -> np.ndarray:
@@ -186,8 +221,7 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
     checked against additivity (n times the single-copy value) before being
     returned.  Larger n returns the additivity formula directly.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
+    _positive_int(n, "n")
     single = qfi_value(br, model)
     if n == 1:
         return single
@@ -239,11 +273,15 @@ def relent_limit(fam: StateFamily, theta: float,
     The ratios 2 S/eps^2 expand as value + c1*eps + c2*eps^2 + ..., so the
     sequence is fit with a quadratic in eps (linear when only two entries
     are given) and the intercept is returned; it converges to the KMB
-    information value qfi_bvn(theta).
+    information value qfi_bvn(theta).  eps_seq needs at least two entries,
+    all finite, positive and distinct, else InvalidInput: a repeated step
+    leaves the fit singular.
     """
     eps = np.asarray(list(eps_seq), dtype=float)
-    if eps.size < 2 or np.any(eps <= 0):
-        raise InvalidInput("eps_seq needs at least two positive entries")
+    if eps.ndim != 1 or eps.size < 2 or not np.all(np.isfinite(eps) & (eps > 0)):
+        raise InvalidInput(f"eps_seq needs at least two finite positive entries, got {list(eps_seq)!r}")
+    if np.unique(eps).size != eps.size:
+        raise InvalidInput(f"eps_seq entries must be distinct, got {list(eps_seq)!r}")
     base = eval_rho(fam, theta)
     ys = []
     for e in eps:
@@ -325,12 +363,9 @@ def _report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
     i1 = classical_information(br)
     qfi = {m: qfi_value(br, m) for m in models}
     i2 = {m: qfi[m] - i1 for m in models}
-    # Tr(rho H) of every model is taken in the eigenbasis, over the point's
-    # kernel tables; only the bvn operator is assembled, for the KMB
-    # equation.
-    worst_expect = max(
-        abs(trace_product(rho_eig, br.rho_prime_eig / kernel_table(br, m))) for m in models
-    )
+    # Tr(rho H) of every model is taken in the eigenbasis; only the bvn
+    # operator is assembled, for the KMB equation.
+    worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
     residual = kmb_residual(br, ld_operator(br, "bvn", split=False))
     if not math.isfinite(residual):
         raise InvalidInput("KMB residual is not finite")

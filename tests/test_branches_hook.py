@@ -66,6 +66,32 @@ def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
     assert counts == {"eigh": 0, "checked_displacement": 3}
 
 
+def test_hook_point_takes_the_mean_over_the_band(monkeypatch) -> None:
+    # Tr(rho H) of every model over the band's entries: no table but the
+    # bvn one of the KMB residual, and the dense tables' value to rounding
+    fam = coherent_family(2.0).family()
+    tables = []
+    real = ldqfi.ldops.kernel_matrix
+
+    def recorded(w, model):
+        tables.append(model)
+        return real(w, model)
+
+    monkeypatch.setattr(ldqfi.ldops, "kernel_matrix", recorded)
+    for theta in (0.0, 0.15, -0.25):
+        del tables[:]
+        rep = compute_report(fam, theta)
+        assert tables == ["bvn"]
+        br = fam.branches_of(theta)
+        gram = br.basis.conj().T @ br.basis
+        rho_eig = (gram * br.eigenvalues) @ gram
+        dense = max(
+            abs(float(np.sum(rho_eig * (br.rho_prime_eig / real(br.eigenvalues, m)).T).real))
+            for m in MODELS
+        )
+        assert abs(rep.max_zero_expectation - dense) <= 1e-15
+
+
 def test_central_difference_bypasses_the_hook(monkeypatch) -> None:
     fam = dataclasses.replace(
         coherent_family(1.0).family(), derivative_mode=CentralDifference()

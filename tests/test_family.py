@@ -9,12 +9,15 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracles
+from ldqfi import verify
 from ldqfi import (
     Analytic,
     CentralDifference,
     DensityMatrix,
     StateFamily,
     branches_at,
+    coherent_family,
     nonsmooth_projection_state,
     projection_audit,
     projection_curvature_residual,
@@ -151,6 +154,55 @@ class TestProjectionAudit:
         assert rep.max_identity_residual() <= 1e-9
         assert rep.weighted_prime_sum > 1e-6
         assert rep.commutator > 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_stacked_audit_matches_pair_loop_on_the_suite_families(self, seed, monkeypatch) -> None:
+        seen = []
+
+        def recorded(br):
+            seen.append(br)
+            return projection_audit(br)
+
+        monkeypatch.setattr(verify, "projection_audit", recorded)
+        verify.lemma33(seed)
+        assert len(seen) == 100
+        fields = ("offdiag_exchange", "compression", "adjoint_exchange",
+                  "weighted_prime_sum", "commutator")
+        for br in seen:
+            got = projection_audit(br)
+            want = dense_oracles.projection_audit(br)
+            for name in fields:
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, name
+
+    def test_audit_matches_pair_loop_with_many_clusters(self) -> None:
+        # on four-level families and on the coherent family at d = 34,
+        # with 34 clusters
+        rng = np.random.default_rng(4)
+        points = [branches_at(random_analytic_family(4, rng), 0.1) for _ in range(3)]
+        points.append(branches_at(coherent_family(1.0).family(), 0.1))
+        assert points[-1].n_clusters == 34
+        for br in points:
+            got = projection_audit(br)
+            want = dense_oracles.projection_audit(br)
+            for name in ("offdiag_exchange", "compression", "adjoint_exchange",
+                         "weighted_prime_sum", "commutator"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-14)
+
+    def test_projection_stacks_match_each_cluster(self) -> None:
+        # a doubly degenerate cluster above two single ones
+        rho = _diag_state(0.15, 0.3, 0.3, 0.25)
+        h = random_hermitian(4, np.random.default_rng(2), scale=0.1)
+        h = h - np.trace(h) / 4 * np.eye(4)
+        v = np.linalg.qr(random_hermitian(4, np.random.default_rng(3)))[0]
+        br = spectral_branches(v @ rho @ v.conj().T, v @ h @ v.conj().T)
+        assert br.n_clusters == 3
+        proj = br.projections()
+        prime = br.projection_primes()
+        assert proj.shape == prime.shape == (3, 4, 4)
+        for k in range(br.n_clusters):
+            np.testing.assert_array_equal(proj[k], br.projection(k))
+            np.testing.assert_array_equal(prime[k], dense_oracles.projection_prime(br, k))
+            np.testing.assert_array_equal(br.projection_prime(k), prime[k])
 
     def test_curvature_identity(self, rng) -> None:
         worst = 0.0

@@ -25,7 +25,15 @@ from ldqfi import (
     schatten_norm,
     trace_product,
 )
-from ldqfi.linalg import _PADE_LOW, _THETA_13, hermitize, is_hermitian, require_hermitian
+from ldqfi.linalg import (
+    _PADE_LOW,
+    _THETA_13,
+    LOGMEAN_SWITCH,
+    hermitize,
+    is_hermitian,
+    logmean_pairs,
+    require_hermitian,
+)
 from ldqfi.errors import DomainError, InvalidInput
 
 positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -125,10 +133,74 @@ def test_hermitian_helpers(rng) -> None:
         require_hermitian(a + 0.1 * np.diag([0, 1j, 0]))
 
 
+def test_hermitian_check_of_a_stack_scales_each_matrix() -> None:
+    # a deviation of 5e-10 passes next to entries of 1e3 (relative
+    # 5e-13) and fails in a matrix whose largest entry is 1
+    dev = np.array([[0.0, 5e-10], [0.0, 0.0]])
+    big, small = np.diag([1e3, -1e3]) + dev, np.eye(2) + dev
+    assert is_hermitian(big) and not is_hermitian(small)
+    assert is_hermitian(np.stack([big, big]))
+    assert not is_hermitian(np.stack([big, small]))
+    np.testing.assert_array_equal(require_hermitian(np.stack([big, big])),
+                                  np.stack([hermitize(big)] * 2))
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        require_hermitian(np.stack([big, small]))
+    for bad in (np.ones((2, 2, 3)), np.ones((2, 2, 2, 2)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(InvalidInput):
+            require_hermitian(bad)
+
+
 def test_random_hermitian_is_hermitian(rng) -> None:
     a = random_hermitian(6, rng)
     assert is_hermitian(a)
     assert a.shape == (6, 6)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 34])
+def test_random_hermitian_stack_equals_successive_draws(dim: int) -> None:
+    stacked = random_hermitian(dim, np.random.default_rng(5), scale=0.6, count=7)
+    rng = np.random.default_rng(5)
+    single = np.stack([random_hermitian(dim, rng, scale=0.6) for _ in range(7)])
+    assert stacked.shape == (7, dim, dim)
+    np.testing.assert_array_equal(stacked, single)
+    # and leaves the generator where the successive draws leave it
+    after = np.random.default_rng(5)
+    random_hermitian(dim, after, count=7)
+    assert after.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim, count", [(-1, None), (0, None), (2.5, None), (True, None),
+                                        ("3", None), (3, 0), (3, -2), (3, 1.0)])
+def test_random_hermitian_rejects_bad_sizes(dim, count, rng) -> None:
+    with pytest.raises(InvalidInput, match="positive integer"):
+        random_hermitian(dim, rng, count=count)
+
+
+def _three_log_logmean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The log mean with ln(hi), ln(lo) and ln(hi/lo) taken over every pair."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    diff = hi - lo
+    near = diff <= LOGMEAN_SWITCH * (hi + lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = diff / (np.log(hi) - np.log(lo))
+    u = np.log(hi / np.where(near, lo, 1.0))
+    series = lo * (
+        1.0 + u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0))))
+    )
+    return np.where(near, series, ratio)
+
+
+@pytest.mark.parametrize("dim", [2, 17, 256])
+def test_logmean_pairs_is_bitwise_the_three_log_formula(dim: int) -> None:
+    rng = np.random.default_rng(dim)
+    w = np.sort(rng.uniform(1e-4, 1.0, dim))
+    # the diagonal and near-degenerate neighbours take the series branch
+    w[1::4] = w[0::4][: w[1::4].size] * (1.0 + 1e-3 * rng.uniform(size=w[1::4].size))
+    w /= w.sum()
+    table = logmean_pairs(w[:, None], w[None, :])
+    np.testing.assert_array_equal(table, _three_log_logmean(w[:, None], w[None, :]))
+    np.testing.assert_array_equal(logmean_pairs(w[::-1], w), _three_log_logmean(w[::-1], w))
 
 
 def test_trace_product_matches_trace_of_matmul(rng) -> None:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracles
 from ldqfi import (
     MODELS,
     DensityMatrix,
@@ -18,7 +19,11 @@ from ldqfi import (
     classical_information,
     compute_report,
     ld_operator,
+    coherent_family,
+    default_two_level_1,
+    geometric_family,
     local_cr_check,
+    local_cr_terms,
     maximality_check,
     ncopy_qfi,
     qfi_bvn,
@@ -171,6 +176,82 @@ class TestCrBound:
             local_cr_check(br, np.diag([1.0, -1.0]).astype(complex), "sld")
 
 
+def _cr_points():
+    """Branch sets of every kind the Cramer-Rao checks meet: two-level,
+    geometric (commuting), and the coherent family through its closed-form
+    hook (banded rho') and through the eigensolver."""
+    coherent = coherent_family(1.0).family()
+    geometric = geometric_family(math.log(2.0))
+    return {
+        "two_level": branches_at(default_two_level_1().family(), 0.3),
+        "geometric": branches_at(geometric, math.log(2.0)),
+        "coherent_hook": coherent.branches_of(0.1),
+        "coherent_eigh": branches_at(coherent, 0.1),
+    }
+
+
+class TestStackedCr:
+    @pytest.mark.parametrize("kind", ["two_level", "geometric", "coherent_hook", "coherent_eigh"])
+    def test_stack_matches_per_observable_oracle(self, kind: str) -> None:
+        br = _cr_points()[kind]
+        assert (br.band is not None) == (kind == "coherent_hook")
+        ys = random_hermitian(br.dim, np.random.default_rng(11), count=12)
+        for model in MODELS:
+            u, lhs, rhs = local_cr_terms(br, ys, model)
+            assert u.shape == lhs.shape == rhs.shape == (12,)
+            for y, got in zip(ys, zip(u, lhs, rhs)):
+                want = dense_oracles.cr_terms(br, y, model)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_single_check_is_the_stack_of_one(self, random_branches, rng) -> None:
+        br = random_branches
+        ys = random_hermitian(br.dim, rng, count=3)
+        for model in MODELS:
+            u, lhs, rhs = local_cr_terms(br, ys, model)
+            for i, y in enumerate(ys):
+                chk = local_cr_check(br, y, model)
+                assert (chk.u, chk.lhs, chk.rhs) == (u[i], lhs[i], rhs[i])
+                assert chk.holds == (lhs[i] >= rhs[i] - 1e-10)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ys: ys[:, :1, :1],
+            lambda ys: ys[0],
+            lambda ys: ys[None],
+            lambda ys: ys + np.triu(np.ones((2, 2)), 1) * 0.5,
+            lambda ys: np.where(np.arange(3)[:, None, None] == 2, np.nan, ys),
+            lambda ys: np.where(np.arange(3)[:, None, None] == 0, np.inf, ys),
+        ],
+        ids=["wrong_dim", "not_a_stack", "four_axes", "non_hermitian", "nan", "inf"],
+    )
+    def test_bad_stack_is_invalid_input(self, make, tanh_family) -> None:
+        br = branches_at(tanh_family, 0.3)
+        ys = random_hermitian(2, np.random.default_rng(3), count=3)
+        with pytest.raises(InvalidInput):
+            local_cr_terms(br, make(ys), "sld")
+
+    def test_unknown_model_and_zero_information(self, tanh_family) -> None:
+        ys = random_hermitian(2, np.random.default_rng(3), count=2)
+        with pytest.raises(InvalidInput):
+            local_cr_terms(branches_at(tanh_family, 0.3), ys, "xxx")
+        const = StateFamily(
+            dim=2,
+            theta_domain=(-1.0, 1.0),
+            rho_of=lambda t: np.diag([0.6, 0.4]).astype(complex),
+            rho_prime_of=lambda t: np.zeros((2, 2), dtype=complex),
+            name="const",
+        )
+        with pytest.raises(DegenerateInformation):
+            local_cr_terms(branches_at(const, 0.0), ys, "bvn")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_tol_is_invalid_input(self, tol: float, tanh_family) -> None:
+        br = branches_at(tanh_family, 0.3)
+        with pytest.raises(InvalidInput, match="slack_tol"):
+            local_cr_check(br, np.diag([1.0, -1.0]).astype(complex), "sld", slack_tol=tol)
+
+
 class TestNCopy:
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("n", [2, 3])
@@ -227,6 +308,24 @@ class TestRelativeEntropy:
         assert e_prime == pytest.approx(neg_q, rel=1e-6)
         assert neg_q == pytest.approx(-qfi_bvn(branches_at(tanh_family, 0.3)), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            (1e-2, 1e-2, 1e-2),
+            (1e-2, 5e-3, 1e-2),
+            (math.nan, 5e-3),
+            (1e-2, math.inf),
+            (1e-2, -5e-3),
+            (1e-2, 0.0),
+            (1e-2,),
+            (),
+        ],
+        ids=["all_equal", "repeat", "nan", "inf", "negative", "zero", "one_entry", "empty"],
+    )
+    def test_limit_rejects_bad_steps(self, eps, tanh_family) -> None:
+        with pytest.raises(InvalidInput, match="eps_seq"):
+            relent_limit(tanh_family, 0.3, eps)
+
     @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
     def test_maximality_rejects_bad_step(self, step: float, tanh_family) -> None:
         with pytest.raises(InvalidInput, match="finite-difference step"):
@@ -263,8 +362,13 @@ class TestOperandShapes:
             lambda br: local_cr_check(br, np.eye(3), "sld"),
             lambda br: local_cr_check(br, np.eye(3), "bvn"),
             lambda br: relative_entropy(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)),
+            # a stack of matrices where one matrix is expected
+            lambda br: DensityMatrix(np.stack([np.eye(2) / 2] * 2)),
+            lambda br: breve_variance(br, np.stack([np.eye(2)] * 2)),
+            lambda br: local_cr_check(br, np.stack([np.eye(2)] * 2), "sld"),
         ],
-        ids=["qfi_variance", "local_cr_sld", "local_cr_bvn", "relative_entropy"],
+        ids=["qfi_variance", "local_cr_sld", "local_cr_bvn", "relative_entropy",
+             "density_stack", "breve_stack", "local_cr_stack"],
     )
     def test_dimension_mismatch_is_invalid_input(self, call, tanh_family) -> None:
         br = branches_at(tanh_family, 0.3)

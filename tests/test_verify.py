@@ -6,6 +6,7 @@ import dataclasses
 import subprocess
 import sys
 
+import ldqfi.qfi
 from ldqfi import verify
 
 
@@ -25,3 +26,22 @@ def test_ld2_verdict_fails_on_a_wrong_numeric(monkeypatch):
 def test_package_import_does_not_load_the_suites():
     code = "import sys, ldqfi; sys.exit('ldqfi.verify' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_cr_evaluates_one_stack_per_target_and_model(monkeypatch):
+    # 4 targets x 4 models stacks of 100 observables, and the 10 efficient
+    # directions one at a time: 26 evaluations where one call per
+    # observable made 1,610
+    real = ldqfi.qfi.local_cr_terms
+    stacks = []
+
+    def counted(br, obs, model):
+        stacks.append(len(obs))
+        return real(br, obs, model)
+
+    monkeypatch.setattr(ldqfi.qfi, "local_cr_terms", counted)
+    monkeypatch.setattr(verify, "local_cr_terms", counted)
+    checks = verify.cr(7)
+    assert len(checks) == 26 and all(c.passed for c in checks)
+    assert len(stacks) <= 26
+    assert sorted(stacks) == [1] * 10 + [100] * 16
