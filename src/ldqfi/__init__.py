@@ -58,6 +58,7 @@ from .qfi import (
     breve_variance,
     classical_information,
     compute_report,
+    compute_reports,
     local_cr_check,
     local_cr_terms,
     maximality_check,

@@ -23,7 +23,7 @@ from .errors import InvalidInput, QfiError
 from .family import CentralDifference, StateFamily, branches_at
 from .ldops import MODELS, kmb_residual, ld_operator
 from .linalg import trace_product
-from .qfi import compute_report
+from .qfi import compute_report, compute_reports
 from .zoo import FAMILIES, STEP_DOMAIN, grid_domain, sweep_family
 
 COLUMNS = (
@@ -183,19 +183,40 @@ def _apply_derivative_mode(fam: StateFamily, cfg: SweepConfig) -> StateFamily:
     return dataclasses.replace(fam, derivative_mode=CentralDifference(step=cfg.step))
 
 
+def _family_at(cfg: SweepConfig, grid_value: float) -> tuple[StateFamily, float]:
+    fam, theta = sweep_family(cfg.family, cfg.params, cfg.sweep_param, grid_value)
+    return _apply_derivative_mode(fam, cfg), theta
+
+
 def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
     """Evaluate the configured grid in order; the first failing grid point
-    raises QfiError naming it."""
-    rows: list[dict[str, float | None]] = []
-    for grid_value in cfg.grid:
+    raises QfiError naming it.
+
+    A coordinate that only moves the evaluation point is swept on one
+    family, whose points are the grid values, in one compute_reports call.
+    One that changes the family (FamilySpec.family_coords) builds a family
+    per grid value; so does a grid whose single call failed, to name the
+    first failing value.
+    """
+    reports = None
+    if cfg.sweep_param not in FAMILIES[cfg.family].family_coords:
         try:
-            fam, theta = sweep_family(cfg.family, cfg.params, cfg.sweep_param, grid_value)
-            fam = _apply_derivative_mode(fam, cfg)
-            rep = compute_report(fam, theta, cfg.models)
-        except QfiError as exc:
-            raise QfiError(
-                f"at {cfg.sweep_param}={_g17(grid_value)}: {type(exc).__name__}: {exc}"
-            ) from exc
+            fam, _ = _family_at(cfg, cfg.grid[0])
+            reports = compute_reports(fam, cfg.grid, cfg.models)
+        except QfiError:
+            pass
+    if reports is None:
+        reports = []
+        for grid_value in cfg.grid:
+            try:
+                fam, theta = _family_at(cfg, grid_value)
+                reports.append(compute_report(fam, theta, cfg.models))
+            except QfiError as exc:
+                raise QfiError(
+                    f"at {cfg.sweep_param}={_g17(grid_value)}: {type(exc).__name__}: {exc}"
+                ) from exc
+    rows: list[dict[str, float | None]] = []
+    for grid_value, rep in zip(cfg.grid, reports):
         row: dict[str, float | None] = {c: None for c in COLUMNS}
         row["theta"] = grid_value
         row["i1"] = rep.i1

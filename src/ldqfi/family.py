@@ -8,6 +8,7 @@ that the projection derivatives must satisfy.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,7 +121,11 @@ class StateFamily:
     branches_of, when given, returns the spectral branches at theta in
     closed form (spectral_branches of an Eigenframe); compute_report then
     uses it in place of eigendecomposing rho_of(theta), as long as the
-    derivative mode is Analytic.
+    derivative mode is Analytic.  The hook describes a unitary path
+    rho(theta) = W(theta) rho0 W(theta)^dagger: only the basis moves, so
+    the eigenvalues, the clusters and rho' in the moving basis are the
+    same at every theta.  compute_reports relies on this and raises
+    InvalidInput for a point that breaks it.
     """
 
     dim: int
@@ -155,7 +160,11 @@ def default_step(theta: float) -> float:
 
 
 def _check_theta(fam: StateFamily, theta: float, pad: float = 0.0) -> None:
-    if not math.isfinite(theta):
+    try:
+        finite = math.isfinite(theta)
+    except TypeError:
+        raise InvalidInput(f"theta must be a real number, got {theta!r}") from None
+    if not finite:
         raise DomainError("theta must be finite", value=theta)
     lo, hi = fam.theta_domain
     if not (lo < theta - pad and theta + pad < hi):
@@ -256,7 +265,17 @@ class SpectralBranches:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
+
+    def over(self, bases: np.ndarray) -> SpectralBranches:
+        """The same branches over a stack of bases of shape (K, dim, dim):
+        K points of a unitary path, which share the eigenvalues, rho' in
+        the moving basis and the kernel tables.  ldops.ld_operator (without
+        the split), kmb_residual and expectation read such a stack point by
+        point; the other readers take one basis."""
+        out = copy.copy(self)
+        out.basis = bases
+        return out
 
     @property
     def n_clusters(self) -> int:
@@ -366,7 +385,7 @@ def spectral_branches(
 
     starts = _cluster_starts(w, cluster_tol)
     mults = np.diff(np.append(starts, w.size))
-    slices = [slice(int(a), int(a + m)) for a, m in zip(starts, mults)]
+    slices = [slice(a, a + m) for a, m in zip(starts.tolist(), mults.tolist())]
     values = np.add.reduceat(w, starts) / mults
 
     # Squared Frobenius norm of each coupling block between neighbouring

@@ -88,15 +88,27 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
     return w[rows], vals, kernel_pairs(w[rows], w[cols], model)
 
 
-def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
+def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float | np.ndarray:
     """Tr(rho H) for the model's operator H_eig = rho'_eig / K, with rho
     given in the eigenbasis, summed over the stored entries of rho' (see
-    kernel_entries) and read against rho_eig at the transposed positions."""
+    kernel_entries) and read against rho_eig at the transposed positions.
+
+    rho_eig may be a stack (k, d, d) of states of one spectrum, each in
+    its own basis (SpectralBranches.over); the result is then an array of
+    the k values, each summed as it is for one state."""
     _, rp, kern = kernel_entries(br, model)
+    h = rp / kern
     if br.band is None:
-        return trace_product(rho_eig, rp / kern)
+        if rho_eig.ndim == 2:
+            return trace_product(rho_eig, h)
+        return np.array([trace_product(r, h) for r in rho_eig])
     rows, cols, _ = br.band.entries
-    return float(np.sum(rho_eig[cols, rows] * (rp / kern)).real)
+    terms = rho_eig[..., cols, rows] * h
+    if terms.ndim == 1:
+        return float(np.sum(terms).real)
+    # one sum per row: a reduction along the last axis of the stack adds
+    # in another order than the sum of a row alone
+    return np.array([float(np.sum(t).real) for t in terms])
 
 
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:
@@ -107,7 +119,7 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     for the other models h2 = matrix - h1.
     """
     v = br.basis
-    matrix = hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().T)
+    matrix = hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().swapaxes(-1, -2))
     if not split:
         return LdOperator(model=model, matrix=matrix)
 
@@ -127,16 +139,18 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     return LdOperator(model=model, matrix=matrix, h1=h1, h2=h2)
 
 
-def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
+def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float | np.ndarray:
     """Trace-norm defect of H as a solution of the KMB equation,
     || integral_0^1 rho^t H rho^(1-t) dt - rho' ||_1.
 
     Zero (to rounding) exactly for the bvn operator; for the other models a
     non-trivial residual measures how far their defining equation is from
-    the KMB one on a non-commuting family.
+    the KMB one on a non-commuting family.  Over a stack of bases
+    (SpectralBranches.over) H is a stack of the same shape, and the result
+    an array of the defects.
     """
     h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
-    h_eig = br.basis.conj().T @ h @ br.basis
+    h_eig = br.basis.conj().swapaxes(-1, -2) @ h @ br.basis
     recon = h_eig * kernel_table(br, "bvn")
     return schatten_norm(recon - br.rho_prime_eig, 1)
 

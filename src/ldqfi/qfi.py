@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInformation, InvalidInput, ResourceLimit
+from .errors import DegenerateInformation, InvalidInput, QfiError, ResourceLimit
 from .family import (
     Analytic,
     DensityMatrix,
@@ -51,6 +51,13 @@ from .linalg import (
 
 # Explicit tensor construction of n-copy states is capped at this dimension.
 NCOPY_DIM_CAP = 4096
+
+# compute_reports evaluates the diagnostics of a hook family's points in
+# blocks whose stacked (K, N, N) arrays hold at most this many entries: 5
+# points at N = 57, one at a time from N = 91 on.  A block's stacks are a
+# few of them, so its memory stays of the order of one point's, while a
+# block still shares the Python work per call among its points.
+REPORT_BLOCK_ENTRIES = 2**14
 
 
 def qfi_bvn(br: SpectralBranches) -> float:
@@ -328,13 +335,32 @@ class QfiReport:
 
 def compute_report(fam: StateFamily, theta: float,
                    models: Sequence[str] = MODELS) -> QfiReport:
-    """Evaluate the family at theta and assemble every requested information value.
+    """Evaluate the family at theta and assemble every requested information
+    value: compute_reports of the one point."""
+    return compute_reports(fam, [theta], models)[0]
 
-    A family with a branches_of hook and an analytic derivative takes its
-    branches from the hook: no state, no rho' and no eigensolve.  The point
-    runs with numpy's OpenBLAS pinned to one thread (linalg._one_blas_thread),
-    since blocked products and eigensolvers round differently with the thread
-    count; so the report's bytes do not depend on it.
+
+def compute_reports(fam: StateFamily, thetas: Iterable[float],
+                    models: Sequence[str] = MODELS) -> list[QfiReport]:
+    """The report of every theta, in order.
+
+    A family without a branches_of hook, or with a derivative mode other
+    than Analytic, evaluates each point on its own: state, rho' and one
+    eigensolve.  A hook family takes each point's branches from the hook
+    and no state at all.  Its hook describes a unitary path (see
+    StateFamily), so the information values are computed once, from the
+    first point, and every later point is checked to have the same
+    spectrum and rho' in its basis, else InvalidInput.  The two
+    diagnostics of each point still read its own basis; they are evaluated
+    for blocks of points as (K, N, N) stacks, with at most
+    REPORT_BLOCK_ENTRIES entries per stacked array.  When a block fails,
+    its points are evaluated again one at a time, so the error raised is
+    the one of the first failing point.
+
+    The call runs with numpy's OpenBLAS pinned to one thread
+    (linalg._one_blas_thread), since blocked products and eigensolvers
+    round differently with the thread count; so the reports' bytes do not
+    depend on it.  A theta that is not a real number raises InvalidInput.
     """
     models = list(models)
     for m in models:
@@ -342,38 +368,124 @@ def compute_report(fam: StateFamily, theta: float,
             raise InvalidInput(f"unknown model {m!r}")
     if not models:
         raise InvalidInput("at least one model is required")
-    return _one_blas_thread(_report, fam, theta, models)
+    try:
+        thetas = list(thetas)
+    except TypeError:
+        raise InvalidInput(f"thetas must be an iterable of numbers, got {thetas!r}") from None
+    return _one_blas_thread(_reports, fam, thetas, models)
 
 
-def _report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
-    if fam.branches_of is not None and isinstance(fam.derivative_mode, Analytic):
-        _check_theta(fam, theta)
-        br = fam.branches_of(theta)
-        # The state is basis diag(lambda) basis^dagger; seen through the
-        # basis' own Gram matrix it carries the basis' orthogonality defect.
-        gram = br.basis.conj().T @ br.basis
-        rho_eig = (gram * br.eigenvalues) @ gram
-    else:
-        rho = eval_rho(fam, theta)
-        br = spectral_branches(rho, eval_rho_prime(fam, theta))
-        # The state's own matrix in the eigenbasis, so that Tr(rho H) also
-        # sees how well the basis diagonalizes rho.
-        v = br.basis
-        rho_eig = v.conj().T @ rho.matrix @ v
+def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[QfiReport]:
+    if fam.branches_of is None or not isinstance(fam.derivative_mode, Analytic):
+        return [_eigensolver_report(fam, theta, models) for theta in thetas]
+    path = _UnitaryPath(fam, models)
+    size = max(1, REPORT_BLOCK_ENTRIES // fam.dim**2)
+    out: list[QfiReport] = []
+    for start in range(0, len(thetas), size):
+        block = thetas[start:start + size]
+        try:
+            out += path.reports(block)
+        except QfiError:
+            if len(block) == 1:
+                raise
+            for theta in block:
+                out += path.reports([theta])
+    return out
+
+
+def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, float], dict[str, float]]:
+    """(i1, qfi, i2) of a point."""
     i1 = classical_information(br)
     qfi = {m: qfi_value(br, m) for m in models}
-    i2 = {m: qfi[m] - i1 for m in models}
+    return i1, qfi, {m: qfi[m] - i1 for m in models}
+
+
+def _report(theta: float, values: tuple[float, dict[str, float], dict[str, float]],
+            worst_expect: float, residual: float) -> QfiReport:
+    if not math.isfinite(residual):
+        raise InvalidInput("KMB residual is not finite")
+    i1, qfi, i2 = values
+    return QfiReport(
+        theta=float(theta),
+        qfi=dict(qfi),
+        i1=i1,
+        i2=dict(i2),
+        kmb_residual=residual,
+        max_zero_expectation=worst_expect,
+    )
+
+
+def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
+    rho = eval_rho(fam, theta)
+    br = spectral_branches(rho, eval_rho_prime(fam, theta))
+    # The state's own matrix in the eigenbasis, so that Tr(rho H) also
+    # sees how well the basis diagonalizes rho.
+    v = br.basis
+    rho_eig = v.conj().T @ rho.matrix @ v
+    values = _values(br, models)
     # Tr(rho H) of every model is taken in the eigenbasis; only the bvn
     # operator is assembled, for the KMB equation.
     worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
     residual = kmb_residual(br, ld_operator(br, "bvn", split=False))
-    if not math.isfinite(residual):
-        raise InvalidInput("KMB residual is not finite")
-    return QfiReport(
-        theta=float(theta),
-        qfi=qfi,
-        i1=i1,
-        i2=i2,
-        kmb_residual=residual,
-        max_zero_expectation=worst_expect,
-    )
+    return _report(theta, values, worst_expect, residual)
+
+
+class _UnitaryPath:
+    """The reports of a hook family: the information values of its first
+    point, shared by every later point of the call, and the data every
+    point is checked against."""
+
+    def __init__(self, fam: StateFamily, models: list[str]):
+        self.fam = fam
+        self.models = models
+        self.first: tuple[float, tuple[np.ndarray, ...]] | None = None
+        self.values: tuple[float, dict[str, float], dict[str, float]] | None = None
+
+    def _branches(self, theta: float) -> SpectralBranches:
+        _check_theta(self.fam, theta)
+        br = self.fam.branches_of(theta)
+        spectrum = _spectrum(br)
+        if self.first is None:
+            self.first = (theta, spectrum)
+            self.values = _values(br, self.models)
+        elif len(spectrum) != len(self.first[1]) or not all(map(np.array_equal, spectrum, self.first[1])):
+            raise InvalidInput(
+                f"branches_of at theta={theta!r} changes the spectrum or rho' of "
+                f"theta={self.first[0]!r}; a hook must describe a unitary path"
+            )
+        return br
+
+    def reports(self, thetas: list[float]) -> list[QfiReport]:
+        """The reports of a block of points, the diagnostics as stacks."""
+        brs = [self._branches(theta) for theta in thetas]
+        block = brs[0].over(_stack([br.basis for br in brs]))
+        # The state is basis diag(lambda) basis^dagger; seen through the
+        # basis' own Gram matrix it carries the basis' orthogonality defect.
+        gram = block.basis.conj().swapaxes(-1, -2) @ block.basis
+        rho_eig = (gram * block.eigenvalues) @ gram
+        expects = [expectation(block, rho_eig, m) for m in self.models]
+        residuals = kmb_residual(block, ld_operator(block, "bvn", split=False))
+        return [
+            _report(theta, self.values, max(abs(float(e[k])) for e in expects), float(residuals[k]))
+            for k, theta in enumerate(thetas)
+        ]
+
+
+def _spectrum(br: SpectralBranches) -> tuple[np.ndarray, ...]:
+    """Every datum of a point that its information values read: the
+    eigenvalues, the clusters and rho' in the eigenbasis."""
+    rho_prime = (br.rho_prime_eig,) if br.band is None else (br.band.diag, br.band.upper)
+    return (br.eigenvalues, br.cluster_values, br.cluster_value_primes, *rho_prime)
+
+
+def _stack(mats: list[np.ndarray]) -> np.ndarray:
+    """The matrices as one (K, N, N) stack whose slices keep the stride
+    signs of the first matrix.  numpy's matmul hands BLAS only operands
+    with positive strides and multiplies the others in its own loop, which
+    rounds differently; a hook basis in ascending order is typically a
+    column-reversed view, so a contiguous copy would change the bytes.  A
+    single matrix is stacked as a view, without a copy."""
+    if len(mats) == 1:
+        return mats[0][None]
+    flip = tuple(i for i, stride in enumerate(mats[0].strides) if stride < 0)
+    return np.flip(np.stack([np.flip(m, flip) for m in mats]), tuple(i + 1 for i in flip))

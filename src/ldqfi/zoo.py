@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -36,7 +37,7 @@ from .family import (
     spectral_branches,
 )
 from .ldops import MODELS
-from .linalg import HermitianTridiagonal, expm
+from .linalg import HermitianTridiagonal, _positive_int, expm
 from .qfi import qfi_bvn, qfi_value
 
 # Geometric truncation: discarded tail target at the slow edge of the
@@ -62,6 +63,16 @@ BULK_MARGIN = 10
 
 def _bulk_margin(theta: float, dim: int) -> int:
     return max(BULK_MARGIN, math.ceil(3.5 * abs(theta) * math.sqrt(dim)) + 8)
+
+
+def _check_amplitude(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise DomainError(f"displacement amplitude {theta!r} is not finite", value=theta)
+
+
+def _check_level(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise InvalidInput(f"level {n!r} must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +354,42 @@ def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
     bounded, so large dimensions cannot form the 0 * inf of a separately
     evaluated factorial ratio and Laguerre value; a starting value that
     underflows only loses elements far below double precision.
+
+    A theta that is not finite raises DomainError, a dim that is not a
+    positive integer InvalidInput.
     """
-    if dim < 1:
-        raise InvalidInput("dim must be positive")
+    _check_amplitude(theta)
+    dim = _positive_int(dim, "dim")
     if theta == 0.0:
         return np.eye(dim)
     x = theta * theta
     d = np.arange(dim, dtype=float)
     odd = d % 2 == 1
-    parity = np.where(odd, -1.0, 1.0)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
     cur = np.exp(d * math.log(abs(theta)) - 0.5 * x - 0.5 * log_fact)
     cur[odd] *= math.copysign(1.0, theta)
     prev = np.zeros(dim)
-    # sqrt(j) for every j the recurrence meets: n + d and n + 1 + d stay <= dim
+    # Every coefficient of the recurrence as a table, before the loop:
+    # root_prod[n, j] = sqrt(n) sqrt(n + j) and step[n, j] = 2n + 1 + j - x,
+    # so that each step costs four array operations.  The products are
+    # those the step formed itself, so the elements keep their bytes.
     root = np.sqrt(np.arange(dim + 1.0))
-    shift = 1.0 + d - x
-    out = np.empty((dim, dim))
+    levels = np.arange(dim + 1)[:, None]
+    root_prod = root[levels] * root[np.minimum(levels + np.arange(dim), dim)]
+    step = 2 * levels[:dim] + (1.0 + d - x)
+    # Row n of below holds e_n(d) from the diagonal on; the lower triangle
+    # of the result is its transpose, the upper one carries the parities
+    # (-1)^(m - n) = (-1)^m (-1)^n.
+    below = np.zeros((dim, dim))
     for n in range(dim):
-        k = dim - n
-        out[n:, n] = cur[:k]
-        out[n, n:] = parity[:k] * cur[:k]
-        nxt = (2 * n + shift[: k - 1]) * cur[: k - 1] - root[n] * root[n : n + k - 1] * prev[: k - 1]
-        prev, cur = cur, nxt / (root[n + 1] * root[n + 1 : n + k])
-    return out
+        k = dim - n - 1
+        below[n, n:] = cur
+        nxt = step[n, :k] * cur[:k]
+        nxt -= root_prod[n, :k] * prev[:k]
+        nxt /= root_prod[n + 1, :k]
+        prev, cur = cur, nxt
+    sign = np.where(odd, -1.0, 1.0)
+    return np.where(np.tri(dim, dtype=bool), below.T, below * (sign[:, None] * sign))
 
 
 @dataclass(frozen=True)
@@ -396,10 +419,17 @@ class CoherentFamily:
         return np.diag(self.eigenvalues())
 
     def generator(self) -> np.ndarray:
-        """a+ - a on the truncation, real antisymmetric."""
+        """a+ - a on the truncation, real antisymmetric; formed once per
+        family and read-only, since every caller shares it."""
+        return self._generator
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
         off = np.sqrt(np.arange(1.0, self.trunc_dim))
         ad = np.diag(off, -1)
-        return ad - ad.T
+        gen = ad - ad.T
+        gen.flags.writeable = False
+        return gen
 
     def checked_displacement(self, theta: float) -> np.ndarray:
         """e^{theta (a+ - a)} of the truncated generator, validated on the
@@ -408,8 +438,10 @@ class CoherentFamily:
         Truncation corrupts the top levels over a depth growing with
         theta sqrt(N); the check excludes that margin and demands the rest
         match within DISPLACEMENT_TOL, else the truncation is unusable at
-        this amplitude and TruncationError is raised.
+        this amplitude and TruncationError is raised.  A theta that is not
+        finite raises DomainError.
         """
+        _check_amplitude(theta)
         n = self.trunc_dim
         if theta == 0.0:
             return np.eye(n)
@@ -444,18 +476,19 @@ class CoherentFamily:
 
     def family(self) -> StateFamily:
         gen = self.generator()
-        memo: dict[float, np.ndarray] = {}
+        last: dict[float, np.ndarray] = {}
 
         def rho_of(theta: float) -> np.ndarray:
-            # One state per theta: rho_prime_of reads the state that
-            # eval_rho has just formed.  Read-only, since callers share it.
-            rho = memo.get(theta)
+            # The last state formed: rho_prime_of reads the state that
+            # eval_rho has just formed.  Only one is kept, since one family
+            # serves a whole sweep and each state is N x N.  Read-only,
+            # since callers share it.
+            rho = last.get(theta)
             if rho is None:
-                if len(memo) > 64:
-                    memo.clear()
                 rho = self.state(theta)
                 rho.flags.writeable = False
-                memo[theta] = rho
+                last.clear()
+                last[theta] = rho
             return rho
 
         def rho_prime_of(theta: float) -> np.ndarray:
@@ -531,8 +564,7 @@ def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranch
 def coherent_projection_prime(n: int, trunc_dim: int) -> np.ndarray:
     """Derivative at theta = 0 of the displaced number projection |n><n|:
     sqrt(n+1)(|n+1><n| + |n><n+1|) - sqrt(n)(|n><n-1| + |n-1><n|)."""
-    if n < 0:
-        raise InvalidInput(f"level {n} must be non-negative")
+    _check_level(n)
     if n + 1 >= trunc_dim:
         raise TruncationError(
             f"projection derivative of level {n} needs dimension at least {n + 2}, got {trunc_dim}"
@@ -561,8 +593,7 @@ def coherent_trace_table(k: int, trunc_dim: int) -> tuple[TraceRow, ...]:
     displaced thermal family.  Every value is an exact integer; levels
     below zero contribute the zero operator.
     """
-    if k < 0:
-        raise InvalidInput(f"level {k} must be non-negative")
+    _check_level(k)
     if trunc_dim < k + 3:
         raise TruncationError(
             f"trace table at level {k} needs dimension at least {k + 3}, got {trunc_dim}"
@@ -733,13 +764,17 @@ class FamilySpec:
     admissible interval.  build receives the fixed parameters with the
     swept coordinate set to the grid value and returns the family instance
     and its evaluation point.  analytic tells whether the family supplies
-    its derivative in closed form.
+    its derivative in closed form.  family_coords are the coordinates that
+    change the family itself; any other coordinate only moves the
+    evaluation point, which build then returns as the grid value, so one
+    family serves a whole grid over it.
     """
 
     params: Mapping[str, Interval]
     coords: Mapping[str, Interval]
     build: Callable[[Mapping[str, float]], tuple[StateFamily, float]]
     analytic: bool = True
+    family_coords: frozenset[str] = frozenset()
 
 
 _TWO_LEVEL_THETA = Interval(-1.5, 1.5)
@@ -761,11 +796,14 @@ FAMILIES: Mapping[str, FamilySpec] = {
         params={"r": _RADIUS, "theta": _TWO_LEVEL_THETA},
         coords={"r": _RADIUS, "theta": _TWO_LEVEL_THETA},
         build=lambda v: (TwoLevelFamily2(r=v.get("r", 0.5)).family(), v.get("theta", 0.4)),
+        family_coords=frozenset({"r"}),
     ),
     "geometric": FamilySpec(
         params={"trunc_dim": _TRUNC_DIM},
         coords={"theta": Interval(GEOMETRIC_HALF_WIDTH, math.inf)},
         build=lambda v: (geometric_family(v["theta"], v.get("trunc_dim")), v["theta"]),
+        # the parameter window is centred on theta
+        family_coords=frozenset({"theta"}),
     ),
     "coherent": FamilySpec(
         params={"M": Interval(0.0, math.inf), "trunc_dim": _TRUNC_DIM},

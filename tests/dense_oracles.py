@@ -4,8 +4,10 @@ needs.  The library builds every operator as rho'_eig divided by a kernel
 table; these build them without it, so the tests can compare the two.
 
 Also the per-item oracles of the stacked checks: the local Cramer-Rao
-terms of one observable at a time, and the projection audit as a loop over
-cluster pairs with each projection derivative assembled block by block."""
+terms of one observable at a time, the projection audit as a loop over
+cluster pairs with each projection derivative assembled block by block,
+and the report of one hook point with its diagnostics formed from its own
+basis alone."""
 
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from typing import Callable
 import numpy as np
 
 from ldqfi.errors import DomainError, InvalidInput
-from ldqfi.family import DensityMatrix, ProjectionAuditReport, SpectralBranches
-from ldqfi.ldops import LdOperator, kernel_table
-from ldqfi.linalg import hermitize, require_hermitian, trace_product
-from ldqfi.qfi import qfi_value
+from ldqfi.family import DensityMatrix, ProjectionAuditReport, SpectralBranches, StateFamily
+from ldqfi.ldops import MODELS, LdOperator, kernel_entries, kernel_table
+from ldqfi.linalg import _one_blas_thread, hermitize, require_hermitian, trace_product
+from ldqfi.qfi import QfiReport, classical_information, qfi_value
 
 
 def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -122,4 +124,37 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
         adjoint_exchange=adj,
         weighted_prime_sum=float(np.linalg.norm(weighted)),
         commutator=float(np.linalg.norm(comm)),
+    )
+
+
+def hook_report(fam: StateFamily, theta: float) -> QfiReport:
+    """A hook point's report from that point alone: its branches, its
+    values, and each product of the two diagnostics with its own basis,
+    on one BLAS thread as compute_report runs."""
+    return _one_blas_thread(_hook_report, fam, theta)
+
+
+def _hook_report(fam: StateFamily, theta: float) -> QfiReport:
+    br = fam.branches_of(theta)
+    v = br.basis
+    i1 = classical_information(br)
+    qfi = {m: qfi_value(br, m) for m in MODELS}
+    gram = v.conj().T @ v
+    rho_eig = (gram * br.eigenvalues) @ gram
+    rows, cols, _ = br.band.entries
+    worst = 0.0
+    for m in MODELS:
+        _, rp, kern = kernel_entries(br, m)
+        worst = max(worst, abs(float(np.sum(rho_eig[cols, rows] * (rp / kern)).real)))
+    table = kernel_table(br, "bvn")
+    h = hermitize(v @ (br.rho_prime_eig / table) @ v.conj().T)
+    defect = (v.conj().T @ h @ v) * table - br.rho_prime_eig
+    residual = float(np.linalg.svd(defect, compute_uv=False).sum())
+    return QfiReport(
+        theta=float(theta),
+        qfi=qfi,
+        i1=i1,
+        i2={m: qfi[m] - i1 for m in MODELS},
+        kmb_residual=residual,
+        max_zero_expectation=worst,
     )

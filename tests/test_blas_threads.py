@@ -60,10 +60,12 @@ def _run(threads: str, configs: list[Path]) -> str:
 
 
 def test_outputs_are_identical_for_one_and_two_blas_threads(tmp_path) -> None:
-    # a central-difference sweep (eigensolver path) and an analytic one at
-    # M = 10, N = 241 (closed-form branches: expm and dense products)
+    # a central-difference sweep (eigensolver path) and analytic ones at
+    # M = 10, N = 241 (closed-form branches: expm and dense products, one
+    # point per block) and at M = 2, N = 57 (stacked blocks of 5 points)
     configs = []
-    for name, m, mode in (("central", 2.0, "central"), ("analytic", 10.0, "analytic")):
+    for name, m, mode in (("central", 2.0, "central"), ("analytic", 10.0, "analytic"),
+                          ("stacked", 2.0, "analytic")):
         config = tmp_path / f"{name}.toml"
         config.write_text(
             f"[family]\nname = coherent\nM = {m}\n\n"
@@ -72,7 +74,7 @@ def test_outputs_are_identical_for_one_and_two_blas_threads(tmp_path) -> None:
         )
         configs.append(config)
     one = _run("1", configs)
-    assert one.count("\n") == 3 + 2 * 6
+    assert one.count("\n") == 3 + 3 * 6
     assert _run("2", configs) == one
 
 

@@ -19,14 +19,18 @@ from ldqfi import (
     coherent_family,
     coherent_qfi_bvn,
     compute_report,
+    compute_reports,
     kernel_matrix,
     qfi_value,
 )
-from ldqfi.errors import DegenerateCrossing, TruncationError
-from ldqfi.family import Eigenframe, spectral_branches
+from ldqfi.errors import DegenerateCrossing, InvalidInput, TruncationError
+from ldqfi.family import Eigenframe, StateFamily, spectral_branches
 from ldqfi.ldops import kernel_entries, kernel_pairs
 from ldqfi.linalg import HermitianTridiagonal, expm, logmean_pairs
+from ldqfi.qfi import REPORT_BLOCK_ENTRIES
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
+
+from dense_oracles import hook_report
 
 THETAS = np.linspace(-0.29, 0.29, 13)
 
@@ -43,6 +47,77 @@ def test_hook_matches_eigensolver_path(m: float) -> None:
             assert hook.qfi[model] == pytest.approx(ref.qfi[model], rel=1e-12, abs=0.0)
         assert hook.kmb_residual <= 1e-13
         assert hook.max_zero_expectation <= 1e-13
+
+
+@pytest.mark.parametrize("m, count", [(1.0, 31), (2.0, 23), (10.0, 3)])
+def test_reports_equal_the_reports_of_single_points(m: float, count: int) -> None:
+    # blocks of 14, 5 and 1 points at N = 34, 57 and 241; each grid holds
+    # 0, negative amplitudes and more points than one block
+    fam = coherent_family(m).family()
+    grid = [0.0, *np.linspace(-0.29, 0.29, count).tolist()]
+    assert len(grid) > REPORT_BLOCK_ENTRIES // fam.dim**2
+    assert compute_reports(fam, grid) == [compute_report(fam, theta) for theta in grid]
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0])
+def test_stacked_diagnostics_keep_the_bytes_of_one_basis(m: float) -> None:
+    # each point's products formed with its own basis alone give the bytes
+    # of the stacked evaluation
+    fam = coherent_family(m).family()
+    grid = [0.0, *np.linspace(-0.29, 0.29, 12).tolist()]
+    assert compute_reports(fam, grid) == [hook_report(fam, theta) for theta in grid]
+
+
+def _path_family(moving: str, dense: bool = False) -> StateFamily:
+    """A hook family on a fixed basis whose eigenvalues or rho' change with
+    theta when moving says so: not a unitary path.  rho' is given as a
+    band, or as a dense matrix when dense is set."""
+    w0 = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def branches_of(theta: float):
+        w = w0 + (theta * 0.01 * np.array([-1.0, -1.0, 1.0, 1.0]) if moving == "spectrum" else 0.0)
+        coupling = 0.02 * (1.0 + theta if moving == "band" else 1.0)
+        band = HermitianTridiagonal(np.zeros(4), np.full(3, coupling))
+        return spectral_branches(Eigenframe(np.eye(4), w), band.dense() if dense else band)
+
+    return StateFamily(
+        dim=4,
+        theta_domain=(-1.0, 1.0),
+        rho_of=lambda theta: np.diag(w0),
+        rho_prime_of=lambda theta: np.zeros((4, 4)),
+        branches_of=branches_of,
+    )
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("moving", ["spectrum", "band"])
+def test_hook_off_a_unitary_path_is_rejected(moving: str, dense: bool) -> None:
+    fam = _path_family(moving, dense)
+    assert compute_report(fam, 0.3).theta == 0.3
+    with pytest.raises(InvalidInput, match="unitary path"):
+        compute_reports(fam, [0.1, 0.3])
+    fixed = _path_family("nothing", dense)
+    grid = [0.1, 0.3, -0.5]
+    assert compute_reports(fixed, grid) == [compute_report(fixed, t) for t in grid]
+
+
+def test_reports_memory_stays_of_the_order_of_one_point() -> None:
+    # blocks of 5 points at N = 57: whatever the grid size, the peak is one
+    # point's plus one block's stacks (at most 8 live arrays of
+    # REPORT_BLOCK_ENTRIES doubles, 1 MiB) plus the reports (under 1 kB
+    # each).  One block of all 200 points would hold about 30 MB of stacks.
+    fam = coherent_family(2.0).family()
+    grid = np.linspace(-0.29, 0.29, 200).tolist()
+    compute_report(fam, 0.29)  # the family's generator, formed once
+    peaks = []
+    for thetas in ([0.29], grid):
+        tracemalloc.start()
+        try:
+            compute_reports(fam, thetas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * REPORT_BLOCK_ENTRIES * 8 + 1000 * len(grid)
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:

@@ -387,6 +387,30 @@ class TestRuntimeErrors:
         assert "at theta=0" in err
         assert "SingularState" in err
 
+    def test_failure_inside_a_grid_names_its_first_failing_value(self, tmp_path, capsys):
+        # the one-family sweep fails in its single call; the grid is then
+        # evaluated value by value, and 0.2 is the first amplitude whose
+        # truncation leaves no bulk
+        out = tmp_path / "rows.csv"
+        cfg = write_cfg(
+            tmp_path,
+            """\
+            [family]
+            name = coherent
+            M = 0.1
+            trunc_dim = 12
+            [sweep]
+            grid = 0.05 0.1 0.2 0.25
+            """,
+        )
+        code, stdout, err = run_cli(["sweep", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert err == (
+            "runtime error at theta=0.20000000000000001: TruncationError: dimension 12 "
+            "leaves no bulk to validate at amplitude 0.2; enlarge trunc_dim\n"
+        )
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # sweep output: documented examples, formats, equality
@@ -539,6 +563,31 @@ class TestSweepOutput:
         assert len(rows) == 2
         # fixed radius: the commutator part is theta-independent
         assert rows[0]["i2_sld"] == pytest.approx(rows[1]["i2_sld"], rel=1e-10)
+
+    def test_one_family_per_sweep_unless_the_coordinate_shapes_it(self, tmp_path, monkeypatch):
+        # coherent theta and two_level_2 theta only move the point: one
+        # family, one compute_reports call over the grid; a two_level_2 r
+        # sweep builds a family per value and evaluates it at theta = 0.4
+        from ldqfi import TwoLevelFamily2, cli, compute_report
+
+        calls = []
+        real_build, real_reports = cli.sweep_family, cli.compute_reports
+        monkeypatch.setattr(cli, "sweep_family", lambda *a: calls.append("build") or real_build(*a))
+        monkeypatch.setattr(
+            cli, "compute_reports", lambda fam, grid, models: calls.append(len(grid)) or real_reports(fam, grid, models)
+        )
+        for body, expected in (
+            (COHERENT_CFG, ["build", 2]),
+            (TWO_LEVEL_2_CFG.replace("[sweep]", "r = 0.7\n    [sweep]\n    sweep_param = theta"), ["build", 3]),
+            (TWO_LEVEL_2_CFG, ["build"] * 3),
+        ):
+            del calls[:]
+            run_sweep(load_sweep_config(write_cfg(tmp_path, body), None, None))
+            assert calls == expected
+        rows = run_sweep(load_sweep_config(write_cfg(tmp_path, TWO_LEVEL_2_CFG), None, None))
+        for row, r in zip(rows, (0.0, 0.5, 0.9)):
+            rep = compute_report(TwoLevelFamily2(r=r).family(), 0.4)
+            assert (row["qfi_sld"], row["kmb_residual"]) == (rep.qfi["sld"], rep.kmb_residual)
 
     def test_central_differences_match_analytic(self, tmp_path, capsys):
         cfg_a = write_cfg(

@@ -18,6 +18,7 @@ from ldqfi import (
     breve_variance,
     classical_information,
     compute_report,
+    compute_reports,
     ld_operator,
     coherent_family,
     default_two_level_1,
@@ -349,6 +350,18 @@ class TestReport:
     def test_report_rejects_unknown_model(self, tanh_family) -> None:
         with pytest.raises(InvalidInput):
             compute_report(tanh_family, 0.3, models=("bvn", "xxx"))
+
+    def test_theta_must_be_a_real_number(self, tanh_family, coherent_m1) -> None:
+        # math.isfinite raised a bare TypeError for a string, on both the
+        # eigensolver and the hook path
+        for fam in (tanh_family, coherent_m1):
+            for theta in ("a", None, 1j):
+                with pytest.raises(InvalidInput, match="real number"):
+                    compute_report(fam, theta)
+            with pytest.raises(InvalidInput, match="real number"):
+                compute_reports(fam, [0.1, "a"])
+            with pytest.raises(InvalidInput, match="iterable"):
+                compute_reports(fam, 0.1)
 
 
 class TestOperandShapes:

@@ -296,6 +296,58 @@ class TestDisplacementOperator:
         w = zoo.CoherentFamily(100.0, 1200).checked_displacement(0.1)
         assert w.shape == (1200, 1200)
 
+    def test_non_finite_amplitude_is_a_domain_error(self) -> None:
+        # the check's margin took math.ceil of NaN (a bare ValueError), and
+        # the closed form returned NaN matrices under RuntimeWarnings
+        with pytest.raises(DomainError):
+            zoo.CoherentFamily(1.0, 34).checked_displacement(math.nan)
+        with pytest.raises(DomainError):
+            displacement_closed_form(math.nan, 4)
+        with pytest.raises(DomainError):
+            displacement_closed_form(math.inf, 3)
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, 0, True])
+    def test_dimension_must_be_a_positive_integer(self, dim) -> None:
+        with pytest.raises(InvalidInput, match="dim"):
+            displacement_closed_form(0.1, dim)
+
+    def test_recurrence_matches_the_stepwise_products(self) -> None:
+        # the coefficient tables hold the products each step formed itself
+        for theta, dim in ((0.29, 3), (-0.17, 45), (0.1, 47), (-2.0, 200)):
+            np.testing.assert_array_equal(
+                displacement_closed_form(theta, dim), _stepwise_closed_form(theta, dim)
+            )
+
+    def test_generator_is_formed_once_per_family(self) -> None:
+        fam = zoo.CoherentFamily(1.0, 12)
+        gen = fam.generator()
+        assert fam.generator() is gen and not gen.flags.writeable
+        ad = np.diag(np.sqrt(np.arange(1.0, 12)), -1)
+        np.testing.assert_array_equal(gen, ad - ad.T)
+
+
+def _stepwise_closed_form(theta: float, dim: int) -> np.ndarray:
+    """The recurrence of displacement_closed_form with every coefficient
+    formed inside its step, as the reference for the tabulated one."""
+    x = theta * theta
+    d = np.arange(dim, dtype=float)
+    odd = d % 2 == 1
+    parity = np.where(odd, -1.0, 1.0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    cur = np.exp(d * math.log(abs(theta)) - 0.5 * x - 0.5 * log_fact)
+    cur[odd] *= math.copysign(1.0, theta)
+    prev = np.zeros(dim)
+    root = np.sqrt(np.arange(dim + 1.0))
+    shift = 1.0 + d - x
+    out = np.empty((dim, dim))
+    for n in range(dim):
+        k = dim - n
+        out[n:, n] = cur[:k]
+        out[n, n:] = parity[:k] * cur[:k]
+        nxt = (2 * n + shift[: k - 1]) * cur[: k - 1] - root[n] * root[n : n + k - 1] * prev[: k - 1]
+        prev, cur = cur, nxt / (root[n + 1] * root[n + 1 : n + k])
+    return out
+
 
 class TestCoherentFamily:
     def test_auto_trunc_dims(self) -> None:
@@ -341,6 +393,11 @@ class TestCoherentFamily:
             assert calls == {"state": states, "checked_displacement": [0.1]}
         with pytest.raises(ValueError):
             fam.rho_of(0.1)[0, 0] = 0.0
+        # only the last state is kept, since one family serves a sweep
+        calls["state"].clear()
+        for theta in (0.15, 0.15, 0.2, 0.15):
+            fam.rho_of(theta)
+        assert calls["state"] == [0.15, 0.2, 0.15]
 
     def test_closed_form_bvn(self) -> None:
         for m in (0.5, 1.0, 2.0):
@@ -442,6 +499,14 @@ class TestProjectionDerivatives:
     def test_needs_headroom(self) -> None:
         with pytest.raises(TruncationError):
             coherent_projection_prime(5, 6)
+
+    @pytest.mark.parametrize("level", [1.5, 0.5, -1, 2.0, True])
+    def test_level_must_be_a_non_negative_integer(self, level) -> None:
+        # a fractional level indexed the matrix with a float (a bare IndexError)
+        with pytest.raises(InvalidInput, match="level"):
+            coherent_projection_prime(level, 6)
+        with pytest.raises(InvalidInput, match="level"):
+            coherent_trace_table(level, 6)
 
     def test_trace_table_all_integers(self) -> None:
         for k in range(11):
@@ -550,6 +615,19 @@ class TestRegistry:
         assert theta == pytest.approx(0.4)  # fixed evaluation point
         br = branches_at(fam, theta)
         assert max(br.eigenvalues) == pytest.approx(0.75, rel=1e-12)
+
+    def test_point_coordinates_return_the_grid_value(self) -> None:
+        # a sweep over a coordinate outside family_coords evaluates one
+        # family at the grid values themselves
+        for name, spec in FAMILIES.items():
+            assert spec.family_coords <= set(spec.coords), name
+            for coord, dom in spec.coords.items():
+                if coord in spec.family_coords:
+                    continue
+                for value in (_inner(dom), 0.5 * (_inner(dom) + dom.lo)):
+                    assert spec.build({coord: value})[1] == value, (name, coord)
+        assert FAMILIES["geometric"].family_coords == {"theta"}
+        assert FAMILIES["two_level_2"].family_coords == {"r"}
 
     def test_sweep_family_theta_sweep(self) -> None:
         fam, theta = sweep_family("two_level_2", {"r": 0.3}, "theta", 0.7)
