@@ -46,7 +46,6 @@ from .ldops import (
 )
 from .linalg import (
     expm,
-    expm_frechet,
     logmean_kernel,
     random_hermitian,
     schatten_norm,

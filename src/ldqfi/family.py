@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -25,8 +26,6 @@ from .errors import (
 from .linalg import (
     HermitianTridiagonal,
     _one_blas_thread,
-    expm,
-    expm_frechet,
     hermitize,
     is_hermitian,
     random_hermitian,
@@ -146,6 +145,13 @@ class StateFamily:
     def contains(self, theta: float) -> bool:
         lo, hi = self.theta_domain
         return lo < theta < hi
+
+
+def _check_tolerance(x: float, name: str) -> float:
+    """x as a float when it is a finite real number >= 0, else InvalidInput."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0.0 <= x < math.inf:
+        raise InvalidInput(f"{name} must be a finite number >= 0, got {x!r}")
+    return float(x)
 
 
 def _check_step(h: float) -> float:
@@ -363,13 +369,18 @@ def spectral_branches(
     its stored entries alone).  Either way the eigenvalues pass the same
     rank, clustering, gap and rotation-rate checks.
 
-    cluster_tol overrides the default merge rule with an absolute gap below
-    which consecutive eigenvalues join one cluster.  gap_tol, when given,
-    raises DegenerateCrossing for any surviving inter-cluster gap below it;
-    independent of gap_tol, a crossing is flagged when the projection
-    rotation rate ||coupling||/gap exceeds MIXING_CAP.  The caller may then
-    refine theta or pass a larger cluster_tol to accept a merged cluster.
+    Either tolerance, when given, is a finite number >= 0 (else
+    InvalidInput).  cluster_tol overrides the default merge rule with an
+    absolute gap below which consecutive eigenvalues join one cluster.
+    gap_tol raises DegenerateCrossing for any surviving inter-cluster gap
+    below it; independent of gap_tol, a crossing is flagged when the
+    projection rotation rate ||coupling||/gap exceeds MIXING_CAP.  The
+    caller may then refine theta or pass a larger cluster_tol.
     """
+    if cluster_tol is not None:
+        cluster_tol = _check_tolerance(cluster_tol, "cluster_tol")
+    if gap_tol is not None:
+        gap_tol = _check_tolerance(gap_tol, "gap_tol")
     if isinstance(rho, Eigenframe):
         v, w = rho
         _check_rank(w)
@@ -586,12 +597,17 @@ def random_analytic_family(
 ) -> StateFamily:
     """Random analytic full-rank family rho(theta) = exp(G0 + theta G1)/trace.
 
-    The derivative comes from the Frechet derivative of expm, so both rho
-    and rho' are analytic in theta.  Draws are rejected until the spectrum
-    at theta = 0 has relative gaps of at least min_rel_gap, keeping branch
-    tracking well conditioned on a neighbourhood of 0.  With commuting=True
+    rho and rho' come from one eigh of G0 + theta G1 = V diag(h) V^dagger:
+    rho = V diag(p) V^dagger with p = e^h / sum(e^h), and by the
+    Daleckii-Krein formula (Bhatia, Matrix Analysis, Thm V.3.3)
+    rho' = V (Gamma o X - diag(p) sum_i p_i X_ii) V^dagger with X = V^dagger G1 V,
+    Gamma_ij = (p_i - p_j)/(h_i - h_j) and Gamma_ii = p_i; the off-diagonal
+    part does not commute with rho.  Draws are rejected until the spectrum
+    at theta = 0 has relative gaps of at least min_rel_gap (finite, >= 0),
+    keeping branch tracking well conditioned near 0.  With commuting=True
     the generators share an eigenbasis, so [rho, rho'] = 0 for every theta.
     """
+    min_rel_gap = _check_tolerance(min_rel_gap, "min_rel_gap")
     for _ in range(200):
         g0 = random_hermitian(dim, rng, scale=0.6)
         if commuting:
@@ -606,14 +622,18 @@ def random_analytic_family(
             continue
 
         def rho_of(theta: float, g0=g0, g1=g1) -> np.ndarray:
-            e = expm(g0 + theta * g1)
-            return e / np.trace(e).real
+            v, _, p = _gibbs(g0 + theta * g1)
+            return (v * p) @ v.conj().T
 
         def rho_prime_of(theta: float, g0=g0, g1=g1) -> np.ndarray:
-            e, de = expm_frechet(g0 + theta * g1, g1)
-            t = np.trace(e).real
-            dt = np.trace(de).real
-            return de / t - e * (dt / t**2)
+            v, h, p = _gibbs(g0 + theta * g1)
+            x = v.conj().T @ g1 @ v
+            # Gamma is symmetric; each entry is p_j expm1(h_i - h_j)/(h_i - h_j)
+            # of the pair ordered h_i <= h_j, whose exponent cannot overflow
+            d = -np.abs(h[:, None] - h)
+            ratio = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
+            gamma_x = np.maximum.outer(p, p) * ratio * x - np.diag(p * (p @ x.diagonal().real))
+            return v @ gamma_x @ v.conj().T
 
         return StateFamily(
             dim=dim,
@@ -623,3 +643,11 @@ def random_analytic_family(
             name=name,
         )
     raise InvalidInput("failed to draw a well-separated random family")
+
+
+def _gibbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvectors, ascending eigenvalues h and weights e^h / sum(e^h) of
+    the Hermitian a, each exponent shifted by max(h) so that none overflows."""
+    h, v = np.linalg.eigh(a)
+    p = np.exp(h - h[-1])
+    return v, h, p / p.sum()

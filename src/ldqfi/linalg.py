@@ -3,8 +3,8 @@
 Hermiticity checks, the positive-spectrum check of every mean kernel, the
 logarithmic mean (pairwise, ``logmean_pairs``, and of two scalars), the
 trace of a product, Schatten norms, Hermitian tridiagonal matrices, and
-the matrix exponential of a general square matrix with its Frechet
-derivative (``expm``, ``expm_frechet``).  Everything here runs on numpy alone.  Other
+the matrix exponential of a general square matrix (``expm``, used by the
+coherent displacement).  Everything here runs on numpy alone.  Other
 modules call numpy's eigensolvers directly, the state's own eigensolve
 pinned to one BLAS thread by ``_one_blas_thread``; the clustered spectral
 decomposition of a family's state is ``family.spectral_branches``.
@@ -114,13 +114,13 @@ def _one_blas_thread(fn: Callable, *args, **kwargs):
 
 
 def _as_square_matrix(a: np.ndarray, name: str = "matrix", ndims: tuple[int, ...] = (2,)) -> np.ndarray:
-    """a as a finite array whose last two axes are square: a matrix, or a
-    stack of them where ndims allows 3 axes."""
+    """a as a finite numeric array whose last two axes are square: a
+    matrix, or a stack of them where ndims allows 3 axes."""
     a = np.asarray(a)
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+    if a.dtype.kind not in "biufc" or not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
     return a
 
 
@@ -271,33 +271,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     The Pade degree (3, 5, 7, 9 or 13) is the lowest whose theta_m bounds
     the 1-norm of A; above theta_13, A is scaled by 2^-s into range and the
     degree-13 approximant squared s times (Higham 2005).  A matrix that is
-    not square or has non-finite entries raises InvalidInput, one whose
-    1-norm overflows double precision DomainError.
-    """
-    return _pade_expm(_as_square_matrix(a))
-
-
-def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^A and its Frechet derivative L(A, E) = d/dt e^(A + tE) at t = 0.
-
-    Both come from one exponential of the block matrix [[A, E], [0, A]],
-    whose upper-right block is L(A, E) (Higham, Functions of Matrices,
-    2008, section 3.2).  A and E must be square, finite and of one shape.
+    not square or has non-numeric or non-finite entries raises
+    InvalidInput, one whose 1-norm overflows double precision DomainError.
     """
     a = _as_square_matrix(a)
-    e = _as_square_matrix(e, "direction")
-    if e.shape != a.shape:
-        raise InvalidInput(f"direction of shape {e.shape} does not match matrix of shape {a.shape}")
-    n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, e, float))
-    block[:n, :n] = a
-    block[n:, n:] = a
-    block[:n, n:] = e
-    x = _pade_expm(block)
-    return x[:n, :n], x[:n, n:]
-
-
-def _pade_expm(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.result_type(a, float), copy=False)
     with np.errstate(over="ignore"):
         norm = float(np.abs(a).sum(axis=0).max(initial=0.0))

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInformation, InvalidInput, QfiError, ResourceLimit
+from .errors import DegenerateInformation, InvalidInput, ResourceLimit
 from .family import (
     Analytic,
     DensityMatrix,
@@ -284,7 +284,10 @@ def relent_limit(fam: StateFamily, theta: float,
     all finite, positive and distinct, else InvalidInput: a repeated step
     leaves the fit singular.
     """
-    eps = np.asarray(list(eps_seq), dtype=float)
+    try:
+        eps = np.asarray(list(eps_seq), dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"eps_seq must be a sequence of numbers, got {eps_seq!r}") from None
     if eps.ndim != 1 or eps.size < 2 or not np.all(np.isfinite(eps) & (eps > 0)):
         raise InvalidInput(f"eps_seq needs at least two finite positive entries, got {list(eps_seq)!r}")
     if np.unique(eps).size != eps.size:
@@ -353,9 +356,9 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
     spectrum and rho' in its basis, else InvalidInput.  The two
     diagnostics of each point still read its own basis; they are evaluated
     for blocks of points as (K, N, N) stacks, with at most
-    REPORT_BLOCK_ENTRIES entries per stacked array.  When a block fails,
-    its points are evaluated again one at a time, so the error raised is
-    the one of the first failing point.
+    REPORT_BLOCK_ENTRIES entries per stacked array.  A block calls the
+    hook for its points in order, and a stacked diagnostic fails with the
+    message that its point alone would give.
 
     The call runs with numpy's OpenBLAS pinned to one thread
     (linalg._one_blas_thread), since blocked products and eigensolvers
@@ -380,17 +383,8 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
     path = _UnitaryPath(fam, models)
     size = max(1, REPORT_BLOCK_ENTRIES // fam.dim**2)
-    out: list[QfiReport] = []
-    for start in range(0, len(thetas), size):
-        block = thetas[start:start + size]
-        try:
-            out += path.reports(block)
-        except QfiError:
-            if len(block) == 1:
-                raise
-            for theta in block:
-                out += path.reports([theta])
-    return out
+    blocks = (thetas[start:start + size] for start in range(0, len(thetas), size))
+    return [rep for block in blocks for rep in path.reports(block)]
 
 
 def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, float], dict[str, float]]:

@@ -101,6 +101,19 @@ def test_hook_off_a_unitary_path_is_rejected(moving: str, dense: bool) -> None:
     assert compute_reports(fixed, grid) == [compute_report(fixed, t) for t in grid]
 
 
+def test_failing_block_raises_the_error_of_its_first_failing_point() -> None:
+    # N = 12 leaves no bulk from amplitude 0.2 on; the four points are one block
+    fam = coherent_family(0.1, 12).family()
+    grid = [0.05, 0.1, 0.2, 0.25]
+    assert len(grid) <= REPORT_BLOCK_ENTRIES // fam.dim**2
+    with pytest.raises(TruncationError) as single:
+        compute_report(fam, 0.2)
+    with pytest.raises(TruncationError) as block:
+        compute_reports(fam, grid)
+    assert str(block.value) == str(single.value)
+    assert "amplitude 0.2;" in str(block.value)
+
+
 def test_reports_memory_stays_of_the_order_of_one_point() -> None:
     # blocks of 5 points at N = 57: whatever the grid size, the peak is one
     # point's plus one block's stacks (at most 8 live arrays of

@@ -44,11 +44,21 @@ def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
     monkeypatch.setattr(owner, name, counted)
 
 
+def _tabulated(fam: StateFamily, thetas) -> StateFamily:
+    """fam with rho and rho' looked up from values computed now, so that a
+    later eigensolver count sees only the pipeline's own eigensolves (the
+    random family's callbacks run an eigh of their own)."""
+    rho = {t: fam.rho_of(t) for t in thetas}
+    rho_prime = {t: fam.rho_prime_of(t) for t in thetas}
+    return dataclasses.replace(fam, rho_of=rho.__getitem__, rho_prime_of=rho_prime.__getitem__)
+
+
 def test_branches_at_runs_one_eigh(monkeypatch, random_family) -> None:
+    fam = _tabulated(random_family, [0.2])
     counts: dict[str, int] = {}
     _counting(monkeypatch, np.linalg, "eigh", counts)
     _counting(monkeypatch, np.linalg, "eigvalsh", counts)
-    branches_at(random_family, 0.2)
+    branches_at(fam, 0.2)
     assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
@@ -70,14 +80,15 @@ def _recording_everywhere(monkeypatch, fn) -> list[tuple]:
 def test_compute_report_assembles_one_operator_and_one_kernel_table_per_model(
     monkeypatch, random_family
 ) -> None:
+    points = (0.1, 0.2, 0.3)
+    fam = _tabulated(random_family, points)
     counts: dict[str, int] = {}
     _counting(monkeypatch, np.linalg, "eigh", counts)
     operators = _recording_everywhere(monkeypatch, ldqfi.ldops.ld_operator)
     tables = _recording_everywhere(monkeypatch, ldqfi.ldops.kernel_matrix)
-    points = (0.1, 0.2, 0.3)
     for k, theta in enumerate(points, 1):
         del tables[:]
-        compute_report(random_family, theta)
+        compute_report(fam, theta)
         assert sorted(model for _, model in tables) == sorted(MODELS)
         assert counts == {"eigh": k}
         assert len(operators) == k

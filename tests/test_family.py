@@ -56,6 +56,24 @@ class TestDensityMatrix:
         with pytest.raises(SingularState):
             DensityMatrix(_diag_state(1.01, -0.01))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DensityMatrix(np.array([["a", "b"], ["c", "d"]])),
+            lambda: DensityMatrix(np.array([[0.5, 0.0], [0.0, 0.5]], dtype=object)),
+            lambda: eval_rho(
+                StateFamily(dim=2, theta_domain=(-1.0, 1.0), rho_of=lambda t: np.eye(2, dtype=object) / 2,
+                            rho_prime_of=lambda t: np.zeros((2, 2)), name="object"),
+                0.1,
+            ),
+        ],
+        ids=["strings", "object_dtype", "family_returns_objects"],
+    )
+    def test_rejects_non_numeric(self, make) -> None:
+        # np.isfinite raised a bare TypeError on each of these
+        with pytest.raises(InvalidInput, match="numeric"):
+            make()
+
 
 class TestSpectralBranches:
     def test_simple_spectrum(self, random_branches) -> None:
@@ -102,6 +120,16 @@ class TestSpectralBranches:
             spectral_branches(rho, rho_prime, gap_tol=1e-3)
         # without gap_tol the same pair is perfectly resolvable
         assert spectral_branches(rho, rho_prime).n_clusters == 2
+
+    @pytest.mark.parametrize("name", ["cluster_tol", "gap_tol"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3, "1e-3", True])
+    def test_rejects_bad_tolerance(self, name: str, tol) -> None:
+        rho = _diag_state(0.3, 0.3 + 1e-12, 0.4 - 1e-12)
+        with pytest.raises(InvalidInput, match=name):
+            spectral_branches(rho, np.zeros((3, 3), dtype=complex), **{name: tol})
+        # the default rule merges the close pair; a NaN cluster_tol would
+        # silently merge nothing and give three clusters
+        assert spectral_branches(rho, np.zeros((3, 3), dtype=complex)).n_clusters == 2
 
     def test_thermal_tail_not_merged(self) -> None:
         # eigenvalues spanning ten orders of magnitude stay separate even
@@ -318,6 +346,41 @@ class TestRandomFamily:
         h = 1e-6
         fd = (eval_rho(fam, 0.1 + h).matrix - eval_rho(fam, 0.1 - h).matrix) / (2 * h)
         assert np.linalg.norm(fd - eval_rho_prime(fam, 0.1)) <= 1e-7
+
+    @pytest.mark.parametrize("commuting", [False, True], ids=["noncommuting", "commuting"])
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_matches_pade_exponential_and_frechet_derivative(self, dim: int, commuting: bool) -> None:
+        from scipy.linalg import expm_frechet
+
+        min_rel_gap = 1e-2 if dim < 16 else 1e-4
+        fam = random_analytic_family(dim, np.random.default_rng(dim), commuting, min_rel_gap)
+        g0, g1 = _replayed_generators(dim, np.random.default_rng(dim), commuting, min_rel_gap)
+        for theta in (-0.9, 0.0, 0.9):
+            e, de = expm_frechet(g0 + theta * g1, g1)
+            t, dt = np.trace(e).real, np.trace(de).real
+            for got, want in ((fam.rho_of(theta), e / t), (fam.rho_prime_of(theta), de / t - e * (dt / t**2))):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("min_rel_gap", [math.nan, -1e-3, math.inf, "0.01", None])
+    def test_rejects_bad_min_rel_gap(self, min_rel_gap) -> None:
+        with pytest.raises(InvalidInput, match="min_rel_gap"):
+            random_analytic_family(4, np.random.default_rng(0), min_rel_gap=min_rel_gap)
+
+
+def _replayed_generators(dim: int, rng: np.random.Generator, commuting: bool,
+                         min_rel_gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The generators G0, G1 that random_analytic_family draws from rng: the
+    first pair whose G0 has relative spectral gaps of at least min_rel_gap."""
+    while True:
+        g0 = random_hermitian(dim, rng, scale=0.6)
+        if commuting:
+            _, v = np.linalg.eigh(g0)
+            g1 = (v * rng.standard_normal(dim)) @ v.conj().T
+        else:
+            g1 = random_hermitian(dim, rng, scale=0.6)
+        w = np.linalg.eigh(g0)[0]
+        if np.min(np.diff(w)) >= min_rel_gap * (w[-1] - w[0]):
+            return g0, g1
 
 
 def test_family_requires_domain_membership() -> None:

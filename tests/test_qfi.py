@@ -320,8 +320,12 @@ class TestRelativeEntropy:
             (1e-2, 0.0),
             (1e-2,),
             (),
+            (1e-2, "a"),
+            (1e-2, None),
+            5e-3,
         ],
-        ids=["all_equal", "repeat", "nan", "inf", "negative", "zero", "one_entry", "empty"],
+        ids=["all_equal", "repeat", "nan", "inf", "negative", "zero", "one_entry", "empty",
+             "string", "none", "not_a_sequence"],
     )
     def test_limit_rejects_bad_steps(self, eps, tanh_family) -> None:
         with pytest.raises(InvalidInput, match="eps_seq"):
