@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -25,7 +24,9 @@ from .errors import (
 )
 from .linalg import (
     HermitianTridiagonal,
+    _as_square_matrix,
     _one_blas_thread,
+    _real,
     hermitize,
     is_hermitian,
     random_hermitian,
@@ -136,8 +137,12 @@ class StateFamily:
     branches_of: Callable[[float], SpectralBranches] | None = None
 
     def __post_init__(self):
-        lo, hi = self.theta_domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        try:
+            lo, hi = self.theta_domain
+            interval = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+        except (TypeError, ValueError):
+            interval = False
+        if not interval:
             raise InvalidInput(f"theta_domain {self.theta_domain!r} is not an open interval")
         if isinstance(self.derivative_mode, Analytic) and self.rho_prime_of is None:
             raise InvalidInput("analytic derivative mode requires rho_prime_of")
@@ -149,13 +154,13 @@ class StateFamily:
 
 def _check_tolerance(x: float, name: str) -> float:
     """x as a float when it is a finite real number >= 0, else InvalidInput."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0.0 <= x < math.inf:
+    if not 0.0 <= _real(x, name) < math.inf:
         raise InvalidInput(f"{name} must be a finite number >= 0, got {x!r}")
     return float(x)
 
 
 def _check_step(h: float) -> float:
-    if not (h > 0.0 and math.isfinite(h)):
+    if not 0.0 < _real(h, "finite-difference step") < math.inf:
         raise InvalidInput(f"invalid finite-difference step {h!r}")
     return h
 
@@ -199,8 +204,8 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
     """Derivative of the family at theta, per its derivative mode.
 
     The result is Hermitian and traceless within the mode tolerance
-    (1e-12 analytic, 1e-7 numerical); violations mean the family itself is
-    inconsistent and raise InvalidInput.
+    (1e-12 analytic, 1e-7 numerical) and finite; violations mean the family
+    itself is inconsistent and raise InvalidInput.
     """
     mode = fam.derivative_mode
     if isinstance(mode, Analytic):
@@ -217,6 +222,7 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
         tol = TRACE_TOL_NUMERIC
     if rp.shape != (fam.dim, fam.dim):
         raise InvalidInput(f"derivative has shape {rp.shape}, expected {(fam.dim, fam.dim)}")
+    rp = _as_square_matrix(rp, "family derivative")
     if not is_hermitian(rp, tol=max(tol, 1e-12)):
         raise InvalidInput("family derivative is not Hermitian within mode tolerance")
     rp = hermitize(rp)
@@ -566,7 +572,7 @@ def nonsmooth_projection_state(theta: float) -> NonsmoothProjectionState:
     rho = I/2, flagged degenerate_at_zero; the projections have no limit as
     theta -> 0, which is why branch data cannot be assigned there.
     """
-    if not math.isfinite(theta) or abs(theta) > 1.0:
+    if not math.isfinite(_real(theta, "theta")) or abs(theta) > 1.0:
         raise DomainError("theta must lie in [-1, 1]", value=theta)
     eye = np.eye(2)
     if theta == 0.0:

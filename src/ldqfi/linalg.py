@@ -1,13 +1,13 @@
 """Linear algebra primitives used by every higher layer.
 
 Hermiticity checks, the positive-spectrum check of every mean kernel, the
-logarithmic mean (pairwise, ``logmean_pairs``, and of two scalars), the
-trace of a product, Schatten norms, Hermitian tridiagonal matrices, and
-the matrix exponential of a general square matrix (``expm``, used by the
-coherent displacement).  Everything here runs on numpy alone.  Other
-modules call numpy's eigensolvers directly, the state's own eigensolve
-pinned to one BLAS thread by ``_one_blas_thread``; the clustered spectral
-decomposition of a family's state is ``family.spectral_branches``.
+elementwise logarithmic mean (``logmean_pairs``), the trace of a product,
+Schatten norms, Hermitian tridiagonal matrices, and the matrix exponential
+of a general square matrix (``expm``, used by the coherent displacement).
+Everything here runs on numpy alone.  Other modules call numpy's
+eigensolvers directly, the state's own eigensolve pinned to one BLAS
+thread by ``_one_blas_thread``; the clustered spectral decomposition of a
+family's state is ``family.spectral_branches``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from typing import Callable
 
@@ -163,19 +164,6 @@ def positive_spectrum(w: np.ndarray, name: str) -> np.ndarray:
     return w
 
 
-def logmean_kernel(a: float, b: float) -> float:
-    """Logarithmic mean (a - b)/(ln a - ln b) of two positive numbers.
-
-    Continuous at a = b where it equals a; the bvn entry of
-    ldops.kernel_matrix([a, b]).  Equals the integral of a^t b^(1-t) over t
-    in [0, 1].
-    """
-    if not (a > 0.0 and b > 0.0) or not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError("logmean_kernel needs strictly positive finite arguments",
-                          value=float(min(a, b)))
-    return float(logmean_pairs(a, b))
-
-
 def logmean_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise logarithmic mean of positive arrays broadcast together.
 
@@ -317,6 +305,13 @@ def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (coef @ powers.reshape(k, n * n)).reshape(len(coef), n, n)
 
 
+def _real(x, name: str):
+    """x itself when it is a real number (a bool is not), else InvalidInput."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {x!r}")
+    return x
+
+
 def _positive_int(n, name: str) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInput(f"{name} must be a positive integer, got {n!r}")
@@ -329,11 +324,16 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
 
     With a count, a stack of shape (count, dim, dim) drawn from the same
     generator stream: bitwise the matrices that count successive single
-    draws return.  A dimension or count that is not a positive integer
+    draws return.  A dimension or count that is not a positive integer, an
+    rng that is not a numpy Generator or a scale that is not a finite real
     raises InvalidInput.
     """
     dim = _positive_int(dim, "dimension")
     k = 1 if count is None else _positive_int(count, "count")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInput(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    if not math.isfinite(_real(scale, "scale")):
+        raise InvalidInput(f"scale must be finite, got {scale!r}")
     # each matrix draws its real part, then its imaginary part
     z = rng.standard_normal((k, 2, dim, dim))
     x = np.empty((k, dim, dim), dtype=complex)

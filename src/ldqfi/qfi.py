@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInformation, InvalidInput, ResourceLimit
+from .errors import DegenerateInformation, InvalidInput
 from .family import (
     Analytic,
     DensityMatrix,
@@ -37,20 +37,15 @@ from .ldops import (
     LdOperator,
     expectation,
     kernel_entries,
-    kernel_matrix,
     kernel_table,
     kmb_residual,
     ld_operator,
 )
 from .linalg import (
     _one_blas_thread,
-    _positive_int,
     require_hermitian,
     trace_product,
 )
-
-# Explicit tensor construction of n-copy states is capped at this dimension.
-NCOPY_DIM_CAP = 4096
 
 # compute_reports evaluates the diagnostics of a hook family's points in
 # blocks whose stacked (K, N, N) arrays hold at most this many entries: 5
@@ -139,15 +134,6 @@ def qfi_value(br: SpectralBranches, model: str) -> float:
     return float(np.sum(w * np.abs(rp / kern) ** 2))
 
 
-def qfi_split(br: SpectralBranches, model: str) -> tuple[float, float]:
-    """(I1, I2): classical eigenvalue part and model-dependent remainder."""
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}")
-    i1 = classical_information(br)
-    total = qfi_value(br, model)
-    return i1, total - i1
-
-
 @dataclass(frozen=True)
 class CrCheck:
     """One local Cramer-Rao comparison: variance against u^2/QFI."""
@@ -210,53 +196,6 @@ def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str,
     u, lhs, rhs = local_cr_terms(br, y[None], model)
     lhs, rhs = float(lhs[0]), float(rhs[0])
     return CrCheck(model=model, u=float(u[0]), lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack_tol)
-
-
-def _embed(h: np.ndarray, slot: int, n: int) -> np.ndarray:
-    dim = h.shape[0]
-    out = np.array([[1.0 + 0.0j]])
-    for j in range(n):
-        out = np.kron(out, h if j == slot else np.eye(dim))
-    return out
-
-
-def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
-    """Information of n independent copies.
-
-    For n <= 3 the n-copy state and the summed LD operator are built
-    explicitly and the information recomputed from scratch; the result is
-    checked against additivity (n times the single-copy value) before being
-    returned.  Larger n returns the additivity formula directly.
-    """
-    _positive_int(n, "n")
-    single = qfi_value(br, model)
-    if n == 1:
-        return single
-    if n > 3:
-        return n * single
-    if br.dim**n > NCOPY_DIM_CAP:
-        raise ResourceLimit(
-            f"n-copy dimension {br.dim**n} exceeds cap {NCOPY_DIM_CAP}; use the additivity formula"
-        )
-    rho = br.rho()
-    h = ld_operator(br, model, split=False).matrix
-    rho_n = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
-        rho_n = np.kron(rho_n, rho)
-    h_n = sum(_embed(h, j, n) for j in range(n))
-
-    if model == "bvn":
-        w, v = np.linalg.eigh(rho_n)
-        h_eig = v.conj().T @ h_n @ v
-        value = float(np.sum(np.abs(h_eig) ** 2 * kernel_matrix(w, "bvn")).real)
-    else:
-        value = trace_product(rho_n @ h_n, h_n)
-    expect = n * single
-    if abs(value - expect) > 1e-8 * max(1.0, abs(expect)):
-        raise InvalidInput(
-            f"n-copy information {value!r} violates additivity against {expect!r}"
-        )
-    return value
 
 
 def _log_state(state: DensityMatrix) -> np.ndarray:
@@ -363,18 +302,18 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
     The call runs with numpy's OpenBLAS pinned to one thread
     (linalg._one_blas_thread), since blocked products and eigensolvers
     round differently with the thread count; so the reports' bytes do not
-    depend on it.  A theta that is not a real number raises InvalidInput.
+    depend on it.  Models or thetas that are not iterables, and a theta
+    that is not a real number, raise InvalidInput.
     """
-    models = list(models)
+    try:
+        models, thetas = list(models), list(thetas)
+    except TypeError:
+        raise InvalidInput(f"models and thetas must be iterables, got {models!r} and {thetas!r}") from None
     for m in models:
         if m not in MODELS:
             raise InvalidInput(f"unknown model {m!r}")
     if not models:
         raise InvalidInput("at least one model is required")
-    try:
-        thetas = list(thetas)
-    except TypeError:
-        raise InvalidInput(f"thetas must be an iterable of numbers, got {thetas!r}") from None
     return _one_blas_thread(_reports, fam, thetas, models)
 
 

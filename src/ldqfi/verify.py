@@ -3,8 +3,12 @@ checked on the reference families.
 
 Each suite takes a seed (the deterministic suites ignore it) and returns its
 checks, in a fixed order, as Check records.  SUITES maps each suite name to
-its function, in the order ``qfi verify all`` runs them.  The package does
-not import this module; ``import ldqfi.verify`` loads it.
+its function, in the order ``qfi verify all`` runs them.  The closed forms
+the suites compare against live here, next to them: the two-level table
+(two_level_closed_forms), and the displaced thermal family's KMB value
+(coherent_qfi_bvn), ld2 verdict (coherent_qfi_ld2) and quartic trace table
+(coherent_trace_table).  The package does not import this module;
+``import ldqfi.verify`` loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QfiError
+from .errors import InvalidInput, QfiError, SingularState, TruncationError
 from .family import (
     Analytic,
     StateFamily,
@@ -40,14 +44,11 @@ from .qfi import (
 )
 from .zoo import (
     TwoLevelFamily2,
+    coherent_branches,
     coherent_family,
-    coherent_qfi_bvn,
-    coherent_qfi_ld2,
-    coherent_trace_table,
     counterexample_family,
     default_two_level_1,
     geometric_family,
-    two_level_closed_forms,
 )
 
 
@@ -189,6 +190,43 @@ def kmb(seed: int) -> list[Check]:
     return checks
 
 
+@dataclass(frozen=True)
+class TwoLevelForms:
+    """Closed-form information parts of a two-level point with weight lam.
+
+    i1 is the common classical part lam'^2/(lam(1-lam)).  i2 holds the
+    tabulated reference second parts: for bvn and sld the ordinary second
+    moments Tr(rho H2^2); for ld1 and ld2 the unweighted moments Tr(H2^2),
+    which at dimension two equal exactly twice the weighted ones that a
+    report's i2 holds (qfi_value less classical_information).
+    """
+
+    i1: float
+    i2: dict[str, float]
+
+
+def two_level_closed_forms(lam: float, lam_prime: float) -> TwoLevelForms:
+    """All two-level closed forms at weight lam with derivative lam_prime.
+
+    In the eigenbasis the derivative has diagonal (lam', -lam') and
+    off-diagonal 2 lam - 1, so each second part is |2 lam - 1|^2 divided by
+    the squared pair kernel and weighted by the trace convention above.
+    """
+    if not (0.0 < lam < 1.0):
+        raise SingularState(f"weight {lam!r} leaves the open interval (0, 1)")
+    g = 2.0 * lam - 1.0
+    log_ratio = math.log(lam / (1.0 - lam))
+    prod = lam * (1.0 - lam)
+    i1 = lam_prime**2 / prod
+    i2 = {
+        "bvn": log_ratio**2,
+        "ld1": g**2 / (2.0 * prod**2),
+        "ld2": 2.0 * g**2 / prod,
+        "sld": 4.0 * g**2,
+    }
+    return TwoLevelForms(i1=i1, i2=i2)
+
+
 def _table_checks(
     tag: str,
     weights: Sequence[tuple[float, float]],
@@ -278,6 +316,151 @@ def tables(seed: int) -> list[Check]:
         )
     )
     return checks
+
+
+def _check_level(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise InvalidInput(f"level {n!r} must be a non-negative integer")
+
+
+def coherent_projection_prime(n: int, trunc_dim: int) -> np.ndarray:
+    """Derivative at theta = 0 of the displaced number projection |n><n|:
+    sqrt(n+1)(|n+1><n| + |n><n+1|) - sqrt(n)(|n><n-1| + |n-1><n|)."""
+    _check_level(n)
+    if n + 1 >= trunc_dim:
+        raise TruncationError(
+            f"projection derivative of level {n} needs dimension at least {n + 2}, got {trunc_dim}"
+        )
+    out = np.zeros((trunc_dim, trunc_dim))
+    up = math.sqrt(n + 1.0)
+    out[n + 1, n] = out[n, n + 1] = up
+    if n > 0:
+        down = math.sqrt(float(n))
+        out[n, n - 1] = out[n - 1, n] = -down
+    return out
+
+
+@dataclass(frozen=True)
+class TraceRow:
+    """One quartic projection trace with its exact integer value."""
+
+    label: str
+    value: float
+    expected: int
+
+
+def coherent_trace_table(k: int, trunc_dim: int) -> tuple[TraceRow, ...]:
+    """The eight quartic traces in the number projections P_j and their
+    derivatives P'_j at theta = 0 that assemble the pair sums of the
+    displaced thermal family.  Every value is an exact integer; levels
+    below zero contribute the zero operator.
+    """
+    _check_level(k)
+    if trunc_dim < k + 3:
+        raise TruncationError(
+            f"trace table at level {k} needs dimension at least {k + 3}, got {trunc_dim}"
+        )
+
+    def proj(j: int) -> np.ndarray:
+        out = np.zeros((trunc_dim, trunc_dim))
+        if j >= 0:
+            out[j, j] = 1.0
+        return out
+
+    def dproj(j: int) -> np.ndarray:
+        if j < 0:
+            return np.zeros((trunc_dim, trunc_dim))
+        return coherent_projection_prime(j, trunc_dim)
+
+    pk, pu, pd = proj(k), proj(k + 1), proj(k - 1)
+    dk, du, dd = dproj(k), dproj(k + 1), dproj(k - 1)
+
+    def tr(*mats: np.ndarray) -> float:
+        prod = mats[0]
+        for m in mats[1:]:
+            prod = prod @ m
+        return float(np.trace(prod))
+
+    rows = (
+        TraceRow("Tr(P_k P'_k P_k+1 P'_k)", tr(pk, dk, pu, dk), k + 1),
+        TraceRow("Tr(P_k P'_k+1 P_k+1 P'_k)", tr(pk, du, pu, dk), -(k + 1)),
+        TraceRow("Tr(P_k P'_k P_k-1 P'_k)", tr(pk, dk, pd, dk), k),
+        TraceRow("Tr(P_k P'_k-1 P_k-1 P'_k)", tr(pk, dd, pd, dk), -k),
+        TraceRow("Tr(P_k P'_k+1 P_k+1 P'_k+1)", tr(pk, du, pu, du), k + 1),
+        TraceRow("Tr(P_k P'_k P_k+1 P'_k+1)", tr(pk, dk, pu, du), -(k + 1)),
+        TraceRow("Tr(P_k P'_k-1 P_k-1 P'_k-1)", tr(pk, dd, pd, dd), k),
+        TraceRow("Tr(P_k P'_k P_k-1 P'_k-1)", tr(pk, dk, pd, dd), -k),
+    )
+    return rows
+
+
+def coherent_qfi_bvn(
+    mean_occupation: float,
+    trunc_dim: int | None = None,
+    check_traces: bool = True,
+) -> float:
+    """KMB information of the displaced thermal family, closed form
+     2 ln(1 + 1/M).
+
+    The pair sums telescope: each neighbouring-level pair contributes
+    2 ln(1/q) (n+1)(lambda_n - lambda_n+1), summing to 2 ln(1/q) times
+    (1 - N lambda_N-1) on the truncation.  The computed value is asserted
+    against the closed form within 1e-6; with check_traces the integer
+    trace identities are verified on the lowest levels first.
+    """
+    fam = coherent_family(mean_occupation, trunc_dim)
+    if check_traces:
+        for k in range(0, min(4, fam.trunc_dim - 2)):
+            for row in coherent_trace_table(k, fam.trunc_dim):
+                if abs(row.value - row.expected) > 1e-9 * max(1.0, abs(row.expected)):
+                    raise TruncationError(
+                        f"trace identity {row.label} = {row.value!r} misses integer {row.expected}"
+                    )
+    value = qfi_bvn(coherent_branches(fam))
+    closed = 2.0 * math.log1p(1.0 / mean_occupation)
+    if abs(value - closed) > 1e-6 * (1.0 + abs(value)):
+        raise TruncationError(
+            f"information {value!r} deviates from the closed form {closed!r} beyond 1e-6; "
+            f"enlarge trunc_dim"
+        )
+    return value
+
+
+@dataclass(frozen=True)
+class Ld2Verdict:
+    """Numerical ld2 information of the displaced thermal family at
+    theta = 0 against two closed-form candidates."""
+
+    numeric: float
+    formula_a: float
+    formula_b: float
+    matches: str  # "A", "B" or "neither", within 1e-6
+
+
+def coherent_qfi_ld2(mean_occupation: float, trunc_dim: int | None = None) -> Ld2Verdict:
+    """Tr(rho H^2) for the ld2 model of the displaced thermal family,
+    compared against the two candidate closed forms
+
+      A = (2 + 2M(1+M)(3+M)) / (1+M)^4
+      B = (2 + M(2+M)(3+2M)) / (1+M)^4
+
+    and labelled with whichever one matches within 1e-6, or "neither".
+    """
+    m = float(mean_occupation)
+    fam = coherent_family(m, trunc_dim)
+    numeric = qfi_value(coherent_branches(fam, 0.0), "ld2")
+    formula_a = (2.0 + 2.0 * m * (1.0 + m) * (3.0 + m)) / (1.0 + m) ** 4
+    formula_b = (2.0 + m * (2.0 + m) * (3.0 + 2.0 * m)) / (1.0 + m) ** 4
+    tol = 1e-6 * (1.0 + abs(numeric))
+    hits_a = abs(numeric - formula_a) <= tol
+    hits_b = abs(numeric - formula_b) <= tol
+    if hits_a and not hits_b:
+        matches = "A"
+    elif hits_b and not hits_a:
+        matches = "B"
+    else:
+        matches = "neither"
+    return Ld2Verdict(numeric=numeric, formula_a=formula_a, formula_b=formula_b, matches=matches)
 
 
 def coherent(seed: int) -> list[Check]:

@@ -1,4 +1,4 @@
-"""Reference state families with closed-form information values.
+"""Reference state families and the table of families a sweep can name.
 
 Four families exercise the spectral pipeline from different angles: a
 two-level family with a moving weight and a rotating eigenbasis, a
@@ -9,11 +9,16 @@ rotates rigidly.  A fifth, pathological two-level family has a smooth
 spectrum but eigenprojections that oscillate without a limit at the
 origin.
 
-Each family carries the closed forms used to cross-check the generic
-eigendecomposition route, plus the truncation bookkeeping (tail mass,
-rank floor, displacement accuracy) that makes the finite-dimensional
-surrogates trustworthy.  FAMILIES is the table of families a sweep can
-name: their parameters, sweep coordinates and admissible intervals.
+Each family carries the truncation bookkeeping (tail mass, rank floor,
+displacement accuracy) that makes the finite-dimensional surrogates
+trustworthy; the displaced thermal family also its closed-form branches
+(coherent_branches) and the closed-form displacement its exponential is
+checked against (displacement_closed_form).  FAMILIES is the table of
+families a sweep can name: their parameters, sweep coordinates and
+admissible intervals.  The closed-form information values that
+cross-check the families are references, not part of the runtime: the
+verification suites keep theirs in ldqfi.verify, the tests theirs in
+tests/dense_oracles.py.
 """
 
 from __future__ import annotations
@@ -32,13 +37,10 @@ from .family import (
     Eigenframe,
     SpectralBranches,
     StateFamily,
-    branches_at,
     nonsmooth_projection_state,
     spectral_branches,
 )
-from .ldops import MODELS
-from .linalg import HermitianTridiagonal, _positive_int, expm
-from .qfi import qfi_bvn, qfi_value
+from .linalg import HermitianTridiagonal, _positive_int, _real, expm
 
 # Geometric truncation: discarded tail target at the slow edge of the
 # parameter window, clamped so the smallest kept eigenvalue clears the
@@ -68,11 +70,6 @@ def _bulk_margin(theta: float, dim: int) -> int:
 def _check_amplitude(theta: float) -> None:
     if not math.isfinite(theta):
         raise DomainError(f"displacement amplitude {theta!r} is not finite", value=theta)
-
-
-def _check_level(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidInput(f"level {n!r} must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,7 @@ class TwoLevelFamily2:
     theta_domain: tuple[float, float] = (-1.5, 1.5)
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and 0.0 <= self.r <= 1.0):
+        if not (math.isfinite(_real(self.r, "radius r")) and 0.0 <= self.r <= 1.0):
             raise InvalidInput(f"radius r={self.r!r} must lie in [0, 1]")
         if 1.0 - self.r <= 2.0 * RANK_TOL:
             raise SingularState(f"r={self.r!r} leaves no spectral gap above the rank floor")
@@ -183,43 +180,6 @@ class TwoLevelFamily2:
             rho_prime_of=rho_prime_of,
             name="two_level_2",
         )
-
-
-@dataclass(frozen=True)
-class TwoLevelForms:
-    """Closed-form information parts of a two-level point with weight lam.
-
-    i1 is the common classical part lam'^2/(lam(1-lam)).  i2 holds the
-    tabulated reference second parts: for bvn and sld the ordinary second
-    moments Tr(rho H2^2); for ld1 and ld2 the unweighted moments Tr(H2^2),
-    which at dimension two equal exactly twice the weighted ones that
-    qfi_split reports.
-    """
-
-    i1: float
-    i2: dict[str, float]
-
-
-def two_level_closed_forms(lam: float, lam_prime: float) -> TwoLevelForms:
-    """All two-level closed forms at weight lam with derivative lam_prime.
-
-    In the eigenbasis the derivative has diagonal (lam', -lam') and
-    off-diagonal 2 lam - 1, so each second part is |2 lam - 1|^2 divided by
-    the squared pair kernel and weighted by the trace convention above.
-    """
-    if not (0.0 < lam < 1.0):
-        raise SingularState(f"weight {lam!r} leaves the open interval (0, 1)")
-    g = 2.0 * lam - 1.0
-    log_ratio = math.log(lam / (1.0 - lam))
-    prod = lam * (1.0 - lam)
-    i1 = lam_prime**2 / prod
-    i2 = {
-        "bvn": log_ratio**2,
-        "ld1": g**2 / (2.0 * prod**2),
-        "ld2": 2.0 * g**2 / prod,
-        "sld": 4.0 * g**2,
-    }
-    return TwoLevelForms(i1=i1, i2=i2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +212,7 @@ def geometric_family(theta_center: float, trunc_dim: int | None = None) -> State
       lambda'_j = lambda_j (1/(e^theta - 1) - j - N/(e^{N theta} - 1)).
     A trunc_dim that is not an integer of at least 2 raises InvalidInput.
     """
-    if not (math.isfinite(theta_center) and theta_center > GEOMETRIC_HALF_WIDTH):
+    if not (math.isfinite(_real(theta_center, "theta_center")) and theta_center > GEOMETRIC_HALF_WIDTH):
         raise DomainError(
             f"theta_center {theta_center!r} must exceed half_width {GEOMETRIC_HALF_WIDTH:g} "
             "to keep the window positive",
@@ -291,35 +251,6 @@ def geometric_family(theta_center: float, trunc_dim: int | None = None) -> State
     )
 
 
-def geometric_information(theta: float) -> float:
-    """Information of the untruncated geometric family, e^theta/(e^theta-1)^2,
-    shared by all four models because the family commutes with its derivative."""
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise DomainError("theta must be positive", value=theta)
-    return math.exp(theta) / math.expm1(theta) ** 2
-
-
-def geometric_qfi(theta: float, trunc_dim: int | None = None) -> float:
-    """Common information value of the truncated geometric family at theta.
-
-    All four models are computed on the truncation and asserted to agree
-    pairwise and with the closed form within 1e-8; a violation means the
-    truncation is too coarse and raises TruncationError.
-    """
-    fam = geometric_family(theta, trunc_dim)
-    br = branches_at(fam, theta)
-    vals = [qfi_value(br, m) for m in MODELS]
-    closed = geometric_information(theta)
-    spread = max(vals) - min(vals)
-    worst = max(abs(v - closed) for v in vals)
-    if spread > 1e-8 or worst > 1e-8:
-        raise TruncationError(
-            f"model values spread {spread:.3e}, worst closed-form deviation {worst:.3e} "
-            f"exceed 1e-8 at dimension {fam.dim}; enlarge trunc_dim"
-        )
-    return vals[0]
-
-
 # ---------------------------------------------------------------------------
 # displaced thermal family on a truncated number basis
 
@@ -332,7 +263,7 @@ def coherent_trunc_dim(mean_occupation: float) -> int:
     COHERENT_MIN_EIG.  On the clamped branch the tail exceeds the target;
     the constructor still enforces the hard cap.
     """
-    if not (mean_occupation > 0.0 and math.isfinite(mean_occupation)):
+    if not (_real(mean_occupation, "mean occupation") > 0.0 and math.isfinite(mean_occupation)):
         raise InvalidInput(f"mean occupation {mean_occupation!r} must be positive")
     log_inv_q = math.log1p(1.0 / mean_occupation)
     n_tail = math.ceil(math.log(1.0 / COHERENT_TAIL_TARGET) / log_inv_q)
@@ -517,7 +448,7 @@ def coherent_family(
     smallest kept eigenvalue clears the rank floor (SingularState); one
     that is not an integer of at least 2 raises InvalidInput.
     """
-    if not (mean_occupation > 0.0 and math.isfinite(mean_occupation)):
+    if not (_real(mean_occupation, "mean occupation") > 0.0 and math.isfinite(mean_occupation)):
         raise InvalidInput(f"mean occupation {mean_occupation!r} must be positive")
     if trunc_dim is not None:
         _TRUNC_DIM.check("trunc_dim", trunc_dim)
@@ -559,146 +490,6 @@ def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranch
     comm = root * lam[:-1] - lam[1:] * root
     band = HermitianTridiagonal(np.zeros(n), comm[::-1])
     return spectral_branches(Eigenframe(w[:, ::-1], lam[::-1]), band)
-
-
-def coherent_projection_prime(n: int, trunc_dim: int) -> np.ndarray:
-    """Derivative at theta = 0 of the displaced number projection |n><n|:
-    sqrt(n+1)(|n+1><n| + |n><n+1|) - sqrt(n)(|n><n-1| + |n-1><n|)."""
-    _check_level(n)
-    if n + 1 >= trunc_dim:
-        raise TruncationError(
-            f"projection derivative of level {n} needs dimension at least {n + 2}, got {trunc_dim}"
-        )
-    out = np.zeros((trunc_dim, trunc_dim))
-    up = math.sqrt(n + 1.0)
-    out[n + 1, n] = out[n, n + 1] = up
-    if n > 0:
-        down = math.sqrt(float(n))
-        out[n, n - 1] = out[n - 1, n] = -down
-    return out
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    """One quartic projection trace with its exact integer value."""
-
-    label: str
-    value: float
-    expected: int
-
-
-def coherent_trace_table(k: int, trunc_dim: int) -> tuple[TraceRow, ...]:
-    """The eight quartic traces in the number projections P_j and their
-    derivatives P'_j at theta = 0 that assemble the pair sums of the
-    displaced thermal family.  Every value is an exact integer; levels
-    below zero contribute the zero operator.
-    """
-    _check_level(k)
-    if trunc_dim < k + 3:
-        raise TruncationError(
-            f"trace table at level {k} needs dimension at least {k + 3}, got {trunc_dim}"
-        )
-
-    def proj(j: int) -> np.ndarray:
-        out = np.zeros((trunc_dim, trunc_dim))
-        if j >= 0:
-            out[j, j] = 1.0
-        return out
-
-    def dproj(j: int) -> np.ndarray:
-        if j < 0:
-            return np.zeros((trunc_dim, trunc_dim))
-        return coherent_projection_prime(j, trunc_dim)
-
-    pk, pu, pd = proj(k), proj(k + 1), proj(k - 1)
-    dk, du, dd = dproj(k), dproj(k + 1), dproj(k - 1)
-
-    def tr(*mats: np.ndarray) -> float:
-        prod = mats[0]
-        for m in mats[1:]:
-            prod = prod @ m
-        return float(np.trace(prod))
-
-    rows = (
-        TraceRow("Tr(P_k P'_k P_k+1 P'_k)", tr(pk, dk, pu, dk), k + 1),
-        TraceRow("Tr(P_k P'_k+1 P_k+1 P'_k)", tr(pk, du, pu, dk), -(k + 1)),
-        TraceRow("Tr(P_k P'_k P_k-1 P'_k)", tr(pk, dk, pd, dk), k),
-        TraceRow("Tr(P_k P'_k-1 P_k-1 P'_k)", tr(pk, dd, pd, dk), -k),
-        TraceRow("Tr(P_k P'_k+1 P_k+1 P'_k+1)", tr(pk, du, pu, du), k + 1),
-        TraceRow("Tr(P_k P'_k P_k+1 P'_k+1)", tr(pk, dk, pu, du), -(k + 1)),
-        TraceRow("Tr(P_k P'_k-1 P_k-1 P'_k-1)", tr(pk, dd, pd, dd), k),
-        TraceRow("Tr(P_k P'_k P_k-1 P'_k-1)", tr(pk, dk, pd, dd), -k),
-    )
-    return rows
-
-
-def coherent_qfi_bvn(
-    mean_occupation: float,
-    trunc_dim: int | None = None,
-    check_traces: bool = True,
-) -> float:
-    """KMB information of the displaced thermal family, closed form
-     2 ln(1 + 1/M).
-
-    The pair sums telescope: each neighbouring-level pair contributes
-    2 ln(1/q) (n+1)(lambda_n - lambda_n+1), summing to 2 ln(1/q) times
-    (1 - N lambda_N-1) on the truncation.  The computed value is asserted
-    against the closed form within 1e-6; with check_traces the integer
-    trace identities are verified on the lowest levels first.
-    """
-    fam = coherent_family(mean_occupation, trunc_dim)
-    if check_traces:
-        for k in range(0, min(4, fam.trunc_dim - 2)):
-            for row in coherent_trace_table(k, fam.trunc_dim):
-                if abs(row.value - row.expected) > 1e-9 * max(1.0, abs(row.expected)):
-                    raise TruncationError(
-                        f"trace identity {row.label} = {row.value!r} misses integer {row.expected}"
-                    )
-    value = qfi_bvn(coherent_branches(fam))
-    closed = 2.0 * math.log1p(1.0 / mean_occupation)
-    if abs(value - closed) > 1e-6 * (1.0 + abs(value)):
-        raise TruncationError(
-            f"information {value!r} deviates from the closed form {closed!r} beyond 1e-6; "
-            f"enlarge trunc_dim"
-        )
-    return value
-
-
-@dataclass(frozen=True)
-class Ld2Verdict:
-    """Numerical ld2 information of the displaced thermal family at
-    theta = 0 against two closed-form candidates."""
-
-    numeric: float
-    formula_a: float
-    formula_b: float
-    matches: str  # "A", "B" or "neither", within 1e-6
-
-
-def coherent_qfi_ld2(mean_occupation: float, trunc_dim: int | None = None) -> Ld2Verdict:
-    """Tr(rho H^2) for the ld2 model of the displaced thermal family,
-    compared against the two candidate closed forms
-
-      A = (2 + 2M(1+M)(3+M)) / (1+M)^4
-      B = (2 + M(2+M)(3+2M)) / (1+M)^4
-
-    and labelled with whichever one matches within 1e-6, or "neither".
-    """
-    m = float(mean_occupation)
-    fam = coherent_family(m, trunc_dim)
-    numeric = qfi_value(coherent_branches(fam, 0.0), "ld2")
-    formula_a = (2.0 + 2.0 * m * (1.0 + m) * (3.0 + m)) / (1.0 + m) ** 4
-    formula_b = (2.0 + m * (2.0 + m) * (3.0 + 2.0 * m)) / (1.0 + m) ** 4
-    tol = 1e-6 * (1.0 + abs(numeric))
-    hits_a = abs(numeric - formula_a) <= tol
-    hits_b = abs(numeric - formula_b) <= tol
-    if hits_a and not hits_b:
-        matches = "A"
-    elif hits_b and not hits_a:
-        matches = "B"
-    else:
-        matches = "neither"
-    return Ld2Verdict(numeric=numeric, formula_a=formula_a, formula_b=formula_b, matches=matches)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +536,7 @@ class Interval:
     def check(self, label: str, value: float) -> None:
         """Raise InvalidInput unless value is admissible; NaN and infinities never are."""
         inside = (
-            math.isfinite(value)
+            math.isfinite(_real(value, label))
             and (self.lo <= value if self.closed_lo else self.lo < value)
             and value < self.hi
             and not (self.integer and value != int(value))

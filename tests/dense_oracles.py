@@ -7,19 +7,41 @@ Also the per-item oracles of the stacked checks: the local Cramer-Rao
 terms of one observable at a time, the projection audit as a loop over
 cluster pairs with each projection derivative assembled block by block,
 and the report of one hook point with its diagnostics formed from its own
-basis alone."""
+basis alone.
+
+And two references that only the tests use: the geometric family's
+closed-form information with the check that all four models reach it on
+the truncation, and the information of n copies from the explicit tensor
+product state."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from ldqfi.errors import DomainError, InvalidInput
-from ldqfi.family import DensityMatrix, ProjectionAuditReport, SpectralBranches, StateFamily
-from ldqfi.ldops import MODELS, LdOperator, kernel_entries, kernel_table
-from ldqfi.linalg import _one_blas_thread, hermitize, require_hermitian, trace_product
+from ldqfi.errors import DomainError, InvalidInput, ResourceLimit, TruncationError
+from ldqfi.family import (
+    DensityMatrix,
+    ProjectionAuditReport,
+    SpectralBranches,
+    StateFamily,
+    branches_at,
+)
+from ldqfi.ldops import MODELS, LdOperator, kernel_entries, kernel_matrix, kernel_table, ld_operator
+from ldqfi.linalg import (
+    _one_blas_thread,
+    _positive_int,
+    hermitize,
+    require_hermitian,
+    trace_product,
+)
 from ldqfi.qfi import QfiReport, classical_information, qfi_value
+from ldqfi.zoo import geometric_family
+
+# Explicit tensor construction of n-copy states is capped at this dimension.
+NCOPY_DIM_CAP = 4096
 
 
 def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -158,3 +180,79 @@ def _hook_report(fam: StateFamily, theta: float) -> QfiReport:
         kmb_residual=residual,
         max_zero_expectation=worst,
     )
+
+
+def geometric_information(theta: float) -> float:
+    """Information of the untruncated geometric family, e^theta/(e^theta-1)^2,
+    shared by all four models because the family commutes with its derivative."""
+    if not (theta > 0.0 and math.isfinite(theta)):
+        raise DomainError("theta must be positive", value=theta)
+    return math.exp(theta) / math.expm1(theta) ** 2
+
+
+def geometric_qfi(theta: float, trunc_dim: int | None = None) -> float:
+    """Common information value of the truncated geometric family at theta.
+
+    All four models are computed on the truncation and asserted to agree
+    pairwise and with the closed form within 1e-8; a violation means the
+    truncation is too coarse and raises TruncationError.
+    """
+    fam = geometric_family(theta, trunc_dim)
+    br = branches_at(fam, theta)
+    vals = [qfi_value(br, m) for m in MODELS]
+    closed = geometric_information(theta)
+    spread = max(vals) - min(vals)
+    worst = max(abs(v - closed) for v in vals)
+    if spread > 1e-8 or worst > 1e-8:
+        raise TruncationError(
+            f"model values spread {spread:.3e}, worst closed-form deviation {worst:.3e} "
+            f"exceed 1e-8 at dimension {fam.dim}; enlarge trunc_dim"
+        )
+    return vals[0]
+
+
+def _embed(h: np.ndarray, slot: int, n: int) -> np.ndarray:
+    dim = h.shape[0]
+    out = np.array([[1.0 + 0.0j]])
+    for j in range(n):
+        out = np.kron(out, h if j == slot else np.eye(dim))
+    return out
+
+
+def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
+    """Information of n independent copies.
+
+    For n <= 3 the n-copy state and the summed LD operator are built
+    explicitly and the information recomputed from scratch; the result is
+    checked against additivity (n times the single-copy value) before being
+    returned.  Larger n returns the additivity formula directly.
+    """
+    _positive_int(n, "n")
+    single = qfi_value(br, model)
+    if n == 1:
+        return single
+    if n > 3:
+        return n * single
+    if br.dim**n > NCOPY_DIM_CAP:
+        raise ResourceLimit(
+            f"n-copy dimension {br.dim**n} exceeds cap {NCOPY_DIM_CAP}; use the additivity formula"
+        )
+    rho = br.rho()
+    h = ld_operator(br, model, split=False).matrix
+    rho_n = np.array([[1.0 + 0.0j]])
+    for _ in range(n):
+        rho_n = np.kron(rho_n, rho)
+    h_n = sum(_embed(h, j, n) for j in range(n))
+
+    if model == "bvn":
+        w, v = np.linalg.eigh(rho_n)
+        h_eig = v.conj().T @ h_n @ v
+        value = float(np.sum(np.abs(h_eig) ** 2 * kernel_matrix(w, "bvn")).real)
+    else:
+        value = trace_product(rho_n @ h_n, h_n)
+    expect = n * single
+    if abs(value - expect) > 1e-8 * max(1.0, abs(expect)):
+        raise InvalidInput(
+            f"n-copy information {value!r} violates additivity against {expect!r}"
+        )
+    return value

@@ -22,19 +22,15 @@ import time
 import numpy as np
 import pytest
 
+from dense_oracles import geometric_qfi, ncopy_qfi
 from ldqfi import (
     MODELS,
     branches_at,
     classical_information,
     coherent_branches,
     coherent_family,
-    coherent_qfi_bvn,
-    coherent_qfi_ld2,
-    coherent_trace_table,
     geometric_family,
-    geometric_qfi,
     ld_operator,
-    ncopy_qfi,
     nonsmooth_projection_state,
     qfi_bvn,
     qfi_value,
@@ -43,6 +39,7 @@ from ldqfi import (
     default_two_level_1,
 )
 from ldqfi import verify
+from ldqfi.verify import coherent_qfi_bvn, coherent_qfi_ld2, coherent_trace_table
 
 
 def report(num: str, ok: bool, text: str) -> None:

@@ -17,7 +17,6 @@ from ldqfi import (
     CoherentFamily,
     coherent_branches,
     coherent_family,
-    coherent_qfi_bvn,
     compute_report,
     compute_reports,
     kernel_matrix,
@@ -28,6 +27,7 @@ from ldqfi.family import Eigenframe, StateFamily, spectral_branches
 from ldqfi.ldops import kernel_entries, kernel_pairs
 from ldqfi.linalg import HermitianTridiagonal, expm, logmean_pairs
 from ldqfi.qfi import REPORT_BLOCK_ENTRIES
+from ldqfi.verify import coherent_qfi_bvn
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
 
 from dense_oracles import hook_report

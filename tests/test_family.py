@@ -66,11 +66,23 @@ class TestDensityMatrix:
                             rho_prime_of=lambda t: np.zeros((2, 2)), name="object"),
                 0.1,
             ),
+            lambda: eval_rho_prime(
+                StateFamily(dim=2, theta_domain=(-1.0, 1.0), rho_of=lambda t: np.eye(2) / 2,
+                            rho_prime_of=lambda t: np.zeros((2, 2), dtype=object), name="object"),
+                0.1,
+            ),
+            lambda: eval_rho_prime(
+                StateFamily(dim=2, theta_domain=(-1.0, 1.0), rho_of=lambda t: np.eye(2) / 2,
+                            rho_prime_of=lambda t: np.full((2, 2), np.nan), name="nan"),
+                0.1,
+            ),
         ],
-        ids=["strings", "object_dtype", "family_returns_objects"],
+        ids=["strings", "object_dtype", "family_returns_objects", "derivative_objects",
+             "derivative_nan"],
     )
     def test_rejects_non_numeric(self, make) -> None:
-        # np.isfinite raised a bare TypeError on each of these
+        # np.isfinite raised a bare TypeError on each of these (abs() on the
+        # object derivative), and a NaN derivative read as "not Hermitian"
         with pytest.raises(InvalidInput, match="numeric"):
             make()
 
@@ -239,7 +251,7 @@ class TestProjectionAudit:
             worst = max(worst, projection_curvature_residual(fam, 0.15))
         assert worst <= 1e-6
 
-    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, "a"])
     def test_curvature_rejects_bad_step(self, h: float, random_family) -> None:
         with pytest.raises(InvalidInput, match="step"):
             projection_curvature_residual(random_family, 0.3, h=h)

@@ -19,7 +19,7 @@ from ldqfi import (
     CoherentFamily,
     expm,
     kernel_matrix,
-    logmean_kernel,
+    random_analytic_family,
     random_hermitian,
     schatten_norm,
     trace_product,
@@ -41,7 +41,7 @@ positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infi
 @given(positive, positive)
 @settings(max_examples=200, deadline=None)
 def test_logmean_between_geometric_and_arithmetic(a: float, b: float) -> None:
-    lm = logmean_kernel(a, b)
+    lm = float(logmean_pairs(a, b))
     gm = math.sqrt(a * b)
     am = 0.5 * (a + b)
     assert gm * (1 - 1e-12) <= lm <= am * (1 + 1e-12)
@@ -50,17 +50,19 @@ def test_logmean_between_geometric_and_arithmetic(a: float, b: float) -> None:
 @given(positive, positive)
 @settings(max_examples=200, deadline=None)
 def test_logmean_symmetric_and_homogeneous(a: float, b: float) -> None:
-    assert logmean_kernel(a, b) == pytest.approx(logmean_kernel(b, a), rel=1e-13)
+    assert float(logmean_pairs(a, b)) == pytest.approx(float(logmean_pairs(b, a)), rel=1e-13)
     c = 3.7
-    assert logmean_kernel(c * a, c * b) == pytest.approx(c * logmean_kernel(a, b), rel=1e-12)
+    assert float(logmean_pairs(c * a, c * b)) == pytest.approx(
+        c * float(logmean_pairs(a, b)), rel=1e-12
+    )
 
 
 def test_logmean_diagonal_and_near_diagonal() -> None:
-    assert logmean_kernel(0.3, 0.3) == pytest.approx(0.3, abs=0.0)
+    assert float(logmean_pairs(0.3, 0.3)) == pytest.approx(0.3, abs=0.0)
     a = 0.5
     for rel in (1e-15, 1e-12, 1e-9, 1e-6):
         b = a * (1 + rel)
-        lm = logmean_kernel(a, b)
+        lm = float(logmean_pairs(a, b))
         assert a <= lm <= b
 
 
@@ -75,14 +77,14 @@ def test_logmean_accuracy_across_switch_boundary() -> None:
         b = float(a * (1 + rel))
         ma, mb = mpmath.mpf(a), mpmath.mpf(b)
         exact = float((mb - ma) / (mpmath.log(mb) - mpmath.log(ma))) if b != a else a
-        assert logmean_kernel(a, b) == pytest.approx(exact, rel=5e-15)
+        assert float(logmean_pairs(a, b)) == pytest.approx(exact, rel=5e-15)
         arr = kernel_matrix(np.array([a, b]), "bvn")
         assert arr[0, 1] == pytest.approx(exact, rel=5e-15)
 
 
 def test_logmean_against_definition() -> None:
     a, b = 0.7, 0.1
-    assert logmean_kernel(a, b) == pytest.approx((a - b) / math.log(a / b), rel=1e-14)
+    assert float(logmean_pairs(a, b)) == pytest.approx((a - b) / math.log(a / b), rel=1e-14)
 
 
 def test_logmean_matrix_entries() -> None:
@@ -91,7 +93,7 @@ def test_logmean_matrix_entries() -> None:
     assert k.shape == (3, 3)
     for i in range(3):
         for j in range(3):
-            assert k[i, j] == pytest.approx(logmean_kernel(w[i], w[j]), rel=1e-14)
+            assert k[i, j] == pytest.approx(float(logmean_pairs(w[i], w[j])), rel=1e-14)
 
 
 def test_matrix_function_log_exp_roundtrip(rng) -> None:
@@ -180,6 +182,23 @@ def test_random_hermitian_stack_equals_successive_draws(dim: int) -> None:
 def test_random_hermitian_rejects_bad_sizes(dim, count, rng) -> None:
     with pytest.raises(InvalidInput, match="positive integer"):
         random_hermitian(dim, rng, count=count)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_hermitian(3, 7),
+        lambda: random_analytic_family(3, None),
+        lambda: random_hermitian(3, np.random.default_rng(0), scale="a"),
+        lambda: random_hermitian(3, np.random.default_rng(0), scale=math.nan),
+        lambda: random_hermitian(3, np.random.default_rng(0), scale=1j),
+    ],
+    ids=["rng_int", "family_rng_none", "scale_string", "scale_nan", "scale_complex"],
+)
+def test_random_draws_reject_bad_rng_and_scale(call) -> None:
+    # an AttributeError, a UFuncTypeError, and a silent NaN or non-Hermitian matrix
+    with pytest.raises(InvalidInput, match="rng|scale"):
+        call()
 
 
 def _three_log_logmean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

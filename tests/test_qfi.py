@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import dense_oracles
+from dense_oracles import ncopy_qfi
 from ldqfi import (
     MODELS,
+    CentralDifference,
     DensityMatrix,
     StateFamily,
     branches_at,
@@ -26,9 +28,7 @@ from ldqfi import (
     local_cr_check,
     local_cr_terms,
     maximality_check,
-    ncopy_qfi,
     qfi_bvn,
-    qfi_split,
     qfi_value,
     qfi_variance,
     random_analytic_family,
@@ -92,13 +92,13 @@ class TestConventions:
 
 class TestSplit:
     def test_split_adds_up(self, random_branches) -> None:
+        # the second part qfi - i1 of every model is non-negative, and the
+        # bvn value is qfi_bvn
         br = random_branches
+        i1 = classical_information(br)
+        assert qfi_value(br, "bvn") == qfi_bvn(br)
         for model in MODELS:
-            i1, i2 = qfi_split(br, model)
-            total = qfi_bvn(br) if model == "bvn" else qfi_value(br, model)
-            assert i1 + i2 == pytest.approx(total, rel=1e-12)
-            assert i1 == pytest.approx(classical_information(br), rel=1e-14)
-            assert i2 >= -1e-12
+            assert qfi_value(br, model) - i1 >= -1e-12
 
     def test_classical_part_from_eigenvalue_derivatives(self, random_branches) -> None:
         br = random_branches
@@ -111,9 +111,9 @@ class TestSplit:
     def test_commuting_family_is_purely_classical(self, rng) -> None:
         fam = random_analytic_family(4, rng, commuting=True)
         br = branches_at(fam, 0.2)
+        i1 = classical_information(br)
         for model in MODELS:
-            i1, i2 = qfi_split(br, model)
-            assert abs(i2) <= 1e-10 * max(1.0, i1)
+            assert abs(qfi_value(br, model) - i1) <= 1e-10 * max(1.0, i1)
 
 
 class TestReparametrization:
@@ -331,7 +331,7 @@ class TestRelativeEntropy:
         with pytest.raises(InvalidInput, match="eps_seq"):
             relent_limit(tanh_family, 0.3, eps)
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, "a"])
     def test_maximality_rejects_bad_step(self, step: float, tanh_family) -> None:
         with pytest.raises(InvalidInput, match="finite-difference step"):
             maximality_check(tanh_family, 0.3, step=step)
@@ -366,6 +366,23 @@ class TestReport:
                 compute_reports(fam, [0.1, "a"])
             with pytest.raises(InvalidInput, match="iterable"):
                 compute_reports(fam, 0.1)
+
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam: compute_report(
+                dataclasses.replace(fam, derivative_mode=CentralDifference(step="a")), 0.3),
+            lambda fam: dataclasses.replace(fam, theta_domain=("a", "b")),
+            lambda fam: dataclasses.replace(fam, theta_domain=(0,)),
+            lambda fam: compute_reports(fam, [0.3], models=None),
+        ],
+        ids=["central_difference_step", "theta_domain_strings", "theta_domain_short", "models_none"],
+    )
+    def test_boundary_rejects_malformed_input(self, call, tanh_family) -> None:
+        # each raised a bare TypeError or ValueError
+        with pytest.raises(InvalidInput):
+            call(tanh_family)
 
 
 class TestOperandShapes:

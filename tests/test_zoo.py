@@ -1,6 +1,7 @@
-"""Model zoo: two-level closed forms, truncated thermal (geometric) family,
-displaced thermal (coherent) family, and the discontinuous-projection
-diagnostic family."""
+"""Model zoo: the two-level families, the truncated thermal (geometric)
+family, the displaced thermal (coherent) family and the
+discontinuous-projection diagnostic family, each against the closed-form
+references that ldqfi.verify and tests/dense_oracles.py keep for it."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dense_oracles import geometric_information, geometric_qfi
 from ldqfi import (
     MODELS,
     CoherentFamily,
@@ -21,28 +23,22 @@ from ldqfi import (
     classical_information,
     coherent_branches,
     coherent_family,
-    coherent_projection_prime,
-    coherent_qfi_bvn,
-    coherent_qfi_ld2,
-    coherent_trace_table,
     coherent_trunc_dim,
     compute_report,
     counterexample_family,
     default_two_level_1,
     displacement_closed_form,
     geometric_family,
-    geometric_information,
-    geometric_qfi,
     geometric_trunc_dim,
     ld_operator,
-    logmean_kernel,
+    nonsmooth_projection_state,
     qfi_bvn,
     qfi_value,
     qfi_variance,
-    two_level_closed_forms,
 )
 from ldqfi.errors import DomainError, InvalidInput, SingularState, TruncationError
 from ldqfi import zoo
+from ldqfi.linalg import logmean_pairs
 from ldqfi.zoo import (
     FAMILIES,
     grid_domain,
@@ -51,7 +47,14 @@ from ldqfi.zoo import (
     tanh_weight_prime,
 )
 from ldqfi.family import Analytic
-from ldqfi.verify import verification_tasks
+from ldqfi.verify import (
+    coherent_projection_prime,
+    coherent_qfi_bvn,
+    coherent_qfi_ld2,
+    coherent_trace_table,
+    two_level_closed_forms,
+    verification_tasks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,7 @@ class TestTwoLevelForms:
         # each divided by the logarithmic mean of the pair
         lam = 0.7
         assert _breve_second_part(lam) == pytest.approx(
-            2 * (2 * lam - 1) ** 2 / logmean_kernel(lam, 1 - lam), rel=1e-14
+            2 * (2 * lam - 1) ** 2 / float(logmean_pairs(lam, 1 - lam)), rel=1e-14
         )
 
     def test_rejects_degenerate_weight(self) -> None:
@@ -565,11 +568,30 @@ def _inner(dom) -> float:
     [lambda n: geometric_family(math.log(2.0), n), lambda n: coherent_family(1.0, n)],
     ids=["geometric", "coherent"],
 )
-@pytest.mark.parametrize("trunc_dim", [math.nan, math.inf, 2.5, 1, -3])
+@pytest.mark.parametrize("trunc_dim", [math.nan, math.inf, 2.5, 1, -3, "a"])
 def test_constructors_reject_bad_trunc_dim(build, trunc_dim: float) -> None:
     # the sweep table's domain rule: a finite integer of at least 2
     with pytest.raises(InvalidInput, match="trunc_dim"):
         build(trunc_dim)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coherent_trunc_dim("a"),
+        lambda: coherent_family("a"),
+        lambda: geometric_family("a"),
+        lambda: TwoLevelFamily2(r="a").family(),
+        lambda: nonsmooth_projection_state("a"),
+        lambda: nonsmooth_projection_state(None),
+    ],
+    ids=["coherent_trunc_dim", "coherent_family", "geometric_family", "two_level_2",
+         "nonsmooth_string", "nonsmooth_none"],
+)
+def test_constructors_reject_non_real_parameters(build) -> None:
+    # each raised a bare TypeError from a comparison or math.isfinite
+    with pytest.raises(InvalidInput, match="real number"):
+        build()
 
 
 class TestRegistry:
