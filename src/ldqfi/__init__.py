@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     InvalidInput,
     QfiError,
-    ResourceLimit,
     SingularState,
     TruncationError,
 )

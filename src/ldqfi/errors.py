@@ -38,7 +38,3 @@ class TruncationError(QfiError):
 
 class DegenerateInformation(QfiError):
     """Fisher information is numerically zero, so information-based bounds are vacuous."""
-
-
-class ResourceLimit(QfiError):
-    """Requested computation exceeds the configured memory/dimension budget."""

@@ -52,6 +52,9 @@ MIXING_CAP = 1e8
 TRACE_TOL_ANALYTIC = 1e-12
 TRACE_TOL_NUMERIC = 1e-7
 
+# Step of the second difference in projection_curvature_residual.
+CURVATURE_STEP = 1e-3
+
 
 def _check_rank(w: np.ndarray) -> None:
     """Reject an ascending spectrum whose smallest eigenvalue is at or
@@ -101,14 +104,13 @@ class Analytic:
 
 @dataclass(frozen=True)
 class CentralDifference:
-    """Symmetric finite-difference derivative.
+    """Symmetric finite-difference derivative (rho(theta + h) -
+    rho(theta - h)) / 2h.
 
-    step None picks max(1e-5, cbrt(eps) * (1 + |theta|)).  richardson adds
-    one extrapolation level combining steps h and h/2.
+    step None picks max(1e-5, cbrt(eps) * (1 + |theta|)).
     """
 
     step: float | None = None
-    richardson: bool = False
 
 
 DerivativeMode = Analytic | CentralDifference
@@ -147,22 +149,20 @@ class StateFamily:
         if isinstance(self.derivative_mode, Analytic) and self.rho_prime_of is None:
             raise InvalidInput("analytic derivative mode requires rho_prime_of")
 
-    def contains(self, theta: float) -> bool:
-        lo, hi = self.theta_domain
-        return lo < theta < hi
-
 
 def _check_tolerance(x: float, name: str) -> float:
     """x as a float when it is a finite real number >= 0, else InvalidInput."""
-    if not 0.0 <= _real(x, name) < math.inf:
+    value = _real(x, name)
+    if not 0.0 <= value < math.inf:
         raise InvalidInput(f"{name} must be a finite number >= 0, got {x!r}")
-    return float(x)
+    return value
 
 
 def _check_step(h: float) -> float:
-    if not 0.0 < _real(h, "finite-difference step") < math.inf:
+    step = _real(h, "finite-difference step")
+    if not 0.0 < step < math.inf:
         raise InvalidInput(f"invalid finite-difference step {h!r}")
-    return h
+    return step
 
 
 def default_step(theta: float) -> float:
@@ -194,12 +194,6 @@ def eval_rho(fam: StateFamily, theta: float) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def _central_difference(fam: StateFamily, theta: float, h: float) -> np.ndarray:
-    plus = np.asarray(fam.rho_of(theta + h))
-    minus = np.asarray(fam.rho_of(theta - h))
-    return (plus - minus) / (2.0 * h)
-
-
 def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
     """Derivative of the family at theta, per its derivative mode.
 
@@ -215,10 +209,7 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
     else:
         h = _check_step(mode.step if mode.step is not None else default_step(theta))
         _check_theta(fam, theta, pad=h)
-        rp = _central_difference(fam, theta, h)
-        if mode.richardson:
-            finer = _central_difference(fam, theta, 0.5 * h)
-            rp = (4.0 * finer - rp) / 3.0
+        rp = (np.asarray(fam.rho_of(theta + h)) - np.asarray(fam.rho_of(theta - h))) / (2.0 * h)
         tol = TRACE_TOL_NUMERIC
     if rp.shape != (fam.dim, fam.dim):
         raise InvalidInput(f"derivative has shape {rp.shape}, expected {(fam.dim, fam.dim)}")
@@ -316,21 +307,15 @@ class SpectralBranches:
         """Every cluster projection P_k as a stack of shape (K, dim, dim)."""
         return np.stack([self.projection(k) for k in range(self.n_clusters)])
 
-    def projection_prime(self, k: int) -> np.ndarray:
-        """dP_k/dtheta from first-order perturbation of the other clusters.
-
-        In the eigenbasis it carries rho'_ab / (value_k - value_j) at every
-        entry coupling cluster k with another cluster j, in either order,
-        and zero elsewhere.
-        """
-        return self._primes(k)
-
     def projection_primes(self) -> np.ndarray:
-        """Every dP_k/dtheta as a stack of shape (K, dim, dim)."""
-        return self._primes(np.arange(self.n_clusters)[:, None, None])
+        """Every dP_k/dtheta, from first-order perturbation of the other
+        clusters, as a stack of shape (K, dim, dim).
 
-    def _primes(self, k: int | np.ndarray) -> np.ndarray:
-        # k is an integer, or an index array of shape (n, 1, 1) for a stack
+        In the eigenbasis dP_k/dtheta carries rho'_ab / (value_k - value_j)
+        at every entry coupling cluster k with another cluster j, in either
+        order, and zero elsewhere.
+        """
+        k = np.arange(self.n_clusters)[:, None, None]
         idx = self.cluster_index
         in_row = idx[:, None] == k
         in_col = idx[None, :] == k
@@ -341,14 +326,10 @@ class SpectralBranches:
         return self.basis @ block @ self.basis.conj().T
 
 
-def _cluster_starts(w: np.ndarray, cluster_tol: float | None) -> np.ndarray:
+def _cluster_starts(w: np.ndarray) -> np.ndarray:
     """Index of the first eigenvalue of each cluster of an ascending spectrum."""
-    gaps = np.diff(w)
-    if cluster_tol is not None:
-        merge = gaps <= cluster_tol
-    else:
-        floor = CLUSTER_ABS_FLOOR_REL * float(w[-1] - w[0])
-        merge = gaps <= np.maximum(floor, CLUSTER_REL * 0.5 * (w[:-1] + w[1:]))
+    floor = CLUSTER_ABS_FLOOR_REL * float(w[-1] - w[0])
+    merge = np.diff(w) <= np.maximum(floor, CLUSTER_REL * 0.5 * (w[:-1] + w[1:]))
     return np.concatenate(([0], np.flatnonzero(~merge) + 1))
 
 
@@ -363,8 +344,6 @@ class Eigenframe(NamedTuple):
 def spectral_branches(
     rho: DensityMatrix | np.ndarray | Eigenframe,
     rho_prime: np.ndarray | HermitianTridiagonal,
-    cluster_tol: float | None = None,
-    gap_tol: float | None = None,
 ) -> SpectralBranches:
     """Resolve (rho, rho') into spectral branches.
 
@@ -373,20 +352,14 @@ def spectral_branches(
     known in closed form, and rho' is already given in that basis, as a
     dense matrix or a HermitianTridiagonal (whose coupling rates come from
     its stored entries alone).  Either way the eigenvalues pass the same
-    rank, clustering, gap and rotation-rate checks.
+    rank, clustering and rotation-rate checks.
 
-    Either tolerance, when given, is a finite number >= 0 (else
-    InvalidInput).  cluster_tol overrides the default merge rule with an
-    absolute gap below which consecutive eigenvalues join one cluster.
-    gap_tol raises DegenerateCrossing for any surviving inter-cluster gap
-    below it; independent of gap_tol, a crossing is flagged when the
-    projection rotation rate ||coupling||/gap exceeds MIXING_CAP.  The
-    caller may then refine theta or pass a larger cluster_tol.
+    Consecutive eigenvalues join one cluster when their gap is below
+    max(CLUSTER_ABS_FLOOR_REL * spectral diameter, CLUSTER_REL * pair
+    mean).  DegenerateCrossing is raised for the first pair of neighbouring
+    clusters whose projection rotation rate ||coupling||/gap exceeds
+    MIXING_CAP; the caller may then evaluate the family at another theta.
     """
-    if cluster_tol is not None:
-        cluster_tol = _check_tolerance(cluster_tol, "cluster_tol")
-    if gap_tol is not None:
-        gap_tol = _check_tolerance(gap_tol, "gap_tol")
     if isinstance(rho, Eigenframe):
         v, w = rho
         _check_rank(w)
@@ -400,7 +373,7 @@ def spectral_branches(
         v, w = rho.eigenvectors, rho.eigenvalues
         rp_eig = v.conj().T @ rho_prime @ v
 
-    starts = _cluster_starts(w, cluster_tol)
+    starts = _cluster_starts(w)
     mults = np.diff(np.append(starts, w.size))
     slices = [slice(a, a + m) for a, m in zip(starts.tolist(), mults.tolist())]
     values = np.add.reduceat(w, starts) / mults
@@ -418,14 +391,8 @@ def spectral_branches(
 
     gaps = np.diff(values)
     rates = np.sqrt(coupling_sq) / gaps
-    too_close = gaps < gap_tol if gap_tol is not None else np.zeros(gaps.shape, dtype=bool)
-    for k in np.flatnonzero(too_close | (rates > MIXING_CAP))[:1]:
+    for k in np.flatnonzero(rates > MIXING_CAP)[:1]:
         pair = (float(values[k]), float(values[k + 1]))
-        if too_close[k]:
-            raise DegenerateCrossing(
-                f"clusters at {pair[0]:.6g} and {pair[1]:.6g} closer than gap_tol {gap_tol:g}",
-                pair=pair,
-            )
         raise DegenerateCrossing(
             f"projection rotation rate {rates[k]:.3e} exceeds {MIXING_CAP:g} "
             f"between eigenvalues {pair[0]:.6g} and {pair[1]:.6g}",
@@ -442,10 +409,10 @@ def spectral_branches(
     )
 
 
-def branches_at(fam: StateFamily, theta: float, **kwargs) -> SpectralBranches:
+def branches_at(fam: StateFamily, theta: float) -> SpectralBranches:
     """Convenience: branches of (rho, rho') evaluated from a family, through
     the eigensolver even when the family has a branches_of hook."""
-    return spectral_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta), **kwargs)
+    return spectral_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
 
 
 @dataclass(frozen=True)
@@ -513,17 +480,17 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
     )
 
 
-def projection_curvature_residual(fam: StateFamily, theta: float, h: float = 1e-3) -> float:
+def projection_curvature_residual(fam: StateFamily, theta: float) -> float:
     """Residual of the second-derivative identity
     P_j P''_k + P''_j P_k + 2 P'_j P'_k = delta_jk P''_j,
     with P'' from a Richardson-extrapolated symmetric second difference
-    (step h combined with step h/2, cancelling the h^2 truncation term).
+    (step h = CURVATURE_STEP combined with step h/2, cancelling the h^2
+    truncation term).
 
     Clusters are matched across the stencil by ascending order, so the
     family must keep a constant cluster count on [theta - h, theta + h].
-    A step that is not positive and finite raises InvalidInput.
     """
-    _check_step(h)
+    h = CURVATURE_STEP
     brs = [
         branches_at(fam, t)
         for t in (theta - h, theta - h / 2, theta, theta + h / 2, theta + h)
@@ -531,7 +498,7 @@ def projection_curvature_residual(fam: StateFamily, theta: float, h: float = 1e-
     counts = {b.n_clusters for b in brs}
     if len(counts) != 1:
         raise DegenerateCrossing(
-            "cluster count changes across the finite-difference stencil; refine theta or h"
+            "cluster count changes across the finite-difference stencil; choose another theta"
         )
     mid = brs[2]
     proj = mid.projections()
@@ -572,7 +539,8 @@ def nonsmooth_projection_state(theta: float) -> NonsmoothProjectionState:
     rho = I/2, flagged degenerate_at_zero; the projections have no limit as
     theta -> 0, which is why branch data cannot be assigned there.
     """
-    if not math.isfinite(_real(theta, "theta")) or abs(theta) > 1.0:
+    theta = _real(theta, "theta")
+    if not (math.isfinite(theta) and abs(theta) <= 1.0):
         raise DomainError("theta must lie in [-1, 1]", value=theta)
     eye = np.eye(2)
     if theta == 0.0:
@@ -599,7 +567,6 @@ def random_analytic_family(
     rng: np.random.Generator,
     commuting: bool = False,
     min_rel_gap: float = 1e-2,
-    name: str = "random",
 ) -> StateFamily:
     """Random analytic full-rank family rho(theta) = exp(G0 + theta G1)/trace.
 
@@ -646,7 +613,7 @@ def random_analytic_family(
             theta_domain=(-1.0, 1.0),
             rho_of=rho_of,
             rho_prime_of=rho_prime_of,
-            name=name,
+            name="random",
         )
     raise InvalidInput("failed to draw a well-separated random family")
 

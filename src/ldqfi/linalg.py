@@ -32,20 +32,12 @@ HERMITICITY_TOL = 1e-12
 # so both branches stay at machine precision everywhere.
 LOGMEAN_SWITCH = 5e-3
 
-# Coefficients b_0..b_m of the diagonal [m/m] Pade approximant to e^x, each
-# with the largest 1-norm theta_m at which it meets double-precision unit
+# Coefficients b_0..b_13 of the diagonal [13/13] Pade approximant to e^x,
+# and the largest 1-norm theta_13 at which it meets double-precision unit
 # roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
-# Degree 13 with scaling and squaring covers every norm above theta_9.  The
-# tables hold the coefficients as rows over the stacked even powers I, A^2,
-# A^4, ...: for degree m <= 9, U = A (row 0) and V = row 1; degree 13 splits
-# each sum at A^6, U = A (A^6 row 0 + row 2) and V = A^6 row 1 + row 3.
-_PADE_LOW = tuple((theta, np.array([b[1::2], b[0::2]])) for theta, b in (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-                           2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-))
+# The table holds them as rows over the stacked even powers I, A^2, A^4,
+# A^6, splitting each sum at A^6: U = A (A^6 row 0 + row 2) and
+# V = A^6 row 1 + row 3.
 _THETA_13 = 5.371920351148152e0
 _PADE_13_B = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
@@ -256,11 +248,13 @@ class HermitianTridiagonal:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix by Pade scaling and squaring.
 
-    The Pade degree (3, 5, 7, 9 or 13) is the lowest whose theta_m bounds
-    the 1-norm of A; above theta_13, A is scaled by 2^-s into range and the
-    degree-13 approximant squared s times (Higham 2005).  A matrix that is
-    not square or has non-numeric or non-finite entries raises
-    InvalidInput, one whose 1-norm overflows double precision DomainError.
+    The degree-13 Pade approximant is used at every norm: above theta_13,
+    A is scaled by 2^-s into range and the approximant squared s times
+    (Higham 2005).  Lower degrees would meet the same absolute accuracy
+    below their own theta_m, but not the entrywise accuracy of the small
+    entries far from the diagonal.  A matrix that is not square or has
+    non-numeric or non-finite entries raises InvalidInput, one whose 1-norm
+    overflows double precision DomainError.
     """
     a = _as_square_matrix(a)
     a = a.astype(np.result_type(a, float), copy=False)
@@ -268,13 +262,8 @@ def expm(a: np.ndarray) -> np.ndarray:
         norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     if norm == math.inf:
         raise DomainError("the 1-norm of the matrix overflows double precision", value=norm)
-    for theta, coef in _PADE_LOW:
-        if norm <= theta:
-            odd, v = _combine(coef, _even_powers(a @ a, coef.shape[1]))
-            u = a @ odd
-            return np.linalg.solve(v - u, v + u)
     # scale before forming any power, so a huge norm cannot overflow A^2
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     if s:
         a = a / 2.0**s
     powers = _even_powers(a @ a, 4)
@@ -305,11 +294,15 @@ def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (coef @ powers.reshape(k, n * n)).reshape(len(coef), n, n)
 
 
-def _real(x, name: str):
-    """x itself when it is a real number (a bool is not), else InvalidInput."""
+def _real(x, name: str) -> float:
+    """x as a float when it is a real number (a bool is not), else
+    InvalidInput; so is an integer too large for a float."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise InvalidInput(f"{name} must be a real number, got {x!r}")
-    return x
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidInput(f"{name} must be a real number within the range of a float") from None
 
 
 def _positive_int(n, name: str) -> int:
@@ -332,7 +325,8 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
     k = 1 if count is None else _positive_int(count, "count")
     if not isinstance(rng, np.random.Generator):
         raise InvalidInput(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
-    if not math.isfinite(_real(scale, "scale")):
+    scale = _real(scale, "scale")
+    if not math.isfinite(scale):
         raise InvalidInput(f"scale must be finite, got {scale!r}")
     # each matrix draws its real part, then its imaginary part
     z = rng.standard_normal((k, 2, dim, dim))

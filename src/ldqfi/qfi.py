@@ -24,7 +24,6 @@ from .family import (
     DensityMatrix,
     SpectralBranches,
     StateFamily,
-    _check_step,
     _check_theta,
     branches_at,
     default_step,
@@ -53,6 +52,12 @@ from .linalg import (
 # few of them, so its memory stays of the order of one point's, while a
 # block still shares the Python work per call among its points.
 REPORT_BLOCK_ENTRIES = 2**14
+
+# local_cr_check holds when the slack Var - u^2/QFI is at least -CR_SLACK_TOL.
+CR_SLACK_TOL = 1e-10
+
+# Steps eps of the relative-entropy ratios that relent_limit extrapolates.
+RELENT_EPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
 def qfi_bvn(br: SpectralBranches) -> float:
@@ -182,20 +187,16 @@ def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
     return u, lhs, u**2 / info
 
 
-def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str,
-                   slack_tol: float = 1e-10) -> CrCheck:
+def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str) -> CrCheck:
     """Check Var(Theta) >= u^2 / QFI with u = Tr(rho' Theta) for one
     observable: local_cr_terms of a stack of one, holding when the slack
-    is at least -slack_tol.  A slack_tol that is not finite raises
-    InvalidInput."""
-    if not math.isfinite(slack_tol):
-        raise InvalidInput(f"slack_tol must be finite, got {slack_tol!r}")
+    is at least -CR_SLACK_TOL."""
     y = np.asarray(obs)
     if y.ndim != 2:
         raise InvalidInput(f"observable must be a square matrix, got shape {y.shape}")
     u, lhs, rhs = local_cr_terms(br, y[None], model)
     lhs, rhs = float(lhs[0]), float(rhs[0])
-    return CrCheck(model=model, u=float(u[0]), lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack_tol)
+    return CrCheck(model=model, u=float(u[0]), lhs=lhs, rhs=rhs, holds=lhs >= rhs - CR_SLACK_TOL)
 
 
 def _log_state(state: DensityMatrix) -> np.ndarray:
@@ -211,45 +212,34 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     return trace_product(sigma.matrix, _log_state(sigma) - _log_state(rho))
 
 
-def relent_limit(fam: StateFamily, theta: float,
-                 eps_seq: Sequence[float] = (1e-2, 5e-3, 2.5e-3, 1.25e-3)) -> float:
+def relent_limit(fam: StateFamily, theta: float) -> float:
     """Quadratic coefficient of the relative entropy along the family:
     the limit of 2 S(rho_{theta+eps} || rho_theta)/eps^2 as eps -> 0.
 
-    The ratios 2 S/eps^2 expand as value + c1*eps + c2*eps^2 + ..., so the
-    sequence is fit with a quadratic in eps (linear when only two entries
-    are given) and the intercept is returned; it converges to the KMB
-    information value qfi_bvn(theta).  eps_seq needs at least two entries,
-    all finite, positive and distinct, else InvalidInput: a repeated step
-    leaves the fit singular.
+    The ratios 2 S/eps^2 at the steps RELENT_EPS expand as
+    value + c1*eps + c2*eps^2 + ..., so they are fit with a quadratic in
+    eps and the intercept is returned; it converges to the KMB information
+    value qfi_bvn(theta).
     """
-    try:
-        eps = np.asarray(list(eps_seq), dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"eps_seq must be a sequence of numbers, got {eps_seq!r}") from None
-    if eps.ndim != 1 or eps.size < 2 or not np.all(np.isfinite(eps) & (eps > 0)):
-        raise InvalidInput(f"eps_seq needs at least two finite positive entries, got {list(eps_seq)!r}")
-    if np.unique(eps).size != eps.size:
-        raise InvalidInput(f"eps_seq entries must be distinct, got {list(eps_seq)!r}")
+    eps = np.asarray(RELENT_EPS)
     base = eval_rho(fam, theta)
     ys = []
     for e in eps:
         shifted = eval_rho(fam, theta + e)
         ys.append(2.0 * relative_entropy(shifted, base) / e**2)
-    degree = min(2, eps.size - 1)
-    coeffs = np.polyfit(eps, np.asarray(ys), degree)
+    coeffs = np.polyfit(eps, np.asarray(ys), 2)
     return float(coeffs[-1])
 
 
-def maximality_check(fam: StateFamily, theta: float, step: float | None = None) -> tuple[float, float]:
+def maximality_check(fam: StateFamily, theta: float) -> tuple[float, float]:
     """Expectation of the derivative of the KMB LD operator against -QFI.
 
     Returns (Tr(rho H'), -qfi_bvn); the two agree because differentiating
     Tr(rho H) = 0 gives Tr(rho' H) + Tr(rho H') = 0 and Tr(rho' H) is the
-    information value.  H' is a symmetric difference of the operator field;
-    a step that is not positive and finite raises InvalidInput.
+    information value.  H' is a symmetric difference of the operator field
+    with step default_step(theta).
     """
-    h = _check_step(step if step is not None else default_step(theta))
+    h = default_step(theta)
     plus = ld_operator(branches_at(fam, theta + h), "bvn", split=False).matrix
     minus = ld_operator(branches_at(fam, theta - h), "bvn", split=False).matrix
     h_prime = (plus - minus) / (2.0 * h)

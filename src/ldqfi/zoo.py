@@ -62,6 +62,12 @@ COHERENT_MIN_EIG = 1e-11
 DISPLACEMENT_TOL = 1e-8
 BULK_MARGIN = 10
 
+# Open theta domains of the two-level families, the displaced thermal
+# family and the projection-oscillation counterexample.
+TWO_LEVEL_DOMAIN = (-1.5, 1.5)
+COHERENT_DOMAIN = (-0.3, 0.3)
+COUNTEREXAMPLE_DOMAIN = (-1.0, 1.0)
+
 
 def _bulk_margin(theta: float, dim: int) -> int:
     return max(BULK_MARGIN, math.ceil(3.5 * abs(theta) * math.sqrt(dim)) + 8)
@@ -94,13 +100,12 @@ def rotating_projection_prime(theta: float) -> np.ndarray:
 class TwoLevelFamily1:
     """rho = lambda(theta) P(theta) + (1-lambda(theta)) (I - P(theta)).
 
-    Both the weight and the eigenbasis move; lambda_fn must map the domain
-    into (0, 1) and lambda_prime_fn must be its derivative.
+    Both the weight and the eigenbasis move; lambda_fn must map
+    TWO_LEVEL_DOMAIN into (0, 1) and lambda_prime_fn must be its derivative.
     """
 
     lambda_fn: Callable[[float], float]
     lambda_prime_fn: Callable[[float], float]
-    theta_domain: tuple[float, float] = (-1.5, 1.5)
 
     def weight(self, theta: float) -> tuple[float, float]:
         return float(self.lambda_fn(theta)), float(self.lambda_prime_fn(theta))
@@ -119,7 +124,7 @@ class TwoLevelFamily1:
 
         return StateFamily(
             dim=2,
-            theta_domain=self.theta_domain,
+            theta_domain=TWO_LEVEL_DOMAIN,
             rho_of=rho_of,
             rho_prime_of=rho_prime_of,
             name="two_level_1",
@@ -134,13 +139,9 @@ def tanh_weight_prime(theta: float) -> float:
     return 0.5 / math.cosh(theta) ** 2
 
 
-def default_two_level_1(theta_domain: tuple[float, float] = (-1.5, 1.5)) -> TwoLevelFamily1:
+def default_two_level_1() -> TwoLevelFamily1:
     """The standard choice lambda = (1 + tanh theta)/2."""
-    return TwoLevelFamily1(
-        lambda_fn=tanh_weight,
-        lambda_prime_fn=tanh_weight_prime,
-        theta_domain=theta_domain,
-    )
+    return TwoLevelFamily1(lambda_fn=tanh_weight, lambda_prime_fn=tanh_weight_prime)
 
 
 @dataclass(frozen=True)
@@ -148,16 +149,17 @@ class TwoLevelFamily2:
     """Frozen weight (1+r)/2 on the rotating projection: rho' = r P'(theta).
 
     r = 0 is the maximally mixed point (the family is then constant) and
-    r -> 1 degenerates to a pure state, rejected as rank deficient.
+    r -> 1 degenerates to a pure state, rejected as rank deficient.  The
+    domain is TWO_LEVEL_DOMAIN.
     """
 
     r: float
-    theta_domain: tuple[float, float] = (-1.5, 1.5)
 
     def __post_init__(self):
-        if not (math.isfinite(_real(self.r, "radius r")) and 0.0 <= self.r <= 1.0):
+        r = _real(self.r, "radius r")
+        if not (math.isfinite(r) and 0.0 <= r <= 1.0):
             raise InvalidInput(f"radius r={self.r!r} must lie in [0, 1]")
-        if 1.0 - self.r <= 2.0 * RANK_TOL:
+        if 1.0 - r <= 2.0 * RANK_TOL:
             raise SingularState(f"r={self.r!r} leaves no spectral gap above the rank floor")
 
     def weight(self, theta: float) -> tuple[float, float]:
@@ -175,7 +177,7 @@ class TwoLevelFamily2:
 
         return StateFamily(
             dim=2,
-            theta_domain=self.theta_domain,
+            theta_domain=TWO_LEVEL_DOMAIN,
             rho_of=rho_of,
             rho_prime_of=rho_prime_of,
             name="two_level_2",
@@ -212,14 +214,15 @@ def geometric_family(theta_center: float, trunc_dim: int | None = None) -> State
       lambda'_j = lambda_j (1/(e^theta - 1) - j - N/(e^{N theta} - 1)).
     A trunc_dim that is not an integer of at least 2 raises InvalidInput.
     """
-    if not (math.isfinite(_real(theta_center, "theta_center")) and theta_center > GEOMETRIC_HALF_WIDTH):
+    center = _real(theta_center, "theta_center")
+    if not (math.isfinite(center) and center > GEOMETRIC_HALF_WIDTH):
         raise DomainError(
             f"theta_center {theta_center!r} must exceed half_width {GEOMETRIC_HALF_WIDTH:g} "
             "to keep the window positive",
-            value=theta_center,
+            value=center,
         )
-    lo = theta_center - GEOMETRIC_HALF_WIDTH
-    hi = theta_center + GEOMETRIC_HALF_WIDTH
+    lo = center - GEOMETRIC_HALF_WIDTH
+    hi = center + GEOMETRIC_HALF_WIDTH
     if trunc_dim is not None:
         _TRUNC_DIM.check("trunc_dim", trunc_dim)
     n = geometric_trunc_dim(lo, hi) if trunc_dim is None else int(trunc_dim)
@@ -263,11 +266,12 @@ def coherent_trunc_dim(mean_occupation: float) -> int:
     COHERENT_MIN_EIG.  On the clamped branch the tail exceeds the target;
     the constructor still enforces the hard cap.
     """
-    if not (_real(mean_occupation, "mean occupation") > 0.0 and math.isfinite(mean_occupation)):
+    m = _real(mean_occupation, "mean occupation")
+    if not (m > 0.0 and math.isfinite(m)):
         raise InvalidInput(f"mean occupation {mean_occupation!r} must be positive")
-    log_inv_q = math.log1p(1.0 / mean_occupation)
+    log_inv_q = math.log1p(1.0 / m)
     n_tail = math.ceil(math.log(1.0 / COHERENT_TAIL_TARGET) / log_inv_q)
-    frac = 1.0 / (mean_occupation + 1.0)
+    frac = 1.0 / (m + 1.0)
     n_rank = math.floor(math.log(frac / COHERENT_MIN_EIG) / log_inv_q) + 1
     return max(2, min(n_tail, n_rank))
 
@@ -327,7 +331,8 @@ def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
 class CoherentFamily:
     """Thermal state of a given mean occupation, displaced along a
     real-amplitude path, truncated to trunc_dim number levels and
-    renormalized over the kept levels.
+    renormalized over the kept levels; the amplitude ranges over
+    COHERENT_DOMAIN.
 
     Use coherent_family to construct one with the tail and rank guards
     applied.
@@ -335,7 +340,6 @@ class CoherentFamily:
 
     mean_occupation: float
     trunc_dim: int
-    theta_domain: tuple[float, float] = (-0.3, 0.3)
 
     @property
     def q(self) -> float:
@@ -428,7 +432,7 @@ class CoherentFamily:
 
         return StateFamily(
             dim=self.trunc_dim,
-            theta_domain=self.theta_domain,
+            theta_domain=COHERENT_DOMAIN,
             rho_of=rho_of,
             rho_prime_of=rho_prime_of,
             name="coherent",
@@ -436,11 +440,7 @@ class CoherentFamily:
         )
 
 
-def coherent_family(
-    mean_occupation: float,
-    trunc_dim: int | None = None,
-    theta_domain: tuple[float, float] = (-0.3, 0.3),
-) -> CoherentFamily:
+def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> CoherentFamily:
     """Construct a displaced thermal family with truncation guards.
 
     A caller-chosen trunc_dim is accepted only while the discarded tail
@@ -448,12 +448,13 @@ def coherent_family(
     smallest kept eigenvalue clears the rank floor (SingularState); one
     that is not an integer of at least 2 raises InvalidInput.
     """
-    if not (_real(mean_occupation, "mean occupation") > 0.0 and math.isfinite(mean_occupation)):
+    m = _real(mean_occupation, "mean occupation")
+    if not (m > 0.0 and math.isfinite(m)):
         raise InvalidInput(f"mean occupation {mean_occupation!r} must be positive")
     if trunc_dim is not None:
         _TRUNC_DIM.check("trunc_dim", trunc_dim)
-    n = coherent_trunc_dim(mean_occupation) if trunc_dim is None else int(trunc_dim)
-    q = mean_occupation / (mean_occupation + 1.0)
+    n = coherent_trunc_dim(m) if trunc_dim is None else int(trunc_dim)
+    q = m / (m + 1.0)
     tail = q**n
     if tail > COHERENT_TAIL_HARD:
         raise TruncationError(
@@ -464,11 +465,7 @@ def coherent_family(
         raise SingularState(
             f"smallest retained eigenvalue {lam_min:.3e} at or below the rank floor; reduce trunc_dim"
         )
-    return CoherentFamily(
-        mean_occupation=float(mean_occupation),
-        trunc_dim=n,
-        theta_domain=theta_domain,
-    )
+    return CoherentFamily(mean_occupation=m, trunc_dim=n)
 
 
 def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranches:
@@ -508,7 +505,7 @@ def counterexample_family(step: float | None = None) -> StateFamily:
 
     return StateFamily(
         dim=2,
-        theta_domain=(-1.0, 1.0),
+        theta_domain=COUNTEREXAMPLE_DOMAIN,
         rho_of=rho_of,
         derivative_mode=CentralDifference(step=step),
         name="counterexample31",
@@ -535,11 +532,12 @@ class Interval:
 
     def check(self, label: str, value: float) -> None:
         """Raise InvalidInput unless value is admissible; NaN and infinities never are."""
+        x = _real(value, label)
         inside = (
-            math.isfinite(_real(value, label))
-            and (self.lo <= value if self.closed_lo else self.lo < value)
-            and value < self.hi
-            and not (self.integer and value != int(value))
+            math.isfinite(x)
+            and (self.lo <= x if self.closed_lo else self.lo < x)
+            and x < self.hi
+            and not (self.integer and x != int(x))
         )
         if not inside:
             kind = "integers" if self.integer else "interval"
@@ -568,7 +566,7 @@ class FamilySpec:
     family_coords: frozenset[str] = frozenset()
 
 
-_TWO_LEVEL_THETA = Interval(-1.5, 1.5)
+_TWO_LEVEL_THETA = Interval(*TWO_LEVEL_DOMAIN)
 _RADIUS = Interval(0.0, 1.0, closed_lo=True)
 _TRUNC_DIM = Interval(2.0, math.inf, closed_lo=True, integer=True)
 
@@ -598,12 +596,12 @@ FAMILIES: Mapping[str, FamilySpec] = {
     ),
     "coherent": FamilySpec(
         params={"M": Interval(0.0, math.inf), "trunc_dim": _TRUNC_DIM},
-        coords={"theta": Interval(-0.3, 0.3)},
+        coords={"theta": Interval(*COHERENT_DOMAIN)},
         build=lambda v: (coherent_family(v.get("M", 1.0), v.get("trunc_dim")).family(), v["theta"]),
     ),
     "counterexample31": FamilySpec(
         params={"step": STEP_DOMAIN},
-        coords={"theta": Interval(-1.0, 1.0)},
+        coords={"theta": Interval(*COUNTEREXAMPLE_DOMAIN)},
         build=lambda v: (counterexample_family(step=v.get("step")), v["theta"]),
         analytic=False,
     ),

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ldqfi.errors import DomainError, InvalidInput, ResourceLimit, TruncationError
+from ldqfi.errors import DomainError, InvalidInput, TruncationError
 from ldqfi.family import (
     DensityMatrix,
     ProjectionAuditReport,
@@ -234,7 +234,7 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
     if n > 3:
         return n * single
     if br.dim**n > NCOPY_DIM_CAP:
-        raise ResourceLimit(
+        raise InvalidInput(
             f"n-copy dimension {br.dim**n} exceeds cap {NCOPY_DIM_CAP}; use the additivity formula"
         )
     rho = br.rho()

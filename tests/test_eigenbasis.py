@@ -31,6 +31,7 @@ from ldqfi import (
 )
 from ldqfi.errors import DegenerateCrossing
 from ldqfi.family import MIXING_CAP, TRACE_TOL_ANALYTIC, eval_rho, eval_rho_prime
+from ldqfi.qfi import RELENT_EPS
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
@@ -105,9 +106,8 @@ def test_verify_cr_builds_one_kernel_table_per_model_and_branch_set(monkeypatch)
 def test_relent_limit_runs_one_eigh_per_state(monkeypatch, tanh_family) -> None:
     counts: dict[str, int] = {}
     _counting(monkeypatch, np.linalg, "eigh", counts)
-    eps = (1e-2, 5e-3, 2.5e-3)
-    relent_limit(tanh_family, 0.3, eps)
-    assert counts == {"eigh": len(eps) + 1}
+    relent_limit(tanh_family, 0.3)
+    assert counts == {"eigh": len(RELENT_EPS) + 1}
 
 
 def _multiplet_family(dim: int, rng: np.random.Generator) -> StateFamily:
@@ -151,7 +151,8 @@ def _split_reference(br, model: str) -> tuple[np.ndarray, np.ndarray]:
     ks = range(br.n_clusters)
     h1 = sum(br.cluster_value_primes[k] / br.cluster_values[k] * br.projection(k) for k in ks)
     if model == "bvn":
-        return h1, sum(np.log(br.cluster_values[k]) * br.projection_prime(k) for k in ks)
+        prime = br.projection_primes()
+        return h1, sum(np.log(br.cluster_values[k]) * prime[k] for k in ks)
     return h1, ld_operator(br, model, split=False).matrix - h1
 
 
@@ -189,55 +190,51 @@ def test_eigenbasis_values_match_dense_oracles(dim: int, kind: str) -> None:
     scale = max(1.0, max(float(np.abs(h).max()) for h in ops))
     assert abs(rep.max_zero_expectation - dense) <= 1e-13 * scale
 
-    # cluster bookkeeping and the h1/h2 split against per-cluster loops, also
-    # with the closest eigenvalue pair merged into one cluster by cluster_tol
-    closest = float(np.diff(br.eigenvalues).min())
-    clustered = branches_at(fam, theta, cluster_tol=max(1e-9, 1.5 * closest))
-    assert max(clustered.cluster_mults) >= 2
+    # cluster bookkeeping and the h1/h2 split against per-cluster loops; the
+    # multiplet family's doubly degenerate pair is one cluster of two
     if kind == "multiplet":
         assert br.n_clusters == dim - 1
-    for b in (br, clustered):
-        values, primes = _cluster_reference(b)
-        np.testing.assert_allclose(b.cluster_values, values, rtol=1e-14)
-        np.testing.assert_allclose(b.cluster_value_primes, primes, rtol=1e-12, atol=1e-14)
-        for m in MODELS:
-            op = ld_operator(b, m, split=True)
-            h1, h2 = _split_reference(b, m)
-            scale = max(1.0, float(np.abs(op.matrix).max()))
-            assert np.abs(op.h1 - h1).max() <= 1e-10 * scale, m
-            assert np.abs(op.h2 - h2).max() <= 1e-10 * scale, m
+        assert max(br.cluster_mults) == 2
+    values, primes = _cluster_reference(br)
+    np.testing.assert_allclose(br.cluster_values, values, rtol=1e-14)
+    np.testing.assert_allclose(br.cluster_value_primes, primes, rtol=1e-12, atol=1e-14)
+    for m in MODELS:
+        op = ld_operator(br, m, split=True)
+        h1, h2 = _split_reference(br, m)
+        scale = max(1.0, float(np.abs(op.matrix).max()))
+        assert np.abs(op.h1 - h1).max() <= 1e-10 * scale, m
+        assert np.abs(op.h2 - h2).max() <= 1e-10 * scale, m
 
 
-def _first_crossing_reference(w, rp, gap_tol):
+def _first_crossing_reference(w, rp):
     """Loop over neighbouring clusters of a diagonal state: the first pair
-    whose gap is below gap_tol or whose rotation rate exceeds MIXING_CAP."""
-    br = spectral_branches(np.diag(w).astype(complex), np.zeros_like(rp), cluster_tol=None)
+    whose rotation rate exceeds MIXING_CAP."""
+    br = spectral_branches(np.diag(w).astype(complex), np.zeros_like(rp))
     s, v = br.cluster_slices, br.cluster_values
     for k in range(br.n_clusters - 1):
         gap = v[k + 1] - v[k]
         rate = np.linalg.norm(rp[s[k], s[k + 1]]) / gap
-        if (gap_tol is not None and gap < gap_tol) or rate > MIXING_CAP:
+        if rate > MIXING_CAP:
             return (float(v[k]), float(v[k + 1]))
     return None
 
 
 @pytest.mark.parametrize("coupling", [1e-3, 1.0])
-@pytest.mark.parametrize("gap_tol", [None, 1e-3])
-def test_crossing_check_matches_cluster_loop(coupling: float, gap_tol) -> None:
+def test_crossing_check_matches_cluster_loop(coupling: float) -> None:
     # clusters of multiplicity 2, 1, 1, 1, 1: before normalization, a close
-    # pair at 0.15 (gap 1e-4) and a near-crossing at 0.2 (gap 2e-9) that
-    # rotates fast for coupling 1
+    # pair at 0.15 (gap 1e-4) that is resolvable, and a near-crossing at 0.2
+    # (gap 2e-9) that rotates fast for coupling 1
     w = np.array([0.1, 0.1, 0.15, 0.15 + 1e-4, 0.2, 0.2 + 2e-9])
     w /= w.sum()
     rp = np.zeros((6, 6), dtype=complex)
     rp[0, 2] = rp[2, 0] = rp[1, 3] = rp[3, 1] = 0.05
     rp[4, 5] = rp[5, 4] = coupling
-    expected = _first_crossing_reference(w, rp, gap_tol)
+    expected = _first_crossing_reference(w, rp)
     if expected is None:
-        assert spectral_branches(np.diag(w).astype(complex), rp, gap_tol=gap_tol).n_clusters == 5
+        assert spectral_branches(np.diag(w).astype(complex), rp).n_clusters == 5
     else:
         with pytest.raises(DegenerateCrossing) as err:
-            spectral_branches(np.diag(w).astype(complex), rp, gap_tol=gap_tol)
+            spectral_branches(np.diag(w).astype(complex), rp)
         assert err.value.pair == expected
 
 

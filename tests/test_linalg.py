@@ -25,8 +25,6 @@ from ldqfi import (
     trace_product,
 )
 from ldqfi.linalg import (
-    _PADE_LOW,
-    _THETA_13,
     LOGMEAN_SWITCH,
     hermitize,
     is_hermitian,
@@ -285,13 +283,20 @@ def _with_norm(a: np.ndarray, norm: float) -> np.ndarray:
     return a * (norm / np.abs(a).sum(axis=0).max())
 
 
-_PADE_THETAS = [theta for theta, _ in _PADE_LOW] + [_THETA_13]
+# The 1-norms theta_3, theta_5, theta_7, theta_9 and theta_13 at which
+# Higham's (2005) scaling and squaring switches Pade degree; expm uses
+# degree 13 throughout, so each is a norm at which a lower degree would
+# have been enough, and theta_13 is where scaling starts.
+_PADE_THETAS = [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                2.097847961257068e0, 5.371920351148152e0]
 
 
 @pytest.mark.parametrize("theta", _PADE_THETAS)
 @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_expm_matches_scipy_on_each_pade_branch(theta: float, side: float, dtype, rng) -> None:
+    """Each side of the norms where a degree-switching expm would change
+    branch, against scipy."""
     from scipy.linalg import expm as scipy_expm
 
     a = rng.standard_normal((6, 6))
@@ -328,6 +333,24 @@ def test_expm_of_coherent_generator_matches_scipy(dim: int, theta: float) -> Non
 
     gen = CoherentFamily(1.0, dim).generator()
     assert _rel_err(expm(theta * gen), scipy_expm(theta * gen)) <= EXPM_RTOL
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.05])
+def test_expm_small_entries_match_high_precision(theta: float) -> None:
+    """Entrywise accuracy of the displacement at small amplitudes, where a
+    low Pade degree would meet the absolute bound but lose the small
+    entries far from the diagonal: the median entrywise relative error
+    against a 30-digit exponential."""
+    import mpmath
+
+    dim = 34
+    a = theta * CoherentFamily(1.0, dim).generator()
+    with mpmath.workdps(30):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        ref = np.array([[float(exact[i, j]) for j in range(dim)] for i in range(dim)])
+    nonzero = ref != 0.0
+    rel = np.abs(expm(a) - ref)[nonzero] / np.abs(ref)[nonzero]
+    assert float(np.median(rel)) <= 1e-12
 
 
 def test_expm_complex_hermitian_and_one_by_one(rng) -> None:

@@ -6,6 +6,7 @@ tests), and ``import ldqfi`` loads the runtime modules alone."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -69,3 +70,48 @@ def test_import_loads_only_the_runtime_modules() -> None:
                          check=True)
     runtime = ("errors", "family", "ldops", "linalg", "qfi", "zoo")
     assert json.loads(out.stdout) == ["ldqfi"] + [f"ldqfi.{m}" for m in runtime]
+
+
+# Keywords and fields that no runtime caller set, each replaced by the one
+# value it was always given.
+REMOVED_PARAMETERS = {
+    ldqfi.spectral_branches: ("cluster_tol", "gap_tol"),
+    ldqfi.coherent_family: ("theta_domain",),
+    ldqfi.default_two_level_1: ("theta_domain",),
+    ldqfi.relent_limit: ("eps_seq",),
+    ldqfi.local_cr_check: ("slack_tol",),
+    ldqfi.maximality_check: ("step",),
+    ldqfi.projection_curvature_residual: ("h",),
+    ldqfi.random_analytic_family: ("name",),
+}
+REMOVED_FIELDS = {
+    ldqfi.CentralDifference: "richardson",
+    ldqfi.TwoLevelFamily1: "theta_domain",
+    ldqfi.TwoLevelFamily2: "theta_domain",
+    ldqfi.CoherentFamily: "theta_domain",
+}
+
+
+@pytest.mark.parametrize("fn", list(REMOVED_PARAMETERS), ids=lambda fn: fn.__name__)
+def test_removed_keywords_are_gone(fn) -> None:
+    params = inspect.signature(fn).parameters
+    assert sorted(set(REMOVED_PARAMETERS[fn]) & set(params)) == []
+
+
+def test_branches_at_takes_no_keywords() -> None:
+    params = inspect.signature(ldqfi.branches_at).parameters
+    assert list(params) == ["fam", "theta"]
+
+
+@pytest.mark.parametrize("cls", list(REMOVED_FIELDS), ids=lambda cls: cls.__name__)
+def test_removed_fields_are_gone(cls) -> None:
+    assert REMOVED_FIELDS[cls] not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_one_pade_degree_and_no_unused_members() -> None:
+    assert "_PADE_LOW" not in vars(linalg)
+    assert "theta_domain" in {f.name for f in dataclasses.fields(ldqfi.StateFamily)}
+    assert not hasattr(ldqfi.StateFamily, "contains")
+    assert not hasattr(ldqfi.SpectralBranches, "projection_prime")
+    assert not hasattr(ldqfi, "ResourceLimit")
+    assert not hasattr(ldqfi.errors, "ResourceLimit")

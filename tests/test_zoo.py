@@ -584,12 +584,19 @@ def test_constructors_reject_bad_trunc_dim(build, trunc_dim: float) -> None:
         lambda: TwoLevelFamily2(r="a").family(),
         lambda: nonsmooth_projection_state("a"),
         lambda: nonsmooth_projection_state(None),
+        lambda: coherent_trunc_dim(10**400),
+        lambda: coherent_family(10**400),
+        lambda: coherent_family(1.0, 10**400),
+        lambda: geometric_family(10**400),
+        lambda: TwoLevelFamily2(r=10**400),
     ],
     ids=["coherent_trunc_dim", "coherent_family", "geometric_family", "two_level_2",
-         "nonsmooth_string", "nonsmooth_none"],
+         "nonsmooth_string", "nonsmooth_none", "coherent_trunc_dim_huge", "coherent_family_huge",
+         "coherent_trunc_dim_param_huge", "geometric_family_huge", "two_level_2_huge"],
 )
 def test_constructors_reject_non_real_parameters(build) -> None:
-    # each raised a bare TypeError from a comparison or math.isfinite
+    # each raised a bare TypeError from a comparison or math.isfinite, or
+    # for an integer beyond the float range a bare OverflowError
     with pytest.raises(InvalidInput, match="real number"):
         build()
 
@@ -632,6 +639,15 @@ class TestRegistry:
         _, dom = grid_domain("coherent", {"M": 1.0}, "theta")
         assert (dom.lo, dom.hi) == (-0.3, 0.3)
 
+    def test_theta_coordinates_are_the_family_domains(self) -> None:
+        # the table's theta interval is the domain the family itself enforces
+        for name, spec in FAMILIES.items():
+            if "theta" not in spec.coords or "theta" in spec.family_coords:
+                continue
+            dom = spec.coords["theta"]
+            fam, _ = spec.build({"theta": _inner(dom)})
+            assert (dom.lo, dom.hi) == fam.theta_domain, name
+
     def test_sweep_family_r_sweep(self) -> None:
         fam, theta = sweep_family("two_level_2", {}, "r", 0.5)
         assert theta == pytest.approx(0.4)  # fixed evaluation point
@@ -667,6 +683,7 @@ class TestRegistry:
             "counterexample31",
         }
         for label, fam, theta in verification_tasks():
-            assert fam.contains(theta)
+            lo, hi = fam.theta_domain
+            assert lo < theta < hi
             # the kmb suite's zero-expectation tolerance follows the derivative mode
             assert isinstance(fam.derivative_mode, Analytic) == (label != "counterexample31")
