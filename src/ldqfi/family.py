@@ -8,7 +8,6 @@ that the projection derivatives must satisfy.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -171,11 +170,9 @@ def default_step(theta: float) -> float:
 
 
 def _check_theta(fam: StateFamily, theta: float, pad: float = 0.0) -> None:
-    try:
-        finite = math.isfinite(theta)
-    except TypeError:
-        raise InvalidInput(f"theta must be a real number, got {theta!r}") from None
-    if not finite:
+    """InvalidInput unless theta is a real number (see linalg._real),
+    DomainError unless it lies in the family's open domain by pad."""
+    if not math.isfinite(_real(theta, "theta")):
         raise DomainError("theta must be finite", value=theta)
     lo, hi = fam.theta_domain
     if not (lo < theta - pad and theta + pad < hi):
@@ -268,17 +265,7 @@ class SpectralBranches:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[-1]
-
-    def over(self, bases: np.ndarray) -> SpectralBranches:
-        """The same branches over a stack of bases of shape (K, dim, dim):
-        K points of a unitary path, which share the eigenvalues, rho' in
-        the moving basis and the kernel tables.  ldops.ld_operator (without
-        the split), kmb_residual and expectation read such a stack point by
-        point; the other readers take one basis."""
-        out = copy.copy(self)
-        out.basis = bases
-        return out
+        return self.basis.shape[0]
 
     @property
     def n_clusters(self) -> int:

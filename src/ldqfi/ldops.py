@@ -88,27 +88,16 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
     return w[rows], vals, kernel_pairs(w[rows], w[cols], model)
 
 
-def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float | np.ndarray:
+def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
     """Tr(rho H) for the model's operator H_eig = rho'_eig / K, with rho
     given in the eigenbasis, summed over the stored entries of rho' (see
-    kernel_entries) and read against rho_eig at the transposed positions.
-
-    rho_eig may be a stack (k, d, d) of states of one spectrum, each in
-    its own basis (SpectralBranches.over); the result is then an array of
-    the k values, each summed as it is for one state."""
+    kernel_entries) and read against rho_eig at the transposed positions."""
     _, rp, kern = kernel_entries(br, model)
     h = rp / kern
     if br.band is None:
-        if rho_eig.ndim == 2:
-            return trace_product(rho_eig, h)
-        return np.array([trace_product(r, h) for r in rho_eig])
+        return trace_product(rho_eig, h)
     rows, cols, _ = br.band.entries
-    terms = rho_eig[..., cols, rows] * h
-    if terms.ndim == 1:
-        return float(np.sum(terms).real)
-    # one sum per row: a reduction along the last axis of the stack adds
-    # in another order than the sum of a row alone
-    return np.array([float(np.sum(t).real) for t in terms])
+    return float(np.sum(rho_eig[cols, rows] * h).real)
 
 
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:
@@ -119,7 +108,7 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     for the other models h2 = matrix - h1.
     """
     v = br.basis
-    matrix = hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().swapaxes(-1, -2))
+    matrix = hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().T)
     if not split:
         return LdOperator(model=model, matrix=matrix)
 
@@ -139,18 +128,15 @@ def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOpera
     return LdOperator(model=model, matrix=matrix, h1=h1, h2=h2)
 
 
-def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float | np.ndarray:
+def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
     """Trace-norm defect of H as a solution of the KMB equation,
     || integral_0^1 rho^t H rho^(1-t) dt - rho' ||_1.
 
     Zero (to rounding) exactly for the bvn operator; for the other models a
     non-trivial residual measures how far their defining equation is from
-    the KMB one on a non-commuting family.  Over a stack of bases
-    (SpectralBranches.over) H is a stack of the same shape, and the result
-    an array of the defects.
+    the KMB one on a non-commuting family.
     """
     h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
-    h_eig = br.basis.conj().swapaxes(-1, -2) @ h @ br.basis
+    h_eig = br.basis.conj().T @ h @ br.basis
     recon = h_eig * kernel_table(br, "bvn")
     return schatten_norm(recon - br.rho_prime_eig, 1)
-

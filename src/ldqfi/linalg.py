@@ -195,19 +195,12 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T).real)
 
 
-def schatten_norm(a: np.ndarray, p: int | str) -> float | np.ndarray:
-    """Schatten norm: p = 1 trace norm, p = 2 Frobenius, p = "op" operator norm.
-
-    The trace norm also takes a stack (k, d, d) and returns an array of the
-    k norms, each summed as it is for one matrix."""
-    a = _as_square_matrix(a, ndims=(2, 3) if p == 1 else (2,))
+def schatten_norm(a: np.ndarray, p: int | str) -> float:
+    """Schatten norm of a square matrix: p = 1 trace norm, p = 2 Frobenius,
+    p = "op" operator norm."""
+    a = _as_square_matrix(a)
     if p == 1:
-        s = _one_blas_thread(np.linalg.svd, a, compute_uv=False)
-        if s.ndim == 1:
-            return float(s.sum())
-        # one sum per row: a reduction along the last axis of the stack
-        # adds in another order than the sum of a row alone
-        return np.array([float(row.sum()) for row in s])
+        return float(_one_blas_thread(np.linalg.svd, a, compute_uv=False).sum())
     if p == 2:
         return float(np.linalg.norm(a))
     if p == "op":

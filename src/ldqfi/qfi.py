@@ -37,21 +37,15 @@ from .ldops import (
     expectation,
     kernel_entries,
     kernel_table,
-    kmb_residual,
     ld_operator,
 )
 from .linalg import (
     _one_blas_thread,
+    hermitize,
     require_hermitian,
+    schatten_norm,
     trace_product,
 )
-
-# compute_reports evaluates the diagnostics of a hook family's points in
-# blocks whose stacked (K, N, N) arrays hold at most this many entries: 5
-# points at N = 57, one at a time from N = 91 on.  A block's stacks are a
-# few of them, so its memory stays of the order of one point's, while a
-# block still shares the Python work per call among its points.
-REPORT_BLOCK_ENTRIES = 2**14
 
 # local_cr_check holds when the slack Var - u^2/QFI is at least -CR_SLACK_TOL.
 CR_SLACK_TOL = 1e-10
@@ -274,20 +268,23 @@ def compute_report(fam: StateFamily, theta: float,
 
 def compute_reports(fam: StateFamily, thetas: Iterable[float],
                     models: Sequence[str] = MODELS) -> list[QfiReport]:
-    """The report of every theta, in order.
+    """The report of every theta, in order, each point evaluated on its own.
 
     A family without a branches_of hook, or with a derivative mode other
-    than Analytic, evaluates each point on its own: state, rho' and one
+    than Analytic, evaluates each point through its state, rho' and one
     eigensolve.  A hook family takes each point's branches from the hook
     and no state at all.  Its hook describes a unitary path (see
     StateFamily), so the information values are computed once, from the
     first point, and every later point is checked to have the same
-    spectrum and rho' in its basis, else InvalidInput.  The two
-    diagnostics of each point still read its own basis; they are evaluated
-    for blocks of points as (K, N, N) stacks, with at most
-    REPORT_BLOCK_ENTRIES entries per stacked array.  A block calls the
-    hook for its points in order, and a stacked diagnostic fails with the
-    message that its point alone would give.
+    spectrum and rho' in its basis, else InvalidInput.
+
+    Both diagnostics of a point read its own basis V through the Gram
+    matrix G = V^dagger V, and no operator is assembled: max_zero_expectation
+    is the worst Tr(rho H) against rho in the basis, and kmb_residual is
+    || K o herm(G (X / K) G) - X ||_1 with X = rho' in the basis and K the
+    bvn kernel table, which is kmb_residual of the assembled bvn operator
+    in exact arithmetic.  For an orthonormal V it vanishes up to rounding,
+    so it measures the basis' orthogonality defect.
 
     The call runs with numpy's OpenBLAS pinned to one thread
     (linalg._one_blas_thread), since blocked products and eigensolvers
@@ -311,9 +308,7 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
     if fam.branches_of is None or not isinstance(fam.derivative_mode, Analytic):
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
     path = _UnitaryPath(fam, models)
-    size = max(1, REPORT_BLOCK_ENTRIES // fam.dim**2)
-    blocks = (thetas[start:start + size] for start in range(0, len(thetas), size))
-    return [rep for block in blocks for rep in path.reports(block)]
+    return [path.report(theta) for theta in thetas]
 
 
 def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, float], dict[str, float]]:
@@ -323,8 +318,16 @@ def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, f
     return i1, qfi, {m: qfi[m] - i1 for m in models}
 
 
-def _report(theta: float, values: tuple[float, dict[str, float], dict[str, float]],
-            worst_expect: float, residual: float) -> QfiReport:
+def _report(theta: float, br: SpectralBranches,
+            values: tuple[float, dict[str, float], dict[str, float]],
+            rho_eig: np.ndarray, gram: np.ndarray, models: list[str]) -> QfiReport:
+    """The report of a point from its values and, for the diagnostics,
+    rho and the Gram matrix of its basis, both in that basis; br gives
+    the eigenvalues, rho' in the basis and the kernel tables."""
+    worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
+    table = kernel_table(br, "bvn")
+    x = br.rho_prime_eig
+    residual = schatten_norm(table * hermitize(gram @ (x / table) @ gram) - x, 1)
     if not math.isfinite(residual):
         raise InvalidInput("KMB residual is not finite")
     i1, qfi, i2 = values
@@ -345,53 +348,40 @@ def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> Qf
     # sees how well the basis diagonalizes rho.
     v = br.basis
     rho_eig = v.conj().T @ rho.matrix @ v
-    values = _values(br, models)
-    # Tr(rho H) of every model is taken in the eigenbasis; only the bvn
-    # operator is assembled, for the KMB equation.
-    worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
-    residual = kmb_residual(br, ld_operator(br, "bvn", split=False))
-    return _report(theta, values, worst_expect, residual)
+    return _report(theta, br, _values(br, models), rho_eig, v.conj().T @ v, models)
 
 
 class _UnitaryPath:
-    """The reports of a hook family: the information values of its first
-    point, shared by every later point of the call, and the data every
-    point is checked against."""
+    """The reports of a hook family: the branches and information values
+    of its first point, shared by every later point of the call, which is
+    checked against them."""
 
     def __init__(self, fam: StateFamily, models: list[str]):
         self.fam = fam
         self.models = models
-        self.first: tuple[float, tuple[np.ndarray, ...]] | None = None
+        self.first: tuple[float, SpectralBranches, tuple[np.ndarray, ...]] | None = None
         self.values: tuple[float, dict[str, float], dict[str, float]] | None = None
 
-    def _branches(self, theta: float) -> SpectralBranches:
+    def report(self, theta: float) -> QfiReport:
         _check_theta(self.fam, theta)
         br = self.fam.branches_of(theta)
         spectrum = _spectrum(br)
         if self.first is None:
-            self.first = (theta, spectrum)
+            self.first = (theta, br, spectrum)
             self.values = _values(br, self.models)
-        elif len(spectrum) != len(self.first[1]) or not all(map(np.array_equal, spectrum, self.first[1])):
+        elif len(spectrum) != len(self.first[2]) or not all(map(np.array_equal, spectrum, self.first[2])):
             raise InvalidInput(
                 f"branches_of at theta={theta!r} changes the spectrum or rho' of "
                 f"theta={self.first[0]!r}; a hook must describe a unitary path"
             )
-        return br
-
-    def reports(self, thetas: list[float]) -> list[QfiReport]:
-        """The reports of a block of points, the diagnostics as stacks."""
-        brs = [self._branches(theta) for theta in thetas]
-        block = brs[0].over(_stack([br.basis for br in brs]))
         # The state is basis diag(lambda) basis^dagger; seen through the
         # basis' own Gram matrix it carries the basis' orthogonality defect.
-        gram = block.basis.conj().swapaxes(-1, -2) @ block.basis
-        rho_eig = (gram * block.eigenvalues) @ gram
-        expects = [expectation(block, rho_eig, m) for m in self.models]
-        residuals = kmb_residual(block, ld_operator(block, "bvn", split=False))
-        return [
-            _report(theta, self.values, max(abs(float(e[k])) for e in expects), float(residuals[k]))
-            for k, theta in enumerate(thetas)
-        ]
+        v = br.basis
+        gram = v.conj().T @ v
+        rho_eig = (gram * br.eigenvalues) @ gram
+        # the first point's branches: the same eigenvalues and rho', and
+        # the kernel tables it has already built
+        return _report(theta, self.first[1], self.values, rho_eig, gram, self.models)
 
 
 def _spectrum(br: SpectralBranches) -> tuple[np.ndarray, ...]:
@@ -399,16 +389,3 @@ def _spectrum(br: SpectralBranches) -> tuple[np.ndarray, ...]:
     eigenvalues, the clusters and rho' in the eigenbasis."""
     rho_prime = (br.rho_prime_eig,) if br.band is None else (br.band.diag, br.band.upper)
     return (br.eigenvalues, br.cluster_values, br.cluster_value_primes, *rho_prime)
-
-
-def _stack(mats: list[np.ndarray]) -> np.ndarray:
-    """The matrices as one (K, N, N) stack whose slices keep the stride
-    signs of the first matrix.  numpy's matmul hands BLAS only operands
-    with positive strides and multiplies the others in its own loop, which
-    rounds differently; a hook basis in ascending order is typically a
-    column-reversed view, so a contiguous copy would change the bytes.  A
-    single matrix is stacked as a view, without a copy."""
-    if len(mats) == 1:
-        return mats[0][None]
-    flip = tuple(i for i, stride in enumerate(mats[0].strides) if stride < 0)
-    return np.flip(np.stack([np.flip(m, flip) for m in mats]), tuple(i + 1 for i in flip))

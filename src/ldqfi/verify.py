@@ -31,6 +31,7 @@ from .family import (
 from .ldops import MODELS, ld_operator
 from .linalg import random_hermitian
 from .qfi import (
+    CR_SLACK_TOL,
     breve_variance,
     classical_information,
     compute_report,
@@ -547,8 +548,8 @@ def cr(seed: int) -> list[Check]:
             checks.append(
                 Check(
                     f"cr.bound.{label}.{model}",
-                    min_slack >= -1e-10,
-                    f"obs=100 min_slack={min_slack:.3e} slack_tol=-1e-10",
+                    min_slack >= -CR_SLACK_TOL,
+                    f"obs=100 min_slack={min_slack:.3e} slack_tol={-CR_SLACK_TOL:g}",
                 )
             )
         for model in MODELS:

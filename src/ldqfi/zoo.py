@@ -74,7 +74,7 @@ def _bulk_margin(theta: float, dim: int) -> int:
 
 
 def _check_amplitude(theta: float) -> None:
-    if not math.isfinite(theta):
+    if not math.isfinite(_real(theta, "displacement amplitude")):
         raise DomainError(f"displacement amplitude {theta!r} is not finite", value=theta)
 
 

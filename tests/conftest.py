@@ -1,6 +1,12 @@
-"""Shared fixtures: deterministic RNGs and representative state families."""
+"""Shared fixtures: deterministic RNGs and representative state families.
+
+The checkout's src/ also goes on PYTHONPATH, so that the Python processes
+a test starts import the same package as the test itself."""
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,11 @@ from ldqfi import (
     geometric_family,
     random_analytic_family,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+_paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+if SRC not in _paths:
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in [SRC, *_paths] if p)
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ table; these build them without it, so the tests can compare the two.
 Also the per-item oracles of the stacked checks: the local Cramer-Rao
 terms of one observable at a time, the projection audit as a loop over
 cluster pairs with each projection derivative assembled block by block,
-and the report of one hook point with its diagnostics formed from its own
-basis alone.
+and the report of one hook point with its KMB residual taken from the
+assembled operator.
 
 And two references that only the tests use: the geometric family's
 closed-form information with the check that all four models reach it on
@@ -151,8 +151,10 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
 
 def hook_report(fam: StateFamily, theta: float) -> QfiReport:
     """A hook point's report from that point alone: its branches, its
-    values, and each product of the two diagnostics with its own basis,
-    on one BLAS thread as compute_report runs."""
+    values, Tr(rho H) against rho seen through its basis' Gram matrix,
+    and the KMB residual of the assembled bvn operator H = V Y V^dagger
+    round-tripped through V^dagger H V, on one BLAS thread as
+    compute_report runs."""
     return _one_blas_thread(_hook_report, fam, theta)
 
 

@@ -60,12 +60,12 @@ def _run(threads: str, configs: list[Path]) -> str:
 
 
 def test_outputs_are_identical_for_one_and_two_blas_threads(tmp_path) -> None:
-    # a central-difference sweep (eigensolver path) and analytic ones at
-    # M = 10, N = 241 (closed-form branches: expm and dense products, one
-    # point per block) and at M = 2, N = 57 (stacked blocks of 5 points)
+    # a central-difference sweep (eigensolver path) and analytic ones
+    # (closed-form branches: expm and dense products) at M = 10, N = 241
+    # and at M = 2, N = 57
     configs = []
     for name, m, mode in (("central", 2.0, "central"), ("analytic", 10.0, "analytic"),
-                          ("stacked", 2.0, "analytic")):
+                          ("analytic_small", 2.0, "analytic")):
         config = tmp_path / f"{name}.toml"
         config.write_text(
             f"[family]\nname = coherent\nM = {m}\n\n"

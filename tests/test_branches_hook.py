@@ -26,7 +26,6 @@ from ldqfi.errors import DegenerateCrossing, InvalidInput, TruncationError
 from ldqfi.family import Eigenframe, StateFamily, spectral_branches
 from ldqfi.ldops import kernel_entries, kernel_pairs
 from ldqfi.linalg import HermitianTridiagonal, expm, logmean_pairs
-from ldqfi.qfi import REPORT_BLOCK_ENTRIES
 from ldqfi.verify import coherent_qfi_bvn
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
 
@@ -51,21 +50,40 @@ def test_hook_matches_eigensolver_path(m: float) -> None:
 
 @pytest.mark.parametrize("m, count", [(1.0, 31), (2.0, 23), (10.0, 3)])
 def test_reports_equal_the_reports_of_single_points(m: float, count: int) -> None:
-    # blocks of 14, 5 and 1 points at N = 34, 57 and 241; each grid holds
-    # 0, negative amplitudes and more points than one block
+    # each grid holds 0 and negative amplitudes
     fam = coherent_family(m).family()
     grid = [0.0, *np.linspace(-0.29, 0.29, count).tolist()]
-    assert len(grid) > REPORT_BLOCK_ENTRIES // fam.dim**2
     assert compute_reports(fam, grid) == [compute_report(fam, theta) for theta in grid]
 
 
-@pytest.mark.parametrize("m", [1.0, 2.0])
-def test_stacked_diagnostics_keep_the_bytes_of_one_basis(m: float) -> None:
-    # each point's products formed with its own basis alone give the bytes
-    # of the stacked evaluation
+@pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
+def test_hook_diagnostics_match_the_assembled_operator(m: float) -> None:
+    # the values and Tr(rho H) keep the bytes of the point alone; the KMB
+    # residual from the Gram matrix is that of the assembled bvn operator
+    # to rounding
     fam = coherent_family(m).family()
     grid = [0.0, *np.linspace(-0.29, 0.29, 12).tolist()]
-    assert compute_reports(fam, grid) == [hook_report(fam, theta) for theta in grid]
+    for rep, ref in zip(compute_reports(fam, grid), [hook_report(fam, theta) for theta in grid]):
+        assert (rep.theta, rep.qfi, rep.i1, rep.i2) == (ref.theta, ref.qfi, ref.i1, ref.i2)
+        assert rep.max_zero_expectation == ref.max_zero_expectation
+        assert abs(rep.kmb_residual - ref.kmb_residual) <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_hook_residual_sees_a_basis_defect(eps: float) -> None:
+    # a hook basis I + eps S with S symmetric is not orthonormal: taking
+    # G = I would report a residual at rounding level instead of the defect
+    fam = coherent_family(1.0).family()
+    br = fam.branches_of(0.1)
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((fam.dim, fam.dim))
+    basis = np.eye(fam.dim) + eps * (s + s.T)
+    frame = Eigenframe(basis, br.eigenvalues)
+    defective = dataclasses.replace(fam, branches_of=lambda theta: spectral_branches(frame, br.band))
+    rep = compute_report(defective, 0.1)
+    ref = hook_report(defective, 0.1)
+    assert ref.kmb_residual > eps
+    assert rep.kmb_residual == pytest.approx(ref.kmb_residual, rel=1e-6, abs=0.0)
 
 
 def _path_family(moving: str, dense: bool = False) -> StateFamily:
@@ -101,24 +119,21 @@ def test_hook_off_a_unitary_path_is_rejected(moving: str, dense: bool) -> None:
     assert compute_reports(fixed, grid) == [compute_report(fixed, t) for t in grid]
 
 
-def test_failing_block_raises_the_error_of_its_first_failing_point() -> None:
-    # N = 12 leaves no bulk from amplitude 0.2 on; the four points are one block
+def test_failing_point_of_a_grid_raises_its_own_error() -> None:
+    # N = 12 leaves no bulk from amplitude 0.2 on
     fam = coherent_family(0.1, 12).family()
     grid = [0.05, 0.1, 0.2, 0.25]
-    assert len(grid) <= REPORT_BLOCK_ENTRIES // fam.dim**2
     with pytest.raises(TruncationError) as single:
         compute_report(fam, 0.2)
-    with pytest.raises(TruncationError) as block:
+    with pytest.raises(TruncationError) as many:
         compute_reports(fam, grid)
-    assert str(block.value) == str(single.value)
-    assert "amplitude 0.2;" in str(block.value)
+    assert str(many.value) == str(single.value)
+    assert "amplitude 0.2;" in str(many.value)
 
 
 def test_reports_memory_stays_of_the_order_of_one_point() -> None:
-    # blocks of 5 points at N = 57: whatever the grid size, the peak is one
-    # point's plus one block's stacks (at most 8 live arrays of
-    # REPORT_BLOCK_ENTRIES doubles, 1 MiB) plus the reports (under 1 kB
-    # each).  One block of all 200 points would hold about 30 MB of stacks.
+    # the points are evaluated one at a time: whatever the grid size, the
+    # peak is one point's plus the reports (under 2 kB each)
     fam = coherent_family(2.0).family()
     grid = np.linspace(-0.29, 0.29, 200).tolist()
     compute_report(fam, 0.29)  # the family's generator, formed once
@@ -130,7 +145,7 @@ def test_reports_memory_stays_of_the_order_of_one_point() -> None:
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 8 * REPORT_BLOCK_ENTRIES * 8 + 1000 * len(grid)
+    assert peaks[1] <= peaks[0] + 2000 * len(grid)
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:

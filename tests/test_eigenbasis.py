@@ -78,9 +78,10 @@ def _recording_everywhere(monkeypatch, fn) -> list[tuple]:
     return calls
 
 
-def test_compute_report_assembles_one_operator_and_one_kernel_table_per_model(
+def test_compute_report_assembles_no_operator_and_one_kernel_table_per_model(
     monkeypatch, random_family
 ) -> None:
+    # both diagnostics are read through the basis' Gram matrix
     points = (0.1, 0.2, 0.3)
     fam = _tabulated(random_family, points)
     counts: dict[str, int] = {}
@@ -92,7 +93,7 @@ def test_compute_report_assembles_one_operator_and_one_kernel_table_per_model(
         compute_report(fam, theta)
         assert sorted(model for _, model in tables) == sorted(MODELS)
         assert counts == {"eigh": k}
-        assert len(operators) == k
+        assert operators == []
 
 
 def test_verify_cr_builds_one_kernel_table_per_model_and_branch_set(monkeypatch) -> None:

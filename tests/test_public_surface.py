@@ -115,3 +115,8 @@ def test_one_pade_degree_and_no_unused_members() -> None:
     assert not hasattr(ldqfi.SpectralBranches, "projection_prime")
     assert not hasattr(ldqfi, "ResourceLimit")
     assert not hasattr(ldqfi.errors, "ResourceLimit")
+    # every report point's diagnostics come from its own basis' Gram matrix
+    assert not hasattr(qfi, "REPORT_BLOCK_ENTRIES")
+    assert not hasattr(qfi, "_stack")
+    assert not hasattr(ldqfi.SpectralBranches, "over")
+

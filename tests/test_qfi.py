@@ -330,12 +330,15 @@ class TestReport:
             compute_report(tanh_family, 0.3, models=("bvn", "xxx"))
 
     def test_theta_must_be_a_real_number(self, tanh_family, coherent_m1) -> None:
-        # math.isfinite raised a bare TypeError for a string, on both the
-        # eigensolver and the hook path
+        # math.isfinite raised a bare TypeError for a string and a bare
+        # OverflowError for an integer beyond the float range, on both the
+        # eigensolver and the hook path, and a bool gave the report at 1
         for fam in (tanh_family, coherent_m1):
-            for theta in ("a", None, 1j):
+            for theta in ("a", None, 1j, 10**400, True):
                 with pytest.raises(InvalidInput, match="real number"):
                     compute_report(fam, theta)
+            with pytest.raises(InvalidInput, match="real number"):
+                relent_limit(fam, 10**400)
             with pytest.raises(InvalidInput, match="real number"):
                 compute_reports(fam, [0.1, "a"])
             with pytest.raises(InvalidInput, match="iterable"):

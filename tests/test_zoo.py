@@ -589,10 +589,14 @@ def test_constructors_reject_bad_trunc_dim(build, trunc_dim: float) -> None:
         lambda: coherent_family(1.0, 10**400),
         lambda: geometric_family(10**400),
         lambda: TwoLevelFamily2(r=10**400),
+        lambda: displacement_closed_form(10**400, 3),
+        lambda: displacement_closed_form("a", 3),
+        lambda: CoherentFamily(1.0, 10).checked_displacement(None),
     ],
     ids=["coherent_trunc_dim", "coherent_family", "geometric_family", "two_level_2",
          "nonsmooth_string", "nonsmooth_none", "coherent_trunc_dim_huge", "coherent_family_huge",
-         "coherent_trunc_dim_param_huge", "geometric_family_huge", "two_level_2_huge"],
+         "coherent_trunc_dim_param_huge", "geometric_family_huge", "two_level_2_huge",
+         "displacement_huge", "displacement_string", "checked_displacement_none"],
 )
 def test_constructors_reject_non_real_parameters(build) -> None:
     # each raised a bare TypeError from a comparison or math.isfinite, or
