@@ -30,6 +30,7 @@ from .family import (
     ProjectionAuditReport,
     SpectralBranches,
     StateFamily,
+    UnitaryPath,
     branches_at,
     nonsmooth_projection_state,
     projection_audit,
@@ -51,13 +52,11 @@ from .linalg import (
     trace_product,
 )
 from .qfi import (
-    CrCheck,
     QfiReport,
     breve_variance,
     classical_information,
     compute_report,
     compute_reports,
-    local_cr_check,
     local_cr_terms,
     maximality_check,
     qfi_bvn,
@@ -80,7 +79,6 @@ from .zoo import (
     geometric_family,
     geometric_trunc_dim,
     grid_domain,
-    sweep_family,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .family import CentralDifference, StateFamily, branches_at
 from .ldops import MODELS, kmb_residual, ld_operator
 from .linalg import trace_product
 from .qfi import compute_report, compute_reports
-from .zoo import FAMILIES, STEP_DOMAIN, grid_domain, sweep_family
+from .zoo import FAMILIES, STEP_DOMAIN, grid_domain
 
 COLUMNS = (
     "theta",
@@ -184,7 +184,8 @@ def _apply_derivative_mode(fam: StateFamily, cfg: SweepConfig) -> StateFamily:
 
 
 def _family_at(cfg: SweepConfig, grid_value: float) -> tuple[StateFamily, float]:
-    fam, theta = sweep_family(cfg.family, cfg.params, cfg.sweep_param, grid_value)
+    # load_sweep_config has checked the configuration (grid_domain)
+    fam, theta = FAMILIES[cfg.family].build({**cfg.params, cfg.sweep_param: grid_value})
     return _apply_derivative_mode(fam, cfg), theta
 
 
@@ -324,7 +325,7 @@ def cmd_ld(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
-    fam, theta = sweep_family(args.family, params, sweep_param, args.theta)
+    fam, theta = FAMILIES[args.family].build({**params, sweep_param: args.theta})
     br = branches_at(fam, theta)
     if args.family == "counterexample31" and br.n_clusters < fam.dim:
         print(

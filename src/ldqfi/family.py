@@ -116,17 +116,51 @@ DerivativeMode = Analytic | CentralDifference
 
 
 @dataclass(frozen=True)
+class UnitaryPath:
+    """A family rho(theta) = W(theta) rho0 W(theta)^dagger whose
+    eigendecomposition is known in closed form.
+
+    Only the basis moves: the eigenvalues (ascending) and rho' in the
+    moving basis, a dense matrix or a HermitianTridiagonal, are the same at
+    every theta, and basis_of(theta) returns the basis columns in the
+    eigenvalues' order.  Both are kept read-only, since every point of the
+    path shares them.
+    """
+
+    eigenvalues: np.ndarray
+    rho_prime_eig: np.ndarray | HermitianTridiagonal
+    basis_of: Callable[[float], np.ndarray]
+
+    def __post_init__(self):
+        rp = self.rho_prime_eig
+        if isinstance(rp, HermitianTridiagonal):
+            rp = HermitianTridiagonal(_read_only(rp.diag), _read_only(rp.upper))
+        else:
+            rp = _read_only(rp)
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
+        object.__setattr__(self, "rho_prime_eig", rp)
+
+    def branches(self, theta: float) -> SpectralBranches:
+        """The spectral branches at theta, from the basis at theta alone."""
+        frame = Eigenframe(self.basis_of(theta), self.eigenvalues)
+        return spectral_branches(frame, self.rho_prime_eig)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
 class StateFamily:
     """Smooth family of full-rank states over an open parameter interval.
 
-    branches_of, when given, returns the spectral branches at theta in
-    closed form (spectral_branches of an Eigenframe); compute_report then
-    uses it in place of eigendecomposing rho_of(theta), as long as the
-    derivative mode is Analytic.  The hook describes a unitary path
-    rho(theta) = W(theta) rho0 W(theta)^dagger: only the basis moves, so
-    the eigenvalues, the clusters and rho' in the moving basis are the
-    same at every theta.  compute_reports relies on this and raises
-    InvalidInput for a point that breaks it.
+    unitary_path, when given, describes the same family as a UnitaryPath;
+    compute_report then takes each point's branches from it in place of
+    eigendecomposing rho_of(theta), as long as the derivative mode is
+    Analytic.  A path whose eigenvalues or rho' do not have the family's
+    dimension raises InvalidInput.
     """
 
     dim: int
@@ -135,7 +169,7 @@ class StateFamily:
     rho_prime_of: Callable[[float], np.ndarray] | None = None
     derivative_mode: DerivativeMode = field(default_factory=Analytic)
     name: str = "family"
-    branches_of: Callable[[float], SpectralBranches] | None = None
+    unitary_path: UnitaryPath | None = None
 
     def __post_init__(self):
         try:
@@ -147,6 +181,15 @@ class StateFamily:
             raise InvalidInput(f"theta_domain {self.theta_domain!r} is not an open interval")
         if isinstance(self.derivative_mode, Analytic) and self.rho_prime_of is None:
             raise InvalidInput("analytic derivative mode requires rho_prime_of")
+        path = self.unitary_path
+        if path is not None:
+            rp = path.rho_prime_eig
+            rp_shape = (rp.dim, rp.dim) if isinstance(rp, HermitianTridiagonal) else rp.shape
+            if path.eigenvalues.shape != (self.dim,) or rp_shape != (self.dim, self.dim):
+                raise InvalidInput(
+                    f"unitary path with eigenvalues of shape {path.eigenvalues.shape} and "
+                    f"rho' of shape {rp_shape} does not have the family's dimension {self.dim}"
+                )
 
 
 def _check_tolerance(x: float, name: str) -> float:
@@ -398,7 +441,7 @@ def spectral_branches(
 
 def branches_at(fam: StateFamily, theta: float) -> SpectralBranches:
     """Convenience: branches of (rho, rho') evaluated from a family, through
-    the eigensolver even when the family has a branches_of hook."""
+    the eigensolver even when the family has a unitary_path."""
     return spectral_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
 
 
@@ -477,6 +520,7 @@ def projection_curvature_residual(fam: StateFamily, theta: float) -> float:
     Clusters are matched across the stencil by ascending order, so the
     family must keep a constant cluster count on [theta - h, theta + h].
     """
+    _check_theta(fam, theta)
     h = CURVATURE_STEP
     brs = [
         branches_at(fam, t)

@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import InvalidInput
 from .family import SpectralBranches
-from .linalg import hermitize, logmean_pairs, positive_spectrum, schatten_norm, trace_product
+from .linalg import (
+    hermitize,
+    logmean_pairs,
+    require_hermitian,
+    require_positive,
+    schatten_norm,
+    trace_product,
+)
 
 MODELS = ("bvn", "ld1", "ld2", "sld")
 
@@ -46,7 +53,7 @@ def kernel_matrix(w: np.ndarray, model: str) -> np.ndarray:
 
     A spectrum with a non-positive or non-finite eigenvalue raises
     DomainError, one that is not 1-d InvalidInput."""
-    w = positive_spectrum(w, "kernel_matrix")
+    w = require_positive(w, "kernel_matrix")
     return kernel_pairs(w[:, None], w[None, :], model)
 
 
@@ -134,9 +141,13 @@ def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
 
     Zero (to rounding) exactly for the bvn operator; for the other models a
     non-trivial residual measures how far their defining equation is from
-    the KMB one on a non-commuting family.
+    the KMB one on a non-commuting family.  An operator that is not a
+    Hermitian matrix of the state's dimension raises InvalidInput.
     """
     h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
+    h = require_hermitian(h, "LD operator")
+    if h.shape != (br.dim, br.dim):
+        raise InvalidInput(f"LD operator of shape {h.shape} does not match dimension {br.dim}")
     h_eig = br.basis.conj().T @ h @ br.basis
     recon = h_eig * kernel_table(br, "bvn")
     return schatten_norm(recon - br.rho_prime_eig, 1)

@@ -141,7 +141,7 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
     return hermitize(a)
 
 
-def positive_spectrum(w: np.ndarray, name: str) -> np.ndarray:
+def require_positive(w: np.ndarray, name: str) -> np.ndarray:
     """w as a 1-d float array of strictly positive finite eigenvalues: the
     domain of every mean kernel.  Any other shape raises InvalidInput, any
     other value DomainError carrying the first offending eigenvalue."""

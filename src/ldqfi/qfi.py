@@ -47,9 +47,6 @@ from .linalg import (
     trace_product,
 )
 
-# local_cr_check holds when the slack Var - u^2/QFI is at least -CR_SLACK_TOL.
-CR_SLACK_TOL = 1e-10
-
 # Steps eps of the relative-entropy ratios that relent_limit extrapolates.
 RELENT_EPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -133,21 +130,6 @@ def qfi_value(br: SpectralBranches, model: str) -> float:
     return float(np.sum(w * np.abs(rp / kern) ** 2))
 
 
-@dataclass(frozen=True)
-class CrCheck:
-    """One local Cramer-Rao comparison: variance against u^2/QFI."""
-
-    model: str
-    u: float
-    lhs: float
-    rhs: float
-    holds: bool
-
-    @property
-    def slack(self) -> float:
-        return self.lhs - self.rhs
-
-
 def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
                    model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, lhs, rhs) of the local Cramer-Rao bound Var(Theta) >= u^2 / QFI
@@ -181,18 +163,6 @@ def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
     return u, lhs, u**2 / info
 
 
-def local_cr_check(br: SpectralBranches, obs: np.ndarray, model: str) -> CrCheck:
-    """Check Var(Theta) >= u^2 / QFI with u = Tr(rho' Theta) for one
-    observable: local_cr_terms of a stack of one, holding when the slack
-    is at least -CR_SLACK_TOL."""
-    y = np.asarray(obs)
-    if y.ndim != 2:
-        raise InvalidInput(f"observable must be a square matrix, got shape {y.shape}")
-    u, lhs, rhs = local_cr_terms(br, y[None], model)
-    lhs, rhs = float(lhs[0]), float(rhs[0])
-    return CrCheck(model=model, u=float(u[0]), lhs=lhs, rhs=rhs, holds=lhs >= rhs - CR_SLACK_TOL)
-
-
 def _log_state(state: DensityMatrix) -> np.ndarray:
     v = state.eigenvectors
     return (v * np.log(state.eigenvalues)) @ v.conj().T
@@ -200,7 +170,13 @@ def _log_state(state: DensityMatrix) -> np.ndarray:
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     """Umegaki relative entropy Tr sigma (ln sigma - ln rho) of full-rank
-    states, with both logarithms taken on the states' eigendecompositions."""
+    states, with both logarithms taken on the states' eigendecompositions.
+    Arguments that are not DensityMatrix instances raise InvalidInput."""
+    if not (isinstance(sigma, DensityMatrix) and isinstance(rho, DensityMatrix)):
+        raise InvalidInput(
+            f"relative_entropy takes two DensityMatrix states, got "
+            f"{type(sigma).__name__} and {type(rho).__name__}"
+        )
     if sigma.dim != rho.dim:
         raise InvalidInput(f"states of dimensions {sigma.dim} and {rho.dim} cannot be compared")
     return trace_product(sigma.matrix, _log_state(sigma) - _log_state(rho))
@@ -233,6 +209,7 @@ def maximality_check(fam: StateFamily, theta: float) -> tuple[float, float]:
     information value.  H' is a symmetric difference of the operator field
     with step default_step(theta).
     """
+    _check_theta(fam, theta)
     h = default_step(theta)
     plus = ld_operator(branches_at(fam, theta + h), "bvn", split=False).matrix
     minus = ld_operator(branches_at(fam, theta - h), "bvn", split=False).matrix
@@ -270,13 +247,12 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
                     models: Sequence[str] = MODELS) -> list[QfiReport]:
     """The report of every theta, in order, each point evaluated on its own.
 
-    A family without a branches_of hook, or with a derivative mode other
-    than Analytic, evaluates each point through its state, rho' and one
-    eigensolve.  A hook family takes each point's branches from the hook
-    and no state at all.  Its hook describes a unitary path (see
-    StateFamily), so the information values are computed once, from the
-    first point, and every later point is checked to have the same
-    spectrum and rho' in its basis, else InvalidInput.
+    A family without a unitary_path, or with a derivative mode other than
+    Analytic, evaluates each point through its state, rho' and one
+    eigensolve.  A family with one takes each point's branches from the
+    path (UnitaryPath.branches) and no state at all; as only the basis
+    moves, the information values and kernel tables of the first point
+    serve every point.
 
     Both diagnostics of a point read its own basis V through the Gram
     matrix G = V^dagger V, and no operator is assembled: max_zero_expectation
@@ -305,10 +281,25 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
 
 
 def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[QfiReport]:
-    if fam.branches_of is None or not isinstance(fam.derivative_mode, Analytic):
+    path = fam.unitary_path
+    if path is None or not isinstance(fam.derivative_mode, Analytic):
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
-    path = _UnitaryPath(fam, models)
-    return [path.report(theta) for theta in thetas]
+    reports = []
+    first = values = None
+    for theta in thetas:
+        _check_theta(fam, theta)
+        br = path.branches(theta)
+        if first is None:
+            first, values = br, _values(br, models)
+        # The state is basis diag(lambda) basis^dagger; seen through the
+        # basis' own Gram matrix it carries the basis' orthogonality defect.
+        v = br.basis
+        gram = v.conj().T @ v
+        rho_eig = (gram * br.eigenvalues) @ gram
+        # the first point's branches: the path's eigenvalues and rho', and
+        # the kernel tables they have already built
+        reports.append(_report(theta, first, values, rho_eig, gram, models))
+    return reports
 
 
 def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, float], dict[str, float]]:
@@ -349,43 +340,3 @@ def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> Qf
     v = br.basis
     rho_eig = v.conj().T @ rho.matrix @ v
     return _report(theta, br, _values(br, models), rho_eig, v.conj().T @ v, models)
-
-
-class _UnitaryPath:
-    """The reports of a hook family: the branches and information values
-    of its first point, shared by every later point of the call, which is
-    checked against them."""
-
-    def __init__(self, fam: StateFamily, models: list[str]):
-        self.fam = fam
-        self.models = models
-        self.first: tuple[float, SpectralBranches, tuple[np.ndarray, ...]] | None = None
-        self.values: tuple[float, dict[str, float], dict[str, float]] | None = None
-
-    def report(self, theta: float) -> QfiReport:
-        _check_theta(self.fam, theta)
-        br = self.fam.branches_of(theta)
-        spectrum = _spectrum(br)
-        if self.first is None:
-            self.first = (theta, br, spectrum)
-            self.values = _values(br, self.models)
-        elif len(spectrum) != len(self.first[2]) or not all(map(np.array_equal, spectrum, self.first[2])):
-            raise InvalidInput(
-                f"branches_of at theta={theta!r} changes the spectrum or rho' of "
-                f"theta={self.first[0]!r}; a hook must describe a unitary path"
-            )
-        # The state is basis diag(lambda) basis^dagger; seen through the
-        # basis' own Gram matrix it carries the basis' orthogonality defect.
-        v = br.basis
-        gram = v.conj().T @ v
-        rho_eig = (gram * br.eigenvalues) @ gram
-        # the first point's branches: the same eigenvalues and rho', and
-        # the kernel tables it has already built
-        return _report(theta, self.first[1], self.values, rho_eig, gram, self.models)
-
-
-def _spectrum(br: SpectralBranches) -> tuple[np.ndarray, ...]:
-    """Every datum of a point that its information values read: the
-    eigenvalues, the clusters and rho' in the eigenbasis."""
-    rho_prime = (br.rho_prime_eig,) if br.band is None else (br.band.diag, br.band.upper)
-    return (br.eigenvalues, br.cluster_values, br.cluster_value_primes, *rho_prime)

@@ -31,11 +31,9 @@ from .family import (
 from .ldops import MODELS, ld_operator
 from .linalg import random_hermitian
 from .qfi import (
-    CR_SLACK_TOL,
     breve_variance,
     classical_information,
     compute_report,
-    local_cr_check,
     local_cr_terms,
     maximality_check,
     qfi_bvn,
@@ -45,12 +43,14 @@ from .qfi import (
 )
 from .zoo import (
     TwoLevelFamily2,
-    coherent_branches,
     coherent_family,
     counterexample_family,
     default_two_level_1,
     geometric_family,
 )
+
+# cr.bound holds when the slack Var - u^2/QFI is at least -CR_SLACK_TOL.
+CR_SLACK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -395,36 +395,16 @@ def coherent_trace_table(k: int, trunc_dim: int) -> tuple[TraceRow, ...]:
     return rows
 
 
-def coherent_qfi_bvn(
-    mean_occupation: float,
-    trunc_dim: int | None = None,
-    check_traces: bool = True,
-) -> float:
-    """KMB information of the displaced thermal family, closed form
-     2 ln(1 + 1/M).
+def coherent_qfi_bvn(mean_occupation: float, trunc_dim: int | None = None) -> float:
+    """KMB information of the displaced thermal family at theta = 0, whose
+    closed form is 2 ln(1 + 1/M).
 
     The pair sums telescope: each neighbouring-level pair contributes
     2 ln(1/q) (n+1)(lambda_n - lambda_n+1), summing to 2 ln(1/q) times
-    (1 - N lambda_N-1) on the truncation.  The computed value is asserted
-    against the closed form within 1e-6; with check_traces the integer
-    trace identities are verified on the lowest levels first.
+    (1 - N lambda_N-1) on the truncation.  The value is returned as
+    computed; the coherent suite judges it against the closed form.
     """
-    fam = coherent_family(mean_occupation, trunc_dim)
-    if check_traces:
-        for k in range(0, min(4, fam.trunc_dim - 2)):
-            for row in coherent_trace_table(k, fam.trunc_dim):
-                if abs(row.value - row.expected) > 1e-9 * max(1.0, abs(row.expected)):
-                    raise TruncationError(
-                        f"trace identity {row.label} = {row.value!r} misses integer {row.expected}"
-                    )
-    value = qfi_bvn(coherent_branches(fam))
-    closed = 2.0 * math.log1p(1.0 / mean_occupation)
-    if abs(value - closed) > 1e-6 * (1.0 + abs(value)):
-        raise TruncationError(
-            f"information {value!r} deviates from the closed form {closed!r} beyond 1e-6; "
-            f"enlarge trunc_dim"
-        )
-    return value
+    return qfi_bvn(coherent_family(mean_occupation, trunc_dim).path.branches(0.0))
 
 
 @dataclass(frozen=True)
@@ -449,7 +429,7 @@ def coherent_qfi_ld2(mean_occupation: float, trunc_dim: int | None = None) -> Ld
     """
     m = float(mean_occupation)
     fam = coherent_family(m, trunc_dim)
-    numeric = qfi_value(coherent_branches(fam, 0.0), "ld2")
+    numeric = qfi_value(fam.path.branches(0.0), "ld2")
     formula_a = (2.0 + 2.0 * m * (1.0 + m) * (3.0 + m)) / (1.0 + m) ** 4
     formula_b = (2.0 + m * (2.0 + m) * (3.0 + 2.0 * m)) / (1.0 + m) ** 4
     tol = 1e-6 * (1.0 + abs(numeric))
@@ -471,11 +451,7 @@ def coherent(seed: int) -> list[Check]:
     checks: list[Check] = []
     for m in (0.5, 1.0, 2.0):
         closed = 2.0 * math.log1p(1.0 / m)
-        try:
-            val = coherent_qfi_bvn(m)
-        except QfiError as exc:
-            checks.append(Check("coherent.qfi_bvn", False, f"M={m:g} error={exc}"))
-            continue
+        val = coherent_qfi_bvn(m)
         rel = abs(val - closed) / abs(closed)
         checks.append(
             Check(
@@ -517,7 +493,7 @@ def coherent(seed: int) -> list[Check]:
         )
     )
     big_m = 100.0
-    scaled = big_m * coherent_qfi_bvn(big_m, check_traces=False)
+    scaled = big_m * coherent_qfi_bvn(big_m)
     checks.append(
         Check(
             "coherent.scaling",
@@ -557,12 +533,12 @@ def cr(seed: int) -> list[Check]:
                 continue
             info = qfi_value(br, model)
             direction = ld_operator(br, model, split=False).matrix / info
-            chk = local_cr_check(br, direction, model)
-            gap = abs(chk.lhs - chk.rhs)
+            _, (lhs,), (rhs,) = local_cr_terms(br, direction[None], model)
+            gap = abs(lhs - rhs)
             checks.append(
                 Check(
                     f"cr.saturation.{label}.{model}",
-                    gap <= 1e-8 * max(1.0, abs(chk.rhs)),
+                    gap <= 1e-8 * max(1.0, abs(rhs)),
                     f"gap={gap:.3e} tol=1e-08",
                 )
             )

@@ -11,9 +11,10 @@ origin.
 
 Each family carries the truncation bookkeeping (tail mass, rank floor,
 displacement accuracy) that makes the finite-dimensional surrogates
-trustworthy; the displaced thermal family also its closed-form branches
-(coherent_branches) and the closed-form displacement its exponential is
-checked against (displacement_closed_form).  FAMILIES is the table of
+trustworthy; the displaced thermal family is also a unitary path
+(CoherentFamily.path, whose branches coherent_branches returns) and
+carries the closed-form displacement its exponential is checked against
+(displacement_closed_form).  FAMILIES is the table of
 families a sweep can name: their parameters, sweep coordinates and
 admissible intervals.  The closed-form information values that
 cross-check the families are references, not part of the runtime: the
@@ -34,11 +35,10 @@ from .errors import DomainError, InvalidInput, SingularState, TruncationError
 from .family import (
     RANK_TOL,
     CentralDifference,
-    Eigenframe,
     SpectralBranches,
     StateFamily,
+    UnitaryPath,
     nonsmooth_projection_state,
-    spectral_branches,
 )
 from .linalg import HermitianTridiagonal, _positive_int, _real, expm
 
@@ -196,11 +196,15 @@ def geometric_trunc_dim(theta_lo: float, theta_hi: float) -> int:
     stays a factor 1.5 above the rank floor at the fast edge.  Near the
     rank clamp the realized tail can exceed the target; renormalization
     over the kept levels keeps the family exactly normalized either way.
+    Edges that are not real numbers raise InvalidInput, a window that is
+    not positive and finite DomainError.
     """
-    if not (0.0 < theta_lo <= theta_hi):
+    lo = _real(theta_lo, "theta_lo")
+    hi = _real(theta_hi, "theta_hi")
+    if not (0.0 < lo <= hi < math.inf):
         raise DomainError("parameter window must be positive", value=theta_lo)
-    n_tail = math.ceil(math.log(1.0 / GEOMETRIC_TAIL) / theta_lo)
-    n_rank = math.floor(math.log(math.expm1(theta_hi) / (1.5 * RANK_TOL)) / theta_hi)
+    n_tail = math.ceil(math.log(1.0 / GEOMETRIC_TAIL) / lo)
+    n_rank = math.floor(math.log(math.expm1(hi) / (1.5 * RANK_TOL)) / hi)
     return max(2, min(n_tail, n_rank))
 
 
@@ -436,8 +440,37 @@ class CoherentFamily:
             rho_of=rho_of,
             rho_prime_of=rho_prime_of,
             name="coherent",
-            branches_of=lambda theta: coherent_branches(self, theta),
+            unitary_path=self.path,
         )
+
+    @property
+    def path(self) -> UnitaryPath:
+        """The family as a unitary path.
+
+        The displacement commutes with its own generator, so the eigenbasis
+        at any theta is the displaced number basis, every eigenvalue is
+        constant in theta, and rho' expressed in the moving basis is the
+        fixed commutator [a+ - a, rho_0].  Branch data therefore needs no
+        eigensolve: the basis columns are the checked displacement's
+        columns in ascending-eigenvalue (reversed level) order, and rho' in
+        that basis is the tridiagonal band with entries
+        sqrt(n+1) (lambda_n - lambda_n+1) between levels n and n+1.
+
+        The weights and the band are built once per family.  The path
+        itself is not kept: its basis_of refers to the family, and a kept
+        one would make a reference cycle that holds the family, with its
+        N x N generator, until a full garbage collection.
+        """
+        eigenvalues, band = self._path_data
+        return UnitaryPath(eigenvalues, band, lambda theta: self.checked_displacement(theta)[:, ::-1])
+
+    @cached_property
+    def _path_data(self) -> tuple[np.ndarray, HermitianTridiagonal]:
+        n = self.trunc_dim
+        lam = self.eigenvalues()
+        root = np.sqrt(np.arange(1.0, n))
+        comm = root * lam[:-1] - lam[1:] * root
+        return lam[::-1], HermitianTridiagonal(np.zeros(n), comm[::-1])
 
 
 def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> CoherentFamily:
@@ -469,24 +502,9 @@ def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> Coh
 
 
 def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranches:
-    """Spectral branches of the displaced thermal family in closed form.
-
-    The displacement commutes with its own generator, so the eigenbasis at
-    any theta is the displaced number basis, every eigenvalue is constant
-    in theta, and rho' expressed in the moving basis is the fixed
-    commutator [a+ - a, rho_0].  Branch data therefore needs no
-    eigensolve: the basis columns are the checked displacement's columns
-    in ascending-eigenvalue (reversed level) order, and rho' in that basis
-    is the tridiagonal band with entries sqrt(n+1) (lambda_n - lambda_n+1)
-    between levels n and n+1, built in O(N).
-    """
-    n = fam.trunc_dim
-    lam = fam.eigenvalues()
-    w = fam.checked_displacement(theta)
-    root = np.sqrt(np.arange(1.0, n))
-    comm = root * lam[:-1] - lam[1:] * root
-    band = HermitianTridiagonal(np.zeros(n), comm[::-1])
-    return spectral_branches(Eigenframe(w[:, ::-1], lam[::-1]), band)
+    """Spectral branches of the displaced thermal family at theta in closed
+    form: fam.path.branches(theta)."""
+    return fam.path.branches(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -634,18 +652,3 @@ def grid_domain(
     if sweep_param in params:
         raise InvalidInput(f"parameter {sweep_param!r} is both fixed and swept")
     return sweep_param, spec.coords[sweep_param]
-
-
-def sweep_family(
-    name: str,
-    params: Mapping[str, float],
-    sweep_param: str,
-    grid_value: float,
-) -> tuple[StateFamily, float]:
-    """Family instance and evaluation point for one grid value.
-
-    The configuration is checked by grid_domain; the grid value is checked
-    by the family itself when it is built or evaluated.
-    """
-    grid_domain(name, params, sweep_param)
-    return FAMILIES[name].build({**params, sweep_param: grid_value})

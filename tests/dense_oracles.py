@@ -6,17 +6,19 @@ table; these build them without it, so the tests can compare the two.
 Also the per-item oracles of the stacked checks: the local Cramer-Rao
 terms of one observable at a time, the projection audit as a loop over
 cluster pairs with each projection derivative assembled block by block,
-and the report of one hook point with its KMB residual taken from the
-assembled operator.
+and the report of one unitary-path point with its KMB residual taken
+from the assembled operator.
 
-And two references that only the tests use: the geometric family's
+And three references that only the tests use: the geometric family's
 closed-form information with the check that all four models reach it on
-the truncation, and the information of n copies from the explicit tensor
-product state."""
+the truncation, the information of n copies from the explicit tensor
+product state, and the qubit family on a quadratic Bloch curve with its
+closed-form information parts."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -150,7 +152,7 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
 
 
 def hook_report(fam: StateFamily, theta: float) -> QfiReport:
-    """A hook point's report from that point alone: its branches, its
+    """A unitary-path point's report from that point alone: its branches, its
     values, Tr(rho H) against rho seen through its basis' Gram matrix,
     and the KMB residual of the assembled bvn operator H = V Y V^dagger
     round-tripped through V^dagger H V, on one BLAS thread as
@@ -159,7 +161,7 @@ def hook_report(fam: StateFamily, theta: float) -> QfiReport:
 
 
 def _hook_report(fam: StateFamily, theta: float) -> QfiReport:
-    br = fam.branches_of(theta)
+    br = fam.unitary_path.branches(theta)
     v = br.basis
     i1 = classical_information(br)
     qfi = {m: qfi_value(br, m) for m in MODELS}
@@ -258,3 +260,71 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
             f"n-copy information {value!r} violates additivity against {expect!r}"
         )
     return value
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@dataclass(frozen=True)
+class BlochCurve:
+    """The qubit family rho(theta) = (I + r(theta).sigma)/2 on the quadratic
+    Bloch curve r(theta) = a + b theta + c theta^2, theta in (-1, 1), with
+    rho' = r'(theta).sigma/2.  a, b and c are real 3-vectors."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def r(self, theta: float) -> np.ndarray:
+        return self.a + self.b * theta + self.c * theta**2
+
+    def r_prime(self, theta: float) -> np.ndarray:
+        return self.b + 2.0 * self.c * theta
+
+    def family(self) -> StateFamily:
+        return StateFamily(
+            dim=2,
+            theta_domain=(-1.0, 1.0),
+            rho_of=lambda theta: 0.5 * (np.eye(2) + np.tensordot(self.r(theta), PAULI, axes=1)),
+            rho_prime_of=lambda theta: 0.5 * np.tensordot(self.r_prime(theta), PAULI, axes=1),
+            name="bloch",
+        )
+
+
+@dataclass(frozen=True)
+class BlochForms:
+    """Closed-form information parts of a qubit point: i1 and each model's i2."""
+
+    i1: float
+    i2: dict[str, float]
+
+
+def bloch_closed_forms(r: np.ndarray, r_prime: np.ndarray) -> BlochForms:
+    """Information parts of (I + r.sigma)/2 moving with velocity r', for
+    0 < |r| < 1.
+
+    With n = r/|r| the eigenvalues (1 +- |r|)/2 move at +-(r'.n)/2, so
+    i1 = (r'.n)^2 / (1 - |r|^2).  In the eigenbasis rho' couples the two
+    levels by |r'_perp|/2, r'_perp = r' - (r'.n) n, so each second part
+    is |r'_perp|^2 / (4 K^2) for the model's mean K of the eigenvalue pair,
+    and |r'_perp|^2 / (2 K) for the logarithmic mean of bvn:
+
+      sld  |r'_perp|^2                  ld2  |r'_perp|^2 / (1 - |r|^2)
+      ld1  |r'_perp|^2 / (1 - |r|^2)^2  bvn  |r'_perp|^2 artanh(|r|) / |r|
+    """
+    norm = float(np.linalg.norm(r))
+    if not 0.0 < norm < 1.0:
+        raise DomainError("the Bloch vector must have a length in (0, 1)", value=norm)
+    n = r / norm
+    along = float(r_prime @ n)
+    perp = float(np.sum((r_prime - along * n) ** 2))
+    det = 1.0 - norm**2
+    return BlochForms(
+        i1=along**2 / det,
+        i2={
+            "bvn": perp * math.atanh(norm) / norm,
+            "ld1": perp / det**2,
+            "ld2": perp / det,
+            "sld": perp,
+        },
+    )

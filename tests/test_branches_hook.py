@@ -1,11 +1,13 @@
-"""Closed-form branches of the displaced thermal family: the branches_of
-hook against the eigensolver path, its call counts, the banded
-functionals, and the bulk check of the displacement."""
+"""Closed-form branches of the displaced thermal family: its unitary path
+against the eigensolver path, its call counts, the banded functionals,
+and the bulk check of the displacement."""
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ldqfi import (
     MODELS,
     CentralDifference,
     CoherentFamily,
+    UnitaryPath,
     coherent_branches,
     coherent_family,
     compute_report,
@@ -38,7 +41,7 @@ THETAS = np.linspace(-0.29, 0.29, 13)
 def test_hook_matches_eigensolver_path(m: float) -> None:
     fam = coherent_family(m).family()
     assert fam.dim == {1.0: 34, 2.0: 57, 10.0: 241}[m]
-    generic = dataclasses.replace(fam, branches_of=None)
+    generic = dataclasses.replace(fam, unitary_path=None)
     for theta in THETAS:
         hook = compute_report(fam, float(theta))
         ref = compute_report(generic, float(theta))
@@ -71,52 +74,71 @@ def test_hook_diagnostics_match_the_assembled_operator(m: float) -> None:
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-6])
 def test_hook_residual_sees_a_basis_defect(eps: float) -> None:
-    # a hook basis I + eps S with S symmetric is not orthonormal: taking
+    # a path basis I + eps S with S symmetric is not orthonormal: taking
     # G = I would report a residual at rounding level instead of the defect
     fam = coherent_family(1.0).family()
-    br = fam.branches_of(0.1)
+    path = fam.unitary_path
     rng = np.random.default_rng(3)
     s = rng.standard_normal((fam.dim, fam.dim))
     basis = np.eye(fam.dim) + eps * (s + s.T)
-    frame = Eigenframe(basis, br.eigenvalues)
-    defective = dataclasses.replace(fam, branches_of=lambda theta: spectral_branches(frame, br.band))
+    defective = dataclasses.replace(
+        fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig, lambda theta: basis)
+    )
     rep = compute_report(defective, 0.1)
     ref = hook_report(defective, 0.1)
     assert ref.kmb_residual > eps
     assert rep.kmb_residual == pytest.approx(ref.kmb_residual, rel=1e-6, abs=0.0)
 
 
-def _path_family(moving: str, dense: bool = False) -> StateFamily:
-    """A hook family on a fixed basis whose eigenvalues or rho' change with
-    theta when moving says so: not a unitary path.  rho' is given as a
-    band, or as a dense matrix when dense is set."""
-    w0 = np.array([0.1, 0.2, 0.3, 0.4])
-
-    def branches_of(theta: float):
-        w = w0 + (theta * 0.01 * np.array([-1.0, -1.0, 1.0, 1.0]) if moving == "spectrum" else 0.0)
-        coupling = 0.02 * (1.0 + theta if moving == "band" else 1.0)
-        band = HermitianTridiagonal(np.zeros(4), np.full(3, coupling))
-        return spectral_branches(Eigenframe(np.eye(4), w), band.dense() if dense else band)
-
+def _fixed_basis_family(dense: bool) -> StateFamily:
+    """A four-level unitary path on a fixed basis, rho' given as a band or,
+    when dense is set, as a dense matrix."""
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    band = HermitianTridiagonal(np.zeros(4), np.full(3, 0.02))
     return StateFamily(
         dim=4,
         theta_domain=(-1.0, 1.0),
-        rho_of=lambda theta: np.diag(w0),
+        rho_of=lambda theta: np.diag(w),
         rho_prime_of=lambda theta: np.zeros((4, 4)),
-        branches_of=branches_of,
+        unitary_path=UnitaryPath(w, band.dense() if dense else band, lambda theta: np.eye(4)),
     )
 
 
 @pytest.mark.parametrize("dense", [False, True])
-@pytest.mark.parametrize("moving", ["spectrum", "band"])
-def test_hook_off_a_unitary_path_is_rejected(moving: str, dense: bool) -> None:
-    fam = _path_family(moving, dense)
-    assert compute_report(fam, 0.3).theta == 0.3
-    with pytest.raises(InvalidInput, match="unitary path"):
-        compute_reports(fam, [0.1, 0.3])
-    fixed = _path_family("nothing", dense)
+def test_path_reports_equal_the_reports_of_single_points(dense: bool) -> None:
+    fam = _fixed_basis_family(dense)
     grid = [0.1, 0.3, -0.5]
-    assert compute_reports(fixed, grid) == [compute_report(fixed, t) for t in grid]
+    assert compute_reports(fam, grid) == [compute_report(fam, t) for t in grid]
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_path_data_is_read_only_and_sized_by_the_family(dense: bool) -> None:
+    fam = _fixed_basis_family(dense)
+    path = fam.unitary_path
+    arrays = (path.rho_prime_eig,) if dense else (path.rho_prime_eig.diag, path.rho_prime_eig.upper)
+    for a in (path.eigenvalues, *arrays):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(InvalidInput, match="dimension 3"):
+        dataclasses.replace(fam, dim=3)
+    short = UnitaryPath(path.eigenvalues[:3], path.rho_prime_eig, path.basis_of)
+    with pytest.raises(InvalidInput, match="dimension 4"):
+        dataclasses.replace(fam, unitary_path=short)
+
+
+def test_coherent_family_is_freed_without_a_collection() -> None:
+    # the path refers to the family; were it kept on the family, the pair
+    # would hold the N x N generator until a full garbage collection
+    gc.disable()
+    try:
+        fam = coherent_family(1.0)
+        compute_reports(fam.family(), [0.1, 0.2])
+        coherent_branches(fam, 0.1)
+        ref = weakref.ref(fam)
+        del fam
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_failing_point_of_a_grid_raises_its_own_error() -> None:
@@ -164,9 +186,12 @@ def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
     counts: dict[str, int] = {}
     _counting(monkeypatch, np.linalg, "eigh", counts)
     _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
+    # the weights and the band are built once, with the family
+    _counting(monkeypatch, CoherentFamily, "eigenvalues", counts)
     for theta in (0.0, 0.1, -0.2):
         compute_report(fam, theta)
-    assert counts == {"eigh": 0, "checked_displacement": 3}
+    compute_reports(fam, [0.05, 0.15])
+    assert counts == {"eigh": 0, "checked_displacement": 5, "eigenvalues": 0}
 
 
 def test_hook_point_takes_the_mean_over_the_band(monkeypatch) -> None:
@@ -185,7 +210,7 @@ def test_hook_point_takes_the_mean_over_the_band(monkeypatch) -> None:
         del tables[:]
         rep = compute_report(fam, theta)
         assert tables == ["bvn"]
-        br = fam.branches_of(theta)
+        br = fam.unitary_path.branches(theta)
         gram = br.basis.conj().T @ br.basis
         rho_eig = (gram * br.eigenvalues) @ gram
         dense = max(
@@ -199,12 +224,12 @@ def test_central_difference_bypasses_the_hook(monkeypatch) -> None:
     fam = dataclasses.replace(
         coherent_family(1.0).family(), derivative_mode=CentralDifference()
     )
-    plain = dataclasses.replace(fam, branches_of=None)
+    plain = dataclasses.replace(fam, unitary_path=None)
 
-    def unused(theta: float):
-        raise AssertionError("the hook serves only analytic derivatives")
+    def unused(path, theta: float):
+        raise AssertionError("the unitary path serves only analytic derivatives")
 
-    monkeypatch.setattr(ldqfi.zoo, "coherent_branches", unused)
+    monkeypatch.setattr(UnitaryPath, "branches", unused)
     for theta in (0.05, 0.2):
         assert compute_report(fam, theta) == compute_report(plain, theta)
 
@@ -212,7 +237,7 @@ def test_central_difference_bypasses_the_hook(monkeypatch) -> None:
 def test_large_occupation_bvn_is_banded() -> None:
     tracemalloc.start()
     try:
-        value = coherent_qfi_bvn(100.0, check_traces=False)
+        value = coherent_qfi_bvn(100.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ determinism and the documented example invocations."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -571,8 +572,16 @@ class TestSweepOutput:
         from ldqfi import TwoLevelFamily2, cli, compute_report
 
         calls = []
-        real_build, real_reports = cli.sweep_family, cli.compute_reports
-        monkeypatch.setattr(cli, "sweep_family", lambda *a: calls.append("build") or real_build(*a))
+        real_reports = cli.compute_reports
+
+        def counted(build):
+            return lambda values: calls.append("build") or build(values)
+
+        counted_families = {
+            name: dataclasses.replace(spec, build=counted(spec.build))
+            for name, spec in cli.FAMILIES.items()
+        }
+        monkeypatch.setattr(cli, "FAMILIES", counted_families)
         monkeypatch.setattr(
             cli, "compute_reports", lambda fam, grid, models: calls.append(len(grid)) or real_reports(fam, grid, models)
         )

@@ -18,13 +18,18 @@ import pytest
 
 import dense_oracles
 import ldqfi
-from ldqfi import linalg, qfi, verify, zoo
+from ldqfi import cli, family, linalg, qfi, verify, zoo
 
 # Names that left the runtime, and where each one lives now (None: deleted,
 # its callers use the code it wrapped).
 MOVED = {
     "qfi_split": None,
     "logmean_kernel": None,
+    "branches_of": None,
+    "local_cr_check": None,
+    "CrCheck": None,
+    "sweep_family": None,
+    "CR_SLACK_TOL": verify,
     "geometric_qfi": dense_oracles,
     "geometric_information": dense_oracles,
     "ncopy_qfi": dense_oracles,
@@ -41,7 +46,7 @@ MOVED = {
 }
 
 
-@pytest.mark.parametrize("module", [ldqfi, zoo, qfi, linalg], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [ldqfi, zoo, qfi, linalg, family, cli], ids=lambda m: m.__name__)
 def test_runtime_modules_do_not_bind_the_references(module) -> None:
     assert sorted(set(MOVED) & set(vars(module))) == []
 
@@ -79,7 +84,6 @@ REMOVED_PARAMETERS = {
     ldqfi.coherent_family: ("theta_domain",),
     ldqfi.default_two_level_1: ("theta_domain",),
     ldqfi.relent_limit: ("eps_seq",),
-    ldqfi.local_cr_check: ("slack_tol",),
     ldqfi.maximality_check: ("step",),
     ldqfi.projection_curvature_residual: ("h",),
     ldqfi.random_analytic_family: ("name",),
@@ -89,6 +93,7 @@ REMOVED_FIELDS = {
     ldqfi.TwoLevelFamily1: "theta_domain",
     ldqfi.TwoLevelFamily2: "theta_domain",
     ldqfi.CoherentFamily: "theta_domain",
+    ldqfi.StateFamily: "branches_of",
 }
 
 

@@ -42,7 +42,6 @@ from ldqfi.linalg import logmean_pairs
 from ldqfi.zoo import (
     FAMILIES,
     grid_domain,
-    sweep_family,
     tanh_weight,
     tanh_weight_prime,
 )
@@ -376,7 +375,7 @@ class TestCoherentFamily:
             coherent_family(0.25, trunc_dim=60)
 
     def test_report_point_forms_the_state_at_most_once(self, monkeypatch) -> None:
-        # the branches hook forms no state; without it eval_rho forms the
+        # the unitary path forms no state; without it eval_rho forms the
         # displaced state and the derivative reads it back.  Either way the
         # displacement is checked once per point.
         calls: dict[str, list[float]] = {"state": [], "checked_displacement": []}
@@ -389,7 +388,7 @@ class TestCoherentFamily:
 
             monkeypatch.setattr(CoherentFamily, name, counted)
         fam = coherent_family(1.0).family()
-        for f, states in ((fam, []), (dataclasses.replace(fam, branches_of=None), [0.1])):
+        for f, states in ((fam, []), (dataclasses.replace(fam, unitary_path=None), [0.1])):
             for seen in calls.values():
                 seen.clear()
             compute_report(f, 0.1)
@@ -592,11 +591,13 @@ def test_constructors_reject_bad_trunc_dim(build, trunc_dim: float) -> None:
         lambda: displacement_closed_form(10**400, 3),
         lambda: displacement_closed_form("a", 3),
         lambda: CoherentFamily(1.0, 10).checked_displacement(None),
+        lambda: geometric_trunc_dim("a", 1),
     ],
     ids=["coherent_trunc_dim", "coherent_family", "geometric_family", "two_level_2",
          "nonsmooth_string", "nonsmooth_none", "coherent_trunc_dim_huge", "coherent_family_huge",
          "coherent_trunc_dim_param_huge", "geometric_family_huge", "two_level_2_huge",
-         "displacement_huge", "displacement_string", "checked_displacement_none"],
+         "displacement_huge", "displacement_string", "checked_displacement_none",
+         "geometric_trunc_dim_string"],
 )
 def test_constructors_reject_non_real_parameters(build) -> None:
     # each raised a bare TypeError from a comparison or math.isfinite, or
@@ -626,7 +627,7 @@ class TestRegistry:
         with pytest.raises(InvalidInput, match="both fixed and swept"):
             grid_domain("two_level_2", {"r": 0.3})
         with pytest.raises(InvalidInput, match="both fixed and swept"):
-            sweep_family("two_level_2", {"theta": 0.2}, "theta", 0.7)
+            grid_domain("two_level_2", {"theta": 0.2}, "theta")
         assert grid_domain("two_level_2", {"theta": 0.2})[0] == "r"
 
     def test_only_counterexample_lacks_analytic_derivative(self) -> None:
@@ -653,7 +654,7 @@ class TestRegistry:
             assert (dom.lo, dom.hi) == fam.theta_domain, name
 
     def test_sweep_family_r_sweep(self) -> None:
-        fam, theta = sweep_family("two_level_2", {}, "r", 0.5)
+        fam, theta = FAMILIES["two_level_2"].build({"r": 0.5})
         assert theta == pytest.approx(0.4)  # fixed evaluation point
         br = branches_at(fam, theta)
         assert max(br.eigenvalues) == pytest.approx(0.75, rel=1e-12)
@@ -672,7 +673,7 @@ class TestRegistry:
         assert FAMILIES["two_level_2"].family_coords == {"r"}
 
     def test_sweep_family_theta_sweep(self) -> None:
-        fam, theta = sweep_family("two_level_2", {"r": 0.3}, "theta", 0.7)
+        fam, theta = FAMILIES["two_level_2"].build({"r": 0.3, "theta": 0.7})
         assert theta == 0.7
         br = branches_at(fam, theta)
         assert max(br.eigenvalues) == pytest.approx(0.65, rel=1e-12)
