@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -141,8 +141,17 @@ class UnitaryPath:
         object.__setattr__(self, "rho_prime_eig", rp)
 
     def branches(self, theta: float) -> SpectralBranches:
-        """The spectral branches at theta, from the basis at theta alone."""
-        frame = Eigenframe(self.basis_of(theta), self.eigenvalues)
+        """The spectral branches at theta, from the basis at theta alone.
+
+        A theta that is not a real number raises InvalidInput, and one that
+        is not finite DomainError, at the call.  basis_of(theta) is called
+        on the first read of the branches' basis, so the readers that need
+        only the eigenvalues and rho' (the information values) never build
+        it; whatever basis_of raises, such as the bulk check of a
+        displacement, is raised by that read.
+        """
+        _check_finite(theta)
+        frame = Eigenframe(partial(self.basis_of, theta), self.eigenvalues)
         return spectral_branches(frame, self.rho_prime_eig)
 
 
@@ -212,11 +221,17 @@ def default_step(theta: float) -> float:
     return max(1e-5, float(np.cbrt(np.finfo(float).eps)) * (1.0 + abs(theta)))
 
 
+def _check_finite(theta: float) -> None:
+    """InvalidInput unless theta is a real number (see linalg._real),
+    DomainError unless it is finite."""
+    if not math.isfinite(_real(theta, "theta")):
+        raise DomainError("theta must be finite", value=theta)
+
+
 def _check_theta(fam: StateFamily, theta: float, pad: float = 0.0) -> None:
     """InvalidInput unless theta is a real number (see linalg._real),
     DomainError unless it lies in the family's open domain by pad."""
-    if not math.isfinite(_real(theta, "theta")):
-        raise DomainError("theta must be finite", value=theta)
+    _check_finite(theta)
     lo, hi = fam.theta_domain
     if not (lo < theta - pad and theta + pad < hi):
         raise DomainError(
@@ -267,7 +282,10 @@ class SpectralBranches:
     """Eigen-data of (rho, rho') resolved into clustered spectral branches.
 
     basis columns hold the orthonormal eigenvectors in ascending eigenvalue
-    order; eigenvalues are the raw solver values and cluster_values their
+    order: set by __init__ for a point given its basis (an eigensolver
+    point), built on first read by the callable given in its place (a point
+    of a UnitaryPath), which is then dropped.  eigenvalues are the raw
+    solver values, which also give dim, and cluster_values their
     per-cluster means.  rho' decomposes as
         rho' = sum_k value_prime_k P_k + sum_k cluster_value_k P'_k.
     rho' in the eigenbasis is given as a dense matrix or, by a closed-form
@@ -281,14 +299,17 @@ class SpectralBranches:
 
     def __init__(
         self,
-        basis: np.ndarray,
+        basis: np.ndarray | Callable[[], np.ndarray],
         eigenvalues: np.ndarray,
         rho_prime_eig: np.ndarray | HermitianTridiagonal,
         cluster_slices: list[slice],
         cluster_values: np.ndarray,
         cluster_value_primes: np.ndarray,
     ):
-        self.basis = basis
+        if callable(basis):
+            self._basis_of = basis
+        else:
+            self.basis = basis
         self.eigenvalues = eigenvalues
         if isinstance(rho_prime_eig, HermitianTridiagonal):
             self.band = rho_prime_eig
@@ -301,6 +322,14 @@ class SpectralBranches:
         self.kernels: dict[str, np.ndarray] = {}
 
     @cached_property
+    def basis(self) -> np.ndarray:
+        """The basis of a point given a callable for it, built on first
+        read; the callable goes, so that a kept point holds no family."""
+        basis = self._basis_of()
+        del self._basis_of
+        return basis
+
+    @cached_property
     def rho_prime_eig(self) -> np.ndarray:
         """rho' in the eigenbasis as a dense matrix: set by __init__ for a
         dense point, built from the band on first use for a banded one."""
@@ -308,7 +337,7 @@ class SpectralBranches:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def n_clusters(self) -> int:
@@ -365,9 +394,11 @@ def _cluster_starts(w: np.ndarray) -> np.ndarray:
 
 class Eigenframe(NamedTuple):
     """A state's eigendecomposition known in closed form: orthonormal basis
-    columns and their eigenvalues, in ascending order."""
+    columns and their eigenvalues, in ascending order.  The basis may be
+    given as a callable that returns it, for SpectralBranches to call on
+    the first read."""
 
-    basis: np.ndarray
+    basis: np.ndarray | Callable[[], np.ndarray]
     eigenvalues: np.ndarray
 
 

@@ -289,13 +289,16 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
     for theta in thetas:
         _check_theta(fam, theta)
         br = path.branches(theta)
+        # the basis first, so that its checks decide a failing point's error
+        v = br.basis
         if first is None:
             first, values = br, _values(br, models)
         # The state is basis diag(lambda) basis^dagger; seen through the
         # basis' own Gram matrix it carries the basis' orthogonality defect.
-        v = br.basis
+        # A banded point forms only the entries that expectation reads.
         gram = v.conj().T @ v
-        rho_eig = (gram * br.eigenvalues) @ gram
+        scaled = gram * br.eigenvalues
+        rho_eig = scaled @ gram if br.band is None else br.band.transposed_product(scaled, gram)
         # the first point's branches: the path's eigenvalues and rho', and
         # the kernel tables they have already built
         reports.append(_report(theta, first, values, rho_eig, gram, models))
@@ -313,8 +316,9 @@ def _report(theta: float, br: SpectralBranches,
             values: tuple[float, dict[str, float], dict[str, float]],
             rho_eig: np.ndarray, gram: np.ndarray, models: list[str]) -> QfiReport:
     """The report of a point from its values and, for the diagnostics,
-    rho and the Gram matrix of its basis, both in that basis; br gives
-    the eigenvalues, rho' in the basis and the kernel tables."""
+    rho and the Gram matrix of its basis, both in that basis (rho at a
+    banded point only where ldops.expectation reads it); br gives the
+    eigenvalues, rho' in the basis and the kernel tables."""
     worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
     table = kernel_table(br, "bvn")
     x = br.rho_prime_eig

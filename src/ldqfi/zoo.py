@@ -452,7 +452,8 @@ class CoherentFamily:
         constant in theta, and rho' expressed in the moving basis is the
         fixed commutator [a+ - a, rho_0].  Branch data therefore needs no
         eigensolve: the basis columns are the checked displacement's
-        columns in ascending-eigenvalue (reversed level) order, and rho' in
+        columns in ascending-eigenvalue (reversed level) order, formed when
+        a point's basis is first read (see UnitaryPath.branches), and rho' in
         that basis is the tridiagonal band with entries
         sqrt(n+1) (lambda_n - lambda_n+1) between levels n and n+1.
 
@@ -503,7 +504,8 @@ def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> Coh
 
 def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranches:
     """Spectral branches of the displaced thermal family at theta in closed
-    form: fam.path.branches(theta)."""
+    form: fam.path.branches(theta), whose basis is the checked displacement
+    at theta, formed and checked on its first read."""
     return fam.path.branches(theta)
 
 

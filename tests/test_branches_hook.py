@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -25,11 +26,11 @@ from ldqfi import (
     kernel_matrix,
     qfi_value,
 )
-from ldqfi.errors import DegenerateCrossing, InvalidInput, TruncationError
+from ldqfi.errors import DegenerateCrossing, DomainError, InvalidInput, TruncationError
 from ldqfi.family import Eigenframe, StateFamily, spectral_branches
 from ldqfi.ldops import kernel_entries, kernel_pairs
 from ldqfi.linalg import HermitianTridiagonal, expm, logmean_pairs
-from ldqfi.verify import coherent_qfi_bvn
+from ldqfi.verify import coherent_qfi_bvn, coherent_qfi_ld2
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
 
 from dense_oracles import hook_report
@@ -61,14 +62,16 @@ def test_reports_equal_the_reports_of_single_points(m: float, count: int) -> Non
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
 def test_hook_diagnostics_match_the_assembled_operator(m: float) -> None:
-    # the values and Tr(rho H) keep the bytes of the point alone; the KMB
-    # residual from the Gram matrix is that of the assembled bvn operator
-    # to rounding
+    # the values keep the bytes of the point alone; Tr(rho H) against the
+    # band of rho summed entry by entry is the one against the whole
+    # product G diag(lambda) G to rounding (a few ulp of a value near 1e-17),
+    # and the KMB residual from the Gram matrix that of the assembled bvn
+    # operator
     fam = coherent_family(m).family()
     grid = [0.0, *np.linspace(-0.29, 0.29, 12).tolist()]
     for rep, ref in zip(compute_reports(fam, grid), [hook_report(fam, theta) for theta in grid]):
         assert (rep.theta, rep.qfi, rep.i1, rep.i2) == (ref.theta, ref.qfi, ref.i1, ref.i2)
-        assert rep.max_zero_expectation == ref.max_zero_expectation
+        assert rep.max_zero_expectation == pytest.approx(ref.max_zero_expectation, rel=1e-12, abs=1e-30)
         assert abs(rep.kmb_residual - ref.kmb_residual) <= 1e-15
 
 
@@ -234,7 +237,12 @@ def test_central_difference_bypasses_the_hook(monkeypatch) -> None:
         assert compute_report(fam, theta) == compute_report(plain, theta)
 
 
-def test_large_occupation_bvn_is_banded() -> None:
+def test_large_occupation_bvn_is_banded(monkeypatch) -> None:
+    # the references read the eigenvalues and the band alone, so no basis
+    # is built: no displacement and no N^2 array at N = 2082 (one would
+    # take 35 MB)
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
     tracemalloc.start()
     try:
         value = coherent_qfi_bvn(100.0)
@@ -242,8 +250,50 @@ def test_large_occupation_bvn_is_banded() -> None:
     finally:
         tracemalloc.stop()
     assert value == pytest.approx(0.019900661289228672, rel=1e-14, abs=0.0)
-    # the identity basis at theta = 0 (N = 2082) is the only N^2 array
-    assert peak < 40e6
+    assert peak < 4e6
+    coherent_qfi_ld2(100.0)
+    assert counts == {"checked_displacement": 0}
+
+
+def test_path_basis_is_built_once_on_first_read(monkeypatch) -> None:
+    fam = coherent_family(2.0)
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
+    for theta in (0.0, 0.15, -0.25):
+        br = coherent_branches(fam, theta)
+        assert br.dim == fam.trunc_dim
+        qfi_value(br, "ld1")
+        assert counts["checked_displacement"] == 0
+        basis = br.basis
+        assert counts["checked_displacement"] == 1
+        np.testing.assert_array_equal(basis, fam.checked_displacement(theta)[:, ::-1])
+        assert br.basis is basis
+        counts["checked_displacement"] = 0
+
+
+def test_path_branches_check_theta_at_the_call() -> None:
+    fam = coherent_family(1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            coherent_branches(fam, bad)
+    with pytest.raises(InvalidInput):
+        coherent_branches(fam, "a")
+
+
+def test_no_bulk_amplitude_raises_on_the_first_basis_read() -> None:
+    # N = 12 leaves no bulk at amplitude 0.2; the branches are made, and
+    # their basis (the checked displacement) raises as compute_report does
+    cf = coherent_family(0.1, 12)
+    br = coherent_branches(cf, 0.2)
+    assert qfi_value(br, "bvn") > 0.0
+    with pytest.raises(TruncationError) as first:
+        br.basis
+    with pytest.raises(TruncationError) as again:
+        br.basis
+    with pytest.raises(TruncationError) as report:
+        compute_report(cf.family(), 0.2)
+    assert str(first.value) == str(again.value) == str(report.value)
+    assert "amplitude 0.2;" in str(first.value)
 
 
 def test_band_is_the_dense_commutator() -> None:
@@ -273,6 +323,8 @@ def test_band_entries_and_kernels_match_the_tables() -> None:
     w = np.sort(rng.uniform(0.1, 1.0, n))
     w /= w.sum()
     rows, cols, _ = band.entries
+    a, b = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)))
+    np.testing.assert_allclose(band.transposed_product(a, b), (a @ b)[cols, rows], rtol=1e-14, atol=1e-14)
     for model in MODELS:
         table = kernel_matrix(w, model)
         np.testing.assert_array_equal(table, kernel_pairs(w[:, None], w[None, :], model))
