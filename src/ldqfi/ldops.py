@@ -98,18 +98,13 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
 def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
     """Tr(rho H) for the model's operator H_eig = rho'_eig / K, with rho
     given in the eigenbasis, summed over the stored entries of rho' (see
-    kernel_entries) against rho_eig at the transposed positions.
-
-    At a dense point rho_eig is the matrix.  At a banded point it is only
-    the 1-d array of what the sum reads, rho_eig[cols, rows] in the order
-    of the band's entries (rows, cols, _), such as
-    br.band.transposed_product gives, so that no N x N rho is formed.
-    """
+    kernel_entries) and read against rho_eig at the transposed positions."""
     _, rp, kern = kernel_entries(br, model)
     h = rp / kern
     if br.band is None:
         return trace_product(rho_eig, h)
-    return float(np.sum(rho_eig * h).real)
+    rows, cols, _ = br.band.entries
+    return float(np.sum(rho_eig[cols, rows] * h).real)
 
 
 def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:

@@ -197,16 +197,10 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 def schatten_norm(a: np.ndarray, p: int | str) -> float:
     """Schatten norm of a square matrix: p = 1 trace norm, p = 2 Frobenius,
-    p = "op" operator norm.
-
-    The trace norm is taken of Hermitian matrices only, as the sum of the
-    absolute eigenvalues of the Hermitian part; a matrix that is not
-    Hermitian within HERMITICITY_TOL (see is_hermitian) raises InvalidInput.
-    """
+    p = "op" operator norm."""
     a = _as_square_matrix(a)
     if p == 1:
-        a = require_hermitian(a, "trace-norm argument")
-        return float(np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum())
+        return float(_one_blas_thread(np.linalg.svd, a, compute_uv=False).sum())
     if p == 2:
         return float(np.linalg.norm(a))
     if p == "op":
@@ -236,16 +230,6 @@ class HermitianTridiagonal:
         rows = np.concatenate((i, i[:-1], i[1:]))
         cols = np.concatenate((i, i[1:], i[:-1]))
         return rows, cols, np.concatenate((self.diag, self.upper, self.upper.conj()))
-
-    def transposed_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a @ b)[cols, rows] at the stored entries (rows, cols, _), in
-        their order: the product's diagonal, subdiagonal and superdiagonal.
-        Each entry is one row of a against one column of b, so it costs
-        O(n^2) and forms neither the product nor a row-gathered copy."""
-        diag = np.einsum("ij,ji->i", a, b)
-        lower = np.einsum("ij,ji->i", a[1:], b[:, :-1])
-        upper = np.einsum("ij,ji->i", a[:-1], b[:, 1:])
-        return np.concatenate((diag, lower, upper))
 
     def dense(self) -> np.ndarray:
         rows, cols, vals = self.entries

@@ -295,10 +295,8 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
             first, values = br, _values(br, models)
         # The state is basis diag(lambda) basis^dagger; seen through the
         # basis' own Gram matrix it carries the basis' orthogonality defect.
-        # A banded point forms only the entries that expectation reads.
         gram = v.conj().T @ v
-        scaled = gram * br.eigenvalues
-        rho_eig = scaled @ gram if br.band is None else br.band.transposed_product(scaled, gram)
+        rho_eig = (gram * br.eigenvalues) @ gram
         # the first point's branches: the path's eigenvalues and rho', and
         # the kernel tables they have already built
         reports.append(_report(theta, first, values, rho_eig, gram, models))
@@ -316,9 +314,8 @@ def _report(theta: float, br: SpectralBranches,
             values: tuple[float, dict[str, float], dict[str, float]],
             rho_eig: np.ndarray, gram: np.ndarray, models: list[str]) -> QfiReport:
     """The report of a point from its values and, for the diagnostics,
-    rho and the Gram matrix of its basis, both in that basis (rho at a
-    banded point only where ldops.expectation reads it); br gives the
-    eigenvalues, rho' in the basis and the kernel tables."""
+    rho and the Gram matrix of its basis, both in that basis; br gives
+    the eigenvalues, rho' in the basis and the kernel tables."""
     worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
     table = kernel_table(br, "bvn")
     x = br.rho_prime_eig

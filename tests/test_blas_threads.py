@@ -1,5 +1,5 @@
 """Output bytes do not depend on the BLAS thread count: the state's
-eigensolve and the KMB trace norm's eigvalsh run on one OpenBLAS thread."""
+eigensolve and the KMB trace-norm SVD run on one OpenBLAS thread."""
 
 from __future__ import annotations
 

@@ -62,16 +62,14 @@ def test_reports_equal_the_reports_of_single_points(m: float, count: int) -> Non
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
 def test_hook_diagnostics_match_the_assembled_operator(m: float) -> None:
-    # the values keep the bytes of the point alone; Tr(rho H) against the
-    # band of rho summed entry by entry is the one against the whole
-    # product G diag(lambda) G to rounding (a few ulp of a value near 1e-17),
-    # and the KMB residual from the Gram matrix that of the assembled bvn
-    # operator
+    # the values and Tr(rho H) keep the bytes of the point alone; the KMB
+    # residual from the Gram matrix is that of the assembled bvn operator
+    # to rounding
     fam = coherent_family(m).family()
     grid = [0.0, *np.linspace(-0.29, 0.29, 12).tolist()]
     for rep, ref in zip(compute_reports(fam, grid), [hook_report(fam, theta) for theta in grid]):
         assert (rep.theta, rep.qfi, rep.i1, rep.i2) == (ref.theta, ref.qfi, ref.i1, ref.i2)
-        assert rep.max_zero_expectation == pytest.approx(ref.max_zero_expectation, rel=1e-12, abs=1e-30)
+        assert rep.max_zero_expectation == ref.max_zero_expectation
         assert abs(rep.kmb_residual - ref.kmb_residual) <= 1e-15
 
 
@@ -323,8 +321,6 @@ def test_band_entries_and_kernels_match_the_tables() -> None:
     w = np.sort(rng.uniform(0.1, 1.0, n))
     w /= w.sum()
     rows, cols, _ = band.entries
-    a, b = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)))
-    np.testing.assert_allclose(band.transposed_product(a, b), (a @ b)[cols, rows], rtol=1e-14, atol=1e-14)
     for model in MODELS:
         table = kernel_matrix(w, model)
         np.testing.assert_array_equal(table, kernel_pairs(w[:, None], w[None, :], model))

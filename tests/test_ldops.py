@@ -27,6 +27,9 @@ from ldqfi import (
     kmb_residual,
     ld_operator,
     random_analytic_family,
+    random_hermitian,
+    schatten_norm,
+    spectral_branches,
     trace_product,
 )
 from ldqfi.errors import DomainError, InvalidInput
@@ -188,6 +191,25 @@ def test_kmb_residual_small_for_bvn_only(random_branches) -> None:
     # non-commuting state
     for model in ("ld1", "ld2", "sld"):
         assert kmb_residual(br, ld_operator(br, model)) > 1e-6
+
+
+def test_kmb_residual_of_a_large_norm_bvn_operator() -> None:
+    # eigenvalues down to 1e-6 give a bvn operator of norm near 1e6; the
+    # reconstruction K o (V^dagger H V) is then Hermitian only to about
+    # 1e-11 absolute, and the trace norm must take it as it is
+    rng = np.random.default_rng(3)
+    n = 16
+    w = np.geomspace(1e-6, 1.0, n)
+    w /= w.sum()
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rho = (u * w) @ u.conj().T
+    rp = random_hermitian(n, rng)
+    rp -= np.trace(rp) / n * np.eye(n)
+    br = spectral_branches(0.5 * (rho + rho.conj().T), rp)
+    op = ld_operator(br, "bvn")
+    assert np.abs(op.matrix).max() > 1e5
+    residual = kmb_residual(br, op)
+    assert 0.0 <= residual <= 1e-11 * schatten_norm(rp, 1)
 
 
 def test_split_reassembles_operator(random_branches) -> None:
