@@ -40,7 +40,7 @@ from .family import (
 )
 from .ldops import (
     MODELS,
-    LdOperator,
+    commuting_part,
     kernel_matrix,
     kmb_residual,
     ld_operator,
@@ -70,7 +70,6 @@ from .zoo import (
     CoherentFamily,
     TwoLevelFamily1,
     TwoLevelFamily2,
-    coherent_branches,
     coherent_family,
     coherent_trunc_dim,
     counterexample_family,

@@ -21,7 +21,7 @@ import numpy as np
 from . import verify
 from .errors import InvalidInput, QfiError
 from .family import CentralDifference, StateFamily, branches_at
-from .ldops import MODELS, kmb_residual, ld_operator
+from .ldops import MODELS, commuting_part, kmb_residual, ld_operator
 from .linalg import trace_product
 from .qfi import compute_report, compute_reports
 from .zoo import FAMILIES, STEP_DOMAIN, grid_domain
@@ -332,20 +332,20 @@ def cmd_ld(args: argparse.Namespace) -> int:
             "warning: DegenerateAtZero vicinity: spectral gap below resolution, "
             "projection branches unresolved and merged"
         )
-    op = ld_operator(br, args.model, split=True)
+    h = ld_operator(br, args.model)
     rho = br.rho()
     print(f"family {args.family} theta {_g17(theta)} model {args.model}")
     print("H (real part):")
-    for row in op.matrix.real:
+    for row in h.real:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))
     print("H (imag part):")
-    for row in op.matrix.imag:
+    for row in h.imag:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))
-    print(f"Tr(rho H) = {_g17(trace_product(rho, op.matrix))}")
-    print(f"KMB residual = {_g17(kmb_residual(br, op))}")
-    h1 = float(np.linalg.norm(op.h1)) if op.h1 is not None else float("nan")
-    h2 = float(np.linalg.norm(op.h2)) if op.h2 is not None else float("nan")
-    print(f"||H1||_F = {_g17(h1)}  ||H2||_F = {_g17(h2)}")
+    print(f"Tr(rho H) = {_g17(trace_product(rho, h))}")
+    print(f"KMB residual = {_g17(kmb_residual(br, h))}")
+    h1 = commuting_part(br)
+    h1_norm, h2_norm = float(np.linalg.norm(h1)), float(np.linalg.norm(h - h1))
+    print(f"||H1||_F = {_g17(h1_norm)}  ||H2||_F = {_g17(h2_norm)}")
     return 0
 
 

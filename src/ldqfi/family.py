@@ -23,11 +23,9 @@ from .errors import (
 )
 from .linalg import (
     HermitianTridiagonal,
-    _as_square_matrix,
     _one_blas_thread,
     _real,
     hermitize,
-    is_hermitian,
     random_hermitian,
     require_hermitian,
 )
@@ -268,10 +266,7 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
         tol = TRACE_TOL_NUMERIC
     if rp.shape != (fam.dim, fam.dim):
         raise InvalidInput(f"derivative has shape {rp.shape}, expected {(fam.dim, fam.dim)}")
-    rp = _as_square_matrix(rp, "family derivative")
-    if not is_hermitian(rp, tol=max(tol, 1e-12)):
-        raise InvalidInput("family derivative is not Hermitian within mode tolerance")
-    rp = hermitize(rp)
+    rp = require_hermitian(rp, "family derivative", tol)
     scale = max(1.0, float(np.abs(rp).max(initial=0.0)))
     if abs(float(np.trace(rp).real)) > tol * scale:
         raise InvalidInput("family derivative has non-zero trace beyond mode tolerance")

@@ -12,11 +12,14 @@ by a symmetric positive kernel of the eigenvalue pair: the logarithmic,
 harmonic, geometric and arithmetic means respectively.  kernel_table builds
 that kernel once per model and point and keeps it on the point's
 SpectralBranches; every reader of the point divides by the same table.
+
+Every operator splits as H = H1 + H2.  H1 = sum_k (lambda'_k/lambda_k) P_k
+(commuting_part) is the same for all four models and commutes with rho;
+H2 = H - H1 has vanishing blocks inside each eigenvalue cluster and is the
+part that vanishes when [rho, rho'] = 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,22 +69,6 @@ def kernel_table(br: SpectralBranches, model: str) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class LdOperator:
-    """A logarithmic-derivative operator with its optional commuting split.
-
-    h1 is the part diagonal in the eigenbasis of rho (it always commutes
-    with rho); h2 = matrix - h1 carries the non-commuting remainder.  For
-    the bvn model h2 is built independently of matrix, making
-    h1 + h2 = matrix a genuine identity check rather than a tautology.
-    """
-
-    model: str
-    matrix: np.ndarray
-    h1: np.ndarray | None = None
-    h2: np.ndarray | None = None
-
-
 def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda_i, rho'_ij, K_ij) over the stored entries of rho' in the
     eigenbasis, with K the model's mean of (lambda_i, lambda_j), ready for
@@ -107,36 +94,24 @@ def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
     return float(np.sum(rho_eig[cols, rows] * h).real)
 
 
-def ld_operator(br: SpectralBranches, model: str, split: bool = True) -> LdOperator:
-    """Construct the LD operator of a model from spectral branches.
-
-    With split=True also returns h1 = sum_k (lambda'_k/lambda_k) P_k and h2:
-    for bvn, h2 = sum_k ln(lambda_k) P'_k assembled from the branch data;
-    for the other models h2 = matrix - h1.
-    """
+def ld_operator(br: SpectralBranches, model: str) -> np.ndarray:
+    """The model's LD operator H as a Hermitian matrix: rho' in the
+    eigenbasis divided by the point's kernel_table, rotated back."""
     v = br.basis
-    matrix = hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().T)
-    if not split:
-        return LdOperator(model=model, matrix=matrix)
-
-    idx = br.cluster_index
-    ratios = (br.cluster_value_primes / br.cluster_values)[idx]
-    h1 = hermitize((v * ratios) @ v.conj().T)
-    if model == "bvn":
-        # sum_k ln(lambda_k) P'_k collapses, pair by pair of clusters, to
-        # division of rho' by the logarithmic mean of the cluster values,
-        # with vanishing blocks inside each cluster.
-        same = idx[:, None] == idx[None, :]
-        kern_c = kernel_matrix(br.cluster_values[idx], "bvn")
-        h2_eig = np.where(same, 0.0, br.rho_prime_eig / kern_c)
-        h2 = hermitize(v @ h2_eig @ v.conj().T)
-    else:
-        h2 = matrix - h1
-    return LdOperator(model=model, matrix=matrix, h1=h1, h2=h2)
+    return hermitize(v @ (br.rho_prime_eig / kernel_table(br, model)) @ v.conj().T)
 
 
-def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
-    """Trace-norm defect of H as a solution of the KMB equation,
+def commuting_part(br: SpectralBranches) -> np.ndarray:
+    """H1 = sum_k (lambda'_k/lambda_k) P_k, the part of every model's LD
+    operator that commutes with rho; H - H1 is the remainder H2."""
+    v = br.basis
+    ratios = (br.cluster_value_primes / br.cluster_values)[br.cluster_index]
+    return hermitize((v * ratios) @ v.conj().T)
+
+
+def kmb_residual(br: SpectralBranches, ld: np.ndarray) -> float:
+    """Trace-norm defect of a matrix H, such as ld_operator returns, as a
+    solution of the KMB equation,
     || integral_0^1 rho^t H rho^(1-t) dt - rho' ||_1.
 
     Zero (to rounding) exactly for the bvn operator; for the other models a
@@ -144,8 +119,7 @@ def kmb_residual(br: SpectralBranches, ld: LdOperator | np.ndarray) -> float:
     the KMB one on a non-commuting family.  An operator that is not a
     Hermitian matrix of the state's dimension raises InvalidInput.
     """
-    h = ld.matrix if isinstance(ld, LdOperator) else np.asarray(ld)
-    h = require_hermitian(h, "LD operator")
+    h = require_hermitian(ld, "LD operator")
     if h.shape != (br.dim, br.dim):
         raise InvalidInput(f"LD operator of shape {h.shape} does not match dimension {br.dim}")
     h_eig = br.basis.conj().T @ h @ br.basis

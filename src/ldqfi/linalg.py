@@ -127,18 +127,25 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """Whether a matrix, or each matrix of a stack (the last two axes), is
     Hermitian within tol relative to its largest entry (at least 1)."""
     a = np.asarray(a)
+    return _within(a, a.conj().swapaxes(-1, -2), tol)
+
+
+def _within(a: np.ndarray, a_h: np.ndarray, tol: float) -> bool:
+    """is_hermitian of a, given its conjugate transpose a_h."""
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    dev = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
     return bool(np.all(dev <= tol * scale))
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
     """The Hermitian part of a finite square matrix, or of a stack of them
-    of shape (k, d, d), checked Hermitian within tol (see is_hermitian)."""
+    of shape (k, d, d), checked Hermitian within tol (see is_hermitian).
+    The conjugate transpose is formed once, for the check and the part."""
     a = _as_square_matrix(a, name, ndims=(2, 3))
-    if not is_hermitian(a, tol):
+    a_h = a.conj().swapaxes(-1, -2)
+    if not _within(a, a_h, tol):
         raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
-    return hermitize(a)
+    return 0.5 * (a + a_h)
 
 
 def require_positive(w: np.ndarray, name: str) -> np.ndarray:

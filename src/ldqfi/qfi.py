@@ -33,7 +33,6 @@ from .family import (
 )
 from .ldops import (
     MODELS,
-    LdOperator,
     expectation,
     kernel_entries,
     kernel_table,
@@ -64,21 +63,17 @@ def qfi_bvn(br: SpectralBranches) -> float:
     return float(np.sum(np.abs(rp) ** 2 / kern))
 
 
-def qfi_variance(rho: DensityMatrix | np.ndarray, ld: LdOperator | np.ndarray) -> float:
-    """Ordinary second moment Tr(rho H^2) for the variance-based models.
+def qfi_variance(rho: DensityMatrix | np.ndarray, ld: np.ndarray) -> float:
+    """Ordinary second moment Tr(rho H^2) of a Hermitian matrix H: the
+    information value of the variance-based models for their ld_operator.
 
     Valid as an information value only when Tr(rho H) = 0, which holds for
     every LD operator of a normalized family; a grossly violated mean means
-    the operator does not belong to the state and is rejected.  Accepts a
-    bare Hermitian matrix as well, acting as a plain centered second moment.
+    the operator does not belong to the state and is rejected, as is a
+    matrix that is not Hermitian.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if isinstance(ld, LdOperator):
-        if ld.model not in MODELS:
-            raise InvalidInput(f"unknown model {ld.model!r}")
-        h = ld.matrix
-    else:
-        h = require_hermitian(np.asarray(ld), "observable")
+    h = require_hermitian(ld, "observable")
     mean = trace_product(mat, h)
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if abs(mean) > 1e-6 * scale:
@@ -211,8 +206,8 @@ def maximality_check(fam: StateFamily, theta: float) -> tuple[float, float]:
     """
     _check_theta(fam, theta)
     h = default_step(theta)
-    plus = ld_operator(branches_at(fam, theta + h), "bvn", split=False).matrix
-    minus = ld_operator(branches_at(fam, theta - h), "bvn", split=False).matrix
+    plus = ld_operator(branches_at(fam, theta + h), "bvn")
+    minus = ld_operator(branches_at(fam, theta - h), "bvn")
     h_prime = (plus - minus) / (2.0 * h)
     br = branches_at(fam, theta)
     e_prime = trace_product(br.rho(), h_prime)

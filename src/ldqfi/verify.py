@@ -179,7 +179,7 @@ def kmb(seed: int) -> list[Check]:
     for fam, theta in breve_pts:
         br = branches_at(fam, theta)
         q = qfi_bvn(br)
-        breve = breve_variance(br, ld_operator(br, "bvn", split=False).matrix)
+        breve = breve_variance(br, ld_operator(br, "bvn"))
         worst = max(worst, abs(breve - q) / max(1.0, abs(q)))
     checks.append(
         Check(
@@ -250,8 +250,7 @@ def _table_checks(
         err_i1 = max(err_i1, abs(i1 - forms.i1))
         var_i2 = {}
         for m in MODELS:
-            op = ld_operator(br, m, split=False)
-            var_i2[m] = qfi_variance(br.rho(), op) - i1
+            var_i2[m] = qfi_variance(br.rho(), ld_operator(br, m)) - i1
             err_i2[m] = max(err_i2[m], abs(var_i2[m] - forms.i2[m]))
         chain = (var_i2["ld1"], var_i2["ld2"], var_i2["bvn"], var_i2["sld"])
         for a, b in zip(chain, chain[1:]):
@@ -532,7 +531,7 @@ def cr(seed: int) -> list[Check]:
             if model in ("ld1", "ld2") and not commuting:
                 continue
             info = qfi_value(br, model)
-            direction = ld_operator(br, model, split=False).matrix / info
+            direction = ld_operator(br, model) / info
             _, (lhs,), (rhs,) = local_cr_terms(br, direction[None], model)
             gap = abs(lhs - rhs)
             checks.append(

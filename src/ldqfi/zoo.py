@@ -12,9 +12,9 @@ origin.
 Each family carries the truncation bookkeeping (tail mass, rank floor,
 displacement accuracy) that makes the finite-dimensional surrogates
 trustworthy; the displaced thermal family is also a unitary path
-(CoherentFamily.path, whose branches coherent_branches returns) and
-carries the closed-form displacement its exponential is checked against
-(displacement_closed_form).  FAMILIES is the table of
+(CoherentFamily.path, whose branches(theta) are its spectral branches in
+closed form) and carries the closed-form displacement its exponential is
+checked against (displacement_closed_form).  FAMILIES is the table of
 families a sweep can name: their parameters, sweep coordinates and
 admissible intervals.  The closed-form information values that
 cross-check the families are references, not part of the runtime: the
@@ -35,7 +35,6 @@ from .errors import DomainError, InvalidInput, SingularState, TruncationError
 from .family import (
     RANK_TOL,
     CentralDifference,
-    SpectralBranches,
     StateFamily,
     UnitaryPath,
     nonsmooth_projection_state,
@@ -500,13 +499,6 @@ def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> Coh
             f"smallest retained eigenvalue {lam_min:.3e} at or below the rank floor; reduce trunc_dim"
         )
     return CoherentFamily(mean_occupation=m, trunc_dim=n)
-
-
-def coherent_branches(fam: CoherentFamily, theta: float = 0.0) -> SpectralBranches:
-    """Spectral branches of the displaced thermal family at theta in closed
-    form: fam.path.branches(theta), whose basis is the checked displacement
-    at theta, formed and checked on its first read."""
-    return fam.path.branches(theta)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from ldqfi.family import (
     StateFamily,
     branches_at,
 )
-from ldqfi.ldops import MODELS, LdOperator, kernel_entries, kernel_matrix, kernel_table, ld_operator
+from ldqfi.ldops import MODELS, kernel_entries, kernel_matrix, kernel_table, ld_operator
 from ldqfi.linalg import (
     _one_blas_thread,
     _positive_int,
@@ -68,24 +68,20 @@ def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     return (vectors * fw) @ vectors.conj().T
 
 
-def ld1(rho: DensityMatrix, rho_prime: np.ndarray) -> LdOperator:
-    """Symmetrized one-sided derivative, (rho^-1 rho' + rho' rho^-1)/2.
-
-    Direct matrix form without spectral data; the split is not computed.
-    """
+def ld1(rho: DensityMatrix, rho_prime: np.ndarray) -> np.ndarray:
+    """Symmetrized one-sided derivative, (rho^-1 rho' + rho' rho^-1)/2,
+    in direct matrix form without spectral data."""
     rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
     x = np.linalg.solve(rho.matrix, rho_prime)
-    return LdOperator(model="ld1", matrix=hermitize(x))
+    return hermitize(x)
 
 
-def ld2(rho: DensityMatrix, rho_prime: np.ndarray) -> LdOperator:
-    """Symmetric sandwich derivative, rho^-1/2 rho' rho^-1/2.
-
-    Direct matrix form without spectral data; the split is not computed.
-    """
+def ld2(rho: DensityMatrix, rho_prime: np.ndarray) -> np.ndarray:
+    """Symmetric sandwich derivative, rho^-1/2 rho' rho^-1/2, in direct
+    matrix form without spectral data."""
     rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
     inv_sqrt = matrix_function(rho.matrix, lambda w: w**-0.5)
-    return LdOperator(model="ld2", matrix=hermitize(inv_sqrt @ rho_prime @ inv_sqrt))
+    return hermitize(inv_sqrt @ rho_prime @ inv_sqrt)
 
 
 def cr_terms(br: SpectralBranches, obs: np.ndarray, model: str) -> tuple[float, float, float]:
@@ -242,7 +238,7 @@ def ncopy_qfi(br: SpectralBranches, model: str, n: int) -> float:
             f"n-copy dimension {br.dim**n} exceeds cap {NCOPY_DIM_CAP}; use the additivity formula"
         )
     rho = br.rho()
-    h = ld_operator(br, model, split=False).matrix
+    h = ld_operator(br, model)
     rho_n = np.array([[1.0 + 0.0j]])
     for _ in range(n):
         rho_n = np.kron(rho_n, rho)

@@ -27,7 +27,6 @@ from ldqfi import (
     MODELS,
     branches_at,
     classical_information,
-    coherent_branches,
     coherent_family,
     geometric_family,
     ld_operator,
@@ -261,7 +260,7 @@ def test_criterion_08_commuting_collapse():
     for tc in (0.5, math.log(2.0), 0.9):
         fam = geometric_family(tc)
         br = branches_at(fam, tc)
-        mats = [ld_operator(br, m, split=False).matrix for m in MODELS]
+        mats = [ld_operator(br, m) for m in MODELS]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 worst_dist = max(worst_dist, float(np.linalg.norm(mats[i] - mats[j])))

@@ -19,7 +19,6 @@ from ldqfi import (
     CentralDifference,
     CoherentFamily,
     UnitaryPath,
-    coherent_branches,
     coherent_family,
     compute_report,
     compute_reports,
@@ -134,7 +133,7 @@ def test_coherent_family_is_freed_without_a_collection() -> None:
     try:
         fam = coherent_family(1.0)
         compute_reports(fam.family(), [0.1, 0.2])
-        coherent_branches(fam, 0.1)
+        fam.path.branches(0.1)
         ref = weakref.ref(fam)
         del fam
         assert ref() is None
@@ -258,7 +257,7 @@ def test_path_basis_is_built_once_on_first_read(monkeypatch) -> None:
     counts: dict[str, int] = {}
     _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
     for theta in (0.0, 0.15, -0.25):
-        br = coherent_branches(fam, theta)
+        br = fam.path.branches(theta)
         assert br.dim == fam.trunc_dim
         qfi_value(br, "ld1")
         assert counts["checked_displacement"] == 0
@@ -273,16 +272,16 @@ def test_path_branches_check_theta_at_the_call() -> None:
     fam = coherent_family(1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            coherent_branches(fam, bad)
+            fam.path.branches(bad)
     with pytest.raises(InvalidInput):
-        coherent_branches(fam, "a")
+        fam.path.branches("a")
 
 
 def test_no_bulk_amplitude_raises_on_the_first_basis_read() -> None:
     # N = 12 leaves no bulk at amplitude 0.2; the branches are made, and
     # their basis (the checked displacement) raises as compute_report does
     cf = coherent_family(0.1, 12)
-    br = coherent_branches(cf, 0.2)
+    br = cf.path.branches(0.2)
     assert qfi_value(br, "bvn") > 0.0
     with pytest.raises(TruncationError) as first:
         br.basis
@@ -296,7 +295,7 @@ def test_no_bulk_amplitude_raises_on_the_first_basis_read() -> None:
 
 def test_band_is_the_dense_commutator() -> None:
     fam = coherent_family(1.0)
-    br = coherent_branches(fam, 0.1)
+    br = fam.path.branches(0.1)
     assert br.band is not None
     gen = fam.generator()
     rho0 = fam.rho0()

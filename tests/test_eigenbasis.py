@@ -21,6 +21,7 @@ from ldqfi import (
     branches_at,
     breve_variance,
     classical_information,
+    commuting_part,
     compute_report,
     ld_operator,
     qfi_variance,
@@ -146,15 +147,13 @@ def _cluster_reference(br) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(primes)
 
 
-def _split_reference(br, model: str) -> tuple[np.ndarray, np.ndarray]:
-    """h1 = sum_k (lambda'_k / lambda_k) P_k; for bvn h2 = sum_k ln(lambda_k) P'_k,
-    otherwise the remainder of the operator."""
+def _split_reference(br) -> tuple[np.ndarray, np.ndarray]:
+    """The bvn split from the branch data: h1 = sum_k (lambda'_k / lambda_k) P_k
+    and h2 = sum_k ln(lambda_k) P'_k."""
     ks = range(br.n_clusters)
     h1 = sum(br.cluster_value_primes[k] / br.cluster_values[k] * br.projection(k) for k in ks)
-    if model == "bvn":
-        prime = br.projection_primes()
-        return h1, sum(np.log(br.cluster_values[k]) * prime[k] for k in ks)
-    return h1, ld_operator(br, model, split=False).matrix - h1
+    prime = br.projection_primes()
+    return h1, sum(np.log(br.cluster_values[k]) * prime[k] for k in ks)
 
 
 @pytest.mark.parametrize("kind", ["commuting", "noncommuting", "multiplet"])
@@ -175,36 +174,35 @@ def test_eigenbasis_values_match_dense_oracles(dim: int, kind: str) -> None:
     rho = eval_rho(fam, theta)
     rho_prime = eval_rho_prime(fam, theta)
     oracles = {
-        m: [qfi_variance(rho, ld_operator(br, m, split=False))] for m in MODELS if m != "bvn"
+        m: [qfi_variance(rho, ld_operator(br, m))] for m in MODELS if m != "bvn"
     }
     oracles["ld1"].append(qfi_variance(rho, ld1(rho, rho_prime)))
     oracles["ld2"].append(qfi_variance(rho, ld2(rho, rho_prime)))
-    oracles["bvn"] = [breve_variance(br, ld_operator(br, "bvn", split=False).matrix)]
+    oracles["bvn"] = [breve_variance(br, ld_operator(br, "bvn"))]
     for m, values in oracles.items():
         for v in values:
             assert rep.qfi[m] == pytest.approx(v, rel=1e-10, abs=1e-12), m
         assert rep.i2[m] == pytest.approx(rep.qfi[m] - rep.i1, abs=1e-15)
 
     # Tr(rho H) in the eigenbasis against the trace of the dense product
-    ops = [ld_operator(br, m, split=False).matrix for m in MODELS]
+    ops = [ld_operator(br, m) for m in MODELS]
     dense = max(abs(np.trace(br.rho() @ h).real) for h in ops)
     scale = max(1.0, max(float(np.abs(h).max()) for h in ops))
     assert abs(rep.max_zero_expectation - dense) <= 1e-13 * scale
 
-    # cluster bookkeeping and the h1/h2 split against per-cluster loops; the
-    # multiplet family's doubly degenerate pair is one cluster of two
+    # cluster bookkeeping and the bvn split H = H1 + H2 against per-cluster
+    # loops; the multiplet family's doubly degenerate pair is one cluster of two
     if kind == "multiplet":
         assert br.n_clusters == dim - 1
         assert max(br.cluster_mults) == 2
     values, primes = _cluster_reference(br)
     np.testing.assert_allclose(br.cluster_values, values, rtol=1e-14)
     np.testing.assert_allclose(br.cluster_value_primes, primes, rtol=1e-12, atol=1e-14)
-    for m in MODELS:
-        op = ld_operator(br, m, split=True)
-        h1, h2 = _split_reference(br, m)
-        scale = max(1.0, float(np.abs(op.matrix).max()))
-        assert np.abs(op.h1 - h1).max() <= 1e-10 * scale, m
-        assert np.abs(op.h2 - h2).max() <= 1e-10 * scale, m
+    h1, h2 = _split_reference(br)
+    h = ld_operator(br, "bvn")
+    scale = max(1.0, float(np.abs(h).max()))
+    assert np.abs(commuting_part(br) - h1).max() <= 1e-10 * scale
+    assert np.abs(h - commuting_part(br) - h2).max() <= 1e-10 * scale
 
 
 def _first_crossing_reference(w, rp):

@@ -23,6 +23,8 @@ from dense_oracles import ld1, ld2
 from ldqfi import (
     MODELS,
     branches_at,
+    classical_information,
+    commuting_part,
     kernel_matrix,
     kmb_residual,
     ld_operator,
@@ -137,32 +139,32 @@ def test_kernel_rejects_non_vector_spectrum() -> None:
 @pytest.mark.parametrize("model", MODELS)
 def test_operator_matches_independent_route(model: str, random_branches) -> None:
     br = random_branches
-    op = ld_operator(br, model)
+    h = ld_operator(br, model)
+    assert isinstance(h, np.ndarray)
     ref = ORACLES[model](br.rho(), br.rho_prime())
     scale = max(1.0, float(np.linalg.norm(ref)))
-    assert np.linalg.norm(op.matrix - ref) <= 1e-8 * scale
+    assert np.linalg.norm(h - ref) <= 1e-8 * scale
 
 
 def test_bvn_solves_forward_integral(random_branches) -> None:
     br = random_branches
-    op = ld_operator(br, "bvn")
-    back = kmb_forward(br.rho(), op.matrix)
+    back = kmb_forward(br.rho(), ld_operator(br, "bvn"))
     assert np.linalg.norm(back - br.rho_prime()) <= 1e-9
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_operator_is_hermitian_and_centered(model: str, random_branches) -> None:
     br = random_branches
-    op = ld_operator(br, model)
-    assert np.linalg.norm(op.matrix - op.matrix.conj().T) <= 1e-12
-    assert abs(trace_product(br.rho(), op.matrix)) <= 1e-12
+    h = ld_operator(br, model)
+    assert np.linalg.norm(h - h.conj().T) <= 1e-12
+    assert abs(trace_product(br.rho(), h)) <= 1e-12
 
 
 def test_sld_jordan_equation(random_branches) -> None:
     br = random_branches
-    op = ld_operator(br, "sld")
+    h = ld_operator(br, "sld")
     rho = br.rho()
-    jordan = 0.5 * (rho @ op.matrix + op.matrix @ rho)
+    jordan = 0.5 * (rho @ h + h @ rho)
     assert np.linalg.norm(jordan - br.rho_prime()) <= 1e-11
 
 
@@ -170,8 +172,8 @@ def test_ld1_direct_solver_matches_eigen_route(random_branches) -> None:
     from ldqfi import DensityMatrix
 
     br = random_branches
-    via_eig = ld_operator(br, "ld1").matrix
-    via_solve = ld1(DensityMatrix(br.rho()), br.rho_prime()).matrix
+    via_eig = ld_operator(br, "ld1")
+    via_solve = ld1(DensityMatrix(br.rho()), br.rho_prime())
     assert np.linalg.norm(via_eig - via_solve) <= 1e-10
 
 
@@ -179,8 +181,8 @@ def test_ld2_direct_solver_matches_eigen_route(random_branches) -> None:
     from ldqfi import DensityMatrix
 
     br = random_branches
-    via_eig = ld_operator(br, "ld2").matrix
-    via_sandwich = ld2(DensityMatrix(br.rho()), br.rho_prime()).matrix
+    via_eig = ld_operator(br, "ld2")
+    via_sandwich = ld2(DensityMatrix(br.rho()), br.rho_prime())
     assert np.linalg.norm(via_eig - via_sandwich) <= 1e-10
 
 
@@ -206,29 +208,34 @@ def test_kmb_residual_of_a_large_norm_bvn_operator() -> None:
     rp = random_hermitian(n, rng)
     rp -= np.trace(rp) / n * np.eye(n)
     br = spectral_branches(0.5 * (rho + rho.conj().T), rp)
-    op = ld_operator(br, "bvn")
-    assert np.abs(op.matrix).max() > 1e5
-    residual = kmb_residual(br, op)
+    h = ld_operator(br, "bvn")
+    assert np.abs(h).max() > 1e5
+    residual = kmb_residual(br, h)
     assert 0.0 <= residual <= 1e-11 * schatten_norm(rp, 1)
 
 
 def test_split_reassembles_operator(random_branches) -> None:
+    # H1 is diagonal in the eigenbasis, so it commutes with rho, and it is
+    # orthogonal to H2 = H - H1 under rho: the second moment of every
+    # model's operator splits as I1 + Tr(rho H2^2)
     br = random_branches
+    rho = br.rho()
+    h1 = commuting_part(br)
+    assert np.linalg.norm(rho @ h1 - h1 @ rho) <= 1e-12
+    i1 = classical_information(br)
+    assert abs(trace_product(rho @ h1, h1) - i1) <= 1e-10 * max(1.0, i1)
     for model in MODELS:
-        op = ld_operator(br, model, split=True)
-        assert op.h1 is not None and op.h2 is not None
-        assert np.linalg.norm(op.h1 + op.h2 - op.matrix) <= 1e-10
-        # h1 is diagonal in the eigenbasis: it commutes with rho
-        rho = br.rho()
-        assert np.linalg.norm(rho @ op.h1 - op.h1 @ rho) <= 1e-12
+        h = ld_operator(br, model)
+        h2 = h - h1
+        second = trace_product(rho @ h, h)
+        assert abs(second - i1 - trace_product(rho @ h2, h2)) <= 1e-10 * max(1.0, second)
 
 
 def test_split_h2_has_zero_diagonal_blocks(random_branches) -> None:
     br = random_branches
     v = br.basis
     for model in MODELS:
-        op = ld_operator(br, model, split=True)
-        h2_eig = v.conj().T @ op.h2 @ v
+        h2_eig = v.conj().T @ (ld_operator(br, model) - commuting_part(br)) @ v
         for k in range(br.n_clusters):
             s = br.cluster_slices[k]
             assert np.linalg.norm(h2_eig[s, s]) <= 1e-10
@@ -237,7 +244,7 @@ def test_split_h2_has_zero_diagonal_blocks(random_branches) -> None:
 def test_commuting_family_collapses_all_models(rng) -> None:
     fam = random_analytic_family(4, rng, commuting=True)
     br = branches_at(fam, 0.25)
-    mats = [ld_operator(br, m).matrix for m in MODELS]
+    mats = [ld_operator(br, m) for m in MODELS]
     for a in mats:
         for b in mats:
             assert np.linalg.norm(a - b) <= 1e-9
@@ -257,7 +264,7 @@ def test_operators_on_degenerate_cluster(rng) -> None:
     br = spectral_branches(rho, h)
     assert br.n_clusters == 2
     for model in MODELS:
-        op = ld_operator(br, model)
-        assert np.linalg.norm(op.matrix - op.matrix.conj().T) <= 1e-12
-        assert abs(trace_product(br.rho(), op.matrix)) <= 1e-12
+        h = ld_operator(br, model)
+        assert np.linalg.norm(h - h.conj().T) <= 1e-12
+        assert abs(trace_product(br.rho(), h)) <= 1e-12
     assert kmb_residual(br, ld_operator(br, "bvn")) <= 1e-12

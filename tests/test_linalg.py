@@ -135,6 +135,9 @@ def test_hermitian_helpers(rng) -> None:
     require_hermitian(h)
     with pytest.raises(InvalidInput):
         require_hermitian(a + 0.1 * np.diag([0, 1j, 0]))
+    # within tolerance, the checked part is hermitize's to the bit
+    near = h + 1e-13 * a
+    np.testing.assert_array_equal(require_hermitian(near), hermitize(near))
 
 
 def test_hermitian_check_of_a_stack_scales_each_matrix() -> None:

@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 
 import dense_oracles
 import ldqfi
-from ldqfi import cli, family, linalg, qfi, verify, zoo
+from ldqfi import cli, family, ldops, linalg, qfi, verify, zoo
 
 # Names that left the runtime, and where each one lives now (None: deleted,
 # its callers use the code it wrapped).
@@ -43,10 +44,12 @@ MOVED = {
     "coherent_qfi_bvn": verify,
     "coherent_qfi_ld2": verify,
     "Ld2Verdict": verify,
+    "LdOperator": None,
+    "coherent_branches": None,
 }
 
 
-@pytest.mark.parametrize("module", [ldqfi, zoo, qfi, linalg, family, cli], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [ldqfi, zoo, qfi, ldops, linalg, family, cli], ids=lambda m: m.__name__)
 def test_runtime_modules_do_not_bind_the_references(module) -> None:
     assert sorted(set(MOVED) & set(vars(module))) == []
 
@@ -87,6 +90,7 @@ REMOVED_PARAMETERS = {
     ldqfi.maximality_check: ("step",),
     ldqfi.projection_curvature_residual: ("h",),
     ldqfi.random_analytic_family: ("name",),
+    ldqfi.ld_operator: ("split",),
 }
 REMOVED_FIELDS = {
     ldqfi.CentralDifference: "richardson",
@@ -125,3 +129,17 @@ def test_one_pade_degree_and_no_unused_members() -> None:
     assert not hasattr(qfi, "_stack")
     assert not hasattr(ldqfi.SpectralBranches, "over")
 
+
+
+def _readme_library_example() -> str:
+    """The first Python block of the README's ``## Library`` section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(capsys) -> None:
+    # a stale call in the README (a removed keyword or name) fails here
+    exec(compile(_readme_library_example(), "README.md", "exec"), {})
+    printed = [float(line) for line in capsys.readouterr().out.split()]
+    assert printed == [pytest.approx(2.0 * math.log(2.0), rel=1e-6), pytest.approx(4.0 / 3.0, rel=1e-6)]

@@ -36,6 +36,7 @@ from ldqfi import (
     random_hermitian,
     relative_entropy,
     relent_limit,
+    trace_product,
 )
 from ldqfi.errors import DegenerateInformation, InvalidInput
 from ldqfi.family import eval_rho
@@ -44,14 +45,12 @@ from ldqfi.family import eval_rho
 class TestConventions:
     def test_qfi_bvn_equals_pairing_with_derivative(self, random_branches) -> None:
         br = random_branches
-        op = ld_operator(br, "bvn")
-        direct = float(np.trace(br.rho_prime() @ op.matrix).real)
+        direct = float(np.trace(br.rho_prime() @ ld_operator(br, "bvn")).real)
         assert qfi_bvn(br) == pytest.approx(direct, rel=1e-12)
 
     def test_qfi_bvn_equals_breve_variance(self, random_branches) -> None:
         br = random_branches
-        op = ld_operator(br, "bvn", split=False)
-        assert breve_variance(br, op.matrix) == pytest.approx(qfi_bvn(br), rel=1e-10)
+        assert breve_variance(br, ld_operator(br, "bvn")) == pytest.approx(qfi_bvn(br), rel=1e-10)
 
     def test_breve_reduces_to_variance_when_commuting(self, rng) -> None:
         fam = random_analytic_family(4, rng, commuting=True)
@@ -68,21 +67,32 @@ class TestConventions:
         # ordinary second moment Tr(rho H^2)
         br = random_branches
         for model in MODELS:
-            op = ld_operator(br, model, split=False)
+            h = ld_operator(br, model)
             if model == "bvn":
-                direct = float(np.trace(br.rho_prime() @ op.matrix).real)
+                direct = float(np.trace(br.rho_prime() @ h).real)
             else:
-                direct = float(np.trace(br.rho() @ op.matrix @ op.matrix).real)
+                direct = float(np.trace(br.rho() @ h @ h).real)
             assert qfi_value(br, model) == pytest.approx(direct, rel=1e-11)
             # the ordinary moment itself is available for every model
-            assert qfi_variance(br.rho(), op) == pytest.approx(
-                float(np.trace(br.rho() @ op.matrix @ op.matrix).real), rel=1e-11
+            assert qfi_variance(br.rho(), h) == pytest.approx(
+                float(np.trace(br.rho() @ h @ h).real), rel=1e-11
             )
 
     def test_qfi_variance_rejects_biased_observable(self, random_branches) -> None:
         br = random_branches
         with pytest.raises(InvalidInput):
             qfi_variance(br.rho(), np.eye(br.dim, dtype=complex))
+
+    def test_qfi_variance_checks_every_operator(self, random_branches) -> None:
+        # a library-built operator passes the Hermitian check unchanged; a
+        # centred but non-Hermitian one is rejected
+        br = random_branches
+        h = ld_operator(br, "sld")
+        assert qfi_variance(br.rho(), h) == trace_product(br.rho() @ h, h)
+        skew = np.zeros((br.dim, br.dim), dtype=complex)
+        skew[0, 1] = 1.0
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            qfi_variance(br.rho(), h + skew)
 
     def test_ordering_chain(self, random_branches) -> None:
         br = random_branches
@@ -155,7 +165,7 @@ class TestCrBound:
     def test_efficient_direction_saturates_sld(self, random_branches) -> None:
         br = random_branches
         info = qfi_value(br, "sld")
-        direction = ld_operator(br, "sld", split=False).matrix / info
+        direction = ld_operator(br, "sld") / info
         u, lhs, rhs = _cr_one(br, direction, "sld")
         assert lhs == pytest.approx(rhs, rel=1e-10)
         assert u == pytest.approx(1.0 / info * qfi_value(br, "sld"), rel=1e-10)
@@ -163,7 +173,7 @@ class TestCrBound:
     def test_efficient_direction_saturates_bvn_breve(self, random_branches) -> None:
         br = random_branches
         info = qfi_bvn(br)
-        direction = ld_operator(br, "bvn", split=False).matrix / info
+        direction = ld_operator(br, "bvn") / info
         _, lhs, rhs = _cr_one(br, direction, "bvn")
         assert lhs == pytest.approx(rhs, rel=1e-10)
 

@@ -21,8 +21,8 @@ from ldqfi import (
     branches_at,
     breve_variance,
     classical_information,
-    coherent_branches,
     coherent_family,
+    commuting_part,
     coherent_trunc_dim,
     compute_report,
     counterexample_family,
@@ -124,8 +124,7 @@ class TestTwoLevelForms:
             i1 = classical_information(br)
             assert i1 == pytest.approx(f.i1, abs=1e-12)
             for model in MODELS:
-                op = ld_operator(br, model, split=False)
-                i2 = qfi_variance(br.rho(), op) - i1
+                i2 = qfi_variance(br.rho(), ld_operator(br, model)) - i1
                 assert i2 == pytest.approx(_weighted_second_parts(lam)[model], abs=1e-12)
 
     def test_pipeline_breve_matches_closed_form(self, tanh_family) -> None:
@@ -161,10 +160,10 @@ class TestTanhFamily:
         # operator vanishes, in particular its eigenvalue part H1
         fam = TwoLevelFamily1(lambda_fn=lambda t: 0.5, lambda_prime_fn=lambda t: 0.0).family()
         br = branches_at(fam, 0.3)
-        op = ld_operator(br, "bvn", split=True)
-        assert np.linalg.norm(op.h1) <= 1e-14
-        assert np.linalg.norm(op.matrix) <= 1e-14
-        assert abs(np.trace(br.rho() @ op.matrix)) <= 1e-14
+        h = ld_operator(br, "bvn")
+        assert np.linalg.norm(commuting_part(br)) <= 1e-14
+        assert np.linalg.norm(h) <= 1e-14
+        assert abs(np.trace(br.rho() @ h)) <= 1e-14
 
 
 class TestTwoLevelFamily2:
@@ -215,7 +214,7 @@ class TestGeometric:
     def test_pipeline_operators_coincide(self, geometric_ln2) -> None:
         theta = math.log(2.0)
         br = branches_at(geometric_ln2, theta)
-        mats = [ld_operator(br, m).matrix for m in MODELS]
+        mats = [ld_operator(br, m) for m in MODELS]
         worst = max(np.linalg.norm(a - b) for a in mats for b in mats)
         assert worst <= 1e-8
         for m in MODELS:
@@ -425,7 +424,7 @@ class TestCoherentFamily:
         # itself, (2M+1)*ln^2(1+1/M)
         for m in (0.5, 1.0, 2.0):
             fam = coherent_family(m)
-            br = coherent_branches(fam)
+            br = fam.path.branches(0.0)
             ld1_expected = (2 * m + 1) ** 3 / (4 * m**2 * (m + 1) ** 2)
             sld_expected = 4 / (2 * m + 1)
             ld2_expected = (2 * m + 1) / (m * (m + 1))
@@ -433,7 +432,7 @@ class TestCoherentFamily:
             assert qfi_value(br, "ld1") == pytest.approx(ld1_expected, rel=1e-6)
             assert qfi_value(br, "sld") == pytest.approx(sld_expected, rel=1e-6)
             assert qfi_value(br, "ld2") == pytest.approx(ld2_expected, rel=1e-6)
-            h = ld_operator(br, "bvn", split=False)
+            h = ld_operator(br, "bvn")
             assert qfi_variance(br.rho(), h) == pytest.approx(
                 bvn_moment_expected, rel=1e-6
             )
@@ -452,7 +451,7 @@ class TestCoherentFamily:
     def test_analytic_branches_match_generic_pipeline(self) -> None:
         fam = coherent_family(1.0)
         sf = fam.family()
-        analytic = coherent_branches(fam, 0.1)
+        analytic = fam.path.branches(0.1)
         generic = branches_at(sf, 0.1)
         assert qfi_bvn(analytic) == pytest.approx(qfi_bvn(generic), rel=1e-10)
         for model in MODELS:
@@ -480,8 +479,7 @@ class TestCoherentFamily:
     def test_breve_identity_on_displaced_state(self) -> None:
         sf = coherent_family(1.0).family()
         br = branches_at(sf, 0.15)
-        op = ld_operator(br, "bvn", split=False)
-        assert breve_variance(br, op.matrix) == pytest.approx(qfi_bvn(br), rel=1e-10)
+        assert breve_variance(br, ld_operator(br, "bvn")) == pytest.approx(qfi_bvn(br), rel=1e-10)
 
 
 class TestProjectionDerivatives:
