@@ -61,9 +61,9 @@ from .qfi import (
     maximality_check,
     qfi_bvn,
     qfi_value,
-    qfi_variance,
     relative_entropy,
     relent_limit,
+    second_moment,
 )
 from .zoo import (
     FAMILIES,

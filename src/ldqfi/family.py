@@ -350,9 +350,6 @@ class SpectralBranches:
     def rho(self) -> np.ndarray:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T
 
-    def rho_prime(self) -> np.ndarray:
-        return self.basis @ self.rho_prime_eig @ self.basis.conj().T
-
     def projection(self, k: int) -> np.ndarray:
         cols = self.basis[:, self.cluster_slices[k]]
         return cols @ cols.conj().T
@@ -407,8 +404,9 @@ def spectral_branches(
     derivative; or rho is the Eigenframe of a family whose spectrum is
     known in closed form, and rho' is already given in that basis, as a
     dense matrix or a HermitianTridiagonal (whose coupling rates come from
-    its stored entries alone).  Either way the eigenvalues pass the same
-    rank, clustering and rotation-rate checks.
+    its stored entries alone); an Eigenframe whose eigenvalues are not
+    finite and ascending raises InvalidInput.  Either way the eigenvalues
+    pass the same rank, clustering and rotation-rate checks.
 
     Consecutive eigenvalues join one cluster when their gap is below
     max(CLUSTER_ABS_FLOOR_REL * spectral diameter, CLUSTER_REL * pair
@@ -418,6 +416,8 @@ def spectral_branches(
     """
     if isinstance(rho, Eigenframe):
         v, w = rho
+        if not (np.isfinite(w).all() and np.all(np.diff(w) >= 0.0)):
+            raise InvalidInput("an Eigenframe's eigenvalues must be finite and ascending")
         _check_rank(w)
         rp_eig = rho_prime
     else:
@@ -481,8 +481,9 @@ class ProjectionAuditReport:
       compression        P_k P'_j P_k = 0
       adjoint_exchange   (P'_j P'_k) P_j = P_j (P'_j P'_k)†
     weighted_prime_sum is ||sum_k lambda_k P'_k||_2 and commutator is
-    ||[rho, rho']||_2; they vanish together exactly when the family commutes
-    at every parameter value.
+    ||[rho, rho']||_2, taken in the eigenbasis, where [rho, rho']_ij is
+    (lambda_i - lambda_j) rho'_ij; they vanish together exactly when the
+    family commutes at every parameter value.
     """
 
     offdiag_exchange: float
@@ -524,9 +525,8 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
         prod = dpj @ prime
         adj = max(adj, float(norms(prod @ pj - pj @ prod.conj().swapaxes(-1, -2)).max()))
     weighted = np.sum(br.cluster_values[:, None, None] * prime, axis=0)
-    rho = br.rho()
-    rho_prime = br.rho_prime()
-    comm = rho @ rho_prime - rho_prime @ rho
+    w = br.eigenvalues
+    comm = (w[:, None] - w[None, :]) * br.rho_prime_eig
     return ProjectionAuditReport(
         offdiag_exchange=off,
         compression=comp,

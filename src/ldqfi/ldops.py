@@ -85,7 +85,11 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
 def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
     """Tr(rho H) for the model's operator H_eig = rho'_eig / K, with rho
     given in the eigenbasis, summed over the stored entries of rho' (see
-    kernel_entries) and read against rho_eig at the transposed positions."""
+    kernel_entries) and read against rho_eig at the transposed positions.
+    A rho_eig that is not a matrix of the state's dimension raises
+    InvalidInput."""
+    if np.shape(rho_eig) != (br.dim, br.dim):
+        raise InvalidInput(f"rho_eig of shape {np.shape(rho_eig)} does not match dimension {br.dim}")
     _, rp, kern = kernel_entries(br, model)
     h = rp / kern
     if br.band is None:

@@ -190,14 +190,15 @@ def logmean_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """Real part of Tr(AB) as sum_ij a_ij b_ji, in O(d^2) without forming AB.
 
-    Both operands must be square matrices of one shape; for Hermitian A and
-    B the real part is the whole trace.
+    Both operands must be numeric square matrices of one shape; for
+    Hermitian A and B the real part is the whole trace.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+    numeric = a.dtype.kind in "biufc" and b.dtype.kind in "biufc"
+    if not numeric or a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise InvalidInput(
-            f"trace of a product needs two square matrices of one shape, got {a.shape} and {b.shape}"
+            f"trace of a product needs two numeric square matrices of one shape, got {a.shape} and {b.shape}"
         )
     return float(np.sum(a * b.T).real)
 
@@ -222,8 +223,9 @@ class HermitianTridiagonal:
     def __init__(self, diag: np.ndarray, upper: np.ndarray):
         self.diag = np.asarray(diag)
         self.upper = np.asarray(upper)
-        if self.diag.ndim != 1 or self.upper.shape != (self.diag.size - 1,):
-            raise InvalidInput("a tridiagonal needs a diagonal of length n and a superdiagonal of n - 1")
+        numeric = self.diag.dtype.kind in "biufc" and self.upper.dtype.kind in "biufc"
+        if not numeric or self.diag.ndim != 1 or self.upper.shape != (self.diag.size - 1,):
+            raise InvalidInput("a tridiagonal needs a numeric diagonal of length n and superdiagonal of n - 1")
 
     @property
     def dim(self) -> int:

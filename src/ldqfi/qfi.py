@@ -63,24 +63,6 @@ def qfi_bvn(br: SpectralBranches) -> float:
     return float(np.sum(np.abs(rp) ** 2 / kern))
 
 
-def qfi_variance(rho: DensityMatrix | np.ndarray, ld: np.ndarray) -> float:
-    """Ordinary second moment Tr(rho H^2) of a Hermitian matrix H: the
-    information value of the variance-based models for their ld_operator.
-
-    Valid as an information value only when Tr(rho H) = 0, which holds for
-    every LD operator of a normalized family; a grossly violated mean means
-    the operator does not belong to the state and is rejected, as is a
-    matrix that is not Hermitian.
-    """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    h = require_hermitian(ld, "observable")
-    mean = trace_product(mat, h)
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if abs(mean) > 1e-6 * scale:
-        raise InvalidInput(f"Tr(rho H) = {mean:.3e} is not numerically zero")
-    return trace_product(mat @ h, h)
-
-
 def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
     """KMB-weighted variance of an observable:
     sum_ij |Z_ij|^2 logmean(lambda_i, lambda_j) with Z = Y - Tr(rho Y) I.
@@ -89,19 +71,27 @@ def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
     never (the logarithmic mean is below the arithmetic mean).  Applied to
     the bvn LD operator it returns qfi_bvn.
     """
-    y = require_hermitian(np.asarray(obs), "observable")
+    y = np.asarray(obs)
     if y.shape != (br.dim, br.dim):
         raise InvalidInput("observable dimension does not match the state")
-    return float(_breve_variances(br, y[None])[0])
+    return float(_moments(br, y[None], "bvn")[1][0])
 
 
-def _breve_variances(br: SpectralBranches, ys: np.ndarray) -> np.ndarray:
-    """breve_variance of each matrix of a checked Hermitian stack (k, d, d)."""
+def _moments(br: SpectralBranches, ys: np.ndarray, model: str) -> tuple[np.ndarray, np.ndarray]:
+    """(u, var) of each matrix Y of a stack (k, d, d), from its Hermitian
+    part (require_hermitian) in the eigenbasis, Y_eig = V^dagger Y V:
+    u = Tr(rho' Y) = sum rho'_eig o Y_eig^T and var = sum_ij |Z_ij|^2 W_ij
+    with Z = Y_eig - Tr(rho Y) I.  W is the bvn kernel table for bvn (the
+    KMB-weighted variance) and lambda_i for the other models, since
+    Tr(rho Z^2) = sum_ij lambda_i |Z_ij|^2 is the ordinary variance."""
     v = br.basis
-    y_eig = v.conj().T @ ys @ v
-    means = np.sum(br.eigenvalues * np.diagonal(y_eig, axis1=-2, axis2=-1).real, axis=-1)
-    z = y_eig - means[:, None, None] * np.eye(br.dim)
-    return np.sum(np.abs(z) ** 2 * kernel_table(br, "bvn"), axis=(-2, -1))
+    # the Hermitian part is freed after the first product: two stacks at most
+    y_eig = v.conj().T @ require_hermitian(ys, "observable") @ v
+    u = np.sum(br.rho_prime_eig * y_eig.swapaxes(-1, -2), axis=(-2, -1)).real
+    diag = np.arange(br.dim)
+    y_eig[:, diag, diag] -= np.sum(br.eigenvalues * y_eig[:, diag, diag].real, axis=-1)[:, None]
+    weight = kernel_table(br, "bvn") if model == "bvn" else br.eigenvalues[:, None]
+    return u, np.sum(np.abs(y_eig) ** 2 * weight, axis=(-2, -1))
 
 
 def classical_information(br: SpectralBranches) -> float:
@@ -111,18 +101,20 @@ def classical_information(br: SpectralBranches) -> float:
     return float(np.sum(mults * br.cluster_value_primes**2 / br.cluster_values))
 
 
-def qfi_value(br: SpectralBranches, model: str) -> float:
-    """Information value of a model from branch data.
-
-    bvn is qfi_bvn; the other models' Tr(rho H^2) is assembled in the
-    eigenbasis as sum_i lambda_i sum_j |rho'_ij / kernel_ij|^2 without
-    materializing H, over the stored entries of rho' (see kernel_entries).
-    The mean Tr(rho H) then equals Tr(rho') and needs no separate check.
-    """
-    if model == "bvn":
-        return qfi_bvn(br)
+def second_moment(br: SpectralBranches, model: str) -> float:
+    """Ordinary second moment Tr(rho H^2) of the model's operator H, the
+    information value of ld1, ld2 and sld, assembled in the eigenbasis as
+    sum_i lambda_i sum_j |rho'_ij / kernel_ij|^2 without materializing H,
+    over the stored entries of rho' (see kernel_entries).  The mean
+    Tr(rho H) equals Tr(rho') and needs no separate check."""
     w, rp, kern = kernel_entries(br, model)
     return float(np.sum(w * np.abs(rp / kern) ** 2))
+
+
+def qfi_value(br: SpectralBranches, model: str) -> float:
+    """Information value of a model from branch data: qfi_bvn for bvn,
+    second_moment for the others."""
+    return qfi_bvn(br) if model == "bvn" else second_moment(br, model)
 
 
 def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
@@ -133,7 +125,8 @@ def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
 
     The bvn model uses the KMB-weighted variance on the left (its bound is
     stated in that metric); the others use the ordinary variance.  The
-    information value, rho and rho' are formed once for the whole stack.  A
+    information value is formed once for the whole stack, and every model
+    reads u and its variance from the stack in the eigenbasis (_moments).  A
     stack of the wrong shape, with a non-finite entry or a non-Hermitian
     slice raises InvalidInput; a zero information value makes the bound
     vacuous and raises DegenerateInformation.
@@ -141,20 +134,12 @@ def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
     ys = np.asarray(obs)
     if ys.ndim != 3 or ys.shape[1:] != (br.dim, br.dim):
         raise InvalidInput(f"observables must have shape (k, {br.dim}, {br.dim}), got {ys.shape}")
-    ys = require_hermitian(ys, "observables")
     if model not in MODELS:
         raise InvalidInput(f"unknown model {model!r}")
+    u, lhs = _moments(br, ys, model)
     info = qfi_value(br, model)
     if info <= 1e-14:
         raise DegenerateInformation(f"information value {info:.3e} is numerically zero")
-    ys_t = ys.swapaxes(-1, -2)
-    u = np.sum(br.rho_prime() * ys_t, axis=(-2, -1)).real
-    if model == "bvn":
-        lhs = _breve_variances(br, ys)
-    else:
-        rho = br.rho()
-        mean = np.sum(rho * ys_t, axis=(-2, -1)).real
-        lhs = np.sum((rho @ ys) * ys_t, axis=(-2, -1)).real - mean**2
     return u, lhs, u**2 / info
 
 

@@ -38,8 +38,8 @@ from .qfi import (
     maximality_check,
     qfi_bvn,
     qfi_value,
-    qfi_variance,
     relent_limit,
+    second_moment,
 )
 from .zoo import (
     TwoLevelFamily2,
@@ -198,8 +198,8 @@ class TwoLevelForms:
     i1 is the common classical part lam'^2/(lam(1-lam)).  i2 holds the
     tabulated reference second parts: for bvn and sld the ordinary second
     moments Tr(rho H2^2); for ld1 and ld2 the unweighted moments Tr(H2^2),
-    which at dimension two equal exactly twice the weighted ones that a
-    report's i2 holds (qfi_value less classical_information).
+    which at dimension two equal exactly twice the weighted ones
+    (qfi.second_moment less classical_information, a report's i2).
     """
 
     i1: float
@@ -235,10 +235,12 @@ def _table_checks(
 ) -> list[Check]:
     """Compare pipeline values against the closed-form reference table.
 
-    The reference second parts for ld1 and ld2 equal the unweighted moment
-    Tr(H2^2); at dimension two that is exactly twice the weighted
-    Tr(rho H2^2) the pipeline computes, so those two comparisons state the
-    factor the computation actually produces.
+    Each model's second part is qfi.second_moment less
+    classical_information; for bvn the ordinary moment of its operator, not
+    qfi_bvn.  The reference second parts for ld1 and ld2 equal the
+    unweighted moment Tr(H2^2); at dimension two that is exactly twice the
+    weighted Tr(rho H2^2) the pipeline computes, so those two comparisons
+    state the factor the computation actually produces.
     """
     err_i1 = 0.0
     err_i2 = {m: 0.0 for m in MODELS}
@@ -250,7 +252,7 @@ def _table_checks(
         err_i1 = max(err_i1, abs(i1 - forms.i1))
         var_i2 = {}
         for m in MODELS:
-            var_i2[m] = qfi_variance(br.rho(), ld_operator(br, m)) - i1
+            var_i2[m] = second_moment(br, m) - i1
             err_i2[m] = max(err_i2[m], abs(var_i2[m] - forms.i2[m]))
         chain = (var_i2["ld1"], var_i2["ld2"], var_i2["bvn"], var_i2["sld"])
         for a, b in zip(chain, chain[1:]):

@@ -3,11 +3,14 @@ their defining matrix equations, and the spectral matrix function that ld2
 needs.  The library builds every operator as rho'_eig divided by a kernel
 table; these build them without it, so the tests can compare the two.
 
-Also the per-item oracles of the stacked checks: the local Cramer-Rao
-terms of one observable at a time, the projection audit as a loop over
-cluster pairs with each projection derivative assembled block by block,
-and the report of one unitary-path point with its KMB residual taken
-from the assembled operator.
+Also the lab-basis forms of what the library takes in the eigenbasis:
+rho' rotated back (rho_prime) and the ordinary second moment Tr(rho H^2)
+of an assembled operator (qfi_variance).  Then the per-item oracles of
+the stacked checks: the local Cramer-Rao terms of one observable at a
+time, the projection audit as a loop over cluster pairs with each
+projection derivative assembled block by block, and the report of one
+unitary-path point with its KMB residual taken from the assembled
+operator.
 
 And three references that only the tests use: the geometric family's
 closed-form information with the check that all four models reach it on
@@ -84,13 +87,37 @@ def ld2(rho: DensityMatrix, rho_prime: np.ndarray) -> np.ndarray:
     return hermitize(inv_sqrt @ rho_prime @ inv_sqrt)
 
 
+def rho_prime(br: SpectralBranches) -> np.ndarray:
+    """rho' in the lab basis, V rho'_eig V^dagger."""
+    return br.basis @ br.rho_prime_eig @ br.basis.conj().T
+
+
+def qfi_variance(rho: DensityMatrix | np.ndarray, ld: np.ndarray) -> float:
+    """Ordinary second moment Tr(rho H^2) of a Hermitian matrix H, as one
+    dense product: the information value of the variance-based models for
+    their ld_operator.
+
+    Valid as an information value only when Tr(rho H) = 0, which holds for
+    every LD operator of a normalized family; a grossly violated mean means
+    the operator does not belong to the state and is rejected, as is a
+    matrix that is not Hermitian.
+    """
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    h = require_hermitian(ld, "observable")
+    mean = trace_product(mat, h)
+    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
+    if abs(mean) > 1e-6 * scale:
+        raise InvalidInput(f"Tr(rho H) = {mean:.3e} is not numerically zero")
+    return trace_product(mat @ h, h)
+
+
 def cr_terms(br: SpectralBranches, obs: np.ndarray, model: str) -> tuple[float, float, float]:
     """(u, lhs, rhs) of the local Cramer-Rao bound for one observable,
     through trace_product and the KMB-weighted variance, with the
     information value, rho and rho' formed for this observable alone."""
     y = require_hermitian(np.asarray(obs), "observable")
     info = qfi_value(br, model)
-    u = trace_product(br.rho_prime(), y)
+    u = trace_product(rho_prime(br), y)
     if model == "bvn":
         y_eig = br.basis.conj().T @ y @ br.basis
         mean = float(np.sum(br.eigenvalues * np.diag(y_eig).real))
@@ -136,8 +163,8 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
             adj = max(adj, float(np.linalg.norm(prod @ pj - pj @ prod.conj().T)))
     weighted = sum(value * dp for value, dp in zip(br.cluster_values, prime))
     rho = br.rho()
-    rho_prime = br.rho_prime()
-    comm = rho @ rho_prime - rho_prime @ rho
+    rp = rho_prime(br)
+    comm = rho @ rp - rp @ rho
     return ProjectionAuditReport(
         offdiag_exchange=off,
         compression=comp,

@@ -353,6 +353,23 @@ def test_band_crossing_check_matches_dense(coupling: float) -> None:
     assert isinstance(outcomes[0], tuple) == (coupling == 1.0)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [[0.5, 0.3, 0.2], [0.2, math.nan, 0.5], [math.nan, 0.4, 0.6], [0.2, 0.3, math.inf]],
+    ids=["descending", "nan", "leading_nan", "inf"],
+)
+def test_eigenframe_needs_finite_ascending_eigenvalues(w: list[float]) -> None:
+    # a descending spectrum would merge into one cluster and give sld 0.0,
+    # and a NaN would pass the rank check
+    w = np.array(w)
+    rp = HermitianTridiagonal(np.zeros(3), np.array([0.1, 0.1]))
+    with pytest.raises(InvalidInput, match="finite and ascending"):
+        spectral_branches(Eigenframe(np.eye(3), w), rp)
+    path = UnitaryPath(w, rp.dense(), lambda theta: np.eye(3))
+    with pytest.raises(InvalidInput, match="finite and ascending"):
+        qfi_value(path.branches(0.0), "sld")
+
+
 def _parent_message(fam: CoherentFamily, theta: float, bulk: int) -> str:
     """The check's message, computed with the 2-norm of the bulk Gram defect."""
     w = ldqfi.zoo.expm(theta * fam.generator())

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -689,6 +690,16 @@ class TestVerify:
             f"suite {name} seed=7" for name in SUITES[1:]
         ]
         assert lines[-1] == "summary: 62 passed, 4 failed"
+
+    def test_verify_all_verdicts_match_the_benchmark_reference(self, capsys):
+        # the full ordered (verdict, name) list, so a renamed, reordered,
+        # added or dropped check fails here and not only in the benchmark
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "verify_all.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))
+        code, out, _ = run_cli(["verify", "all", "--seed", "7"], capsys)
+        assert code == reference["exit_code"]
+        checks = [l.split(" ", 2)[:2] for l in out.splitlines() if l.startswith(("PASS ", "FAIL "))]
+        assert checks == reference["verdicts"]
 
     @pytest.mark.parametrize("suite", ["lemma33", "cr", "all"])
     def test_negative_seed_is_usage_error(self, capsys, suite):

@@ -14,7 +14,7 @@ import scipy.linalg
 
 import ldqfi
 import ldqfi.verify
-from dense_oracles import ld1, ld2
+from dense_oracles import ld1, ld2, qfi_variance
 from ldqfi import (
     MODELS,
     StateFamily,
@@ -24,7 +24,6 @@ from ldqfi import (
     commuting_part,
     compute_report,
     ld_operator,
-    qfi_variance,
     random_analytic_family,
     random_hermitian,
     relent_limit,

@@ -26,6 +26,7 @@ from ldqfi import (
 )
 from ldqfi.linalg import (
     LOGMEAN_SWITCH,
+    HermitianTridiagonal,
     hermitize,
     is_hermitian,
     logmean_pairs,
@@ -239,6 +240,23 @@ def test_trace_product_matches_trace_of_matmul(rng) -> None:
 def test_trace_product_rejects_mismatched_or_non_square(a_shape, b_shape) -> None:
     with pytest.raises(InvalidInput):
         trace_product(np.ones(a_shape), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("a", [np.array([["a", "b"], ["c", "d"]]), np.eye(2, dtype=object),
+                               np.array([[None, None], [None, None]])], ids=["str", "object", "none"])
+def test_trace_product_rejects_non_numeric(a) -> None:
+    with pytest.raises(InvalidInput, match="numeric"):
+        trace_product(a, np.eye(2))
+    with pytest.raises(InvalidInput, match="numeric"):
+        trace_product(np.eye(2), a)
+
+
+@pytest.mark.parametrize("diag, upper", [(["a", "b"], [1.0]), ([1.0, 2.0], ["c"]),
+                                         (np.ones(2, dtype=object), np.ones(1))],
+                         ids=["str_diag", "str_upper", "object"])
+def test_tridiagonal_rejects_non_numeric(diag, upper) -> None:
+    with pytest.raises(InvalidInput, match="numeric"):
+        HermitianTridiagonal(diag, upper)
 
 
 # np.trace applied directly to an @ product, an O(d^3) product for an O(d^2)

@@ -46,6 +46,8 @@ MOVED = {
     "Ld2Verdict": verify,
     "LdOperator": None,
     "coherent_branches": None,
+    "qfi_variance": dense_oracles,
+    "rho_prime": dense_oracles,
 }
 
 
@@ -122,6 +124,7 @@ def test_one_pade_degree_and_no_unused_members() -> None:
     assert "theta_domain" in {f.name for f in dataclasses.fields(ldqfi.StateFamily)}
     assert not hasattr(ldqfi.StateFamily, "contains")
     assert not hasattr(ldqfi.SpectralBranches, "projection_prime")
+    assert not hasattr(ldqfi.SpectralBranches, "rho_prime")
     assert not hasattr(ldqfi, "ResourceLimit")
     assert not hasattr(ldqfi.errors, "ResourceLimit")
     # every report point's diagnostics come from its own basis' Gram matrix

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dense_oracles
-from dense_oracles import ncopy_qfi
+from dense_oracles import ncopy_qfi, qfi_variance, rho_prime
 from ldqfi import (
     MODELS,
     CentralDifference,
@@ -31,21 +31,22 @@ from ldqfi import (
     projection_curvature_residual,
     qfi_bvn,
     qfi_value,
-    qfi_variance,
     random_analytic_family,
     random_hermitian,
     relative_entropy,
     relent_limit,
+    second_moment,
     trace_product,
 )
 from ldqfi.errors import DegenerateInformation, InvalidInput
 from ldqfi.family import eval_rho
+from ldqfi.ldops import expectation
 
 
 class TestConventions:
     def test_qfi_bvn_equals_pairing_with_derivative(self, random_branches) -> None:
         br = random_branches
-        direct = float(np.trace(br.rho_prime() @ ld_operator(br, "bvn")).real)
+        direct = float(np.trace(rho_prime(br) @ ld_operator(br, "bvn")).real)
         assert qfi_bvn(br) == pytest.approx(direct, rel=1e-12)
 
     def test_qfi_bvn_equals_breve_variance(self, random_branches) -> None:
@@ -69,14 +70,15 @@ class TestConventions:
         for model in MODELS:
             h = ld_operator(br, model)
             if model == "bvn":
-                direct = float(np.trace(br.rho_prime() @ h).real)
+                direct = float(np.trace(rho_prime(br) @ h).real)
             else:
                 direct = float(np.trace(br.rho() @ h @ h).real)
             assert qfi_value(br, model) == pytest.approx(direct, rel=1e-11)
             # the ordinary moment itself is available for every model
-            assert qfi_variance(br.rho(), h) == pytest.approx(
+            assert second_moment(br, model) == pytest.approx(
                 float(np.trace(br.rho() @ h @ h).real), rel=1e-11
             )
+            assert qfi_variance(br.rho(), h) == pytest.approx(second_moment(br, model), rel=1e-11)
 
     def test_qfi_variance_rejects_biased_observable(self, random_branches) -> None:
         br = random_branches
@@ -400,10 +402,13 @@ class TestOperandShapes:
             lambda br: kmb_residual(br, np.eye(3)),
             lambda br: kmb_residual(br, "a"),
             lambda br: relative_entropy(np.eye(2) / 2, np.eye(2) / 2),
+            # rho in the eigenbasis at a dense and at a banded point
+            lambda br: expectation(br, np.eye(3), "bvn"),
+            lambda br: expectation(coherent_family(1.0).path.branches(0.1), np.eye(3), "bvn"),
         ],
         ids=["qfi_variance", "local_cr_sld", "local_cr_bvn", "local_cr_stack", "relative_entropy",
              "density_stack", "breve_stack", "kmb_residual", "kmb_residual_string",
-             "relative_entropy_arrays"],
+             "relative_entropy_arrays", "expectation_dense", "expectation_banded"],
     )
     def test_dimension_mismatch_is_invalid_input(self, call, tanh_family) -> None:
         br = branches_at(tanh_family, 0.3)

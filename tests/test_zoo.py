@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dense_oracles import geometric_information, geometric_qfi
+from dense_oracles import geometric_information, geometric_qfi, qfi_variance
 from ldqfi import (
     MODELS,
     CoherentFamily,
@@ -34,7 +34,6 @@ from ldqfi import (
     nonsmooth_projection_state,
     qfi_bvn,
     qfi_value,
-    qfi_variance,
 )
 from ldqfi.errors import DomainError, InvalidInput, SingularState, TruncationError
 from ldqfi import zoo
