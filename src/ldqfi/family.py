@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -120,14 +120,18 @@ class UnitaryPath:
 
     Only the basis moves: the eigenvalues (ascending) and rho' in the
     moving basis, a dense matrix or a HermitianTridiagonal, are the same at
-    every theta, and basis_of(theta) returns the basis columns in the
-    eigenvalues' order.  Both are kept read-only, since every point of the
-    path shares them.
+    every theta, and bases_of(thetas) returns, for a grid of thetas, one
+    callable per theta, in order, that returns the basis columns at that
+    theta in the eigenvalues' order.  The callables may share work between
+    the points of the grid, and may raise what the basis at their own theta
+    raises when called; bases_of itself must accept any grid and raise
+    nothing.  The eigenvalues and rho' are kept read-only, since every
+    point of the path shares them.
     """
 
     eigenvalues: np.ndarray
     rho_prime_eig: np.ndarray | HermitianTridiagonal
-    basis_of: Callable[[float], np.ndarray]
+    bases_of: Callable[[list[float]], Iterable[Callable[[], np.ndarray]]]
 
     def __post_init__(self):
         rp = self.rho_prime_eig
@@ -139,18 +143,29 @@ class UnitaryPath:
         object.__setattr__(self, "rho_prime_eig", rp)
 
     def branches(self, theta: float) -> SpectralBranches:
-        """The spectral branches at theta, from the basis at theta alone.
+        """The spectral branches at theta: branches_over of the one point."""
+        return next(self.branches_over([theta]))
+
+    def branches_over(self, thetas: Iterable[float]) -> Iterator[SpectralBranches]:
+        """The spectral branches of each theta of a grid, in order, each
+        made when the iteration reaches its point, from one bases_of call.
 
         A theta that is not a real number raises InvalidInput, and one that
-        is not finite DomainError, at the call.  basis_of(theta) is called
-        on the first read of the branches' basis, so the readers that need
-        only the eigenvalues and rho' (the information values) never build
-        it; whatever basis_of raises, such as the bulk check of a
+        is not finite DomainError, when its point is reached, and so does a
+        point that bases_of gave no callable.  A point's basis callable is
+        called on the first read of its branches' basis, so the readers that
+        need only the eigenvalues and rho' (the information values) never
+        build it; whatever it raises, such as the bulk check of a
         displacement, is raised by that read.
         """
-        _check_finite(theta)
-        frame = Eigenframe(partial(self.basis_of, theta), self.eigenvalues)
-        return spectral_branches(frame, self.rho_prime_eig)
+        thetas = list(thetas)
+        bases = iter(self.bases_of(thetas))
+        for theta in thetas:
+            _check_finite(theta)
+            basis = next(bases, None)
+            if basis is None:
+                raise InvalidInput(f"bases_of gave no basis for theta={theta!r}")
+            yield spectral_branches(Eigenframe(basis, self.eigenvalues), self.rho_prime_eig)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -219,28 +234,32 @@ def default_step(theta: float) -> float:
     return max(1e-5, float(np.cbrt(np.finfo(float).eps)) * (1.0 + abs(theta)))
 
 
-def _check_finite(theta: float) -> None:
-    """InvalidInput unless theta is a real number (see linalg._real),
-    DomainError unless it is finite."""
-    if not math.isfinite(_real(theta, "theta")):
+def _check_finite(theta: float) -> float:
+    """theta as a float; InvalidInput unless it is a real number (see
+    linalg._real), DomainError unless it is finite."""
+    value = _real(theta, "theta")
+    if not math.isfinite(value):
         raise DomainError("theta must be finite", value=theta)
+    return value
 
 
-def _check_theta(fam: StateFamily, theta: float, pad: float = 0.0) -> None:
-    """InvalidInput unless theta is a real number (see linalg._real),
-    DomainError unless it lies in the family's open domain by pad."""
-    _check_finite(theta)
+def _check_theta(fam: StateFamily, theta: float, pad: float = 0.0) -> float:
+    """theta as a float; InvalidInput unless it is a real number (see
+    linalg._real), DomainError unless it lies in the family's open domain
+    by pad."""
+    value = _check_finite(theta)
     lo, hi = fam.theta_domain
-    if not (lo < theta - pad and theta + pad < hi):
+    if not (lo < value - pad and value + pad < hi):
         raise DomainError(
             f"theta={theta!r} (stencil pad {pad:g}) outside open domain ({lo!r}, {hi!r})",
             value=theta,
         )
+    return value
 
 
 def eval_rho(fam: StateFamily, theta: float) -> DensityMatrix:
     """Evaluate the family and validate the result as a density matrix."""
-    _check_theta(fam, theta)
+    theta = _check_theta(fam, theta)
     mat = np.asarray(fam.rho_of(theta))
     if mat.shape != (fam.dim, fam.dim):
         raise InvalidInput(f"family returned shape {mat.shape}, expected {(fam.dim, fam.dim)}")
@@ -256,12 +275,13 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
     """
     mode = fam.derivative_mode
     if isinstance(mode, Analytic):
-        _check_theta(fam, theta)
+        theta = _check_theta(fam, theta)
         rp = np.asarray(fam.rho_prime_of(theta))
         tol = TRACE_TOL_ANALYTIC
     else:
+        theta = _check_finite(theta)
         h = _check_step(mode.step if mode.step is not None else default_step(theta))
-        _check_theta(fam, theta, pad=h)
+        theta = _check_theta(fam, theta, pad=h)
         rp = (np.asarray(fam.rho_of(theta + h)) - np.asarray(fam.rho_of(theta - h))) / (2.0 * h)
         tol = TRACE_TOL_NUMERIC
     if rp.shape != (fam.dim, fam.dim):
@@ -289,7 +309,9 @@ class SpectralBranches:
     matrix.  Dense per-cluster projections are materialized lazily so that
     information-only paths stay O(dim^2) in memory.  kernels holds the
     point's mean kernel table of each model, filled on first use by
-    ldops.kernel_table and shared by every later reader of the point.
+    ldops.kernel_table, and on a banded point the model's kernel over the
+    band's entries under ("band", model), filled by ldops.kernel_entries;
+    both are shared by every later reader of the point.
     """
 
     def __init__(
@@ -314,7 +336,7 @@ class SpectralBranches:
         self.cluster_slices = cluster_slices
         self.cluster_values = cluster_values
         self.cluster_value_primes = cluster_value_primes
-        self.kernels: dict[str, np.ndarray] = {}
+        self.kernels: dict[str | tuple[str, str], np.ndarray] = {}
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -546,7 +568,7 @@ def projection_curvature_residual(fam: StateFamily, theta: float) -> float:
     Clusters are matched across the stencil by ascending order, so the
     family must keep a constant cluster count on [theta - h, theta + h].
     """
-    _check_theta(fam, theta)
+    theta = _check_theta(fam, theta)
     h = CURVATURE_STEP
     brs = [
         branches_at(fam, t)

@@ -74,12 +74,17 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
     eigenbasis, with K the model's mean of (lambda_i, lambda_j), ready for
     elementwise sums.  A dense point gives whole matrices (lambda_i as a
     column, the point's kernel_table); a banded point gives flat arrays
-    over its O(dim) entries and builds no table."""
+    over its O(dim) entries and builds no table, and keeps the kernel in
+    br.kernels under ("band", model), a key kernel_table never reads, so
+    that every later reader of the point divides by the same array."""
     if br.band is None:
         return br.eigenvalues[:, None], br.rho_prime_eig, kernel_table(br, model)
     rows, cols, vals = br.band.entries
     w = br.eigenvalues
-    return w[rows], vals, kernel_pairs(w[rows], w[cols], model)
+    kern = br.kernels.get(("band", model))
+    if kern is None:
+        kern = br.kernels[("band", model)] = kernel_pairs(w[rows], w[cols], model)
+    return w[rows], vals, kern
 
 
 def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:

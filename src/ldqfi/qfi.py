@@ -189,7 +189,7 @@ def maximality_check(fam: StateFamily, theta: float) -> tuple[float, float]:
     information value.  H' is a symmetric difference of the operator field
     with step default_step(theta).
     """
-    _check_theta(fam, theta)
+    theta = _check_theta(fam, theta)
     h = default_step(theta)
     plus = ld_operator(branches_at(fam, theta + h), "bvn")
     minus = ld_operator(branches_at(fam, theta - h), "bvn")
@@ -230,9 +230,13 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
     A family without a unitary_path, or with a derivative mode other than
     Analytic, evaluates each point through its state, rho' and one
     eigensolve.  A family with one takes each point's branches from the
-    path (UnitaryPath.branches) and no state at all; as only the basis
-    moves, the information values and kernel tables of the first point
-    serve every point.
+    path (UnitaryPath.branches_over, whose bases_of sees the whole grid,
+    so that points may share work such as the coherent family's closed
+    forms) and no state at all; as only the basis moves, the information
+    values and kernel tables of the first point serve every point, and
+    the call builds each table, and each model's kernel over a band, once.
+    Each point's theta is checked, and its basis read, in order, so a
+    failing point raises what it raises alone.
 
     Both diagnostics of a point read its own basis V through the Gram
     matrix G = V^dagger V, and no operator is assembled: max_zero_expectation
@@ -266,9 +270,8 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
     reports = []
     first = values = None
-    for theta in thetas:
-        _check_theta(fam, theta)
-        br = path.branches(theta)
+    for theta, br in zip(thetas, path.branches_over(thetas)):
+        theta = _check_theta(fam, theta)
         # the basis first, so that its checks decide a failing point's error
         v = br.basis
         if first is None:

@@ -14,7 +14,9 @@ displacement accuracy) that makes the finite-dimensional surrogates
 trustworthy; the displaced thermal family is also a unitary path
 (CoherentFamily.path, whose branches(theta) are its spectral branches in
 closed form) and carries the closed-form displacement its exponential is
-checked against (displacement_closed_form).  FAMILIES is the table of
+checked against (displacement_closed_form, of one amplitude or of a
+block of them at once: the path's consecutive points share one pass of
+its recurrence).  FAMILIES is the table of
 families a sweep can name: their parameters, sweep coordinates and
 admissible intervals.  The closed-form information values that
 cross-check the families are references, not part of the runtime: the
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping
+from functools import cache, cached_property, partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +63,12 @@ COHERENT_MIN_EIG = 1e-11
 DISPLACEMENT_TOL = 1e-8
 BULK_MARGIN = 10
 
+# A path's consecutive points share the closed forms of a block of them
+# (CoherentFamily._bases_of) up to this many bytes: 5 to 7 points at M = 2,
+# while from M = 4 on one point's alone takes about as much, and each point
+# computes its own, so large truncations keep the memory of one point.
+_BLOCK_BYTES = 96 * 1024
+
 # Open theta domains of the two-level families, the displaced thermal
 # family and the projection-oscillation counterexample.
 TWO_LEVEL_DOMAIN = (-1.5, 1.5)
@@ -69,12 +77,18 @@ COUNTEREXAMPLE_DOMAIN = (-1.0, 1.0)
 
 
 def _bulk_margin(theta: float, dim: int) -> int:
-    return max(BULK_MARGIN, math.ceil(3.5 * abs(theta) * math.sqrt(dim)) + 8)
+    # clamped at dim, which leaves no bulk either way, so that no finite
+    # amplitude overflows math.ceil
+    return max(BULK_MARGIN, math.ceil(min(3.5 * abs(theta) * math.sqrt(dim), dim)) + 8)
 
 
-def _check_amplitude(theta: float) -> None:
-    if not math.isfinite(_real(theta, "displacement amplitude")):
+def _check_amplitude(theta: float) -> float:
+    """theta as a float, InvalidInput unless it is a real number and
+    DomainError unless it is finite."""
+    amp = _real(theta, "displacement amplitude")
+    if not math.isfinite(amp):
         raise DomainError(f"displacement amplitude {theta!r} is not finite", value=theta)
+    return amp
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +293,11 @@ def coherent_trunc_dim(mean_occupation: float) -> int:
     return max(2, min(n_tail, n_rank))
 
 
-def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
+def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.ndarray:
     """Matrix elements <m| e^{theta (a+ - a)} |n> of the untruncated
-    displacement with real amplitude theta, on the first dim levels.
+    displacement with real amplitude theta, on the first dim levels; for a
+    1-d sequence of amplitudes, their matrices stacked along a leading
+    axis, from one pass of the recurrence.
 
     Below the diagonal, with m = n + d, the element is
     e_n(d) = e^{-x/2} theta^d sqrt(n!/(n+d)!) L_n^(d)(x), x = theta^2; above
@@ -291,34 +307,45 @@ def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
     starting from e_0(d) = e^{-x/2} theta^d / sqrt(d!).  Every term stays
     bounded, so large dimensions cannot form the 0 * inf of a separately
     evaluated factorial ratio and Laguerre value; a starting value that
-    underflows only loses elements far below double precision.
+    underflows only loses elements far below double precision.  A zero
+    amplitude gives the identity.
 
-    A theta that is not finite raises DomainError, a dim that is not a
+    Each element is formed by the same operations whatever the other
+    amplitudes and dim, so a matrix of a stack, or the leading corner of a
+    larger dim, equals the one-amplitude result bit for bit.
+
+    An amplitude that is not finite raises DomainError, a dim that is not a
     positive integer InvalidInput.
     """
-    _check_amplitude(theta)
+    single = np.ndim(theta) == 0
+    amps = np.array([_check_amplitude(t) for t in ([theta] if single else theta)], dtype=float)
     dim = _positive_int(dim, "dim")
-    if theta == 0.0:
-        return np.eye(dim)
-    x = theta * theta
+    zero = amps == 0.0
+    x = amps * amps
     d = np.arange(dim, dtype=float)
     odd = d % 2 == 1
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    cur = np.exp(d * math.log(abs(theta)) - 0.5 * x - 0.5 * log_fact)
-    cur[odd] *= math.copysign(1.0, theta)
-    prev = np.zeros(dim)
+    # math.log, which the one-amplitude recurrence has always taken; a zero
+    # amplitude starts from the vacuum column instead, so no step takes log(0).
+    # The amplitudes run along the last axis until the result is assembled:
+    # each step then slices as a single amplitude's would.
+    log_amp = np.array([math.log(abs(t)) if t else 0.0 for t in amps.tolist()])
+    cur = np.exp(d[:, None] * log_amp - 0.5 * x - 0.5 * log_fact[:, None])
+    cur[:, zero] = (d == 0.0)[:, None]
+    cur[odd] *= np.where(amps < 0.0, -1.0, 1.0)
+    prev = np.zeros_like(cur)
     # Every coefficient of the recurrence as a table, before the loop:
     # root_prod[n, j] = sqrt(n) sqrt(n + j) and step[n, j] = 2n + 1 + j - x,
     # so that each step costs four array operations.  The products are
     # those the step formed itself, so the elements keep their bytes.
     root = np.sqrt(np.arange(dim + 1.0))
     levels = np.arange(dim + 1)[:, None]
-    root_prod = root[levels] * root[np.minimum(levels + np.arange(dim), dim)]
-    step = 2 * levels[:dim] + (1.0 + d - x)
+    root_prod = (root[levels] * root[np.minimum(levels + np.arange(dim), dim)])[:, :, None]
+    step = 2 * levels[:dim, :, None] + (1.0 + d[:, None] - x)
     # Row n of below holds e_n(d) from the diagonal on; the lower triangle
     # of the result is its transpose, the upper one carries the parities
     # (-1)^(m - n) = (-1)^m (-1)^n.
-    below = np.zeros((dim, dim))
+    below = np.zeros((dim, dim, amps.size))
     for n in range(dim):
         k = dim - n - 1
         below[n, n:] = cur
@@ -326,8 +353,12 @@ def displacement_closed_form(theta: float, dim: int) -> np.ndarray:
         nxt -= root_prod[n, :k] * prev[:k]
         nxt /= root_prod[n + 1, :k]
         prev, cur = cur, nxt
+    del step  # before the two stacks of the assembly
     sign = np.where(odd, -1.0, 1.0)
-    return np.where(np.tri(dim, dtype=bool), below.T, below * (sign[:, None] * sign))
+    upper = below.transpose(2, 0, 1) * (sign[:, None] * sign)
+    out = np.where(np.tri(dim, dtype=bool), below.transpose(2, 1, 0), upper)
+    out[zero] = np.eye(dim)
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -369,7 +400,7 @@ class CoherentFamily:
         gen.flags.writeable = False
         return gen
 
-    def checked_displacement(self, theta: float) -> np.ndarray:
+    def checked_displacement(self, theta: float, closed_form: np.ndarray | None = None) -> np.ndarray:
         """e^{theta (a+ - a)} of the truncated generator, validated on the
         bulk against the closed-form matrix elements and for unitarity.
 
@@ -377,9 +408,13 @@ class CoherentFamily:
         theta sqrt(N); the check excludes that margin and demands the rest
         match within DISPLACEMENT_TOL, else the truncation is unusable at
         this amplitude and TruncationError is raised.  A theta that is not
-        finite raises DomainError.
+        finite raises DomainError.  closed_form, when given, is
+        displacement_closed_form(theta, m) for some m of at least the bulk,
+        such as a matrix of a block's stack, and the check reads its leading
+        bulk x bulk corner in place of computing it; a smaller one raises
+        InvalidInput.
         """
-        _check_amplitude(theta)
+        theta = _check_amplitude(theta)
         n = self.trunc_dim
         if theta == 0.0:
             return np.eye(n)
@@ -388,8 +423,10 @@ class CoherentFamily:
             raise TruncationError(
                 f"dimension {n} leaves no bulk to validate at amplitude {theta!r}; enlarge trunc_dim"
             )
+        if closed_form is not None and min(np.shape(closed_form)) < bulk:
+            raise InvalidInput(f"a closed form of shape {np.shape(closed_form)} does not cover the bulk {bulk}")
         w = expm(theta * self.generator())
-        exact = displacement_closed_form(theta, bulk)
+        exact = displacement_closed_form(theta, bulk) if closed_form is None else closed_form[:bulk, :bulk]
         dev = float(np.abs(w[:bulk, :bulk] - exact).max())
         gram = (w.T @ w - np.eye(n))[:bulk, :bulk]
         # The Frobenius norm bounds the 2-norm, so a bulk it passes also
@@ -452,17 +489,67 @@ class CoherentFamily:
         fixed commutator [a+ - a, rho_0].  Branch data therefore needs no
         eigensolve: the basis columns are the checked displacement's
         columns in ascending-eigenvalue (reversed level) order, formed when
-        a point's basis is first read (see UnitaryPath.branches), and rho' in
-        that basis is the tridiagonal band with entries
-        sqrt(n+1) (lambda_n - lambda_n+1) between levels n and n+1.
+        a point's basis is first read (see UnitaryPath.bases_of and
+        _bases_of), and rho' in that basis is the tridiagonal band with
+        entries sqrt(n+1) (lambda_n - lambda_n+1) between levels n and n+1.
 
         The weights and the band are built once per family.  The path
-        itself is not kept: its basis_of refers to the family, and a kept
+        itself is not kept: its bases_of refers to the family, and a kept
         one would make a reference cycle that holds the family, with its
         N x N generator, until a full garbage collection.
         """
         eigenvalues, band = self._path_data
-        return UnitaryPath(eigenvalues, band, lambda theta: self.checked_displacement(theta)[:, ::-1])
+        return UnitaryPath(eigenvalues, band, self._bases_of)
+
+    def _bases_of(self, thetas: Sequence[float]) -> Iterator[Callable[[], np.ndarray]]:
+        """One lazy basis per theta, in order: the checked displacement's
+        columns in reversed level order, checked when called.
+
+        A run of consecutive amplitudes that are nonzero and leave a bulk
+        forms blocks whose closed forms, at the block's largest bulk, take
+        at most _BLOCK_BYTES; the first basis read of a block computes them
+        all in one pass of the recurrence (displacement_closed_form of the
+        block), and each point's check reads its own.  Each point still runs
+        checked_displacement, with the closed form it would have computed
+        bit for bit.  Any other value, and a block of one point, is checked
+        on its own, and raises there what checked_displacement raises.
+        """
+        thetas = list(thetas)
+        bulks = [self._block_bulk(t) for t in thetas]
+        start = 0
+        while start < len(thetas):
+            stop, bulk = start, 0
+            while stop < len(thetas) and bulks[stop]:
+                widest = max(bulk, bulks[stop])
+                if (stop + 1 - start) * widest * widest * 8 > _BLOCK_BYTES:
+                    break
+                stop, bulk = stop + 1, widest
+            if stop - start < 2:
+                yield partial(self._basis, thetas[start])
+                start += 1
+                continue
+            block = cache(partial(displacement_closed_form, thetas[start:stop], bulk))
+            for i in range(start, stop):
+                yield partial(self._basis, thetas[i], block, i - start)
+            start = stop
+
+    def _block_bulk(self, theta: float) -> int:
+        """The bulk checked_displacement validates at theta, or 0 where a
+        block cannot take theta: zero, not a finite real number, or leaving
+        no bulk."""
+        try:
+            amp = _check_amplitude(theta)
+        except (InvalidInput, DomainError):
+            return 0
+        bulk = self.trunc_dim - _bulk_margin(amp, self.trunc_dim)
+        return bulk if amp and bulk >= 2 else 0
+
+    def _basis(self, theta: float, block: Callable[[], np.ndarray] | None = None, i: int = 0) -> np.ndarray:
+        """The basis at theta, checked against matrix i of the block's
+        closed forms when theta is point i of a block."""
+        if block is None:
+            return self.checked_displacement(theta)[:, ::-1]
+        return self.checked_displacement(theta, closed_form=block()[i])[:, ::-1]
 
     @cached_property
     def _path_data(self) -> tuple[np.ndarray, HermitianTridiagonal]:

@@ -37,6 +37,11 @@ from dense_oracles import hook_report
 THETAS = np.linspace(-0.29, 0.29, 13)
 
 
+def _fixed_bases(basis: np.ndarray):
+    """bases_of of a path whose basis is the same at every theta."""
+    return lambda thetas: [lambda: basis for _ in thetas]
+
+
 @pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
 def test_hook_matches_eigensolver_path(m: float) -> None:
     fam = coherent_family(m).family()
@@ -82,7 +87,7 @@ def test_hook_residual_sees_a_basis_defect(eps: float) -> None:
     s = rng.standard_normal((fam.dim, fam.dim))
     basis = np.eye(fam.dim) + eps * (s + s.T)
     defective = dataclasses.replace(
-        fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig, lambda theta: basis)
+        fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig, _fixed_bases(basis))
     )
     rep = compute_report(defective, 0.1)
     ref = hook_report(defective, 0.1)
@@ -100,7 +105,7 @@ def _fixed_basis_family(dense: bool) -> StateFamily:
         theta_domain=(-1.0, 1.0),
         rho_of=lambda theta: np.diag(w),
         rho_prime_of=lambda theta: np.zeros((4, 4)),
-        unitary_path=UnitaryPath(w, band.dense() if dense else band, lambda theta: np.eye(4)),
+        unitary_path=UnitaryPath(w, band.dense() if dense else band, _fixed_bases(np.eye(4))),
     )
 
 
@@ -121,7 +126,7 @@ def test_path_data_is_read_only_and_sized_by_the_family(dense: bool) -> None:
             a[0] = 0.0
     with pytest.raises(InvalidInput, match="dimension 3"):
         dataclasses.replace(fam, dim=3)
-    short = UnitaryPath(path.eigenvalues[:3], path.rho_prime_eig, path.basis_of)
+    short = UnitaryPath(path.eigenvalues[:3], path.rho_prime_eig, path.bases_of)
     with pytest.raises(InvalidInput, match="dimension 4"):
         dataclasses.replace(fam, unitary_path=short)
 
@@ -141,16 +146,101 @@ def test_coherent_family_is_freed_without_a_collection() -> None:
         gc.enable()
 
 
-def test_failing_point_of_a_grid_raises_its_own_error() -> None:
-    # N = 12 leaves no bulk from amplitude 0.2 on
+@pytest.mark.parametrize(
+    "margin, grid, bad, error",
+    [
+        # N = 12 leaves no bulk from amplitude 0.2 on
+        (None, [0.05, 0.1, 0.2, 0.25], 0.2, TruncationError),
+        # a margin of 4 levels puts the corrupted top of N = 12 into the
+        # bulk from amplitude 0.23 on: the fourth point of one block fails
+        # the deviation check
+        (4, [0.05, 0.1, 0.15, 0.23, 0.25], 0.23, TruncationError),
+        (None, [0.05, 0.1, math.nan, 0.15], math.nan, DomainError),
+        (None, [0.05, 0.1, 0.5, 0.15], 0.5, DomainError),
+    ],
+    ids=["no_bulk", "mid_block", "nan", "out_of_domain"],
+)
+def test_failing_point_of_a_grid_raises_its_own_error(monkeypatch, margin, grid, bad, error) -> None:
+    if margin is not None:
+        monkeypatch.setattr(ldqfi.zoo, "_bulk_margin", lambda theta, dim: margin)
+    blocks = []
+    real = ldqfi.zoo.displacement_closed_form
+
+    def recorded(theta, dim):
+        if np.ndim(theta):
+            blocks.append(list(theta))
+        return real(theta, dim)
+
+    monkeypatch.setattr(ldqfi.zoo, "displacement_closed_form", recorded)
     fam = coherent_family(0.1, 12).family()
-    grid = [0.05, 0.1, 0.2, 0.25]
-    with pytest.raises(TruncationError) as single:
-        compute_report(fam, 0.2)
-    with pytest.raises(TruncationError) as many:
+    with pytest.raises(error) as single:
+        compute_report(fam, bad)
+    with pytest.raises(error) as many:
         compute_reports(fam, grid)
     assert str(many.value) == str(single.value)
-    assert "amplitude 0.2;" in str(many.value)
+    if margin is not None:
+        assert blocks == [grid] and "deviates from the closed form" in str(many.value)
+    if bad == 0.2:
+        assert "amplitude 0.2;" in str(many.value)
+
+
+def test_a_grid_point_without_a_basis_raises() -> None:
+    # zip would have cut the grid short without a word
+    fam = _fixed_basis_family(dense=False)
+    path = fam.unitary_path
+    short = dataclasses.replace(
+        fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig, lambda thetas: [lambda: np.eye(4)])
+    )
+    with pytest.raises(InvalidInput, match="no basis for theta=0.3"):
+        compute_reports(short, [0.1, 0.3])
+
+
+def test_bases_of_takes_any_grid() -> None:
+    # the values a block cannot take are checked on their own, when read
+    fam = coherent_family(2.0)
+    grid = [0.1, "a", math.nan, 1e308, 0.0, -0.2, 0.2]
+    bases = list(fam.path.bases_of(grid))
+    assert len(bases) == len(grid)
+    for i, error in ((1, InvalidInput), (2, DomainError), (3, TruncationError)):
+        with pytest.raises(error):
+            bases[i]()
+    np.testing.assert_array_equal(bases[4](), np.eye(fam.trunc_dim)[:, ::-1])
+    for i in (0, 5, 6):
+        np.testing.assert_array_equal(bases[i](), fam.checked_displacement(grid[i])[:, ::-1])
+
+
+@pytest.mark.parametrize("m, points_per_block", [(2.0, (5, 7)), (10.0, (1, 1))])
+def test_path_points_share_the_closed_forms_of_a_block(monkeypatch, m, points_per_block) -> None:
+    # consecutive points share one pass of the recurrence up to the block
+    # budget, and each point's check reads the closed form it would have
+    # computed on its own, bit for bit; from M = 10 on each point computes
+    # its own
+    blocks = []
+    real = ldqfi.zoo.displacement_closed_form
+
+    def recorded(theta, dim):
+        blocks.append(np.size(theta))
+        return real(theta, dim)
+
+    checked = []
+    check = CoherentFamily.checked_displacement
+
+    def compared(self, theta, closed_form=None):
+        checked.append(theta)
+        if closed_form is not None:
+            bulk = self.trunc_dim - ldqfi.zoo._bulk_margin(theta, self.trunc_dim)
+            np.testing.assert_array_equal(closed_form[:bulk, :bulk], real(theta, bulk))
+        return check(self, theta, closed_form)
+
+    monkeypatch.setattr(ldqfi.zoo, "displacement_closed_form", recorded)
+    monkeypatch.setattr(CoherentFamily, "checked_displacement", compared)
+    grid = np.linspace(-0.29, 0.29, 40).tolist()
+    compute_reports(coherent_family(m).family(), grid)
+    assert checked == grid
+    assert sum(blocks) == len(grid)
+    # the last block takes what is left
+    lo, hi = points_per_block
+    assert all(lo <= k <= hi for k in blocks[:-1]) and blocks[-1] <= hi
 
 
 def test_reports_memory_stays_of_the_order_of_one_point() -> None:
@@ -188,10 +278,18 @@ def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
     _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
     # the weights and the band are built once, with the family
     _counting(monkeypatch, CoherentFamily, "eigenvalues", counts)
+    # each call builds each model's band kernel once, and the bvn table of
+    # the KMB residual once
+    _counting(monkeypatch, ldqfi.ldops, "kernel_pairs", counts)
     for theta in (0.0, 0.1, -0.2):
         compute_report(fam, theta)
     compute_reports(fam, [0.05, 0.15])
-    assert counts == {"eigh": 0, "checked_displacement": 5, "eigenvalues": 0}
+    assert counts == {
+        "eigh": 0,
+        "checked_displacement": 5,
+        "eigenvalues": 0,
+        "kernel_pairs": 4 * (len(MODELS) + 1),
+    }
 
 
 def test_hook_point_takes_the_mean_over_the_band(monkeypatch) -> None:
@@ -365,7 +463,7 @@ def test_eigenframe_needs_finite_ascending_eigenvalues(w: list[float]) -> None:
     rp = HermitianTridiagonal(np.zeros(3), np.array([0.1, 0.1]))
     with pytest.raises(InvalidInput, match="finite and ascending"):
         spectral_branches(Eigenframe(np.eye(3), w), rp)
-    path = UnitaryPath(w, rp.dense(), lambda theta: np.eye(3))
+    path = UnitaryPath(w, rp.dense(), _fixed_bases(np.eye(3)))
     with pytest.raises(InvalidInput, match="finite and ascending"):
         qfi_value(path.branches(0.0), "sld")
 

@@ -263,6 +263,10 @@ class TestDerivativeModes:
         fam = random_analytic_family(4, rng)
         with pytest.raises(DomainError):
             eval_rho(fam, fam.theta_domain[1] + 1.0)
+        # the default step took abs() of theta first: a bare TypeError
+        numeric_fam = dataclasses.replace(fam, derivative_mode=CentralDifference())
+        with pytest.raises(InvalidInput, match="real number"):
+            eval_rho_prime(numeric_fam, "a")
 
 
 class TestBranchesAt:

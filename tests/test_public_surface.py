@@ -48,6 +48,9 @@ MOVED = {
     "coherent_branches": None,
     "qfi_variance": dense_oracles,
     "rho_prime": dense_oracles,
+    # UnitaryPath.basis_of(theta) became bases_of(thetas), one lazy basis per
+    # theta of a grid
+    "basis_of": None,
 }
 
 
@@ -100,6 +103,7 @@ REMOVED_FIELDS = {
     ldqfi.TwoLevelFamily2: "theta_domain",
     ldqfi.CoherentFamily: "theta_domain",
     ldqfi.StateFamily: "branches_of",
+    ldqfi.UnitaryPath: "basis_of",
 }
 
 

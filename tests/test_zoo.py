@@ -317,6 +317,38 @@ class TestDisplacementOperator:
             np.testing.assert_array_equal(
                 displacement_closed_form(theta, dim), _stepwise_closed_form(theta, dim)
             )
+        # a block runs at its largest bulk, and each point's leading corner
+        # keeps the bytes of its own recurrence; a zero amplitude is the
+        # identity
+        thetas = [0.29, -0.17, 0.0, 0.1, -0.23, 0.05]
+        bulks = [41, 45, 47, 46, 43, 12]
+        stack = displacement_closed_form(thetas, max(bulks))
+        assert stack.shape == (len(thetas), 47, 47)
+        for theta, bulk, forms in zip(thetas, bulks, stack):
+            expected = np.eye(bulk) if theta == 0.0 else _stepwise_closed_form(theta, bulk)
+            np.testing.assert_array_equal(forms[:bulk, :bulk], expected)
+
+    def test_block_amplitudes_are_checked_one_by_one(self) -> None:
+        with pytest.raises(DomainError):
+            displacement_closed_form([0.1, math.nan], 4)
+        with pytest.raises(InvalidInput):
+            displacement_closed_form([0.1, "a"], 4)
+        assert displacement_closed_form([], 4).shape == (0, 4, 4)
+
+    def test_check_takes_a_closed_form_covering_the_bulk(self) -> None:
+        fam = coherent_family(2.0)
+        bulk = fam.trunc_dim - zoo._bulk_margin(0.1, fam.trunc_dim)
+        wide = displacement_closed_form([0.2, 0.1], bulk + 3)[1]
+        np.testing.assert_array_equal(
+            fam.checked_displacement(0.1, closed_form=wide), fam.checked_displacement(0.1)
+        )
+        with pytest.raises(InvalidInput, match="does not cover the bulk"):
+            fam.checked_displacement(0.1, closed_form=wide[: bulk - 1, : bulk - 1])
+
+    def test_huge_amplitude_leaves_no_bulk(self) -> None:
+        # the margin took math.ceil of an infinite product: a bare OverflowError
+        with pytest.raises(TruncationError, match="leaves no bulk"):
+            zoo.CoherentFamily(1.0, 34).checked_displacement(1e308)
 
     def test_generator_is_formed_once_per_family(self) -> None:
         fam = zoo.CoherentFamily(1.0, 12)
@@ -674,6 +706,24 @@ class TestRegistry:
         assert theta == 0.7
         br = branches_at(fam, theta)
         assert max(br.eigenvalues) == pytest.approx(0.65, rel=1e-12)
+
+    def test_single_precision_point_reports_its_double_value(self) -> None:
+        # theta = float32(0.1) squared in single precision put the closed
+        # form 1.3e-8 off the displacement of the same double: a false
+        # TruncationError for coherent; the other families moved their
+        # stencils or windows by float32 rounding
+        coords = {
+            "two_level_1": {"theta": 0.3},
+            "two_level_2": {"r": 0.5},
+            "geometric": {"theta": 0.7},
+            "coherent": {"M": 2.0, "theta": 0.1},
+            "counterexample31": {"theta": 0.3},
+        }
+        assert set(coords) == set(FAMILIES)
+        for name, values in coords.items():
+            fam, theta = FAMILIES[name].build(values)
+            single = np.float32(theta)
+            assert compute_report(fam, single) == compute_report(fam, float(single)), name
 
     def test_verification_tasks_cover_all_families(self) -> None:
         labels = {label for label, _, _ in verification_tasks()}
