@@ -85,7 +85,9 @@ def _moments(br: SpectralBranches, ys: np.ndarray, model: str) -> tuple[np.ndarr
     KMB-weighted variance) and lambda_i for the other models, since
     Tr(rho Z^2) = sum_ij lambda_i |Z_ij|^2 is the ordinary variance."""
     v = br.basis
-    # the Hermitian part is freed after the first product: two stacks at most
+    # about 2.5 stacks above the input at the peak (require_hermitian's
+    # conjugate copy and check temporaries, then the products), so the
+    # caller bounds the memory by the stack it passes
     y_eig = v.conj().T @ require_hermitian(ys, "observable") @ v
     u = np.sum(br.rho_prime_eig * y_eig.swapaxes(-1, -2), axis=(-2, -1)).real
     diag = np.arange(br.dim)

@@ -10,7 +10,8 @@ the stacked checks: the local Cramer-Rao terms of one observable at a
 time, the projection audit as a loop over cluster pairs with each
 projection derivative assembled block by block, and the report of one
 unitary-path point with its KMB residual taken from the assembled
-operator.
+operator.  The random Hermitian draw through hermitize (random_hermitian),
+whose bytes the library's in-place draw keeps.
 
 And three references that only the tests use: the geometric family's
 closed-form information with the check that all four models reach it on
@@ -85,6 +86,20 @@ def ld2(rho: DensityMatrix, rho_prime: np.ndarray) -> np.ndarray:
     rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
     inv_sqrt = matrix_function(rho.matrix, lambda w: w**-0.5)
     return hermitize(inv_sqrt @ rho_prime @ inv_sqrt)
+
+
+def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
+                     count: int | None = None) -> np.ndarray:
+    """ldqfi.random_hermitian through hermitize: the complex stack filled
+    from the real and imaginary draws, then (Z + Z^dagger)/2 with its
+    conjugate copy, times scale.  Valid arguments only."""
+    k = 1 if count is None else count
+    z = rng.standard_normal((k, 2, dim, dim))
+    x = np.empty((k, dim, dim), dtype=complex)
+    x.real, x.imag = z[:, 0], z[:, 1]
+    x = hermitize(x)
+    x *= scale
+    return x[0] if count is None else x
 
 
 def rho_prime(br: SpectralBranches) -> np.ndarray:

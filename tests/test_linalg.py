@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldqfi
+import dense_oracles
 from dense_oracles import matrix_function
 from ldqfi import (
     CoherentFamily,
@@ -175,6 +176,16 @@ def test_random_hermitian_stack_equals_successive_draws(dim: int) -> None:
     after = np.random.default_rng(5)
     random_hermitian(dim, after, count=7)
     assert after.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim, count, scale", [(38, 100, 1.0), (34, 100, 1.0), (4, None, 0.6),
+                                               (5, 3, 0.6), (16, 7, 2.3), (1, None, 1.0),
+                                               (1, 4, 0.6), (6, 5, -1.7)])
+def test_random_hermitian_has_the_bytes_of_hermitize(dim, count, scale) -> None:
+    got = random_hermitian(dim, np.random.default_rng(3), scale=scale, count=count)
+    want = dense_oracles.random_hermitian(dim, np.random.default_rng(3), scale=scale, count=count)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim, count", [(-1, None), (0, None), (2.5, None), (True, None),

@@ -41,6 +41,7 @@ from ldqfi import (
 from ldqfi.errors import DegenerateInformation, InvalidInput
 from ldqfi.family import eval_rho
 from ldqfi.ldops import expectation
+from ldqfi.verify import _cr_targets
 
 
 class TestConventions:
@@ -227,6 +228,21 @@ class TestStackedCr:
             u, lhs, rhs = local_cr_terms(br, ys, model)
             for i, y in enumerate(ys):
                 assert _cr_one(br, y, model) == (u[i], lhs[i], rhs[i])
+
+    @pytest.mark.parametrize("target", _cr_targets(), ids=lambda t: t[0])
+    def test_chunks_give_the_bits_of_one_stack(self, target) -> None:
+        # the premise of the cr suite's chunks: ten stacks of 10 drawn from
+        # one seed are the stack of 100, term for term and bit for bit
+        _, fam, theta, _ = target
+        br = branches_at(fam, theta)
+        for model in MODELS:
+            ys = random_hermitian(br.dim, np.random.default_rng(4), count=100)
+            whole = local_cr_terms(br, ys, model)
+            rng = np.random.default_rng(4)
+            chunks = [local_cr_terms(br, random_hermitian(br.dim, rng, count=10), model)
+                      for _ in range(10)]
+            for got, want in zip(zip(*chunks), whole):
+                np.testing.assert_array_equal(np.concatenate(got), want)
 
     @pytest.mark.parametrize(
         "make",

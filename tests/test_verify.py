@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 
 import ldqfi.qfi
 from ldqfi import verify
@@ -28,9 +29,9 @@ def test_package_import_does_not_load_the_suites():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-def test_cr_evaluates_one_stack_per_target_and_model(monkeypatch):
-    # 4 targets x 4 models stacks of 100 observables, and the 10 efficient
-    # directions one at a time: 26 evaluations where one call per
+def test_cr_evaluates_observables_in_chunks(monkeypatch):
+    # 4 targets x 4 models x 10 chunks of 10 observables, and the 10
+    # efficient directions one at a time: 170 evaluations where one call per
     # observable made 1,610
     real = ldqfi.qfi.local_cr_terms
     stacks = []
@@ -43,5 +44,18 @@ def test_cr_evaluates_one_stack_per_target_and_model(monkeypatch):
     monkeypatch.setattr(verify, "local_cr_terms", counted)
     checks = verify.cr(7)
     assert len(checks) == 26 and all(c.passed for c in checks)
-    assert len(stacks) <= 26
-    assert sorted(stacks) == [1] * 10 + [100] * 16
+    assert len(stacks) <= 170
+    assert sorted(stacks) == [1] * 10 + [10] * 160
+
+
+def test_cr_peak_memory_is_one_chunk():
+    # one stack of 100 observables peaked at about 9 MB; a chunk of 10 keeps
+    # the suite near 1 MB
+    verify.cr(7)
+    tracemalloc.start()
+    try:
+        verify.cr(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
