@@ -46,7 +46,6 @@ from .ldops import (
     ld_operator,
 )
 from .linalg import (
-    expm,
     random_hermitian,
     schatten_norm,
     trace_product,

@@ -310,8 +310,9 @@ class SpectralBranches:
     information-only paths stay O(dim^2) in memory.  kernels holds the
     point's mean kernel table of each model, filled on first use by
     ldops.kernel_table, and on a banded point the model's kernel over the
-    band's entries under ("band", model), filled by ldops.kernel_entries;
-    both are shared by every later reader of the point.
+    band's entries under ("band", model), filled by ldops.kernel_entries,
+    and rho' over that kernel under ("band_ld", model), filled by
+    ldops.expectations; all are shared by every later reader of the point.
     """
 
     def __init__(

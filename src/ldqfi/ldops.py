@@ -21,6 +21,8 @@ part that vanishes when [rho, rho'] = 0.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -87,20 +89,36 @@ def kernel_entries(br: SpectralBranches, model: str) -> tuple[np.ndarray, np.nda
     return w[rows], vals, kern
 
 
-def expectation(br: SpectralBranches, rho_eig: np.ndarray, model: str) -> float:
-    """Tr(rho H) for the model's operator H_eig = rho'_eig / K, with rho
-    given in the eigenbasis, summed over the stored entries of rho' (see
-    kernel_entries) and read against rho_eig at the transposed positions.
-    A rho_eig that is not a matrix of the state's dimension raises
-    InvalidInput."""
+def expectations(br: SpectralBranches, rho_eig: np.ndarray, models: Sequence[str]) -> list[float]:
+    """Tr(rho H) of each model's operator H_eig = rho'_eig / K, in the
+    order of models, with rho given in the eigenbasis, summed over the
+    stored entries of rho' (see kernel_entries) and read against rho_eig at
+    the transposed positions.  A banded point gathers those positions of
+    rho_eig once for all models, and keeps each model's rho'/K over the band
+    in br.kernels under ("band_ld", model), so that later points sharing
+    the branches divide no more; each model's sum is its own.  A rho_eig
+    that is not a matrix of the state's dimension raises InvalidInput."""
     if np.shape(rho_eig) != (br.dim, br.dim):
         raise InvalidInput(f"rho_eig of shape {np.shape(rho_eig)} does not match dimension {br.dim}")
-    _, rp, kern = kernel_entries(br, model)
-    h = rp / kern
     if br.band is None:
-        return trace_product(rho_eig, h)
+        out = []
+        for model in models:
+            _, rp, kern = kernel_entries(br, model)
+            out.append(trace_product(rho_eig, rp / kern))
+        return out
     rows, cols, _ = br.band.entries
-    return float(np.sum(rho_eig[cols, rows] * h).real)
+    seen = rho_eig[cols, rows]
+    return [float(np.sum(seen * _band_ld(br, model)).real) for model in models]
+
+
+def _band_ld(br: SpectralBranches, model: str) -> np.ndarray:
+    """rho'/K over the band's entries of a banded point, formed on first
+    use and kept in br.kernels."""
+    h = br.kernels.get(("band_ld", model))
+    if h is None:
+        _, rp, kern = kernel_entries(br, model)
+        h = br.kernels[("band_ld", model)] = rp / kern
+    return h
 
 
 def ld_operator(br: SpectralBranches, model: str) -> np.ndarray:
@@ -121,7 +139,9 @@ def commuting_part(br: SpectralBranches) -> np.ndarray:
 def kmb_residual(br: SpectralBranches, ld: np.ndarray) -> float:
     """Trace-norm defect of a matrix H, such as ld_operator returns, as a
     solution of the KMB equation,
-    || integral_0^1 rho^t H rho^(1-t) dt - rho' ||_1.
+    || integral_0^1 rho^t H rho^(1-t) dt - rho' ||_1,
+    taken of the defect's Hermitian part, which it is in exact arithmetic
+    and whose trace norm never exceeds the defect's.
 
     Zero (to rounding) exactly for the bvn operator; for the other models a
     non-trivial residual measures how far their defining equation is from
@@ -133,4 +153,4 @@ def kmb_residual(br: SpectralBranches, ld: np.ndarray) -> float:
         raise InvalidInput(f"LD operator of shape {h.shape} does not match dimension {br.dim}")
     h_eig = br.basis.conj().T @ h @ br.basis
     recon = h_eig * kernel_table(br, "bvn")
-    return schatten_norm(recon - br.rho_prime_eig, 1)
+    return schatten_norm(hermitize(recon - br.rho_prime_eig), 1)

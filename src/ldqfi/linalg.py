@@ -2,8 +2,9 @@
 
 Hermiticity checks, the positive-spectrum check of every mean kernel, the
 elementwise logarithmic mean (``logmean_pairs``), the trace of a product,
-Schatten norms, Hermitian tridiagonal matrices, and the matrix exponential
-of a general square matrix (``expm``, used by the coherent displacement).
+Schatten norms, Hermitian tridiagonal matrices, and the exponential
+theta -> e^(theta A) of a fixed tridiagonal A (``TridiagonalExponential``,
+the coherent displacement), from A's band powers formed once.
 Everything here runs on numpy alone.  Other modules call numpy's
 eigensolvers directly, the state's own eigensolve pinned to one BLAS
 thread by ``_one_blas_thread``; the clustered spectral decomposition of a
@@ -35,21 +36,17 @@ LOGMEAN_SWITCH = 5e-3
 # Coefficients b_0..b_13 of the diagonal [13/13] Pade approximant to e^x,
 # and the largest 1-norm theta_13 at which it meets double-precision unit
 # roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
-# The table holds them as rows over the stacked even powers I, A^2, A^4,
-# A^6, splitting each sum at A^6: U = A (A^6 row 0 + row 2) and
-# V = A^6 row 1 + row 3.
 _THETA_13 = 5.371920351148152e0
 _PADE_13_B = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
     40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
-_PADE_13 = np.array([
-    (0.0,) + _PADE_13_B[9::2],
-    (0.0,) + _PADE_13_B[8::2],
-    _PADE_13_B[1:8:2],
-    _PADE_13_B[0:8:2],
-])
+_PADE_DEGREE = len(_PADE_13_B) - 1
+_PADE_EXPONENTS = np.arange(_PADE_DEGREE + 1)
+# The approximant's denominator V - U and numerator V + U as rows of
+# coefficients over the powers A^0..A^13: U sums the odd powers, V the even.
+_PADE_ROWS = np.array(_PADE_13_B) * np.array([(-1.0) ** _PADE_EXPONENTS, np.ones(_PADE_DEGREE + 1)])
 
 
 @functools.cache
@@ -205,10 +202,17 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 def schatten_norm(a: np.ndarray, p: int | str) -> float:
     """Schatten norm of a square matrix: p = 1 trace norm, p = 2 Frobenius,
-    p = "op" operator norm."""
+    p = "op" operator norm.
+
+    The trace norm is sum |eigvalsh(a)| and takes an exactly Hermitian
+    matrix, such as hermitize returns: any other raises InvalidInput, since
+    eigvalsh would read its lower triangle alone.  A matrix with a
+    non-numeric or non-finite entry raises InvalidInput at every order."""
     a = _as_square_matrix(a)
     if p == 1:
-        return float(_one_blas_thread(np.linalg.svd, a, compute_uv=False).sum())
+        if not np.array_equal(a, a.conj().T):
+            raise InvalidInput("the trace norm takes an exactly Hermitian matrix; hermitize it first")
+        return float(np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum())
     if p == 2:
         return float(np.linalg.norm(a))
     if p == "op":
@@ -247,53 +251,89 @@ class HermitianTridiagonal:
         return out
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square matrix by Pade scaling and squaring.
+class TridiagonalExponential:
+    """theta -> e^(theta A) for a fixed tridiagonal matrix A, given by its
+    subdiagonal, diagonal and superdiagonal: a callable that returns the
+    exponential as a dense matrix.
 
-    The degree-13 Pade approximant is used at every norm: above theta_13,
-    A is scaled by 2^-s into range and the approximant squared s times
-    (Higham 2005).  Lower degrees would meet the same absolute accuracy
-    below their own theta_m, but not the entrywise accuracy of the small
-    entries far from the diagonal.  A matrix that is not square or has
-    non-numeric or non-finite entries raises InvalidInput, one whose 1-norm
-    overflows double precision DomainError.
+    Each call runs the degree-13 Pade approximant, at every norm, with
+    scaling and squaring above theta_13: the scaling s is the least with
+    |theta| ||A||_1 / 2^s <= theta_13, and the approximant of
+    B = theta A / 2^s is solve(V - U, V + U) squared s times (Higham 2005).
+    Lower degrees would meet the same absolute accuracy below their own
+    theta_m, but not the entrywise accuracy of the small entries far from
+    the diagonal.  Since A is fixed, its powers A^0..A^13 are formed once,
+    by the tridiagonal recurrence A^(k+1) = A^k A, in row-band storage:
+    powers[k, i, 13 + d] is the entry (i, i + d) of A^k, whose
+    half-bandwidth is at most 13, and a slot outside the matrix holds zero.
+    At each theta, V - U and V + U are then the coefficient combinations
+    sum_k (+-1)^k b_k (theta / 2^s)^k A^k of the stored bands, placed in
+    two dense matrices by one strided assignment; no power is multiplied at
+    a call.
+
+    Bands of a dimension or dtype that do not fit raise InvalidInput, and
+    so does a theta that is not a finite real number; a norm
+    |theta| ||A||_1 that overflows double precision raises DomainError.
     """
-    a = _as_square_matrix(a)
-    a = a.astype(np.result_type(a, float), copy=False)
-    with np.errstate(over="ignore"):
-        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if norm == math.inf:
-        raise DomainError("the 1-norm of the matrix overflows double precision", value=norm)
-    # scale before forming any power, so a huge norm cannot overflow A^2
-    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    if s:
-        a = a / 2.0**s
-    powers = _even_powers(a @ a, 4)
-    a6 = powers[3]
-    odd_hi, v_hi, odd_lo, v_lo = _combine(_PADE_13, powers)
-    u = a @ (a6 @ odd_hi + odd_lo)
-    v = a6 @ v_hi + v_lo
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
 
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        lower, diag, upper = (np.asarray(x) for x in (lower, diag, upper))
+        numeric = all(x.dtype.kind in "biufc" and np.all(np.isfinite(x)) for x in (lower, diag, upper))
+        n = diag.size
+        if not numeric or diag.shape != (n,) or n < 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,):
+            raise InvalidInput(
+                "a tridiagonal exponential needs finite numeric bands: a diagonal of length n and "
+                "sub- and superdiagonals of n - 1"
+            )
+        dtype = np.result_type(lower, diag, upper, float)
+        col = np.abs(diag).astype(float)
+        col[1:] += np.abs(upper)
+        col[:-1] += np.abs(lower)
+        self.dim = n
+        self.norm = float(col.max())
+        # factors[:, i, c]: the entries (j - 1, j), (j, j) and (j + 1, j) of
+        # A that the recurrence reads for slot c of row i, at column
+        # j = i + c - 13; zero where j, or the row they name, is outside
+        hw = _PADE_DEGREE
+        j = np.arange(n)[:, None] + np.arange(-hw, hw + 1)
+        inside = (j >= 0) & (j < n)
+        cols = np.where(inside, j, 0)
+        padded = np.zeros((3, n), dtype)
+        padded[0, 1:], padded[1], padded[2, :-1] = upper, diag, lower
+        factors = np.where(inside, padded[:, cols], 0)
+        powers = np.zeros((hw + 1, n, 2 * hw + 1), dtype)
+        powers[0, :, hw] = 1.0
+        for k in range(hw):
+            nxt = powers[k + 1]
+            np.multiply(powers[k], factors[1], out=nxt)
+            nxt[:, 1:] += powers[k, :, :-1] * factors[0, :, 1:]
+            nxt[:, :-1] += powers[k, :, 1:] * factors[2, :, :-1]
+        powers.flags.writeable = False
+        self.powers = powers
 
-def _even_powers(a2: np.ndarray, k: int) -> np.ndarray:
-    """The stack I, A^2, ..., A^(2k-2) of shape (k, n, n)."""
-    powers = np.empty((k,) + a2.shape, dtype=a2.dtype)
-    powers[0] = np.eye(len(a2))
-    powers[1] = a2
-    for j in range(2, k):
-        np.matmul(powers[j - 1], a2, out=powers[j])
-    return powers
-
-
-def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Each row of coef as a linear combination of the stacked powers, in
-    one product."""
-    k, n, _ = powers.shape
-    return (coef @ powers.reshape(k, n * n)).reshape(len(coef), n, n)
+    def __call__(self, theta: float) -> np.ndarray:
+        theta = _real(theta, "theta")
+        if not math.isfinite(theta):
+            raise InvalidInput(f"theta must be finite, got {theta!r}")
+        norm = abs(theta) * self.norm
+        if norm == math.inf:
+            raise DomainError("the 1-norm of the matrix overflows double precision", value=norm)
+        s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+        hw, n = _PADE_DEGREE, self.dim
+        coef = _PADE_ROWS * (theta / 2.0**s) ** _PADE_EXPONENTS
+        bands = coef @ self.powers.reshape(hw + 1, -1)
+        # Rows of n + 26 entries: entry (i, i + d) sits at i (n + 27) + 13 + d
+        # and every band slot at its own place, the ones outside the matrix
+        # in the padding; the dense matrices are the columns 13 .. n + 12.
+        buf = np.zeros((2, n, n + 2 * hw), bands.dtype)
+        step = buf.strides
+        band_view = np.ndarray((2, n, 2 * hw + 1), buf.dtype, buf, 0, (step[0], step[1] + step[2], step[2]))
+        band_view[...] = bands.reshape(2, n, 2 * hw + 1)
+        q, p = buf[:, :, hw:n + hw]
+        r = np.linalg.solve(q, p)
+        for _ in range(s):
+            r = r @ r
+        return r
 
 
 def _real(x, name: str) -> float:

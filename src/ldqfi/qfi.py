@@ -33,7 +33,7 @@ from .family import (
 )
 from .ldops import (
     MODELS,
-    expectation,
+    expectations,
     kernel_entries,
     kernel_table,
     ld_operator,
@@ -242,11 +242,13 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
 
     Both diagnostics of a point read its own basis V through the Gram
     matrix G = V^dagger V, and no operator is assembled: max_zero_expectation
-    is the worst Tr(rho H) against rho in the basis, and kmb_residual is
-    || K o herm(G (X / K) G) - X ||_1 with X = rho' in the basis and K the
+    is the worst Tr(rho H) against rho in the basis (ldops.expectations,
+    one call a point), and kmb_residual is
+    || herm(K o (G (X / K) G) - X) ||_1 with X = rho' in the basis and K the
     bvn kernel table, which is kmb_residual of the assembled bvn operator
-    in exact arithmetic.  For an orthonormal V it vanishes up to rounding,
-    so it measures the basis' orthogonality defect.
+    in exact arithmetic; the trace norm of that exactly Hermitian matrix
+    is the sum of its |eigvalsh|.  For an orthonormal V it vanishes up to
+    rounding, so it measures the basis' orthogonality defect.
 
     The call runs with numpy's OpenBLAS pinned to one thread
     (linalg._one_blas_thread), since blocked products and eigensolvers
@@ -301,10 +303,10 @@ def _report(theta: float, br: SpectralBranches,
     """The report of a point from its values and, for the diagnostics,
     rho and the Gram matrix of its basis, both in that basis; br gives
     the eigenvalues, rho' in the basis and the kernel tables."""
-    worst_expect = max(abs(expectation(br, rho_eig, m)) for m in models)
+    worst_expect = max(abs(e) for e in expectations(br, rho_eig, models))
     table = kernel_table(br, "bvn")
     x = br.rho_prime_eig
-    residual = schatten_norm(table * hermitize(gram @ (x / table) @ gram) - x, 1)
+    residual = schatten_norm(hermitize(table * (gram @ (x / table) @ gram) - x), 1)
     if not math.isfinite(residual):
         raise InvalidInput("KMB residual is not finite")
     i1, qfi, i2 = values

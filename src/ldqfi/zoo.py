@@ -41,7 +41,7 @@ from .family import (
     UnitaryPath,
     nonsmooth_projection_state,
 )
-from .linalg import HermitianTridiagonal, _positive_int, _real, expm
+from .linalg import HermitianTridiagonal, TridiagonalExponential, _positive_int, _real
 
 # Geometric truncation: discarded tail target at the slow edge of the
 # parameter window, clamped so the smallest kept eigenvalue clears the
@@ -400,9 +400,21 @@ class CoherentFamily:
         gen.flags.writeable = False
         return gen
 
+    @cached_property
+    def _exponential(self) -> TridiagonalExponential:
+        """theta -> e^{theta (a+ - a)}: the generator's band powers, formed
+        once per family, which every displacement combines."""
+        off = np.sqrt(np.arange(1.0, self.trunc_dim))
+        return TridiagonalExponential(off, np.zeros(self.trunc_dim), -off)
+
     def checked_displacement(self, theta: float, closed_form: np.ndarray | None = None) -> np.ndarray:
         """e^{theta (a+ - a)} of the truncated generator, validated on the
         bulk against the closed-form matrix elements and for unitarity.
+
+        The exponential is the degree-13 Pade approximant with scaling and
+        squaring, combined from the generator's band powers, which the
+        family forms once (linalg.TridiagonalExponential); a point forms no
+        power of its own.
 
         Truncation corrupts the top levels over a depth growing with
         theta sqrt(N); the check excludes that margin and demands the rest
@@ -425,7 +437,7 @@ class CoherentFamily:
             )
         if closed_form is not None and min(np.shape(closed_form)) < bulk:
             raise InvalidInput(f"a closed form of shape {np.shape(closed_form)} does not cover the bulk {bulk}")
-        w = expm(theta * self.generator())
+        w = self._exponential(theta)
         exact = displacement_closed_form(theta, bulk) if closed_form is None else closed_form[:bulk, :bulk]
         dev = float(np.abs(w[:bulk, :bulk] - exact).max())
         gram = (w.T @ w - np.eye(n))[:bulk, :bulk]

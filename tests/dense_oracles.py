@@ -2,6 +2,8 @@
 their defining matrix equations, and the spectral matrix function that ld2
 needs.  The library builds every operator as rho'_eig divided by a kernel
 table; these build them without it, so the tests can compare the two.
+The dense matrix exponential of a general square matrix (expm), against
+which the coherent displacement's banded one is tested.
 
 Also the lab-basis forms of what the library takes in the eigenbasis:
 rho' rotated back (rho_prime) and the ordinary second moment Tr(rho H^2)
@@ -37,6 +39,9 @@ from ldqfi.family import (
 )
 from ldqfi.ldops import MODELS, kernel_entries, kernel_matrix, kernel_table, ld_operator
 from ldqfi.linalg import (
+    _PADE_13_B,
+    _THETA_13,
+    _as_square_matrix,
     _one_blas_thread,
     _positive_int,
     hermitize,
@@ -70,6 +75,53 @@ def matrix_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
             value=offending,
         )
     return (vectors * fw) @ vectors.conj().T
+
+
+# The degree-13 Pade coefficients as rows over the stacked even powers I,
+# A^2, A^4, A^6, splitting each sum at A^6: U = A (A^6 row 0 + row 2) and
+# V = A^6 row 1 + row 3.
+_PADE_13 = np.array([
+    (0.0,) + _PADE_13_B[9::2],
+    (0.0,) + _PADE_13_B[8::2],
+    _PADE_13_B[1:8:2],
+    _PADE_13_B[0:8:2],
+])
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a general square matrix by Pade scaling and
+    squaring, with dense powers: the degree-13 approximant at every norm,
+    above theta_13 of A scaled by 2^-s and squared s times (Higham 2005).
+    The oracle of linalg.TridiagonalExponential, which forms the same
+    approximant from a tridiagonal generator's band powers.  A matrix that
+    is not square or has non-numeric or non-finite entries raises
+    InvalidInput, one whose 1-norm overflows double precision DomainError.
+    """
+    a = _as_square_matrix(a)
+    a = a.astype(np.result_type(a, float), copy=False)
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if norm == math.inf:
+        raise DomainError("the 1-norm of the matrix overflows double precision", value=norm)
+    # scale before forming any power, so a huge norm cannot overflow A^2
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    if s:
+        a = a / 2.0**s
+    a2 = a @ a
+    powers = np.empty((4,) + a.shape, dtype=a.dtype)
+    powers[0] = np.eye(len(a))
+    powers[1] = a2
+    for j in (2, 3):
+        np.matmul(powers[j - 1], a2, out=powers[j])
+    a6 = powers[3]
+    n = len(a)
+    odd_hi, v_hi, odd_lo, v_lo = (_PADE_13 @ powers.reshape(4, n * n)).reshape(4, n, n)
+    u = a @ (a6 @ odd_hi + odd_lo)
+    v = a6 @ v_hi + v_lo
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def ld1(rho: DensityMatrix, rho_prime: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from ldqfi import (
 from ldqfi.errors import DegenerateCrossing, DomainError, InvalidInput, TruncationError
 from ldqfi.family import Eigenframe, StateFamily, spectral_branches
 from ldqfi.ldops import kernel_entries, kernel_pairs
-from ldqfi.linalg import HermitianTridiagonal, expm, logmean_pairs
+from ldqfi.linalg import HermitianTridiagonal, logmean_pairs
 from ldqfi.verify import coherent_qfi_bvn, coherent_qfi_ld2
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
 
@@ -245,19 +245,22 @@ def test_path_points_share_the_closed_forms_of_a_block(monkeypatch, m, points_pe
 
 def test_reports_memory_stays_of_the_order_of_one_point() -> None:
     # the points are evaluated one at a time: whatever the grid size, the
-    # peak is one point's plus the reports (under 2 kB each)
+    # peak is one point's plus the reports (under 2 kB each).  Both grids
+    # hold whole blocks of closed forms (5 points at M = 2), so the peak
+    # grows between them by the added reports alone; a kept basis (26 kB a
+    # point) or a closed-form stack of the whole grid would exceed that.
     fam = coherent_family(2.0).family()
-    grid = np.linspace(-0.29, 0.29, 200).tolist()
-    compute_report(fam, 0.29)  # the family's generator, formed once
+    grids = [np.linspace(-0.29, 0.29, k).tolist() for k in (20, 200)]
+    compute_report(fam, 0.29)  # the family's generator and band powers, formed once
     peaks = []
-    for thetas in ([0.29], grid):
+    for thetas in grids:
         tracemalloc.start()
         try:
             compute_reports(fam, thetas)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2000 * len(grid)
+    assert peaks[1] <= peaks[0] + 2000 * (len(grids[1]) - len(grids[0]))
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
@@ -281,6 +284,10 @@ def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
     # each call builds each model's band kernel once, and the bvn table of
     # the KMB residual once
     _counting(monkeypatch, ldqfi.ldops, "kernel_pairs", counts)
+    # the generator's band powers are built once per family, and a point
+    # takes Tr(rho H) of every model in one call
+    _counting(monkeypatch, ldqfi.zoo, "TridiagonalExponential", counts)
+    _counting(monkeypatch, ldqfi.qfi, "expectations", counts)
     for theta in (0.0, 0.1, -0.2):
         compute_report(fam, theta)
     compute_reports(fam, [0.05, 0.15])
@@ -289,6 +296,8 @@ def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
         "checked_displacement": 5,
         "eigenvalues": 0,
         "kernel_pairs": 4 * (len(MODELS) + 1),
+        "TridiagonalExponential": 1,
+        "expectations": 5,
     }
 
 
@@ -469,8 +478,9 @@ def test_eigenframe_needs_finite_ascending_eigenvalues(w: list[float]) -> None:
 
 
 def _parent_message(fam: CoherentFamily, theta: float, bulk: int) -> str:
-    """The check's message, computed with the 2-norm of the bulk Gram defect."""
-    w = ldqfi.zoo.expm(theta * fam.generator())
+    """The check's message, computed from the family's displacement theta -> W
+    with the 2-norm of the bulk Gram defect."""
+    w = fam._exponential(theta)
     dev = float(np.abs(w[:bulk, :bulk] - displacement_closed_form(theta, bulk)).max())
     gram = w.T @ w - np.eye(fam.trunc_dim)
     unit = float(np.linalg.norm(gram[:bulk, :bulk], 2))
@@ -493,8 +503,9 @@ def test_forced_deviation_keeps_the_message(monkeypatch) -> None:
 
 
 def test_forced_unitarity_defect_keeps_the_message(monkeypatch) -> None:
-    monkeypatch.setattr(ldqfi.zoo, "expm", lambda a: (1.0 + 1e-7) * expm(a))
     fam = coherent_family(1.0)
+    real = fam._exponential
+    monkeypatch.setitem(vars(fam), "_exponential", lambda theta: (1.0 + 1e-7) * real(theta))
     bulk = fam.trunc_dim - ldqfi.zoo._bulk_margin(0.2, fam.trunc_dim)
     expected = _parent_message(fam, 0.2, bulk)
     # the Frobenius norm of this defect exceeds its 2-norm

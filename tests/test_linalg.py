@@ -1,6 +1,7 @@
 """Scalar and matrix helpers: logarithmic-mean kernel and its table, the
-dense oracles' spectral matrix function, Schatten norms and the matrix
-exponential."""
+dense oracles' spectral matrix function, Schatten norms, the tridiagonal
+exponential of the coherent displacement, and the dense oracle's general
+matrix exponential it is tested against."""
 
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ from hypothesis import strategies as st
 
 import ldqfi
 import dense_oracles
-from dense_oracles import matrix_function
+from dense_oracles import expm, matrix_function
 from ldqfi import (
     CoherentFamily,
-    expm,
     kernel_matrix,
     random_analytic_family,
     random_hermitian,
@@ -28,6 +28,7 @@ from ldqfi import (
 from ldqfi.linalg import (
     LOGMEAN_SWITCH,
     HermitianTridiagonal,
+    TridiagonalExponential,
     hermitize,
     is_hermitian,
     logmean_pairs,
@@ -127,6 +128,31 @@ def test_schatten_norms(rng) -> None:
     for p in (1, 2, "op"):
         with pytest.raises(InvalidInput):
             schatten_norm(stack, p)
+
+
+def test_trace_norm_needs_an_exactly_hermitian_matrix(rng) -> None:
+    # eigvalsh would read the lower triangle alone, so a matrix Hermitian
+    # only to rounding, or not at all, is refused rather than measured
+    a = random_hermitian(6, rng)
+    assert schatten_norm(a, 1) == pytest.approx(float(np.linalg.svd(a, compute_uv=False).sum()), rel=1e-13)
+    assert schatten_norm(a.real, 1) == pytest.approx(float(np.linalg.svd(a.real, compute_uv=False).sum()),
+                                                     rel=1e-13)
+    near = a.copy()
+    near[0, 3] *= 1.0 + 1e-15
+    skew = np.triu(a) - np.triu(a, 1).conj().T
+    for bad in (near, skew, rng.standard_normal((4, 4)), np.array([[1.0, 0.0], [0.0, 1j]])):
+        with pytest.raises(InvalidInput, match="exactly Hermitian"):
+            schatten_norm(bad, 1)
+    assert schatten_norm(hermitize(near), 1) == pytest.approx(schatten_norm(a, 1), rel=1e-13)
+
+
+def test_trace_norm_of_a_non_finite_matrix_is_invalid_input(rng) -> None:
+    a = random_hermitian(4, rng)
+    for value in (math.nan, math.inf):
+        bad = a.copy()
+        bad[1, 1] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            schatten_norm(bad, 1)
 
 
 def test_hermitian_helpers(rng) -> None:
@@ -300,7 +326,9 @@ def test_library_source_imports_no_scipy() -> None:
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential against scipy as an independent oracle
+# matrix exponential: the dense oracle (dense_oracles.expm) against scipy
+# and mpmath, and the coherent displacement's tridiagonal exponential
+# against the oracle, scipy and mpmath
 
 EXPM_RTOL = 1e-13
 
@@ -361,8 +389,76 @@ def test_expm_with_squaring_real_non_normal_matches_high_precision(rng) -> None:
 def test_expm_of_coherent_generator_matches_scipy(dim: int, theta: float) -> None:
     from scipy.linalg import expm as scipy_expm
 
+    fam = CoherentFamily(1.0, dim)
+    assert _rel_err(fam._exponential(theta), scipy_expm(theta * fam.generator())) <= EXPM_RTOL
+
+
+def _from_band(band: np.ndarray) -> np.ndarray:
+    """The dense matrix of a row band: slot 13 + d of row i is entry (i, i + d)."""
+    n, width = band.shape
+    out = np.zeros((n, n), dtype=band.dtype)
+    for i in range(n):
+        for c in range(width):
+            if 0 <= i + c - 13 < n:
+                out[i, i + c - 13] = band[i, c]
+            else:
+                assert band[i, c] == 0.0
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 14, 57])
+def test_band_powers_equal_dense_powers(dim: int) -> None:
+    # below 14 levels the band is wider than the matrix, and its slots
+    # outside the matrix hold zero
     gen = CoherentFamily(1.0, dim).generator()
-    assert _rel_err(expm(theta * gen), scipy_expm(theta * gen)) <= EXPM_RTOL
+    powers = CoherentFamily(1.0, dim)._exponential.powers
+    assert powers.shape == (14, dim, 27)
+    dense = np.eye(dim)
+    for k in range(14):
+        assert _rel_err(_from_band(powers[k]), dense) <= 1e-15, k
+        dense = dense @ gen
+
+
+@pytest.mark.parametrize("dim", [2, 34, 57, 241])
+@pytest.mark.parametrize("theta", [0.0, 0.05, -0.137, 0.29, -1.3])
+def test_tridiagonal_exponential_matches_the_dense_oracle(dim: int, theta: float) -> None:
+    # 0.29 at N = 241 (M = 10) and 1.3 from N = 34 on are scaled and squared
+    fam = CoherentFamily(1.0, dim)
+    assert _rel_err(fam._exponential(theta), expm(theta * fam.generator())) <= EXPM_RTOL
+
+
+def test_tridiagonal_exponential_of_a_complex_band_with_a_diagonal(rng) -> None:
+    n = 19
+    lower, upper = (rng.standard_normal((2, n - 1)) + 1j * rng.standard_normal((2, n - 1)))
+    diag = rng.standard_normal(n)
+    a = np.diag(diag).astype(complex) + np.diag(lower, -1) + np.diag(upper, 1)
+    exp = TridiagonalExponential(lower, diag, upper)
+    assert exp.norm == pytest.approx(np.abs(a).sum(axis=0).max(), rel=1e-15)
+    for theta in (0.3, -2.0, 7.5):
+        assert _rel_err(exp(theta), expm(theta * a)) <= EXPM_RTOL
+    one = TridiagonalExponential(np.zeros(0), np.array([2.5]), np.zeros(0))
+    assert one(-1.5)[0, 0] == pytest.approx(math.exp(-3.75), rel=EXPM_RTOL)
+
+
+@pytest.mark.parametrize("bands", [
+    (np.ones(2), np.ones(2), np.ones(1)),
+    (np.ones(1), np.ones((2, 1)), np.ones(1)),
+    (np.ones(0), np.ones(0), np.ones(0)),
+    (np.ones(1), np.array([1.0, np.nan]), np.ones(1)),
+    (np.array(["a"]), np.ones(2), np.ones(1)),
+], ids=["lower_too_long", "diag_2d", "empty", "nan", "strings"])
+def test_tridiagonal_exponential_rejects_bad_bands(bands) -> None:
+    with pytest.raises(InvalidInput):
+        TridiagonalExponential(*bands)
+
+
+def test_tridiagonal_exponential_rejects_bad_amplitudes() -> None:
+    exp = CoherentFamily(1.0, 5)._exponential
+    for bad in (math.nan, math.inf, "0.1", None, True):
+        with pytest.raises(InvalidInput):
+            exp(bad)
+    with pytest.raises(DomainError):
+        exp(1e308)
 
 
 @pytest.mark.parametrize("theta", [0.01, 0.05])
@@ -374,12 +470,13 @@ def test_expm_small_entries_match_high_precision(theta: float) -> None:
     import mpmath
 
     dim = 34
-    a = theta * CoherentFamily(1.0, dim).generator()
+    fam = CoherentFamily(1.0, dim)
+    a = theta * fam.generator()
     with mpmath.workdps(30):
         exact = mpmath.expm(mpmath.matrix(a.tolist()))
         ref = np.array([[float(exact[i, j]) for j in range(dim)] for i in range(dim)])
     nonzero = ref != 0.0
-    rel = np.abs(expm(a) - ref)[nonzero] / np.abs(ref)[nonzero]
+    rel = np.abs(fam._exponential(theta) - ref)[nonzero] / np.abs(ref)[nonzero]
     assert float(np.median(rel)) <= 1e-12
 
 

@@ -51,6 +51,12 @@ MOVED = {
     # UnitaryPath.basis_of(theta) became bases_of(thetas), one lazy basis per
     # theta of a grid
     "basis_of": None,
+    # the general dense exponential is the oracle of the coherent family's
+    # TridiagonalExponential
+    "expm": dense_oracles,
+    # expectation(br, rho_eig, model) became expectations(br, rho_eig,
+    # models), one call for every model of a point
+    "expectation": None,
 }
 
 

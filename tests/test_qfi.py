@@ -40,7 +40,7 @@ from ldqfi import (
 )
 from ldqfi.errors import DegenerateInformation, InvalidInput
 from ldqfi.family import eval_rho
-from ldqfi.ldops import expectation
+from ldqfi.ldops import expectations
 from ldqfi.verify import _cr_targets
 
 
@@ -419,8 +419,8 @@ class TestOperandShapes:
             lambda br: kmb_residual(br, "a"),
             lambda br: relative_entropy(np.eye(2) / 2, np.eye(2) / 2),
             # rho in the eigenbasis at a dense and at a banded point
-            lambda br: expectation(br, np.eye(3), "bvn"),
-            lambda br: expectation(coherent_family(1.0).path.branches(0.1), np.eye(3), "bvn"),
+            lambda br: expectations(br, np.eye(3), ["bvn"]),
+            lambda br: expectations(coherent_family(1.0).path.branches(0.1), np.eye(3), ["bvn"]),
         ],
         ids=["qfi_variance", "local_cr_sld", "local_cr_bvn", "local_cr_stack", "relative_entropy",
              "density_stack", "breve_stack", "kmb_residual", "kmb_residual_string",
