@@ -80,7 +80,7 @@ class DensityMatrix:
         if mat.ndim != 2:
             raise InvalidInput(f"density matrix must be square, got shape {mat.shape}")
         mat = require_hermitian(mat, "density matrix")
-        tr = float(np.trace(mat).real)
+        tr = float(mat.trace().real)
         if abs(tr - 1.0) > 1e-12:
             raise InvalidInput(f"density matrix trace {tr!r} differs from 1")
         w, v = _one_blas_thread(np.linalg.eigh, mat)
@@ -288,7 +288,7 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
         raise InvalidInput(f"derivative has shape {rp.shape}, expected {(fam.dim, fam.dim)}")
     rp = require_hermitian(rp, "family derivative", tol)
     scale = max(1.0, float(np.abs(rp).max(initial=0.0)))
-    if abs(float(np.trace(rp).real)) > tol * scale:
+    if abs(float(rp.trace().real)) > tol * scale:
         raise InvalidInput("family derivative has non-zero trace beyond mode tolerance")
     return rp
 
@@ -301,7 +301,9 @@ class SpectralBranches:
     point), built on first read by the callable given in its place (a point
     of a UnitaryPath), which is then dropped.  eigenvalues are the raw
     solver values, which also give dim, and cluster_values their
-    per-cluster means.  rho' decomposes as
+    per-cluster means, over clusters of cluster_mults consecutive
+    eigenvalues each; cluster_slices, the columns of each cluster, are
+    built on first read.  rho' decomposes as
         rho' = sum_k value_prime_k P_k + sum_k cluster_value_k P'_k.
     rho' in the eigenbasis is given as a dense matrix or, by a closed-form
     family, as a HermitianTridiagonal (kept as band); rho_prime_eig
@@ -320,7 +322,7 @@ class SpectralBranches:
         basis: np.ndarray | Callable[[], np.ndarray],
         eigenvalues: np.ndarray,
         rho_prime_eig: np.ndarray | HermitianTridiagonal,
-        cluster_slices: list[slice],
+        cluster_mults: np.ndarray,
         cluster_values: np.ndarray,
         cluster_value_primes: np.ndarray,
     ):
@@ -334,7 +336,7 @@ class SpectralBranches:
         else:
             self.band = None
             self.rho_prime_eig = rho_prime_eig
-        self.cluster_slices = cluster_slices
+        self.cluster_mults = cluster_mults
         self.cluster_values = cluster_values
         self.cluster_value_primes = cluster_value_primes
         self.kernels: dict[str | tuple[str, str], np.ndarray] = {}
@@ -359,11 +361,13 @@ class SpectralBranches:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.cluster_slices)
+        return self.cluster_mults.size
 
-    @property
-    def cluster_mults(self) -> np.ndarray:
-        return np.array([s.stop - s.start for s in self.cluster_slices])
+    @cached_property
+    def cluster_slices(self) -> list[slice]:
+        """The eigenvector columns of each cluster."""
+        stops = np.cumsum(self.cluster_mults).tolist()
+        return [slice(b - m, b) for b, m in zip(stops, self.cluster_mults.tolist())]
 
     @cached_property
     def cluster_index(self) -> np.ndarray:
@@ -400,11 +404,12 @@ class SpectralBranches:
         return self.basis @ block @ self.basis.conj().T
 
 
-def _cluster_starts(w: np.ndarray) -> np.ndarray:
-    """Index of the first eigenvalue of each cluster of an ascending spectrum."""
+def _cluster_bounds(w: np.ndarray) -> np.ndarray:
+    """Index of the first eigenvalue of each cluster of an ascending
+    spectrum, followed by the spectrum's size."""
     floor = CLUSTER_ABS_FLOOR_REL * float(w[-1] - w[0])
-    merge = np.diff(w) <= np.maximum(floor, CLUSTER_REL * 0.5 * (w[:-1] + w[1:]))
-    return np.concatenate(([0], np.flatnonzero(~merge) + 1))
+    merge = w[1:] - w[:-1] <= np.maximum(floor, CLUSTER_REL * 0.5 * (w[:-1] + w[1:]))
+    return np.concatenate(([0], (~merge).nonzero()[0] + 1, [w.size]))
 
 
 class Eigenframe(NamedTuple):
@@ -424,12 +429,15 @@ def spectral_branches(
     """Resolve (rho, rho') into spectral branches.
 
     rho is a state, eigendecomposed by DensityMatrix, and rho' its
-    derivative; or rho is the Eigenframe of a family whose spectrum is
-    known in closed form, and rho' is already given in that basis, as a
-    dense matrix or a HermitianTridiagonal (whose coupling rates come from
-    its stored entries alone); an Eigenframe whose eigenvalues are not
-    finite and ascending raises InvalidInput.  Either way the eigenvalues
-    pass the same rank, clustering and rotation-rate checks.
+    derivative, checked Hermitian and of the state's shape; or rho is the
+    Eigenframe of a family whose spectrum is known in closed form, and rho'
+    is already given in that basis, as a dense matrix or a
+    HermitianTridiagonal (whose coupling rates come from its stored
+    entries alone).  An Eigenframe's eigenvalues must be a non-empty 1-d
+    real numpy array, finite and ascending, and its rho' finite, of their
+    dimension; anything else raises InvalidInput.  These checks read the
+    eigenvalues and, of a band, its O(dim) entries.  Either way the
+    eigenvalues pass the same rank, clustering and rotation-rate checks.
 
     Consecutive eigenvalues join one cluster when their gap is below
     max(CLUSTER_ABS_FLOOR_REL * spectral diameter, CLUSTER_REL * pair
@@ -439,22 +447,56 @@ def spectral_branches(
     """
     if isinstance(rho, Eigenframe):
         v, w = rho
-        if not (np.isfinite(w).all() and np.all(np.diff(w) >= 0.0)):
+        if not (isinstance(w, np.ndarray) and w.ndim == 1 and w.size and w.dtype.kind in "iuf"):
+            raise InvalidInput("an Eigenframe's eigenvalues must be a non-empty 1-d real numpy array")
+        if not (np.isfinite(w).all() and (w[1:] >= w[:-1]).all()):
             raise InvalidInput("an Eigenframe's eigenvalues must be finite and ascending")
         _check_rank(w)
-        rp_eig = rho_prime
-    else:
-        if not isinstance(rho, DensityMatrix):
-            rho = DensityMatrix(np.asarray(rho))
-        rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
-        if rho_prime.shape != rho.matrix.shape:
-            raise InvalidInput("rho and rho_prime must share a dimension")
-        v, w = rho.eigenvectors, rho.eigenvalues
-        rp_eig = v.conj().T @ rho_prime @ v
+        return _branches(v, w, _checked_frame_derivative(rho_prime, w.size))
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(np.asarray(rho))
+    rho_prime = require_hermitian(np.asarray(rho_prime), "rho_prime")
+    if rho_prime.shape != rho.matrix.shape:
+        raise InvalidInput("rho and rho_prime must share a dimension")
+    return _state_branches(rho, rho_prime)
 
-    starts = _cluster_starts(w)
-    mults = np.diff(np.append(starts, w.size))
-    slices = [slice(a, a + m) for a, m in zip(starts.tolist(), mults.tolist())]
+
+def _checked_frame_derivative(
+    rp: np.ndarray | HermitianTridiagonal, dim: int
+) -> np.ndarray | HermitianTridiagonal:
+    """rho' given in an Eigenframe's basis, checked finite and of the
+    frame's dimension: a HermitianTridiagonal, or a dense numeric matrix."""
+    if isinstance(rp, HermitianTridiagonal):
+        if rp.dim != dim:
+            raise InvalidInput(f"rho' of dimension {rp.dim} does not match the frame's {dim} eigenvalues")
+        if not (np.isfinite(rp.diag).all() and np.isfinite(rp.upper).all()):
+            raise InvalidInput("rho' contains non-finite entries")
+        return rp
+    rp = np.asarray(rp)
+    if rp.shape != (dim, dim):
+        raise InvalidInput(f"rho' of shape {rp.shape} does not match the frame's {dim} eigenvalues")
+    if rp.dtype.kind not in "biufc" or not np.isfinite(rp).all():
+        raise InvalidInput("rho' contains non-numeric or non-finite entries")
+    return rp
+
+
+def _state_branches(rho: DensityMatrix, rho_prime: np.ndarray) -> SpectralBranches:
+    """spectral_branches of a state and of its derivative, already checked
+    Hermitian and of the state's shape (by eval_rho_prime, say)."""
+    v = rho.eigenvectors
+    return _branches(v, rho.eigenvalues, v.conj().T @ rho_prime @ v)
+
+
+def _branches(
+    v: np.ndarray | Callable[[], np.ndarray],
+    w: np.ndarray,
+    rp_eig: np.ndarray | HermitianTridiagonal,
+) -> SpectralBranches:
+    """The clustered branches of checked eigen-data: the basis v, the
+    ascending eigenvalues w above the rank floor, and rho' in that basis."""
+    bounds = _cluster_bounds(w)
+    starts = bounds[:-1]
+    mults = bounds[1:] - starts
     values = np.add.reduceat(w, starts) / mults
 
     # Squared Frobenius norm of each coupling block between neighbouring
@@ -463,14 +505,13 @@ def spectral_branches(
         diag = rp_eig.diag.real
         coupling_sq = np.abs(rp_eig.upper[starts[1:] - 1]) ** 2
     else:
-        diag = np.diag(rp_eig).real
+        diag = rp_eig.diagonal().real
         block_sq = np.add.reduceat(np.add.reduceat(np.abs(rp_eig) ** 2, starts, axis=0), starts, axis=1)
-        coupling_sq = np.diagonal(block_sq, 1)
+        coupling_sq = block_sq.diagonal(1)
     primes = np.add.reduceat(diag, starts) / mults
 
-    gaps = np.diff(values)
-    rates = np.sqrt(coupling_sq) / gaps
-    for k in np.flatnonzero(rates > MIXING_CAP)[:1]:
+    rates = np.sqrt(coupling_sq) / (values[1:] - values[:-1])
+    for k in (rates > MIXING_CAP).nonzero()[0][:1]:
         pair = (float(values[k]), float(values[k + 1]))
         raise DegenerateCrossing(
             f"projection rotation rate {rates[k]:.3e} exceeds {MIXING_CAP:g} "
@@ -482,7 +523,7 @@ def spectral_branches(
         basis=v,
         eigenvalues=w,
         rho_prime_eig=rp_eig,
-        cluster_slices=slices,
+        cluster_mults=mults,
         cluster_values=values,
         cluster_value_primes=primes,
     )
@@ -490,8 +531,9 @@ def spectral_branches(
 
 def branches_at(fam: StateFamily, theta: float) -> SpectralBranches:
     """Convenience: branches of (rho, rho') evaluated from a family, through
-    the eigensolver even when the family has a unitary_path."""
-    return spectral_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
+    the eigensolver even when the family has a unitary_path.  The state and
+    rho' are each checked once, by eval_rho and eval_rho_prime."""
+    return _state_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
 
 
 @dataclass(frozen=True)
@@ -531,7 +573,9 @@ def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
     rest = np.eye(br.dim) - proj
 
     def norms(a: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(a, axis=(-2, -1))
+        # np.linalg.norm(a, axis=(-2, -1)) of these complex stacks, the
+        # same sum, without its argument handling at every call
+        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
     off = max(
         float(norms(prime @ proj - rest @ prime).max()),

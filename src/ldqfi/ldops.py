@@ -33,7 +33,6 @@ from .linalg import (
     require_hermitian,
     require_positive,
     schatten_norm,
-    trace_product,
 )
 
 MODELS = ("bvn", "ld1", "ld2", "sld")
@@ -97,18 +96,21 @@ def expectations(br: SpectralBranches, rho_eig: np.ndarray, models: Sequence[str
     rho_eig once for all models, and keeps each model's rho'/K over the band
     in br.kernels under ("band_ld", model), so that later points sharing
     the branches divide no more; each model's sum is its own.  A rho_eig
-    that is not a matrix of the state's dimension raises InvalidInput."""
-    if np.shape(rho_eig) != (br.dim, br.dim):
-        raise InvalidInput(f"rho_eig of shape {np.shape(rho_eig)} does not match dimension {br.dim}")
+    that is not a numeric matrix of the state's dimension raises
+    InvalidInput.  A dense point sums rho_eig o (rho'/K)^T, the sum that
+    linalg.trace_product forms, with the shapes checked here once."""
+    rho_eig = np.asarray(rho_eig)
+    if rho_eig.shape != (br.dim, br.dim) or rho_eig.dtype.kind not in "biufc":
+        raise InvalidInput(f"rho_eig of shape {rho_eig.shape} is not a numeric matrix of dimension {br.dim}")
     if br.band is None:
         out = []
         for model in models:
             _, rp, kern = kernel_entries(br, model)
-            out.append(trace_product(rho_eig, rp / kern))
+            out.append(float((rho_eig * (rp / kern).T).sum().real))
         return out
     rows, cols, _ = br.band.entries
     seen = rho_eig[cols, rows]
-    return [float(np.sum(seen * _band_ld(br, model)).real) for model in models]
+    return [float((seen * _band_ld(br, model)).sum().real) for model in models]
 
 
 def _band_ld(br: SpectralBranches, model: str) -> np.ndarray:

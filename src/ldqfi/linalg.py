@@ -103,13 +103,22 @@ def _one_blas_thread(fn: Callable, *args, **kwargs):
                 put(_pins["saved"])
 
 
-def _as_square_matrix(a: np.ndarray, name: str = "matrix", ndims: tuple[int, ...] = (2,)) -> np.ndarray:
-    """a as a finite numeric array whose last two axes are square: a
-    matrix, or a stack of them where ndims allows 3 axes."""
+def _square(a: np.ndarray, name: str, ndims: tuple[int, ...]) -> np.ndarray:
+    """a as a numeric array whose last two axes are square: a matrix, or a
+    stack of them where ndims allows 3 axes; its entries are not read."""
     a = np.asarray(a)
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    if a.dtype.kind not in "biufc" or not np.all(np.isfinite(a)):
+    if a.dtype.kind not in "biufc":
+        raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
+    return a
+
+
+def _as_square_matrix(a: np.ndarray, name: str = "matrix", ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """a as a finite numeric array whose last two axes are square: a
+    matrix, or a stack of them where ndims allows 3 axes."""
+    a = _square(a, name, ndims)
+    if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
     return a
 
@@ -122,8 +131,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """Whether a matrix, or each matrix of a stack (the last two axes), is
-    Hermitian within tol relative to its largest entry (at least 1)."""
+    Hermitian within tol relative to its largest entry (at least 1); a
+    bool matrix is read as its 0/1 values."""
     a = np.asarray(a)
+    if a.dtype.kind == "b":
+        a = a.astype(float)
     return _within(a, a.conj().swapaxes(-1, -2), tol)
 
 
@@ -136,11 +148,34 @@ def _within(a: np.ndarray, a_h: np.ndarray, tol: float) -> bool:
 
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
     """The Hermitian part of a finite square matrix, or of a stack of them
-    of shape (k, d, d), checked Hermitian within tol (see is_hermitian).
-    The conjugate transpose is formed once, for the check and the part."""
-    a = _as_square_matrix(a, name, ndims=(2, 3))
+    of shape (k, d, d), checked Hermitian within tol >= 0 (see
+    is_hermitian).
+
+    A stack is checked matrix by matrix, a single matrix by whole-array
+    reductions, whose largest modulus also finds a non-finite entry: a
+    matrix gets the verdict, the error and the bytes of its one-matrix
+    stack.  A stack equal to its conjugate transpose, as random_hermitian
+    draws one, passes without the tolerance test.  The conjugate transpose
+    is formed once, for the check and the part.  A bool matrix is read as
+    its 0/1 values."""
+    a = _square(a, name, (2, 3))
+    if not tol >= 0.0:
+        raise InvalidInput(f"Hermiticity tolerance must be >= 0, got {tol!r}")
+    if a.dtype.kind == "b":
+        a = a.astype(float)
     a_h = a.conj().swapaxes(-1, -2)
-    if not _within(a, a_h, tol):
+    if a.ndim == 3:
+        if not np.isfinite(a).all():
+            raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
+        hermitian = (a == a_h).all() or _within(a, a_h, tol)
+    else:
+        # |z| of a finite complex entry may overflow, so only a peak that
+        # is not finite asks for the entrywise test
+        peak = np.abs(a).max(initial=0.0)
+        if not peak < math.inf and not np.isfinite(a).all():
+            raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
+        hermitian = np.abs(a - a_h).max(initial=0.0) <= tol * max(1.0, peak)
+    if not hermitian:
         raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
     return 0.5 * (a + a_h)
 
@@ -210,7 +245,7 @@ def schatten_norm(a: np.ndarray, p: int | str) -> float:
     non-numeric or non-finite entry raises InvalidInput at every order."""
     a = _as_square_matrix(a)
     if p == 1:
-        if not np.array_equal(a, a.conj().T):
+        if not (a == a.conj().T).all():
             raise InvalidInput("the trace norm takes an exactly Hermitian matrix; hermitize it first")
         return float(np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum())
     if p == 2:
@@ -380,5 +415,6 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
     np.add(zr, zr.swapaxes(-1, -2), out=x.real)
     np.subtract(zi, zi.swapaxes(-1, -2), out=x.imag)
     x *= 0.5
-    x *= scale
+    if scale != 1.0:
+        x *= scale
     return x[0] if count is None else x

@@ -25,11 +25,11 @@ from .family import (
     SpectralBranches,
     StateFamily,
     _check_theta,
+    _state_branches,
     branches_at,
     default_step,
     eval_rho,
     eval_rho_prime,
-    spectral_branches,
 )
 from .ldops import (
     MODELS,
@@ -60,7 +60,7 @@ def qfi_bvn(br: SpectralBranches) -> float:
     # kernel_entries builds the table before |rho'|^2 adds one more N^2
     # array to the peak.
     _, rp, kern = kernel_entries(br, "bvn")
-    return float(np.sum(np.abs(rp) ** 2 / kern))
+    return float((np.abs(rp) ** 2 / kern).sum())
 
 
 def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
@@ -100,7 +100,7 @@ def classical_information(br: SpectralBranches) -> float:
     """Eigenvalue-branch part I1 = sum_k m_k lambda'_k^2 / lambda_k,
     shared by all four models."""
     mults = br.cluster_mults
-    return float(np.sum(mults * br.cluster_value_primes**2 / br.cluster_values))
+    return float((mults * br.cluster_value_primes**2 / br.cluster_values).sum())
 
 
 def second_moment(br: SpectralBranches, model: str) -> float:
@@ -110,7 +110,7 @@ def second_moment(br: SpectralBranches, model: str) -> float:
     over the stored entries of rho' (see kernel_entries).  The mean
     Tr(rho H) equals Tr(rho') and needs no separate check."""
     w, rp, kern = kernel_entries(br, model)
-    return float(np.sum(w * np.abs(rp / kern) ** 2))
+    return float((w * np.abs(rp / kern) ** 2).sum())
 
 
 def qfi_value(br: SpectralBranches, model: str) -> float:
@@ -321,8 +321,9 @@ def _report(theta: float, br: SpectralBranches,
 
 
 def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
+    # the state and rho' are each checked once, by eval_rho and eval_rho_prime
     rho = eval_rho(fam, theta)
-    br = spectral_branches(rho, eval_rho_prime(fam, theta))
+    br = _state_branches(rho, eval_rho_prime(fam, theta))
     # The state's own matrix in the eigenbasis, so that Tr(rho H) also
     # sees how well the basis diagonalizes rho.
     v = br.basis

@@ -27,6 +27,7 @@ tests/dense_oracles.py.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable, Iterator, Mapping, Sequence
@@ -317,35 +318,44 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
     An amplitude that is not finite raises DomainError, a dim that is not a
     positive integer InvalidInput.
     """
-    single = np.ndim(theta) == 0
+    single = isinstance(theta, numbers.Real) or np.ndim(theta) == 0
     amps = np.array([_check_amplitude(t) for t in ([theta] if single else theta)], dtype=float)
     dim = _positive_int(dim, "dim")
     zero = amps == 0.0
+    any_zero = not amps.all()
+    # The amplitudes run along a trailing axis until the result is
+    # assembled, and one amplitude is a scalar with no such axis: each step
+    # slices as a single amplitude's would, and one amplitude's steps slice
+    # 1-d arrays.  Indexed by amp_axis, an array over the levels gains
+    # that axis, if there is one.
+    if single:
+        amps, zero = amps[0], zero[0]
+    amp_axis = (...,) + (None,) * amps.ndim
     x = amps * amps
     d = np.arange(dim, dtype=float)
-    odd = d % 2 == 1
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    log_fact = np.array(list(map(math.lgamma, np.arange(1.0, dim + 1.0).tolist())))
     # math.log, which the one-amplitude recurrence has always taken; a zero
     # amplitude starts from the vacuum column instead, so no step takes log(0).
-    # The amplitudes run along the last axis until the result is assembled:
-    # each step then slices as a single amplitude's would.
-    log_amp = np.array([math.log(abs(t)) if t else 0.0 for t in amps.tolist()])
-    cur = np.exp(d[:, None] * log_amp - 0.5 * x - 0.5 * log_fact[:, None])
-    cur[:, zero] = (d == 0.0)[:, None]
-    cur[odd] *= np.where(amps < 0.0, -1.0, 1.0)
-    prev = np.zeros_like(cur)
+    log_amp = np.array([math.log(abs(t)) if t else 0.0 for t in amps.ravel().tolist()]).reshape(amps.shape)
+    cur = np.exp(d[amp_axis] * log_amp - 0.5 * x - 0.5 * log_fact[amp_axis])
+    if any_zero:
+        cur = np.where(zero, (d == 0.0)[amp_axis], cur)
+    # odd d carry the amplitude's sign (a zero amplitude's matrix is
+    # replaced by the identity, whatever the sign of its zero)
+    cur[1::2] *= np.copysign(1.0, amps)
+    prev = np.zeros(cur.shape)
     # Every coefficient of the recurrence as a table, before the loop:
     # root_prod[n, j] = sqrt(n) sqrt(n + j) and step[n, j] = 2n + 1 + j - x,
     # so that each step costs four array operations.  The products are
     # those the step formed itself, so the elements keep their bytes.
     root = np.sqrt(np.arange(dim + 1.0))
     levels = np.arange(dim + 1)[:, None]
-    root_prod = (root[levels] * root[np.minimum(levels + np.arange(dim), dim)])[:, :, None]
-    step = 2 * levels[:dim, :, None] + (1.0 + d[:, None] - x)
+    root_prod = (root[:, None] * root[np.minimum(levels + np.arange(dim), dim)])[amp_axis]
+    step = 2 * levels[:dim][amp_axis] + (1.0 + d[amp_axis] - x)
     # Row n of below holds e_n(d) from the diagonal on; the lower triangle
     # of the result is its transpose, the upper one carries the parities
     # (-1)^(m - n) = (-1)^m (-1)^n.
-    below = np.zeros((dim, dim, amps.size))
+    below = np.zeros((dim, dim) + amps.shape)
     for n in range(dim):
         k = dim - n - 1
         below[n, n:] = cur
@@ -354,11 +364,14 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
         nxt /= root_prod[n + 1, :k]
         prev, cur = cur, nxt
     del step  # before the two stacks of the assembly
-    sign = np.where(odd, -1.0, 1.0)
-    upper = below.transpose(2, 0, 1) * (sign[:, None] * sign)
-    out = np.where(np.tri(dim, dtype=bool), below.transpose(2, 1, 0), upper)
-    out[zero] = np.eye(dim)
-    return out[0] if single else out
+    sign = np.ones(dim)
+    sign[1::2] = -1.0
+    # the amplitude axis, if there is one, first
+    below = below.transpose(tuple(range(2, below.ndim)) + (0, 1))
+    out = np.where(np.tri(dim, dtype=bool), below.swapaxes(-1, -2), below * (sign[:, None] * sign))
+    if any_zero:
+        out[zero] = np.eye(dim)
+    return out
 
 
 @dataclass(frozen=True)

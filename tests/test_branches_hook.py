@@ -477,6 +477,49 @@ def test_eigenframe_needs_finite_ascending_eigenvalues(w: list[float]) -> None:
         qfi_value(path.branches(0.0), "sld")
 
 
+_FRAME_BAND = HermitianTridiagonal(np.zeros(3), np.array([0.1, 0.1]))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [np.array([[0.2, 0.3, 0.5]]), [0.2, 0.3, 0.5], np.array([])],
+    ids=["two_dimensional", "list", "empty"],
+)
+def test_eigenframe_needs_a_one_dimensional_eigenvalue_array(w) -> None:
+    # unchecked, these reach numpy as a ValueError, a TypeError and an IndexError
+    with pytest.raises(InvalidInput, match="non-empty 1-d real numpy array"):
+        spectral_branches(Eigenframe(np.eye(3), w), _FRAME_BAND)
+
+
+@pytest.mark.parametrize(
+    "rp",
+    [
+        np.zeros((4, 4)),
+        np.zeros((2, 2)),
+        np.zeros((3, 4)),
+        np.zeros(3),
+        HermitianTridiagonal(np.zeros(4), np.zeros(3)),
+    ],
+    ids=["larger", "smaller", "not_square", "vector", "band"],
+)
+def test_eigenframe_rho_prime_of_another_dimension_is_invalid(rp) -> None:
+    # a larger dense one would be accepted, and qfi_value would then raise
+    # numpy's broadcast ValueError
+    w = np.array([0.2, 0.3, 0.5])
+    with pytest.raises(InvalidInput, match="does not match the frame's 3 eigenvalues"):
+        spectral_branches(Eigenframe(np.eye(3), w), rp)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "band"])
+def test_eigenframe_rho_prime_with_a_non_finite_entry_is_invalid(banded: bool, value: float) -> None:
+    # either would give NaN information values
+    upper = np.array([0.1, value])
+    rp = HermitianTridiagonal(np.zeros(3), upper) if banded else HermitianTridiagonal(np.zeros(3), upper).dense()
+    with pytest.raises(InvalidInput, match="non-finite"):
+        spectral_branches(Eigenframe(np.eye(3), np.array([0.2, 0.3, 0.5])), rp)
+
+
 def _parent_message(fam: CoherentFamily, theta: float, bulk: int) -> str:
     """The check's message, computed from the family's displacement theta -> W
     with the 2-norm of the bulk Gram defect."""

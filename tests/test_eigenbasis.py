@@ -96,6 +96,37 @@ def test_compute_report_assembles_no_operator_and_one_kernel_table_per_model(
         assert operators == []
 
 
+@pytest.mark.parametrize("name", ["two_level_1", "random", "geometric", "central_difference"])
+@pytest.mark.parametrize("entry", ["compute_report", "branches_at"])
+def test_eigensolver_point_checks_the_state_and_rho_prime_once(
+    monkeypatch, name: str, entry: str
+) -> None:
+    # eval_rho checks the state and eval_rho_prime rho'; the branches, the
+    # values and the diagnostics take the checked matrices as they are
+    fam, theta = {
+        "two_level_1": (ldqfi.default_two_level_1().family(), 0.3),
+        "random": (random_analytic_family(4, np.random.default_rng(11)), 0.2),
+        "geometric": (ldqfi.geometric_family(0.7), 0.7),
+        "central_difference": (
+            dataclasses.replace(
+                ldqfi.default_two_level_1().family(), derivative_mode=ldqfi.CentralDifference()
+            ),
+            0.4,
+        ),
+    }[name]
+    checks = _recording_everywhere(monkeypatch, ldqfi.linalg.require_hermitian)
+    {"compute_report": compute_report, "branches_at": branches_at}[entry](fam, theta)
+    assert [label for _, label, *_ in checks] == ["density matrix", "family derivative"]
+    assert [a.shape for a, *_ in checks] == [(fam.dim, fam.dim)] * 2
+
+
+def test_coherent_path_point_runs_no_hermiticity_check(monkeypatch, coherent_m1) -> None:
+    checks = _recording_everywhere(monkeypatch, ldqfi.linalg.require_hermitian)
+    compute_report(coherent_m1, 0.1)
+    ldqfi.compute_reports(coherent_m1, [0.0, -0.2, 0.25])
+    assert checks == []
+
+
 def test_verify_cr_builds_one_kernel_table_per_model_and_branch_set(monkeypatch) -> None:
     # four reference points, each checked with every model against 100
     # random observables and its efficient directions

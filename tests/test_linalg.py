@@ -166,6 +166,18 @@ def test_hermitian_helpers(rng) -> None:
     # within tolerance, the checked part is hermitize's to the bit
     near = h + 1e-13 * a
     np.testing.assert_array_equal(require_hermitian(near), hermitize(near))
+    # a bool matrix is its 0/1 values, where numpy refuses to subtract it
+    flags = np.array([[True, False], [True, True]])
+    assert is_hermitian(np.eye(2, dtype=bool)) and not is_hermitian(flags)
+    np.testing.assert_array_equal(require_hermitian(np.eye(2, dtype=bool)), np.eye(2))
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        require_hermitian(flags)
+    # an exactly Hermitian stack skips the tolerance test, which no
+    # tolerance below 0 (or NaN) could pass
+    for tol in (-1e-12, math.nan):
+        for x in (h, np.stack([h, h])):
+            with pytest.raises(InvalidInput, match="tolerance must be >= 0"):
+                require_hermitian(x, tol=tol)
 
 
 def test_hermitian_check_of_a_stack_scales_each_matrix() -> None:
@@ -183,6 +195,62 @@ def test_hermitian_check_of_a_stack_scales_each_matrix() -> None:
     for bad in (np.ones((2, 2, 3)), np.ones((2, 2, 2, 2)), np.full((2, 2, 2), np.nan)):
         with pytest.raises(InvalidInput):
             require_hermitian(bad)
+
+
+_ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermiticity_inputs(draw) -> np.ndarray:
+    """A square matrix of dimension 1 to 4 for require_hermitian: Hermitian,
+    off by a multiple of the tolerance at one entry, general, holding a NaN
+    or an infinity or a finite entry whose modulus overflows, or of an
+    integer or bool dtype."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["hermitian", "at_tolerance", "complex", "non_finite", "huge", "int", "bool"]))
+    if kind == "int":
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d))).reshape(d, d)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))).reshape(d, d)
+    parts = draw(st.lists(_ENTRY, min_size=2 * d * d, max_size=2 * d * d))
+    a = np.array(parts[: d * d]).reshape(d, d) + 1j * np.array(parts[d * d:]).reshape(d, d)
+    if kind == "complex":
+        return a
+    h = hermitize(a)
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if kind == "non_finite":
+        h[i, j] = draw(st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan)]))
+    elif kind == "huge":
+        # finite, with a modulus above the largest float; its mirror entry
+        # stays 0, so no difference or sum of the check overflows
+        h = np.zeros((d + 1, d + 1), dtype=complex)
+        h[0, 1] = complex(1.3e308, 1.3e308)
+    elif kind == "at_tolerance":
+        # the deviation |h_ij - conj(h_ji)| lands on, just below or just
+        # above HERMITICITY_TOL times the largest modulus (at least 1)
+        factor = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
+        h[i, j] += factor * 1e-12 * max(1.0, float(np.abs(h).max()))
+    return h
+
+
+def _hermiticity_outcome(a: np.ndarray):
+    try:
+        return require_hermitian(a)
+    except Exception as err:  # the test compares the types
+        return err
+
+
+@given(_hermiticity_inputs())
+@settings(max_examples=300, deadline=None)
+def test_hermitian_check_of_a_matrix_equals_that_of_its_one_matrix_stack(a: np.ndarray) -> None:
+    one, stacked = _hermiticity_outcome(a), _hermiticity_outcome(a[None])
+    if isinstance(one, Exception):
+        assert type(one) is InvalidInput and type(stacked) is InvalidInput
+        assert str(one) == str(stacked)
+    else:
+        assert not isinstance(stacked, Exception), stacked
+        assert stacked.shape == (1, *one.shape) and stacked.dtype == one.dtype
+        assert stacked[0].tobytes() == one.tobytes()
 
 
 def test_random_hermitian_is_hermitian(rng) -> None:
