@@ -718,12 +718,24 @@ def random_analytic_family(
         if diam <= 0 or np.min(np.diff(w)) < min_rel_gap * diam:
             continue
 
-        def rho_of(theta: float, g0=g0, g1=g1) -> np.ndarray:
-            v, _, p = _gibbs(g0 + theta * g1)
+        # A point evaluates rho, then rho' at the same theta: both read the
+        # decomposition of the last theta, which is kept.
+        last: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+        def gibbs(theta: float, g0=g0, g1=g1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            hit = last.get(theta)
+            if hit is None:
+                hit = _gibbs(g0 + theta * g1)
+                last.clear()
+                last[theta] = hit
+            return hit
+
+        def rho_of(theta: float) -> np.ndarray:
+            v, _, p = gibbs(theta)
             return (v * p) @ v.conj().T
 
-        def rho_prime_of(theta: float, g0=g0, g1=g1) -> np.ndarray:
-            v, h, p = _gibbs(g0 + theta * g1)
+        def rho_prime_of(theta: float, g1=g1) -> np.ndarray:
+            v, h, p = gibbs(theta)
             x = v.conj().T @ g1 @ v
             # Gamma is symmetric; each entry is p_j expm1(h_i - h_j)/(h_i - h_j)
             # of the pair ordered h_i <= h_j, whose exponent cannot overflow

@@ -63,6 +63,17 @@ def test_branches_at_runs_one_eigh(monkeypatch, random_family) -> None:
     assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
+def test_random_family_point_decomposes_its_generator_once(monkeypatch) -> None:
+    # rho and rho' at one theta share the eigh of G0 + theta G1; the
+    # pipeline adds the state's own
+    fam = random_analytic_family(4, np.random.default_rng(5))
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, np.linalg, "eigh", counts)
+    for k, theta in enumerate((0.2, -0.1, 0.2), 1):
+        branches_at(fam, theta)
+        assert counts == {"eigh": 2 * k}
+
+
 def _recording_everywhere(monkeypatch, fn) -> list[tuple]:
     """The positional arguments of every call of a library function, patched
     in every ldqfi module that binds it."""
