@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -172,6 +172,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     view = np.asarray(a).view()
     view.flags.writeable = False
     return view
+
+
+T = TypeVar("T")
+
+
+def _last_theta(fn: Callable[[float], T]) -> Callable[[float], T]:
+    """fn keeping its value at the last theta it was called with: a point
+    evaluates rho, then rho' at the same theta, and one family serves a
+    whole sweep, so only the last value is kept."""
+    last: dict[float, T] = {}
+
+    def at(theta: float) -> T:
+        hit = last.get(theta)
+        if hit is None:
+            hit = fn(theta)
+            last.clear()
+            last[theta] = hit
+        return hit
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -494,6 +514,10 @@ def _branches(
 ) -> SpectralBranches:
     """The clustered branches of checked eigen-data: the basis v, the
     ascending eigenvalues w above the rank floor, and rho' in that basis."""
+    # Slices and array methods, not np.diff, np.flatnonzero or np.diag:
+    # at d <= 4 their wrappers' per-call overhead is a visible share of a
+    # point; DensityMatrix, eval_rho_prime, qfi and ldops call .trace()
+    # and .sum() for the same reason.
     bounds = _cluster_bounds(w)
     starts = bounds[:-1]
     mults = bounds[1:] - starts
@@ -718,17 +742,10 @@ def random_analytic_family(
         if diam <= 0 or np.min(np.diff(w)) < min_rel_gap * diam:
             continue
 
-        # A point evaluates rho, then rho' at the same theta: both read the
-        # decomposition of the last theta, which is kept.
-        last: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
+        # rho and rho' of one point share the decomposition
+        @_last_theta
         def gibbs(theta: float, g0=g0, g1=g1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            hit = last.get(theta)
-            if hit is None:
-                hit = _gibbs(g0 + theta * g1)
-                last.clear()
-                last[theta] = hit
-            return hit
+            return _gibbs(g0 + theta * g1)
 
         def rho_of(theta: float) -> np.ndarray:
             v, _, p = gibbs(theta)

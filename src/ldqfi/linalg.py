@@ -136,46 +136,40 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     a = np.asarray(a)
     if a.dtype.kind == "b":
         a = a.astype(float)
-    return _within(a, a.conj().swapaxes(-1, -2), tol)
+    return _within(a, a.conj().swapaxes(-1, -2), tol, _peaks(a))
 
 
-def _within(a: np.ndarray, a_h: np.ndarray, tol: float) -> bool:
-    """is_hermitian of a, given its conjugate transpose a_h."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+def _peaks(a: np.ndarray) -> np.ndarray:
+    """The largest modulus of each matrix of a (the last two axes)."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+
+
+def _within(a: np.ndarray, a_h: np.ndarray, tol: float, peaks: np.ndarray) -> bool:
+    """is_hermitian of a, given its conjugate transpose a_h and _peaks(a)."""
     dev = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
-    return bool(np.all(dev <= tol * scale))
+    return bool((dev <= tol * np.maximum(1.0, peaks)).all())
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
     """The Hermitian part of a finite square matrix, or of a stack of them
     of shape (k, d, d), checked Hermitian within tol >= 0 (see
-    is_hermitian).
-
-    A stack is checked matrix by matrix, a single matrix by whole-array
-    reductions, whose largest modulus also finds a non-finite entry: a
-    matrix gets the verdict, the error and the bytes of its one-matrix
-    stack.  A stack equal to its conjugate transpose, as random_hermitian
-    draws one, passes without the tolerance test.  The conjugate transpose
-    is formed once, for the check and the part.  A bool matrix is read as
-    its 0/1 values."""
+    is_hermitian).  The largest modulus of each matrix, which the check
+    reads, also finds a non-finite entry, so the entries are tested one by
+    one only when a largest modulus is not finite (|z| of a finite complex
+    entry may overflow).  A matrix equal to its conjugate transpose, as a
+    family's closed-form state or random_hermitian's draw often is, passes
+    without the tolerance test.  The conjugate transpose is formed once,
+    for the check and the part.  A bool matrix is read as its 0/1 values."""
     a = _square(a, name, (2, 3))
     if not tol >= 0.0:
         raise InvalidInput(f"Hermiticity tolerance must be >= 0, got {tol!r}")
     if a.dtype.kind == "b":
         a = a.astype(float)
+    peaks = _peaks(a)
+    if not (peaks < math.inf).all() and not np.isfinite(a).all():
+        raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
     a_h = a.conj().swapaxes(-1, -2)
-    if a.ndim == 3:
-        if not np.isfinite(a).all():
-            raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
-        hermitian = (a == a_h).all() or _within(a, a_h, tol)
-    else:
-        # |z| of a finite complex entry may overflow, so only a peak that
-        # is not finite asks for the entrywise test
-        peak = np.abs(a).max(initial=0.0)
-        if not peak < math.inf and not np.isfinite(a).all():
-            raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
-        hermitian = np.abs(a - a_h).max(initial=0.0) <= tol * max(1.0, peak)
-    if not hermitian:
+    if not ((a == a_h).all() or _within(a, a_h, tol, peaks)):
         raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
     return 0.5 * (a + a_h)
 
@@ -245,7 +239,7 @@ def schatten_norm(a: np.ndarray, p: int | str) -> float:
     non-numeric or non-finite entry raises InvalidInput at every order."""
     a = _as_square_matrix(a)
     if p == 1:
-        if not (a == a.conj().T).all():
+        if not np.array_equal(a, a.conj().T):
             raise InvalidInput("the trace norm takes an exactly Hermitian matrix; hermitize it first")
         return float(np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum())
     if p == 2:

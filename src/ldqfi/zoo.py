@@ -27,7 +27,6 @@ tests/dense_oracles.py.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable, Iterator, Mapping, Sequence
@@ -40,6 +39,7 @@ from .family import (
     CentralDifference,
     StateFamily,
     UnitaryPath,
+    _last_theta,
     nonsmooth_projection_state,
 )
 from .linalg import HermitianTridiagonal, TridiagonalExponential, _positive_int, _real
@@ -318,7 +318,7 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
     An amplitude that is not finite raises DomainError, a dim that is not a
     positive integer InvalidInput.
     """
-    single = isinstance(theta, numbers.Real) or np.ndim(theta) == 0
+    single = np.ndim(theta) == 0
     amps = np.array([_check_amplitude(t) for t in ([theta] if single else theta)], dtype=float)
     dim = _positive_int(dim, "dim")
     zero = amps == 0.0
@@ -333,7 +333,7 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
     amp_axis = (...,) + (None,) * amps.ndim
     x = amps * amps
     d = np.arange(dim, dtype=float)
-    log_fact = np.array(list(map(math.lgamma, np.arange(1.0, dim + 1.0).tolist())))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
     # math.log, which the one-amplitude recurrence has always taken; a zero
     # amplitude starts from the vacuum column instead, so no step takes log(0).
     log_amp = np.array([math.log(abs(t)) if t else 0.0 for t in amps.ravel().tolist()]).reshape(amps.shape)
@@ -476,19 +476,13 @@ class CoherentFamily:
 
     def family(self) -> StateFamily:
         gen = self.generator()
-        last: dict[float, np.ndarray] = {}
 
+        @_last_theta
         def rho_of(theta: float) -> np.ndarray:
-            # The last state formed: rho_prime_of reads the state that
-            # eval_rho has just formed.  Only one is kept, since one family
-            # serves a whole sweep and each state is N x N.  Read-only,
-            # since callers share it.
-            rho = last.get(theta)
-            if rho is None:
-                rho = self.state(theta)
-                rho.flags.writeable = False
-                last.clear()
-                last[theta] = rho
+            # rho_prime_of reads the state that eval_rho has just formed.
+            # Read-only, since callers share it.
+            rho = self.state(theta)
+            rho.flags.writeable = False
             return rho
 
         def rho_prime_of(theta: float) -> np.ndarray:

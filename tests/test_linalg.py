@@ -172,8 +172,8 @@ def test_hermitian_helpers(rng) -> None:
     np.testing.assert_array_equal(require_hermitian(np.eye(2, dtype=bool)), np.eye(2))
     with pytest.raises(InvalidInput, match="not Hermitian"):
         require_hermitian(flags)
-    # an exactly Hermitian stack skips the tolerance test, which no
-    # tolerance below 0 (or NaN) could pass
+    # an exactly Hermitian matrix or stack skips the tolerance test, which
+    # no tolerance below 0 (or NaN) could pass
     for tol in (-1e-12, math.nan):
         for x in (h, np.stack([h, h])):
             with pytest.raises(InvalidInput, match="tolerance must be >= 0"):
