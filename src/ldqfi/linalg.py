@@ -27,6 +27,10 @@ from .errors import DomainError, InvalidInput
 # Relative tolerance used when deciding whether a matrix is Hermitian.
 HERMITICITY_TOL = 1e-12
 
+# Entries of a modulus below this can be subtracted, added and taken the
+# modulus of their difference without overflow (2 sqrt(2) 2^1022 < 2^1024).
+_HUGE = 2.0**1022
+
 # Relative half-gap below which the logarithmic mean switches to its series.
 # At the boundary u = ln(hi/lo) ~ 1e-2: the direct ratio's error is ~eps/u
 # (subtraction of logs), the six-term series' truncation is u^6/5040 ~ 2e-16,
@@ -136,7 +140,8 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     a = np.asarray(a)
     if a.dtype.kind == "b":
         a = a.astype(float)
-    return _within(a, a.conj().swapaxes(-1, -2), tol, _peaks(a))
+    a, peaks, scale = _in_range(a)
+    return scale > 0.0 and _within(a, a.conj().swapaxes(-1, -2), tol, peaks, scale)
 
 
 def _peaks(a: np.ndarray) -> np.ndarray:
@@ -144,10 +149,27 @@ def _peaks(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1), initial=0.0)
 
 
-def _within(a: np.ndarray, a_h: np.ndarray, tol: float, peaks: np.ndarray) -> bool:
-    """is_hermitian of a, given its conjugate transpose a_h and _peaks(a)."""
+def _in_range(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, _peaks(a), scale) with scale 1 where every largest modulus is
+    below _HUGE.  Otherwise, for finite entries, a / 4 and its peaks with
+    scale 0.25: an exact rescaling, under which no difference, sum or
+    modulus that the Hermiticity checks form overflows.  Scale 0 where an
+    entry is not finite (a NaN or infinite peak is caught by the same test)."""
+    peaks = _peaks(a)
+    if (peaks < _HUGE).all():
+        return a, peaks, 1.0
+    if not np.isfinite(a).all():
+        return a, peaks, 0.0
+    a = 0.25 * a
+    return a, _peaks(a), 0.25
+
+
+def _within(a: np.ndarray, a_h: np.ndarray, tol: float, peaks: np.ndarray, floor: float = 1.0) -> bool:
+    """is_hermitian of a, given its conjugate transpose a_h and _peaks(a);
+    floor is the least tolerance scale, 1 for a as given and 0.25 for a
+    quarter of it (see _in_range)."""
     dev = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
-    return bool((dev <= tol * np.maximum(1.0, peaks)).all())
+    return bool((dev <= tol * np.maximum(floor, peaks)).all())
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -155,23 +177,26 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
     of shape (k, d, d), checked Hermitian within tol >= 0 (see
     is_hermitian).  The largest modulus of each matrix, which the check
     reads, also finds a non-finite entry, so the entries are tested one by
-    one only when a largest modulus is not finite (|z| of a finite complex
-    entry may overflow).  A matrix equal to its conjugate transpose, as a
-    family's closed-form state or random_hermitian's draw often is, passes
-    without the tolerance test.  The conjugate transpose is formed once,
-    for the check and the part.  A bool matrix is read as its 0/1 values."""
+    one only when a largest modulus is not below _HUGE (|z| of a finite
+    complex entry may overflow); a matrix with such an entry is checked,
+    and its part formed, on a quarter of it (see _in_range).  A matrix
+    equal to its conjugate transpose, as a family's closed-form state or
+    random_hermitian's draw often is, passes without the tolerance test.
+    The conjugate transpose is formed once, for the check and the part.  A
+    bool matrix is read as its 0/1 values."""
     a = _square(a, name, (2, 3))
     if not tol >= 0.0:
         raise InvalidInput(f"Hermiticity tolerance must be >= 0, got {tol!r}")
     if a.dtype.kind == "b":
         a = a.astype(float)
-    peaks = _peaks(a)
-    if not (peaks < math.inf).all() and not np.isfinite(a).all():
+    a, peaks, scale = _in_range(a)
+    if not scale:
         raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
     a_h = a.conj().swapaxes(-1, -2)
-    if not ((a == a_h).all() or _within(a, a_h, tol, peaks)):
+    if not ((a == a_h).all() or _within(a, a_h, tol, peaks, scale)):
         raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
-    return 0.5 * (a + a_h)
+    part = 0.5 * (a + a_h)
+    return part if scale == 1.0 else part / scale
 
 
 def require_positive(w: np.ndarray, name: str) -> np.ndarray:
@@ -239,14 +264,32 @@ def schatten_norm(a: np.ndarray, p: int | str) -> float:
     non-numeric or non-finite entry raises InvalidInput at every order."""
     a = _as_square_matrix(a)
     if p == 1:
-        if not np.array_equal(a, a.conj().T):
-            raise InvalidInput("the trace norm takes an exactly Hermitian matrix; hermitize it first")
-        return float(np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum())
+        return float(_trace_norms(a[None])[0])
     if p == 2:
         return float(np.linalg.norm(a))
     if p == "op":
         return float(np.linalg.norm(a, 2))
     raise InvalidInput(f"unsupported Schatten order {p!r}; use 1, 2 or 'op'")
+
+
+def trace_norms(a: np.ndarray) -> np.ndarray:
+    """The trace norm of each matrix of a stack of shape (k, d, d), as an
+    array of length k: schatten_norm(a[i], 1) of every i, bit for bit, from
+    one stacked eigvalsh, with the same checks: a non-numeric or non-finite
+    entry, or a matrix that is not exactly Hermitian, raises InvalidInput
+    with schatten_norm's message, and so does an array that is not such a
+    stack."""
+    a = np.asarray(a)
+    if a.ndim != 3:
+        raise InvalidInput(f"the trace norms take a stack of shape (k, d, d), got shape {a.shape}")
+    return _trace_norms(_as_square_matrix(a, ndims=(3,)))
+
+
+def _trace_norms(a: np.ndarray) -> np.ndarray:
+    """trace_norms of a stack already checked square, numeric and finite."""
+    if not np.array_equal(a, a.conj().swapaxes(-1, -2)):
+        raise InvalidInput("the trace norm takes an exactly Hermitian matrix; hermitize it first")
+    return np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum(axis=-1)
 
 
 class HermitianTridiagonal:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInformation, InvalidInput
 from .family import (
+    _BLOCK_BYTES,
     Analytic,
     DensityMatrix,
     SpectralBranches,
@@ -40,9 +41,8 @@ from .ldops import (
 )
 from .linalg import (
     _one_blas_thread,
-    hermitize,
     require_hermitian,
-    schatten_norm,
+    trace_norms,
     trace_product,
 )
 
@@ -227,18 +227,24 @@ def compute_report(fam: StateFamily, theta: float,
 
 def compute_reports(fam: StateFamily, thetas: Iterable[float],
                     models: Sequence[str] = MODELS) -> list[QfiReport]:
-    """The report of every theta, in order, each point evaluated on its own.
+    """The report of every theta, in order.
 
     A family without a unitary_path, or with a derivative mode other than
     Analytic, evaluates each point through its state, rho' and one
     eigensolve.  A family with one takes each point's branches from the
-    path (UnitaryPath.branches_over, whose bases_of sees the whole grid,
-    so that points may share work such as the coherent family's closed
-    forms) and no state at all; as only the basis moves, the information
+    path and no state at all; as only the basis moves, the information
     values and kernel tables of the first point serve every point, and
     the call builds each table, and each model's kernel over a band, once.
-    Each point's theta is checked, and its basis read, in order, so a
-    failing point raises what it raises alone.
+    Its grid is cut into blocks of consecutive points that hold at most
+    family._BLOCK_BYTES of N x N float arrays, two a point (its basis and
+    its KMB residual): 20 points at M = 2, one from M = 8 on.  A block is
+    taken in two stages.  First each point's theta is checked and its
+    basis read, in order (UnitaryPath.branches_over of the block, whose
+    bases_of may share work between its points, such as the coherent
+    family's closed forms); then the block's diagnostics are formed, their
+    trace norms by one stacked eigvalsh.  An error of the first stage is
+    raised after the diagnostics of the points before it, so a failing
+    point raises what it raises alone.
 
     Both diagnostics of a point read its own basis V through the Gram
     matrix G = V^dagger V, and no operator is assembled: max_zero_expectation
@@ -247,8 +253,10 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
     || herm(K o (G (X / K) G) - X) ||_1 with X = rho' in the basis and K the
     bvn kernel table, which is kmb_residual of the assembled bvn operator
     in exact arithmetic; the trace norm of that exactly Hermitian matrix
-    is the sum of its |eigvalsh|.  For an orthonormal V it vanishes up to
-    rounding, so it measures the basis' orthogonality defect.
+    is the sum of its |eigvalsh| (linalg.trace_norms, one call a block,
+    of a point alone on the eigensolver route).  For an orthonormal V it
+    vanishes up to rounding, so it measures the basis' orthogonality
+    defect.
 
     The call runs with numpy's OpenBLAS pinned to one thread
     (linalg._one_blas_thread), since blocked products and eigensolvers
@@ -272,21 +280,34 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
     path = fam.unitary_path
     if path is None or not isinstance(fam.derivative_mode, Analytic):
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
+    size = max(1, _BLOCK_BYTES // (16 * path.eigenvalues.size**2))
     reports = []
     first = values = None
-    for theta, br in zip(thetas, path.branches_over(thetas)):
-        theta = _check_theta(fam, theta)
-        # the basis first, so that its checks decide a failing point's error
-        v = br.basis
-        if first is None:
-            first, values = br, _values(br, models)
-        # The state is basis diag(lambda) basis^dagger; seen through the
-        # basis' own Gram matrix it carries the basis' orthogonality defect.
-        gram = v.conj().T @ v
-        rho_eig = (gram * br.eigenvalues) @ gram
-        # the first point's branches: the path's eigenvalues and rho', and
-        # the kernel tables they have already built
-        reports.append(_report(theta, first, values, rho_eig, gram, models))
+    for start in range(0, len(thetas), size):
+        # Stage 1: each point's theta check and basis, in order.  An error
+        # waits for the diagnostics of the points before it, which raise
+        # first if they fail, as they would point by point.
+        block, checked, bases, error = thetas[start:start + size], [], [], None
+        try:
+            for theta, br in zip(block, path.branches_over(block)):
+                theta = _check_theta(fam, theta)
+                v = br.basis
+                if first is None:
+                    first, values = br, _values(br, models)
+                checked.append(theta)
+                bases.append(v)
+        except Exception as exc:
+            error = exc
+        # Stage 2: the block's diagnostics, read against the first point's
+        # branches: the path's eigenvalues and rho', and the kernel tables
+        # they have already built.  The state is basis diag(lambda)
+        # basis^dagger; seen through the basis' own Gram matrix it carries
+        # the basis' orthogonality defect.
+        if bases:
+            diagnostics = _diagnostics(first, bases, lambda v, gram: (gram * first.eigenvalues) @ gram, models)
+            reports += [_report(theta, values, *d) for theta, d in zip(checked, diagnostics)]
+        if error is not None:
+            raise error
     return reports
 
 
@@ -297,18 +318,39 @@ def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, f
     return i1, qfi, {m: qfi[m] - i1 for m in models}
 
 
-def _report(theta: float, br: SpectralBranches,
-            values: tuple[float, dict[str, float], dict[str, float]],
-            rho_eig: np.ndarray, gram: np.ndarray, models: list[str]) -> QfiReport:
-    """The report of a point from its values and, for the diagnostics,
-    rho and the Gram matrix of its basis, both in that basis; br gives
-    the eigenvalues, rho' in the basis and the kernel tables."""
-    worst_expect = max(abs(e) for e in expectations(br, rho_eig, models))
+def _diagnostics(br: SpectralBranches, bases: list[np.ndarray],
+                 rho_in: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 models: list[str]) -> list[tuple[float, float]]:
+    """(max_zero_expectation, kmb_residual) of each basis V of a block, in
+    order, with G = V^dagger V its Gram matrix and rho_in(V, G) the state
+    in that basis; br gives the eigenvalues, rho' in the basis and the
+    kernel tables.  The residuals are formed in place in one (k, N, N)
+    buffer, and their trace norms come from one stacked eigvalsh
+    (linalg.trace_norms), which also checks them finite."""
     table = kernel_table(br, "bvn")
     x = br.rho_prime_eig
-    residual = schatten_norm(hermitize(table * (gram @ (x / table) @ gram) - x), 1)
-    if not math.isfinite(residual):
-        raise InvalidInput("KMB residual is not finite")
+    x_k = x / table
+    res = np.empty((len(bases), br.dim, br.dim), np.result_type(x_k, *bases))
+    worst = []
+    for v, r in zip(bases, res):
+        gram = v.conj().T @ v
+        worst.append(max(abs(e) for e in expectations(br, rho_in(v, gram), models)))
+        # herm(K o (G (X / K) G) - X), the bytes of hermitize
+        np.matmul(gram @ x_k, gram, out=r)
+        r *= table
+        r -= x
+        r += r.conj().T
+        r *= 0.5
+    norms = trace_norms(res).tolist()
+    for residual in norms:
+        if not math.isfinite(residual):
+            raise InvalidInput("KMB residual is not finite")
+    return list(zip(worst, norms))
+
+
+def _report(theta: float, values: tuple[float, dict[str, float], dict[str, float]],
+            worst_expect: float, residual: float) -> QfiReport:
+    """The report of a point from its values and diagnostics."""
     i1, qfi, i2 = values
     return QfiReport(
         theta=float(theta),
@@ -326,6 +368,6 @@ def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> Qf
     br = _state_branches(rho, eval_rho_prime(fam, theta))
     # The state's own matrix in the eigenbasis, so that Tr(rho H) also
     # sees how well the basis diagonalizes rho.
-    v = br.basis
-    rho_eig = v.conj().T @ rho.matrix @ v
-    return _report(theta, br, _values(br, models), rho_eig, v.conj().T @ v, models)
+    values = _values(br, models)
+    [diagnostics] = _diagnostics(br, [br.basis], lambda v, gram: v.conj().T @ rho.matrix @ v, models)
+    return _report(theta, values, *diagnostics)

@@ -39,6 +39,7 @@ from .family import (
     CentralDifference,
     StateFamily,
     UnitaryPath,
+    _BLOCK_BYTES,
     _last_theta,
     nonsmooth_projection_state,
 )
@@ -63,12 +64,6 @@ COHERENT_MIN_EIG = 1e-11
 # corruption down from the edge.
 DISPLACEMENT_TOL = 1e-8
 BULK_MARGIN = 10
-
-# A path's consecutive points share the closed forms of a block of them
-# (CoherentFamily._bases_of) up to this many bytes: 5 to 7 points at M = 2,
-# while from M = 4 on one point's alone takes about as much, and each point
-# computes its own, so large truncations keep the memory of one point.
-_BLOCK_BYTES = 96 * 1024
 
 # Open theta domains of the two-level families, the displaced thermal
 # family and the projection-oscillation counterexample.
@@ -526,9 +521,12 @@ class CoherentFamily:
 
         A run of consecutive amplitudes that are nonzero and leave a bulk
         forms blocks whose closed forms, at the block's largest bulk, take
-        at most _BLOCK_BYTES; the first basis read of a block computes them
-        all in one pass of the recurrence (displacement_closed_form of the
-        block), and each point's check reads its own.  Each point still runs
+        at most family._BLOCK_BYTES, the budget by which compute_reports
+        splits a grid, so that its blocks (20 points at M = 2, one point
+        from M = 8 on) share one pass each; the first basis read of a block
+        computes them all in one pass of the recurrence
+        (displacement_closed_form of the block), and each point's check
+        reads its own.  Each point still runs
         checked_displacement, with the closed form it would have computed
         bit for bit.  Any other value, and a block of one point, is checked
         on its own, and raises there what checked_displacement raises.

@@ -56,12 +56,63 @@ def test_hook_matches_eigensolver_path(m: float) -> None:
         assert hook.max_zero_expectation <= 1e-13
 
 
-@pytest.mark.parametrize("m, count", [(1.0, 31), (2.0, 23), (10.0, 3)])
+@pytest.mark.parametrize("m, count", [(1.0, 31), (2.0, 23), (2.0, 59), (10.0, 3)])
 def test_reports_equal_the_reports_of_single_points(m: float, count: int) -> None:
-    # each grid holds 0 and negative amplitudes
+    # each grid holds 0 and negative amplitudes; 60 points at M = 2 make
+    # three blocks of 20
     fam = coherent_family(m).family()
     grid = [0.0, *np.linspace(-0.29, 0.29, count).tolist()]
     assert compute_reports(fam, grid) == [compute_report(fam, theta) for theta in grid]
+
+
+def test_reports_around_points_that_share_no_closed_forms() -> None:
+    # N = 12 keeps a bulk up to amplitude 0.165: one block of the sweep,
+    # whose zero amplitudes split the runs that share closed forms
+    fam = coherent_family(0.1, 12).family()
+    for grid in ([0.0, 0.05, -0.1, 0.0, 0.15, 0.16, -0.05, 0.0, 0.1], [0.1, 0.0, 0.0, -0.16], [0.0]):
+        assert compute_reports(fam, grid) == [compute_report(fam, theta) for theta in grid]
+
+
+def _raise(error: Exception):
+    def basis():
+        raise error
+    return basis
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_failing_diagnostic_raises_before_a_later_basis(dense: bool) -> None:
+    # the second point's basis is not finite, so its diagnostics raise; the
+    # fourth point's basis raises on its read, which a block makes before
+    # the diagnostics of its points: the second point's error comes first,
+    # as point by point
+    fam = _fixed_basis_family(dense)
+    path = fam.unitary_path
+
+    def with_bases(*bases):
+        # a path that takes its bases, point by point, from those given
+        listed = UnitaryPath(path.eigenvalues, path.rho_prime_eig, lambda thetas: list(bases)[:len(thetas)])
+        return dataclasses.replace(fam, unitary_path=listed)
+
+    eye, nan = (lambda: np.eye(4)), (lambda: np.full((4, 4), math.nan))
+    fourth = _raise(TruncationError("fourth"))
+    with pytest.raises(InvalidInput) as many:
+        compute_reports(with_bases(eye, nan, eye, fourth), [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(InvalidInput) as one:
+        compute_report(with_bases(nan), 0.2)
+    assert str(many.value) == str(one.value) and "non-finite" in str(many.value)
+    # without it, the fourth point's own error
+    with pytest.raises(TruncationError, match="fourth"):
+        compute_reports(with_bases(eye, eye, eye, fourth), [0.1, 0.2, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("basis", [np.eye(3), np.ones(4), np.full((4, 4), "a")], ids=["shape", "1-d", "text"])
+def test_a_basis_that_is_not_a_numeric_square_matrix_is_invalid(basis) -> None:
+    fam = _fixed_basis_family(dense=False)
+    path = fam.unitary_path
+    bad = dataclasses.replace(fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig,
+                                                            _fixed_bases(basis)))
+    with pytest.raises(InvalidInput, match="numeric 4 x 4"):
+        compute_reports(bad, [0.1, 0.2])
 
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
@@ -209,12 +260,12 @@ def test_bases_of_takes_any_grid() -> None:
         np.testing.assert_array_equal(bases[i](), fam.checked_displacement(grid[i])[:, ::-1])
 
 
-@pytest.mark.parametrize("m, points_per_block", [(2.0, (5, 7)), (10.0, (1, 1))])
+@pytest.mark.parametrize("m, points_per_block", [(2.0, (20, 20)), (10.0, (1, 1))])
 def test_path_points_share_the_closed_forms_of_a_block(monkeypatch, m, points_per_block) -> None:
-    # consecutive points share one pass of the recurrence up to the block
-    # budget, and each point's check reads the closed form it would have
-    # computed on its own, bit for bit; from M = 10 on each point computes
-    # its own
+    # the points of a block of compute_reports (20 at M = 2) share one pass
+    # of the recurrence, and each point's check reads the closed form it
+    # would have computed on its own, bit for bit; from M = 10 on each
+    # point computes its own
     blocks = []
     real = ldqfi.zoo.displacement_closed_form
 
@@ -244,11 +295,12 @@ def test_path_points_share_the_closed_forms_of_a_block(monkeypatch, m, points_pe
 
 
 def test_reports_memory_stays_of_the_order_of_one_point() -> None:
-    # the points are evaluated one at a time: whatever the grid size, the
-    # peak is one point's plus the reports (under 2 kB each).  Both grids
-    # hold whole blocks of closed forms (5 points at M = 2), so the peak
-    # grows between them by the added reports alone; a kept basis (26 kB a
-    # point) or a closed-form stack of the whole grid would exceed that.
+    # the points are evaluated a block at a time: whatever the grid size,
+    # the peak is one block's plus the reports (under 2 kB each).  Both
+    # grids hold whole blocks (20 points at M = 2: their bases, residuals
+    # and closed forms), so the peak grows between them by the added
+    # reports alone; a kept basis (26 kB a point) or a stack of the whole
+    # grid would exceed that.
     fam = coherent_family(2.0).family()
     grids = [np.linspace(-0.29, 0.29, k).tolist() for k in (20, 200)]
     compute_report(fam, 0.29)  # the family's generator and band powers, formed once

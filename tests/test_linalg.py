@@ -33,6 +33,7 @@ from ldqfi.linalg import (
     is_hermitian,
     logmean_pairs,
     require_hermitian,
+    trace_norms,
 )
 from ldqfi.errors import DomainError, InvalidInput
 
@@ -155,6 +156,68 @@ def test_trace_norm_of_a_non_finite_matrix_is_invalid_input(rng) -> None:
             schatten_norm(bad, 1)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 12, 57])
+def test_trace_norms_equal_the_trace_norm_of_each_matrix(dim: int, rng) -> None:
+    # one stacked eigvalsh, the bytes of schatten_norm(., 1) matrix by matrix
+    for stack in (random_hermitian(dim, rng, count=5), random_hermitian(dim, rng, count=5).real.copy()):
+        norms = trace_norms(stack)
+        assert norms.shape == (5,)
+        assert [float(n) for n in norms] == [schatten_norm(a, 1) for a in stack]
+    assert trace_norms(np.zeros((0, dim, dim))).shape == (0,)
+
+
+def test_trace_norms_raise_the_messages_of_the_trace_norm(rng) -> None:
+    stack = random_hermitian(4, rng, count=3)
+    bad = {}
+    nan = stack.copy()
+    nan[1, 2, 2] = math.nan
+    bad["non-finite"] = nan
+    near = stack.copy()
+    near[2, 0, 3] *= 1.0 + 1e-15
+    bad["exactly Hermitian"] = near
+    for match, b in bad.items():
+        with pytest.raises(InvalidInput, match=match) as stacked:
+            trace_norms(b)
+        with pytest.raises(InvalidInput) as one:
+            schatten_norm(b[1 if match == "non-finite" else 2], 1)
+        assert str(stacked.value) == str(one.value)
+    for shape in ((4, 4), (2, 3, 4), (1, 2, 2, 2)):
+        with pytest.raises(InvalidInput):
+            trace_norms(np.zeros(shape))
+    with pytest.raises(InvalidInput, match="non-numeric"):
+        trace_norms(np.array([[["a"]]]))
+
+
+# Finite matrices whose largest modulus reaches the top of the float range:
+# the modulus, a - a^H or a + a^H of an entry can overflow.
+_HUGE_NOT_HERMITIAN = [
+    np.array([[0.0, 1.3e308 * (1 + 1j)], [0.0, 0.0]]),  # |z| overflows
+    np.array([[1e308 * (1 + 1j), 0.0], [0.0, 0.0]]),  # a - a^H overflows
+    np.array([[0.0, 1.7e308], [-1.7e308, 0.0]], dtype=complex),
+]
+
+
+@pytest.mark.parametrize("a", _HUGE_NOT_HERMITIAN, ids=["modulus", "imaginary_diagonal", "antisymmetric"])
+def test_hermitian_check_refuses_a_huge_non_hermitian_matrix(a: np.ndarray) -> None:
+    assert not is_hermitian(a) and not is_hermitian(a[None])
+    for x in (a, a[None], np.stack([np.eye(2), a])):
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            require_hermitian(x)
+
+
+def test_hermitian_check_of_a_huge_matrix_keeps_its_scale() -> None:
+    # checked and halved on a quarter of it: the part of a Hermitian matrix
+    # is itself, and a relative deviation below the tolerance still passes
+    h = np.array([[1.7e308, 1.3e308 * (1 + 1j)], [1.3e308 * (1 - 1j), -1.7e308]])
+    assert is_hermitian(h)
+    np.testing.assert_array_equal(require_hermitian(h), h)
+    near = h.copy()
+    near[0, 1] += 1e296
+    assert is_hermitian(near) and not is_hermitian(near, tol=1e-13)
+    np.testing.assert_array_equal(require_hermitian(near), 4.0 * hermitize(0.25 * near))
+    assert not is_hermitian(np.array([[math.inf, 0.0], [0.0, 0.0]]))
+
+
 def test_hermitian_helpers(rng) -> None:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = hermitize(a)
@@ -205,31 +268,35 @@ def _hermiticity_inputs(draw) -> np.ndarray:
     """A square matrix of dimension 1 to 4 for require_hermitian: Hermitian,
     off by a multiple of the tolerance at one entry, general, holding a NaN
     or an infinity or a finite entry whose modulus overflows, or of an
-    integer or bool dtype."""
+    integer or bool dtype; the complex kinds at magnitudes up to 1.7e308."""
     d = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["hermitian", "at_tolerance", "complex", "non_finite", "huge", "int", "bool"]))
     if kind == "int":
         return np.array(draw(st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d))).reshape(d, d)
     if kind == "bool":
         return np.array(draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))).reshape(d, d)
+    # magnitudes up to the top of the float range, where |z|, a - a^H and
+    # a + a^H can overflow (1e3 scaled is 1.7e308)
+    scale = draw(st.sampled_from([1.0, 1.0, 1e300, 4.5e304, 1.7e305]))
     parts = draw(st.lists(_ENTRY, min_size=2 * d * d, max_size=2 * d * d))
     a = np.array(parts[: d * d]).reshape(d, d) + 1j * np.array(parts[d * d:]).reshape(d, d)
     if kind == "complex":
-        return a
-    h = hermitize(a)
+        return a * scale
+    h = hermitize(a) * scale
     i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
     if kind == "non_finite":
         h[i, j] = draw(st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan)]))
     elif kind == "huge":
         # finite, with a modulus above the largest float; its mirror entry
-        # stays 0, so no difference or sum of the check overflows
+        # stays 0
         h = np.zeros((d + 1, d + 1), dtype=complex)
         h[0, 1] = complex(1.3e308, 1.3e308)
     elif kind == "at_tolerance":
         # the deviation |h_ij - conj(h_ji)| lands on, just below or just
-        # above HERMITICITY_TOL times the largest modulus (at least 1)
+        # above HERMITICITY_TOL times the largest modulus (at least 1),
+        # taken of a quarter of h where it would overflow
         factor = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
-        h[i, j] += factor * 1e-12 * max(1.0, float(np.abs(h).max()))
+        h[i, j] += factor * 1e-12 * max(1.0, 4.0 * float(np.abs(0.25 * h).max()))
     return h
 
 
