@@ -125,8 +125,11 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
         count_f = _parse_float("sweep", "count", sweep["count"])
         if not math.isfinite(count_f) or count_f != int(count_f) or count_f < 1:
             raise InvalidInput(f"[sweep] count = {sweep['count']!r} must be a positive integer")
-        count = int(count_f)
-        grid = tuple(float(v) for v in np.linspace(start, stop, count))
+        try:
+            grid = tuple(float(v) for v in np.linspace(start, stop, int(count_f)))
+        except (ValueError, MemoryError):
+            raise InvalidInput(f"[sweep] count = {sweep['count']!r} must be a positive integer "
+                               "of points that fit in memory") from None
 
     raw_models = sweep.get("models", "all").strip()
     if raw_models == "all":

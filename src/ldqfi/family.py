@@ -52,15 +52,6 @@ TRACE_TOL_NUMERIC = 1e-7
 # Step of the second difference in projection_curvature_residual.
 CURVATURE_STEP = 1e-3
 
-# A unitary path is swept in blocks of consecutive points that hold at most
-# this many bytes of N x N float arrays, two a point (its basis and its KMB
-# residual, see qfi.compute_reports): 20 points at M = 2 (N = 57) and one
-# point from M = 8 on, so large truncations keep the memory of one point.
-# The coherent family's closed forms of a block share one pass of their
-# recurrence under the same budget (zoo.CoherentFamily._bases_of).
-_BLOCK_BYTES = 1 << 20
-
-
 def _check_rank(w: np.ndarray) -> None:
     """Reject an ascending spectrum whose smallest eigenvalue is at or
     below RANK_TOL."""
@@ -133,11 +124,11 @@ class UnitaryPath:
     theta in the eigenvalues' order.  The callables may share work between
     the points of the grid, and may raise what the basis at their own theta
     raises when called; bases_of itself must accept any grid and raise
-    nothing.  compute_reports calls it once per block of consecutive
-    points (of at most _BLOCK_BYTES), and reads every basis of a block
-    before the block's diagnostics, so the work a grid shares is held for
-    one block at a time.  The eigenvalues and rho' are kept read-only,
-    since every point of the path shares them.
+    nothing.  The work a grid shares is held while its callables are, so
+    a caller of bases_of bounds the memory by the grid it passes:
+    compute_reports passes one block at a time (qfi._BLOCK_BYTES).  The
+    eigenvalues and rho' are kept read-only, since every point of the
+    path shares them.
     """
 
     eigenvalues: np.ndarray

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateInformation, InvalidInput
 from .family import (
-    _BLOCK_BYTES,
     Analytic,
     DensityMatrix,
     SpectralBranches,
@@ -236,7 +235,7 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
     values and kernel tables of the first point serve every point, and
     the call builds each table, and each model's kernel over a band, once.
     Its grid is cut into blocks of consecutive points that hold at most
-    family._BLOCK_BYTES of N x N float arrays, two a point (its basis and
+    _BLOCK_BYTES of N x N float arrays, two a point (its basis and
     its KMB residual): 20 points at M = 2, one from M = 8 on.  A block is
     taken in two stages.  First each point's theta is checked and its
     basis read, in order (UnitaryPath.branches_over of the block, whose
@@ -274,6 +273,13 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
     if not models:
         raise InvalidInput("at least one model is required")
     return _one_blas_thread(_reports, fam, thetas, models)
+
+
+# A unitary path is swept in blocks of consecutive points that hold at most
+# this many bytes of N x N float arrays, two a point (its basis and its KMB
+# residual): 20 points at M = 2 (N = 57) and one point from M = 8 on, so
+# large truncations keep the memory of one point.
+_BLOCK_BYTES = 1 << 20
 
 
 def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[QfiReport]:

@@ -14,14 +14,12 @@ displacement accuracy) that makes the finite-dimensional surrogates
 trustworthy; the displaced thermal family is also a unitary path
 (CoherentFamily.path, whose branches(theta) are its spectral branches in
 closed form) and carries the closed-form displacement its exponential is
-checked against (displacement_closed_form, of one amplitude or of a
-block of them at once: the path's consecutive points share one pass of
-its recurrence).  FAMILIES is the table of
-families a sweep can name: their parameters, sweep coordinates and
-admissible intervals.  The closed-form information values that
-cross-check the families are references, not part of the runtime: the
-verification suites keep theirs in ldqfi.verify, the tests theirs in
-tests/dense_oracles.py.
+checked against (displacement_closed_form, of which the points of one
+bases_of grid share one pass).  FAMILIES is the table of families a sweep
+can name: their parameters, sweep coordinates and admissible intervals.
+The closed-form information values that cross-check the families are
+references, not part of the runtime: the verification suites keep theirs
+in ldqfi.verify, the tests theirs in tests/dense_oracles.py.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .family import (
     CentralDifference,
     StateFamily,
     UnitaryPath,
-    _BLOCK_BYTES,
+    _check_finite,
     _last_theta,
     nonsmooth_projection_state,
 )
@@ -76,15 +74,6 @@ def _bulk_margin(theta: float, dim: int) -> int:
     # clamped at dim, which leaves no bulk either way, so that no finite
     # amplitude overflows math.ceil
     return max(BULK_MARGIN, math.ceil(min(3.5 * abs(theta) * math.sqrt(dim), dim)) + 8)
-
-
-def _check_amplitude(theta: float) -> float:
-    """theta as a float, InvalidInput unless it is a real number and
-    DomainError unless it is finite."""
-    amp = _real(theta, "displacement amplitude")
-    if not math.isfinite(amp):
-        raise DomainError(f"displacement amplitude {theta!r} is not finite", value=theta)
-    return amp
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +303,21 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
     positive integer InvalidInput.
     """
     single = np.ndim(theta) == 0
-    amps = np.array([_check_amplitude(t) for t in ([theta] if single else theta)], dtype=float)
+    amps = np.array([_check_finite(t) for t in ([theta] if single else theta)], dtype=float)
     dim = _positive_int(dim, "dim")
     zero = amps == 0.0
     any_zero = not amps.all()
     # The amplitudes run along a trailing axis until the result is
-    # assembled, and one amplitude is a scalar with no such axis: each step
-    # slices as a single amplitude's would, and one amplitude's steps slice
-    # 1-d arrays.  Indexed by amp_axis, an array over the levels gains
-    # that axis, if there is one.
-    if single:
-        amps, zero = amps[0], zero[0]
-    amp_axis = (...,) + (None,) * amps.ndim
+    # assembled; one amplitude is a stack of one.
     x = amps * amps
-    d = np.arange(dim, dtype=float)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    d = np.arange(dim, dtype=float)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])[:, None]
     # math.log, which the one-amplitude recurrence has always taken; a zero
     # amplitude starts from the vacuum column instead, so no step takes log(0).
-    log_amp = np.array([math.log(abs(t)) if t else 0.0 for t in amps.ravel().tolist()]).reshape(amps.shape)
-    cur = np.exp(d[amp_axis] * log_amp - 0.5 * x - 0.5 * log_fact[amp_axis])
+    log_amp = np.array([math.log(abs(t)) if t else 0.0 for t in amps.tolist()])
+    cur = np.exp(d * log_amp - 0.5 * x - 0.5 * log_fact)
     if any_zero:
-        cur = np.where(zero, (d == 0.0)[amp_axis], cur)
+        cur = np.where(zero, d == 0.0, cur)
     # odd d carry the amplitude's sign (a zero amplitude's matrix is
     # replaced by the identity, whatever the sign of its zero)
     cur[1::2] *= np.copysign(1.0, amps)
@@ -345,12 +328,12 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
     # those the step formed itself, so the elements keep their bytes.
     root = np.sqrt(np.arange(dim + 1.0))
     levels = np.arange(dim + 1)[:, None]
-    root_prod = (root[:, None] * root[np.minimum(levels + np.arange(dim), dim)])[amp_axis]
-    step = 2 * levels[:dim][amp_axis] + (1.0 + d[amp_axis] - x)
+    root_prod = (root[:, None] * root[np.minimum(levels + np.arange(dim), dim)])[..., None]
+    step = 2 * levels[:dim, :, None] + (1.0 + d - x)
     # Row n of below holds e_n(d) from the diagonal on; the lower triangle
     # of the result is its transpose, the upper one carries the parities
     # (-1)^(m - n) = (-1)^m (-1)^n.
-    below = np.zeros((dim, dim) + amps.shape)
+    below = np.zeros((dim, dim, amps.size))
     for n in range(dim):
         k = dim - n - 1
         below[n, n:] = cur
@@ -361,12 +344,12 @@ def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.nda
     del step  # before the two stacks of the assembly
     sign = np.ones(dim)
     sign[1::2] = -1.0
-    # the amplitude axis, if there is one, first
-    below = below.transpose(tuple(range(2, below.ndim)) + (0, 1))
+    # the amplitude axis first
+    below = below.transpose(2, 0, 1)
     out = np.where(np.tri(dim, dtype=bool), below.swapaxes(-1, -2), below * (sign[:, None] * sign))
     if any_zero:
         out[zero] = np.eye(dim)
-    return out
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -434,7 +417,7 @@ class CoherentFamily:
         bulk x bulk corner in place of computing it; a smaller one raises
         InvalidInput.
         """
-        theta = _check_amplitude(theta)
+        theta = _check_finite(theta)
         n = self.trunc_dim
         if theta == 0.0:
             return np.eye(n)
@@ -519,43 +502,32 @@ class CoherentFamily:
         """One lazy basis per theta, in order: the checked displacement's
         columns in reversed level order, checked when called.
 
-        A run of consecutive amplitudes that are nonzero and leave a bulk
-        forms blocks whose closed forms, at the block's largest bulk, take
-        at most family._BLOCK_BYTES, the budget by which compute_reports
-        splits a grid, so that its blocks (20 points at M = 2, one point
-        from M = 8 on) share one pass each; the first basis read of a block
-        computes them all in one pass of the recurrence
-        (displacement_closed_form of the block), and each point's check
-        reads its own.  Each point still runs
-        checked_displacement, with the closed form it would have computed
-        bit for bit.  Any other value, and a block of one point, is checked
-        on its own, and raises there what checked_displacement raises.
+        The amplitudes of the grid that are nonzero and leave a bulk share
+        one pass of the recurrence: the first of their bases read computes
+        all their closed forms, at the largest bulk
+        (displacement_closed_form of them all), and each point's check
+        reads its own, the closed form it would have computed alone, bit
+        for bit.  Any other value, and a grid with fewer than two such
+        amplitudes, is checked on its own, and raises there what
+        checked_displacement raises.
         """
         thetas = list(thetas)
         bulks = [self._block_bulk(t) for t in thetas]
-        start = 0
-        while start < len(thetas):
-            stop, bulk = start, 0
-            while stop < len(thetas) and bulks[stop]:
-                widest = max(bulk, bulks[stop])
-                if (stop + 1 - start) * widest * widest * 8 > _BLOCK_BYTES:
-                    break
-                stop, bulk = stop + 1, widest
-            if stop - start < 2:
-                yield partial(self._basis, thetas[start])
-                start += 1
-                continue
-            block = cache(partial(displacement_closed_form, thetas[start:stop], bulk))
-            for i in range(start, stop):
-                yield partial(self._basis, thetas[i], block, i - start)
-            start = stop
+        shared = [t for t, bulk in zip(thetas, bulks) if bulk]
+        if len(shared) < 2:
+            yield from (partial(self._basis, t) for t in thetas)
+            return
+        block = cache(partial(displacement_closed_form, shared, max(bulks)))
+        slots = iter(range(len(shared)))
+        for theta, bulk in zip(thetas, bulks):
+            yield partial(self._basis, theta, block, next(slots)) if bulk else partial(self._basis, theta)
 
     def _block_bulk(self, theta: float) -> int:
-        """The bulk checked_displacement validates at theta, or 0 where a
-        block cannot take theta: zero, not a finite real number, or leaving
-        no bulk."""
+        """The bulk checked_displacement validates at theta, or 0 where
+        theta cannot share a pass: zero, not a finite real number, or
+        leaving no bulk."""
         try:
-            amp = _check_amplitude(theta)
+            amp = _check_finite(theta)
         except (InvalidInput, DomainError):
             return 0
         bulk = self.trunc_dim - _bulk_margin(amp, self.trunc_dim)
@@ -563,7 +535,7 @@ class CoherentFamily:
 
     def _basis(self, theta: float, block: Callable[[], np.ndarray] | None = None, i: int = 0) -> np.ndarray:
         """The basis at theta, checked against matrix i of the block's
-        closed forms when theta is point i of a block."""
+        shared closed forms when there is one."""
         if block is None:
             return self.checked_displacement(theta)[:, ::-1]
         return self.checked_displacement(theta, closed_form=block()[i])[:, ::-1]

@@ -246,9 +246,25 @@ def test_a_grid_point_without_a_basis_raises() -> None:
         compute_reports(short, [0.1, 0.3])
 
 
-def test_bases_of_takes_any_grid() -> None:
-    # the values a block cannot take are checked on their own, when read
+@pytest.fixture
+def closed_form_calls(monkeypatch) -> list[list[float]]:
+    """The amplitudes of each displacement_closed_form call, as a list."""
+    calls = []
+    real = ldqfi.zoo.displacement_closed_form
+
+    def recorded(theta, dim):
+        calls.append(np.atleast_1d(theta).tolist())
+        return real(theta, dim)
+
+    monkeypatch.setattr(ldqfi.zoo, "displacement_closed_form", recorded)
+    return calls
+
+
+def test_bases_of_takes_any_grid(closed_form_calls) -> None:
+    # the values that cannot share a pass are checked on their own, when
+    # read; an empty grid has no basis and computes no closed form
     fam = coherent_family(2.0)
+    assert list(fam.path.bases_of([])) == [] and closed_form_calls == []
     grid = [0.1, "a", math.nan, 1e308, 0.0, -0.2, 0.2]
     bases = list(fam.path.bases_of(grid))
     assert len(bases) == len(grid)
@@ -258,6 +274,21 @@ def test_bases_of_takes_any_grid() -> None:
     np.testing.assert_array_equal(bases[4](), np.eye(fam.trunc_dim)[:, ::-1])
     for i in (0, 5, 6):
         np.testing.assert_array_equal(bases[i](), fam.checked_displacement(grid[i])[:, ::-1])
+
+
+def test_one_pass_serves_the_shareable_points_of_an_interleaved_grid(closed_form_calls) -> None:
+    # the nonzero amplitudes that leave a bulk share one pass wherever they
+    # sit in the grid, and each reads the closed form it would compute alone
+    fam = coherent_family(2.0)
+    grid = [0.1, 0.0, -0.2, math.nan, 0.15, 1e308, 0.05]
+    bases = list(fam.path.bases_of(grid))
+    read = {i: bases[i]() for i in (0, 1, 2, 4, 6)}
+    for i, error in ((3, DomainError), (5, TruncationError)):
+        with pytest.raises(error):
+            bases[i]()
+    assert closed_form_calls == [[0.1, -0.2, 0.15, 0.05]]
+    for i, basis in read.items():
+        np.testing.assert_array_equal(basis, fam.checked_displacement(grid[i])[:, ::-1])
 
 
 @pytest.mark.parametrize("m, points_per_block", [(2.0, (20, 20)), (10.0, (1, 1))])

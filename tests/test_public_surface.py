@@ -65,6 +65,14 @@ def test_runtime_modules_do_not_bind_the_references(module) -> None:
     assert sorted(set(MOVED) & set(vars(module))) == []
 
 
+def test_one_module_owns_the_block_size() -> None:
+    # qfi sizes a sweep's blocks; the coherent family shares work over the
+    # grid it is given and checks an amplitude as any theta
+    runtime = [ldqfi, cli, ldqfi.errors, family, ldops, linalg, qfi, verify, zoo]
+    assert [m.__name__ for m in runtime if "_BLOCK_BYTES" in vars(m)] == ["ldqfi.qfi"]
+    assert [m.__name__ for m in runtime if "_check_amplitude" in vars(m)] == []
+
+
 def test_each_reference_lives_next_to_its_callers() -> None:
     for name, home in MOVED.items():
         if home is not None:
