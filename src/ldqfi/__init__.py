@@ -5,10 +5,11 @@ The package constructs four logarithmic-derivative operators of a
 parametrized state family — defined by dividing the eigenbasis matrix of
 the state derivative by the logarithmic, harmonic, geometric or arithmetic
 mean of eigenvalue pairs — and evaluates the associated information
-quantities and Cramér–Rao bounds on a zoo of finite and truncated
-infinite-dimensional models.  The verification suites and the closed
-forms they check against live in ldqfi.verify, which this package does
-not import.
+quantities on a zoo of finite and truncated infinite-dimensional models.
+The verification suites and the closed forms they check against live in
+ldqfi.verify, and the audits of the paper's identities that the suites
+run (Cramér–Rao bounds among them) in ldqfi.audits; this package imports
+neither.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from .family import (
     CentralDifference,
     DensityMatrix,
     NonsmoothProjectionState,
-    ProjectionAuditReport,
     SpectralBranches,
     StateFamily,
     UnitaryPath,
     branches_at,
     nonsmooth_projection_state,
-    projection_audit,
-    projection_curvature_residual,
     random_analytic_family,
     spectral_branches,
 )
@@ -52,16 +50,11 @@ from .linalg import (
 )
 from .qfi import (
     QfiReport,
-    breve_variance,
     classical_information,
     compute_report,
     compute_reports,
-    local_cr_terms,
-    maximality_check,
     qfi_bvn,
     qfi_value,
-    relative_entropy,
-    relent_limit,
     second_moment,
 )
 from .zoo import (

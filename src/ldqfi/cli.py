@@ -125,6 +125,8 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
         count_f = _parse_float("sweep", "count", sweep["count"])
         if not math.isfinite(count_f) or count_f != int(count_f) or count_f < 1:
             raise InvalidInput(f"[sweep] count = {sweep['count']!r} must be a positive integer")
+        domain.check("[sweep] start", start)
+        domain.check("[sweep] stop", stop)
         try:
             grid = tuple(float(v) for v in np.linspace(start, stop, int(count_f)))
         except (ValueError, MemoryError):

@@ -1,9 +1,8 @@
 """Parametrized density-matrix families and their spectral derivative data.
 
 A family is a smooth map theta -> rho(theta) of full-rank states on an open
-interval.  This module evaluates states and derivatives, splits rho' into
-eigenvalue and eigenprojection branches, and audits the operator identities
-that the projection derivatives must satisfy.
+interval.  This module evaluates states and derivatives and splits rho' into
+eigenvalue and eigenprojection branches.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ MIXING_CAP = 1e8
 TRACE_TOL_ANALYTIC = 1e-12
 TRACE_TOL_NUMERIC = 1e-7
 
-# Step of the second difference in projection_curvature_residual.
-CURVATURE_STEP = 1e-3
 
 def _check_rank(w: np.ndarray) -> None:
     """Reject an ascending spectrum whose smallest eigenvalue is at or
@@ -330,13 +327,14 @@ class SpectralBranches:
     rho' in the eigenbasis is given as a dense matrix or, by a closed-form
     family, as a HermitianTridiagonal (kept as band); rho_prime_eig
     materializes a band on first use, for the readers that need the whole
-    matrix.  Dense per-cluster projections are materialized lazily so that
-    information-only paths stay O(dim^2) in memory.  kernels holds the
-    point's mean kernel table of each model, filled on first use by
-    ldops.kernel_table, and on a banded point the model's kernel over the
-    band's entries under ("band", model), filled by ldops.kernel_entries,
-    and rho' over that kernel under ("band_ld", model), filled by
-    ldops.expectations; all are shared by every later reader of the point.
+    matrix.  The dense per-cluster projections are formed by the audits
+    (ldqfi.audits) alone, so that the pipeline stays O(dim^2) in memory.
+    kernels holds the point's mean kernel table of each model, filled on
+    first use by ldops.kernel_table, and on a banded point the model's
+    kernel over the band's entries under ("band", model), filled by
+    ldops.kernel_entries, and rho' over that kernel under ("band_ld",
+    model), filled by ldops.expectations; all are shared by every later
+    reader of the point.
     """
 
     def __init__(
@@ -402,32 +400,6 @@ class SpectralBranches:
 
     def rho(self) -> np.ndarray:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T
-
-    def projection(self, k: int) -> np.ndarray:
-        cols = self.basis[:, self.cluster_slices[k]]
-        return cols @ cols.conj().T
-
-    def projections(self) -> np.ndarray:
-        """Every cluster projection P_k as a stack of shape (K, dim, dim)."""
-        return np.stack([self.projection(k) for k in range(self.n_clusters)])
-
-    def projection_primes(self) -> np.ndarray:
-        """Every dP_k/dtheta, from first-order perturbation of the other
-        clusters, as a stack of shape (K, dim, dim).
-
-        In the eigenbasis dP_k/dtheta carries rho'_ab / (value_k - value_j)
-        at every entry coupling cluster k with another cluster j, in either
-        order, and zero elsewhere.
-        """
-        k = np.arange(self.n_clusters)[:, None, None]
-        idx = self.cluster_index
-        in_row = idx[:, None] == k
-        in_col = idx[None, :] == k
-        coupling = in_row != in_col
-        other = np.where(in_col, idx[:, None], idx[None, :])
-        gap = np.where(coupling, self.cluster_values[k] - self.cluster_values[other], 1.0)
-        block = np.where(coupling, self.rho_prime_eig / gap, 0j)
-        return self.basis @ block @ self.basis.conj().T
 
 
 def _cluster_bounds(w: np.ndarray) -> np.ndarray:
@@ -564,114 +536,6 @@ def branches_at(fam: StateFamily, theta: float) -> SpectralBranches:
     the eigensolver even when the family has a unitary_path.  The state and
     rho' are each checked once, by eval_rho and eval_rho_prime."""
     return _state_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
-
-
-@dataclass(frozen=True)
-class ProjectionAuditReport:
-    """Largest residuals of the projection-derivative identities.
-
-    The identities follow from differentiating P_j P_k = delta_jk P_j and
-    sum_k P_k = I:
-      offdiag_exchange   P'_j P_j = (I - P_j) P'_j  and  P'_j P_k = -P_j P'_k
-      compression        P_k P'_j P_k = 0
-      adjoint_exchange   (P'_j P'_k) P_j = P_j (P'_j P'_k)†
-    weighted_prime_sum is ||sum_k lambda_k P'_k||_2 and commutator is
-    ||[rho, rho']||_2, taken in the eigenbasis, where [rho, rho']_ij is
-    (lambda_i - lambda_j) rho'_ij; they vanish together exactly when the
-    family commutes at every parameter value.
-    """
-
-    offdiag_exchange: float
-    compression: float
-    adjoint_exchange: float
-    weighted_prime_sum: float
-    commutator: float
-
-    def max_identity_residual(self) -> float:
-        return max(self.offdiag_exchange, self.compression, self.adjoint_exchange)
-
-
-def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
-    """Evaluate the projection-derivative identities on dense cluster data.
-
-    The K projections and their derivatives are stacks of shape (K, d, d);
-    each cluster j meets all K clusters k in one broadcast product, so
-    memory stays of the order of the stacks.
-    """
-    proj = br.projections()
-    prime = br.projection_primes()
-    rest = np.eye(br.dim) - proj
-
-    def norms(a: np.ndarray) -> np.ndarray:
-        # np.linalg.norm(a, axis=(-2, -1)) of these complex stacks, the
-        # same sum, without its argument handling at every call
-        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
-
-    off = max(
-        float(norms(prime @ proj - rest @ prime).max()),
-        float(norms(prime @ rest - proj @ prime).max()),
-    )
-    comp = 0.0
-    adj = 0.0
-    for j, (pj, dpj) in enumerate(zip(proj, prime)):
-        # axis 0 of each product indexes k
-        exchange = norms(dpj @ proj + pj @ prime)
-        exchange[j] = 0.0  # only k != j
-        off = max(off, float(exchange.max()))
-        comp = max(comp, float(norms(proj @ dpj @ proj).max()))
-        prod = dpj @ prime
-        adj = max(adj, float(norms(prod @ pj - pj @ prod.conj().swapaxes(-1, -2)).max()))
-    weighted = np.sum(br.cluster_values[:, None, None] * prime, axis=0)
-    w = br.eigenvalues
-    comm = (w[:, None] - w[None, :]) * br.rho_prime_eig
-    return ProjectionAuditReport(
-        offdiag_exchange=off,
-        compression=comp,
-        adjoint_exchange=adj,
-        weighted_prime_sum=float(np.linalg.norm(weighted)),
-        commutator=float(np.linalg.norm(comm)),
-    )
-
-
-def projection_curvature_residual(fam: StateFamily, theta: float) -> float:
-    """Residual of the second-derivative identity
-    P_j P''_k + P''_j P_k + 2 P'_j P'_k = delta_jk P''_j,
-    with P'' from a Richardson-extrapolated symmetric second difference
-    (step h = CURVATURE_STEP combined with step h/2, cancelling the h^2
-    truncation term).
-
-    Clusters are matched across the stencil by ascending order, so the
-    family must keep a constant cluster count on [theta - h, theta + h].
-    """
-    theta = _check_theta(fam, theta)
-    h = CURVATURE_STEP
-    brs = [
-        branches_at(fam, t)
-        for t in (theta - h, theta - h / 2, theta, theta + h / 2, theta + h)
-    ]
-    counts = {b.n_clusters for b in brs}
-    if len(counts) != 1:
-        raise DegenerateCrossing(
-            "cluster count changes across the finite-difference stencil; choose another theta"
-        )
-    mid = brs[2]
-    proj = mid.projections()
-    prime = mid.projection_primes()
-
-    def second_diff(lo: SpectralBranches, hi: SpectralBranches, step: float, k: int) -> np.ndarray:
-        return (hi.projection(k) - 2.0 * mid.projection(k) + lo.projection(k)) / step**2
-
-    second = [
-        (4.0 * second_diff(brs[1], brs[3], h / 2, k) - second_diff(brs[0], brs[4], h, k)) / 3.0
-        for k in range(mid.n_clusters)
-    ]
-    worst = 0.0
-    for j in range(mid.n_clusters):
-        for k in range(mid.n_clusters):
-            lhs = proj[j] @ second[k] + second[j] @ proj[k] + 2.0 * prime[j] @ prime[k]
-            rhs = second[j] if j == k else np.zeros_like(lhs)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Quantum Fisher information functionals and the checks built on them.
+"""Quantum Fisher information functionals.
 
 The information value attached to each LD model:
 
@@ -18,16 +18,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInformation, InvalidInput
+from .errors import InvalidInput
 from .family import (
     Analytic,
-    DensityMatrix,
     SpectralBranches,
     StateFamily,
     _check_theta,
     _state_branches,
-    branches_at,
-    default_step,
     eval_rho,
     eval_rho_prime,
 )
@@ -36,17 +33,11 @@ from .ldops import (
     expectations,
     kernel_entries,
     kernel_table,
-    ld_operator,
 )
 from .linalg import (
     _one_blas_thread,
-    require_hermitian,
     trace_norms,
-    trace_product,
 )
-
-# Steps eps of the relative-entropy ratios that relent_limit extrapolates.
-RELENT_EPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
 def qfi_bvn(br: SpectralBranches) -> float:
@@ -60,39 +51,6 @@ def qfi_bvn(br: SpectralBranches) -> float:
     # array to the peak.
     _, rp, kern = kernel_entries(br, "bvn")
     return float((np.abs(rp) ** 2 / kern).sum())
-
-
-def breve_variance(br: SpectralBranches, obs: np.ndarray) -> float:
-    """KMB-weighted variance of an observable:
-    sum_ij |Z_ij|^2 logmean(lambda_i, lambda_j) with Z = Y - Tr(rho Y) I.
-
-    Coincides with the ordinary variance when [rho, Y] = 0 and dominates it
-    never (the logarithmic mean is below the arithmetic mean).  Applied to
-    the bvn LD operator it returns qfi_bvn.
-    """
-    y = np.asarray(obs)
-    if y.shape != (br.dim, br.dim):
-        raise InvalidInput("observable dimension does not match the state")
-    return float(_moments(br, y[None], "bvn")[1][0])
-
-
-def _moments(br: SpectralBranches, ys: np.ndarray, model: str) -> tuple[np.ndarray, np.ndarray]:
-    """(u, var) of each matrix Y of a stack (k, d, d), from its Hermitian
-    part (require_hermitian) in the eigenbasis, Y_eig = V^dagger Y V:
-    u = Tr(rho' Y) = sum rho'_eig o Y_eig^T and var = sum_ij |Z_ij|^2 W_ij
-    with Z = Y_eig - Tr(rho Y) I.  W is the bvn kernel table for bvn (the
-    KMB-weighted variance) and lambda_i for the other models, since
-    Tr(rho Z^2) = sum_ij lambda_i |Z_ij|^2 is the ordinary variance."""
-    v = br.basis
-    # about 2.5 stacks above the input at the peak (require_hermitian's
-    # conjugate copy and check temporaries, then the products), so the
-    # caller bounds the memory by the stack it passes
-    y_eig = v.conj().T @ require_hermitian(ys, "observable") @ v
-    u = np.sum(br.rho_prime_eig * y_eig.swapaxes(-1, -2), axis=(-2, -1)).real
-    diag = np.arange(br.dim)
-    y_eig[:, diag, diag] -= np.sum(br.eigenvalues * y_eig[:, diag, diag].real, axis=-1)[:, None]
-    weight = kernel_table(br, "bvn") if model == "bvn" else br.eigenvalues[:, None]
-    return u, np.sum(np.abs(y_eig) ** 2 * weight, axis=(-2, -1))
 
 
 def classical_information(br: SpectralBranches) -> float:
@@ -116,88 +74,6 @@ def qfi_value(br: SpectralBranches, model: str) -> float:
     """Information value of a model from branch data: qfi_bvn for bvn,
     second_moment for the others."""
     return qfi_bvn(br) if model == "bvn" else second_moment(br, model)
-
-
-def local_cr_terms(br: SpectralBranches, obs: np.ndarray,
-                   model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, lhs, rhs) of the local Cramer-Rao bound Var(Theta) >= u^2 / QFI
-    for each observable of a stack of shape (k, d, d), as arrays of length k,
-    with u = Tr(rho' Theta) and rhs = u^2 / QFI.
-
-    The bvn model uses the KMB-weighted variance on the left (its bound is
-    stated in that metric); the others use the ordinary variance.  The
-    information value is formed once for the whole stack, and every model
-    reads u and its variance from the stack in the eigenbasis (_moments).  A
-    stack of the wrong shape, with a non-finite entry or a non-Hermitian
-    slice raises InvalidInput; a zero information value makes the bound
-    vacuous and raises DegenerateInformation.
-    """
-    ys = np.asarray(obs)
-    if ys.ndim != 3 or ys.shape[1:] != (br.dim, br.dim):
-        raise InvalidInput(f"observables must have shape (k, {br.dim}, {br.dim}), got {ys.shape}")
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}")
-    u, lhs = _moments(br, ys, model)
-    info = qfi_value(br, model)
-    if info <= 1e-14:
-        raise DegenerateInformation(f"information value {info:.3e} is numerically zero")
-    return u, lhs, u**2 / info
-
-
-def _log_state(state: DensityMatrix) -> np.ndarray:
-    v = state.eigenvectors
-    return (v * np.log(state.eigenvalues)) @ v.conj().T
-
-
-def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
-    """Umegaki relative entropy Tr sigma (ln sigma - ln rho) of full-rank
-    states, with both logarithms taken on the states' eigendecompositions.
-    Arguments that are not DensityMatrix instances raise InvalidInput."""
-    if not (isinstance(sigma, DensityMatrix) and isinstance(rho, DensityMatrix)):
-        raise InvalidInput(
-            f"relative_entropy takes two DensityMatrix states, got "
-            f"{type(sigma).__name__} and {type(rho).__name__}"
-        )
-    if sigma.dim != rho.dim:
-        raise InvalidInput(f"states of dimensions {sigma.dim} and {rho.dim} cannot be compared")
-    return trace_product(sigma.matrix, _log_state(sigma) - _log_state(rho))
-
-
-def relent_limit(fam: StateFamily, theta: float) -> float:
-    """Quadratic coefficient of the relative entropy along the family:
-    the limit of 2 S(rho_{theta+eps} || rho_theta)/eps^2 as eps -> 0.
-
-    The ratios 2 S/eps^2 at the steps RELENT_EPS expand as
-    value + c1*eps + c2*eps^2 + ..., so they are fit with a quadratic in
-    eps and the intercept is returned; it converges to the KMB information
-    value qfi_bvn(theta).
-    """
-    eps = np.asarray(RELENT_EPS)
-    base = eval_rho(fam, theta)
-    ys = []
-    for e in eps:
-        shifted = eval_rho(fam, theta + e)
-        ys.append(2.0 * relative_entropy(shifted, base) / e**2)
-    coeffs = np.polyfit(eps, np.asarray(ys), 2)
-    return float(coeffs[-1])
-
-
-def maximality_check(fam: StateFamily, theta: float) -> tuple[float, float]:
-    """Expectation of the derivative of the KMB LD operator against -QFI.
-
-    Returns (Tr(rho H'), -qfi_bvn); the two agree because differentiating
-    Tr(rho H) = 0 gives Tr(rho' H) + Tr(rho H') = 0 and Tr(rho' H) is the
-    information value.  H' is a symmetric difference of the operator field
-    with step default_step(theta).
-    """
-    theta = _check_theta(fam, theta)
-    h = default_step(theta)
-    plus = ld_operator(branches_at(fam, theta + h), "bvn")
-    minus = ld_operator(branches_at(fam, theta - h), "bvn")
-    h_prime = (plus - minus) / (2.0 * h)
-    br = branches_at(fam, theta)
-    e_prime = trace_product(br.rho(), h_prime)
-    return e_prime, -qfi_bvn(br)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ its function, in the order ``qfi verify all`` runs them.  The closed forms
 the suites compare against live here, next to them: the two-level table
 (two_level_closed_forms), and the displaced thermal family's KMB value
 (coherent_qfi_bvn), ld2 verdict (coherent_qfi_ld2) and quartic trace table
-(coherent_trace_table).  The package does not import this module;
-``import ldqfi.verify`` loads it.
+(coherent_trace_table).  The audits of the paper's identities that the
+suites run live in ldqfi.audits, which only this module imports.  The
+package does not import this module; ``import ldqfi.verify`` loads it.
 """
 
 from __future__ import annotations
@@ -19,26 +20,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, QfiError, SingularState, TruncationError
-from .family import (
-    Analytic,
-    StateFamily,
-    branches_at,
+from .audits import (
+    breve_variance,
+    local_cr_terms,
+    maximality_check,
     projection_audit,
     projection_curvature_residual,
-    random_analytic_family,
+    relent_limit,
 )
+from .errors import InvalidInput, QfiError, SingularState, TruncationError
+from .family import Analytic, StateFamily, branches_at, random_analytic_family
 from .ldops import MODELS, ld_operator
 from .linalg import random_hermitian
 from .qfi import (
-    breve_variance,
     classical_information,
     compute_report,
-    local_cr_terms,
-    maximality_check,
     qfi_bvn,
     qfi_value,
-    relent_limit,
     second_moment,
 )
 from .zoo import (

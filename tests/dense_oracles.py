@@ -29,10 +29,11 @@ from typing import Callable
 
 import numpy as np
 
+from ldqfi import audits
+from ldqfi.audits import ProjectionAuditReport
 from ldqfi.errors import DomainError, InvalidInput, TruncationError
 from ldqfi.family import (
     DensityMatrix,
-    ProjectionAuditReport,
     SpectralBranches,
     StateFamily,
     branches_at,
@@ -213,7 +214,7 @@ def projection_prime(br: SpectralBranches, k: int) -> np.ndarray:
 
 def projection_audit(br: SpectralBranches) -> ProjectionAuditReport:
     """The projection-derivative identities, one cluster pair at a time."""
-    proj = [br.projection(k) for k in range(br.n_clusters)]
+    proj = [audits.projection(br, k) for k in range(br.n_clusters)]
     prime = [projection_prime(br, k) for k in range(br.n_clusters)]
     eye = np.eye(br.dim)
     off = 0.0

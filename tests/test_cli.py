@@ -274,10 +274,15 @@ class TestConfigErrors:
             ("name = coherent", "grid = nan"),
             ("name = counterexample31", "grid = 0.4\nderivative_mode = analytic"),
             ("name = two_level_1", "grid = 0.3\nderivative_mode = central\nstep = 0"),
+            # np.linspace overflowed on stop - start and warned before the
+            # grid values were checked
+            ("name = two_level_1", "start = -1.7e308\nstop = 1.7e308\ncount = 3"),
+            ("name = two_level_1", "start = 0\nstop = inf\ncount = 1"),
         ],
         ids=[
             "r_fixed", "M_negative", "theta_fixed", "trunc_dim_fractional", "geometric_nan",
-            "coherent_nan", "analytic_mode_without_closed_form", "zero_step",
+            "coherent_nan", "analytic_mode_without_closed_form", "zero_step", "linspace_overflow",
+            "infinite_stop",
         ],
     )
     def test_bad_fixed_parameter_or_grid_value(self, tmp_path, capsys, family, sweep):

@@ -19,19 +19,18 @@ from ldqfi import (
     MODELS,
     StateFamily,
     branches_at,
-    breve_variance,
     classical_information,
     commuting_part,
     compute_report,
     ld_operator,
     random_analytic_family,
     random_hermitian,
-    relent_limit,
     spectral_branches,
 )
+from ldqfi import audits
+from ldqfi.audits import RELENT_EPS, breve_variance, relent_limit
 from ldqfi.errors import DegenerateCrossing
 from ldqfi.family import MIXING_CAP, TRACE_TOL_ANALYTIC, eval_rho, eval_rho_prime
-from ldqfi.qfi import RELENT_EPS
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict[str, int]) -> None:
@@ -192,8 +191,8 @@ def _split_reference(br) -> tuple[np.ndarray, np.ndarray]:
     """The bvn split from the branch data: h1 = sum_k (lambda'_k / lambda_k) P_k
     and h2 = sum_k ln(lambda_k) P'_k."""
     ks = range(br.n_clusters)
-    h1 = sum(br.cluster_value_primes[k] / br.cluster_values[k] * br.projection(k) for k in ks)
-    prime = br.projection_primes()
+    h1 = sum(br.cluster_value_primes[k] / br.cluster_values[k] * audits.projection(br, k) for k in ks)
+    prime = audits.projection_primes(br)
     return h1, sum(np.log(br.cluster_values[k]) * prime[k] for k in ks)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_oracles
-from ldqfi import verify
+from ldqfi import audits, verify
 from ldqfi import (
     Analytic,
     CentralDifference,
@@ -19,12 +19,12 @@ from ldqfi import (
     StateFamily,
     branches_at,
     coherent_family,
+    default_two_level_1,
     nonsmooth_projection_state,
-    projection_audit,
-    projection_curvature_residual,
     random_analytic_family,
     spectral_branches,
 )
+from ldqfi.audits import projection_audit, projection_curvature_residual
 from ldqfi.errors import DegenerateCrossing, DomainError, InvalidInput, SingularState
 from ldqfi.family import default_step, eval_rho, eval_rho_prime
 from ldqfi.linalg import random_hermitian
@@ -94,19 +94,19 @@ class TestSpectralBranches:
         assert br.n_clusters == br.dim == 4
         assert list(br.cluster_mults) == [1, 1, 1, 1]
         # projections resolve the identity and are orthogonal
-        total = sum(br.projection(k) for k in range(br.n_clusters))
+        total = sum(audits.projection(br, k) for k in range(br.n_clusters))
         assert np.linalg.norm(total - np.eye(4)) <= 1e-12
         for j in range(4):
             for k in range(4):
-                prod = br.projection(j) @ br.projection(k)
-                ref = br.projection(j) if j == k else np.zeros((4, 4))
+                prod = audits.projection(br, j) @ audits.projection(br, k)
+                ref = audits.projection(br, j) if j == k else np.zeros((4, 4))
                 assert np.linalg.norm(prod - ref) <= 1e-12
 
     def test_reconstruction(self, random_branches) -> None:
         br = random_branches
-        prime = br.projection_primes()
+        prime = audits.projection_primes(br)
         rec = sum(
-            br.cluster_value_primes[k] * br.projection(k)
+            br.cluster_value_primes[k] * audits.projection(br, k)
             + br.cluster_values[k] * prime[k]
             for k in range(br.n_clusters)
         )
@@ -154,10 +154,10 @@ class TestSpectralBranches:
             [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]], dtype=complex
         )
         br2 = spectral_branches(u @ rho @ u.conj().T, u @ h @ u.conj().T)
-        primes1, primes2 = br1.projection_primes(), br2.projection_primes()
+        primes1, primes2 = audits.projection_primes(br1), audits.projection_primes(br2)
         for k in range(br1.n_clusters):
-            p1 = u @ br1.projection(k) @ u.conj().T
-            assert np.linalg.norm(p1 - br2.projection(k)) <= 1e-10
+            p1 = u @ audits.projection(br1, k) @ u.conj().T
+            assert np.linalg.norm(p1 - audits.projection(br2, k)) <= 1e-10
             dp1 = u @ primes1[k] @ u.conj().T
             assert np.linalg.norm(dp1 - primes2[k]) <= 1e-9
         assert np.allclose(br1.cluster_values, br2.cluster_values, atol=1e-12)
@@ -224,11 +224,11 @@ class TestProjectionAudit:
         v = np.linalg.qr(random_hermitian(4, np.random.default_rng(3)))[0]
         br = spectral_branches(v @ rho @ v.conj().T, v @ h @ v.conj().T)
         assert br.n_clusters == 3
-        proj = br.projections()
-        prime = br.projection_primes()
+        proj = audits.projections(br)
+        prime = audits.projection_primes(br)
         assert proj.shape == prime.shape == (3, 4, 4)
         for k in range(br.n_clusters):
-            np.testing.assert_array_equal(proj[k], br.projection(k))
+            np.testing.assert_array_equal(proj[k], audits.projection(br, k))
             np.testing.assert_array_equal(prime[k], dense_oracles.projection_prime(br, k))
 
     def test_curvature_identity(self, rng) -> None:
@@ -244,6 +244,12 @@ class TestProjectionAudit:
         fam = dataclasses.replace(random_family, derivative_mode=CentralDifference(step=h))
         with pytest.raises(InvalidInput, match="finite-difference step"):
             projection_curvature_residual(fam, 0.3)
+
+    def test_curvature_beyond_the_edge_names_the_given_theta(self) -> None:
+        # the stencil point theta + 1e-3 leaves (-1.5, 1.5); the error named it
+        with pytest.raises(DomainError) as info:
+            projection_curvature_residual(default_two_level_1().family(), 1.4995)
+        assert info.value.value == 1.4995
 
 
 

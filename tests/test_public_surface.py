@@ -1,7 +1,8 @@
-"""The package's public surface: the runtime exports the families, the
-pipeline and its checks, while the closed-form references live next to
-their callers (ldqfi.verify for the suites, tests/dense_oracles.py for the
-tests), and ``import ldqfi`` loads the runtime modules alone."""
+"""The package's public surface: the runtime exports the families and the
+pipeline, while the audits of the paper's identities and the closed-form
+references live next to their callers (ldqfi.audits and ldqfi.verify for
+the suites, tests/dense_oracles.py for the tests), and ``import ldqfi``
+loads the runtime modules alone."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import pytest
 
 import dense_oracles
 import ldqfi
-from ldqfi import cli, family, ldops, linalg, qfi, verify, zoo
+from ldqfi import audits, cli, family, ldops, linalg, qfi, verify, zoo
 
 # Names that left the runtime, and where each one lives now (None: deleted,
 # its callers use the code it wrapped).
@@ -57,6 +58,24 @@ MOVED = {
     # expectation(br, rho_eig, model) became expectations(br, rho_eig,
     # models), one call for every model of a point
     "expectation": None,
+    # the audits of the paper's identities, run by the suites alone; the
+    # SpectralBranches methods projection, projections and projection_primes
+    # became functions of the branches
+    "CURVATURE_STEP": audits,
+    "ProjectionAuditReport": audits,
+    "projection": audits,
+    "projections": audits,
+    "projection_primes": audits,
+    "projection_audit": audits,
+    "projection_curvature_residual": audits,
+    "RELENT_EPS": audits,
+    "breve_variance": audits,
+    "_moments": audits,
+    "local_cr_terms": audits,
+    "_log_state": audits,
+    "relative_entropy": audits,
+    "relent_limit": audits,
+    "maximality_check": audits,
 }
 
 
@@ -77,6 +96,24 @@ def test_each_reference_lives_next_to_its_callers() -> None:
     for name, home in MOVED.items():
         if home is not None:
             assert name in vars(home), name
+
+
+def test_only_the_suites_import_the_audits() -> None:
+    # cli is not loaded by ``import ldqfi``, so the module list of the
+    # import test below would not see it import the audits
+    importers = set()
+    for path in Path(audits.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any("audits" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers == {"verify.py"}
 
 
 def test_zoo_binds_nothing_from_the_information_layer() -> None:
@@ -105,9 +142,9 @@ REMOVED_PARAMETERS = {
     ldqfi.spectral_branches: ("cluster_tol", "gap_tol"),
     ldqfi.coherent_family: ("theta_domain",),
     ldqfi.default_two_level_1: ("theta_domain",),
-    ldqfi.relent_limit: ("eps_seq",),
-    ldqfi.maximality_check: ("step",),
-    ldqfi.projection_curvature_residual: ("h",),
+    audits.relent_limit: ("eps_seq",),
+    audits.maximality_check: ("step",),
+    audits.projection_curvature_residual: ("h",),
     ldqfi.random_analytic_family: ("name",),
     ldqfi.ld_operator: ("split",),
 }
@@ -141,7 +178,9 @@ def test_one_pade_degree_and_no_unused_members() -> None:
     assert "_PADE_LOW" not in vars(linalg)
     assert "theta_domain" in {f.name for f in dataclasses.fields(ldqfi.StateFamily)}
     assert not hasattr(ldqfi.StateFamily, "contains")
-    assert not hasattr(ldqfi.SpectralBranches, "projection_prime")
+    # the cluster projections are the audits' functions of the branches
+    for name in ("projection_prime", "projection", "projections", "projection_primes"):
+        assert not hasattr(ldqfi.SpectralBranches, name), name
     assert not hasattr(ldqfi.SpectralBranches, "rho_prime")
     assert not hasattr(ldqfi, "ResourceLimit")
     assert not hasattr(ldqfi.errors, "ResourceLimit")

@@ -17,7 +17,6 @@ from ldqfi import (
     DensityMatrix,
     StateFamily,
     branches_at,
-    breve_variance,
     classical_information,
     compute_report,
     compute_reports,
@@ -26,19 +25,22 @@ from ldqfi import (
     default_two_level_1,
     geometric_family,
     kmb_residual,
-    local_cr_terms,
-    maximality_check,
-    projection_curvature_residual,
     qfi_bvn,
     qfi_value,
     random_analytic_family,
     random_hermitian,
-    relative_entropy,
-    relent_limit,
     second_moment,
     trace_product,
 )
-from ldqfi.errors import DegenerateInformation, InvalidInput
+from ldqfi.audits import (
+    breve_variance,
+    local_cr_terms,
+    maximality_check,
+    projection_curvature_residual,
+    relative_entropy,
+    relent_limit,
+)
+from ldqfi.errors import DegenerateInformation, DomainError, InvalidInput
 from ldqfi.family import eval_rho
 from ldqfi.ldops import expectations
 from ldqfi.verify import _cr_targets
@@ -339,6 +341,21 @@ class TestRelativeEntropy:
         fam = dataclasses.replace(tanh_family, derivative_mode=CentralDifference(step=step))
         with pytest.raises(InvalidInput, match="finite-difference step"):
             maximality_check(fam, 0.3)
+
+    def test_limit_beyond_the_edge_names_the_given_theta(self) -> None:
+        # theta + 0.01 leaves (-1.5, 1.5); the error named that step, not theta
+        fam = default_two_level_1().family()
+        with pytest.raises(DomainError) as info:
+            relent_limit(fam, 1.495)
+        assert info.value.value == 1.495
+        # only theta + eps is evaluated, so the lower edge stays admissible
+        assert math.isfinite(relent_limit(fam, -1.4999))
+
+    def test_maximality_beyond_the_edge_names_the_given_theta(self) -> None:
+        # the stencil point theta + h leaves (-1.5, 1.5); the error named it
+        with pytest.raises(DomainError) as info:
+            maximality_check(default_two_level_1().family(), 1.49999)
+        assert info.value.value == 1.49999
 
 
 class TestReport:

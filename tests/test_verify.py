@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
-import ldqfi.qfi
+import ldqfi.audits
 from ldqfi import verify
 
 
@@ -33,14 +33,14 @@ def test_cr_evaluates_observables_in_chunks(monkeypatch):
     # 4 targets x 4 models x 10 chunks of 10 observables, and the 10
     # efficient directions one at a time: 170 evaluations where one call per
     # observable made 1,610
-    real = ldqfi.qfi.local_cr_terms
+    real = ldqfi.audits.local_cr_terms
     stacks = []
 
     def counted(br, obs, model):
         stacks.append(len(obs))
         return real(br, obs, model)
 
-    monkeypatch.setattr(ldqfi.qfi, "local_cr_terms", counted)
+    monkeypatch.setattr(ldqfi.audits, "local_cr_terms", counted)
     monkeypatch.setattr(verify, "local_cr_terms", counted)
     checks = verify.cr(7)
     assert len(checks) == 26 and all(c.passed for c in checks)

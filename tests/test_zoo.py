@@ -19,7 +19,6 @@ from ldqfi import (
     TwoLevelFamily1,
     TwoLevelFamily2,
     branches_at,
-    breve_variance,
     classical_information,
     coherent_family,
     commuting_part,
@@ -35,6 +34,7 @@ from ldqfi import (
     qfi_bvn,
     qfi_value,
 )
+from ldqfi.audits import breve_variance
 from ldqfi.errors import DomainError, InvalidInput, SingularState, TruncationError
 from ldqfi import zoo
 from ldqfi.linalg import logmean_pairs
