@@ -27,13 +27,10 @@ from .family import (
     Analytic,
     CentralDifference,
     DensityMatrix,
-    NonsmoothProjectionState,
     SpectralBranches,
     StateFamily,
     UnitaryPath,
     branches_at,
-    nonsmooth_projection_state,
-    random_analytic_family,
     spectral_branches,
 )
 from .ldops import (
@@ -60,6 +57,7 @@ from .qfi import (
 from .zoo import (
     FAMILIES,
     CoherentFamily,
+    NonsmoothProjectionState,
     TwoLevelFamily1,
     TwoLevelFamily2,
     coherent_family,
@@ -70,6 +68,8 @@ from .zoo import (
     geometric_family,
     geometric_trunc_dim,
     grid_domain,
+    nonsmooth_projection_state,
+    random_analytic_family,
 )
 
 __version__ = "0.1.0"

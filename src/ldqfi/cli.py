@@ -22,7 +22,7 @@ from . import verify
 from .errors import InvalidInput, QfiError
 from .family import CentralDifference, StateFamily, branches_at
 from .ldops import MODELS, commuting_part, kmb_residual, ld_operator
-from .linalg import trace_product
+from .linalg import _one_blas_thread, trace_product
 from .qfi import compute_report, compute_reports
 from .zoo import FAMILIES, STEP_DOMAIN, grid_domain
 
@@ -158,6 +158,8 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
         if mode != "central":
             raise InvalidInput("[sweep] step only applies with derivative_mode = central")
         STEP_DOMAIN.check("[sweep] step", step)
+        if "step" in params:
+            raise InvalidInput("[family] step and [sweep] step are both set; set one")
 
     for v in grid:
         domain.check(f"{sweep_param} grid value", v)
@@ -182,8 +184,10 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
 
 def _apply_derivative_mode(fam: StateFamily, cfg: SweepConfig) -> StateFamily:
     # "analytic" keeps the family's own derivative; load_sweep_config has
-    # checked that the family has one.
-    if cfg.derivative_mode != "central":
+    # checked that the family has one.  "central" without a [sweep] step
+    # keeps a family's own central difference, with the step it was given.
+    own = isinstance(fam.derivative_mode, CentralDifference) and cfg.step is None
+    if cfg.derivative_mode != "central" or own:
         return fam
     return dataclasses.replace(fam, derivative_mode=CentralDifference(step=cfg.step))
 
@@ -331,15 +335,20 @@ def cmd_ld(args: argparse.Namespace) -> int:
         return 2
 
     fam, theta = FAMILIES[args.family].build({**params, sweep_param: args.theta})
+    # pinned as in compute_reports, so that no byte depends on the BLAS threads
+    return _one_blas_thread(_print_ld, fam, theta, args.family, args.model)
+
+
+def _print_ld(fam: StateFamily, theta: float, name: str, model: str) -> int:
     br = branches_at(fam, theta)
-    if args.family == "counterexample31" and br.n_clusters < fam.dim:
+    if name == "counterexample31" and br.n_clusters < fam.dim:
         print(
             "warning: DegenerateAtZero vicinity: spectral gap below resolution, "
             "projection branches unresolved and merged"
         )
-    h = ld_operator(br, args.model)
+    h = ld_operator(br, model)
     rho = br.rho()
-    print(f"family {args.family} theta {_g17(theta)} model {args.model}")
+    print(f"family {name} theta {_g17(theta)} model {model}")
     print("H (real part):")
     for row in h.real:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))

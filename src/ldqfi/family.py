@@ -2,7 +2,7 @@
 
 A family is a smooth map theta -> rho(theta) of full-rank states on an open
 interval.  This module evaluates states and derivatives and splits rho' into
-eigenvalue and eigenprojection branches.
+eigenvalue and eigenprojection branches; the reference families are ldqfi.zoo's.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .linalg import (
     HermitianTridiagonal,
     _one_blas_thread,
     _real,
-    hermitize,
-    random_hermitian,
     require_hermitian,
 )
 
@@ -173,26 +171,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-T = TypeVar("T")
-
-
-def _last_theta(fn: Callable[[float], T]) -> Callable[[float], T]:
-    """fn keeping its value at the last theta it was called with: a point
-    evaluates rho, then rho' at the same theta, and one family serves a
-    whole sweep, so only the last value is kept."""
-    last: dict[float, T] = {}
-
-    def at(theta: float) -> T:
-        hit = last.get(theta)
-        if hit is None:
-            hit = fn(theta)
-            last.clear()
-            last[theta] = hit
-        return hit
-
-    return at
-
-
 @dataclass(frozen=True)
 class StateFamily:
     """Smooth family of full-rank states over an open parameter interval.
@@ -231,14 +209,6 @@ class StateFamily:
                     f"unitary path with eigenvalues of shape {path.eigenvalues.shape} and "
                     f"rho' of shape {rp_shape} does not have the family's dimension {self.dim}"
                 )
-
-
-def _check_tolerance(x: float, name: str) -> float:
-    """x as a float when it is a finite real number >= 0, else InvalidInput."""
-    value = _real(x, name)
-    if not 0.0 <= value < math.inf:
-        raise InvalidInput(f"{name} must be a finite number >= 0, got {x!r}")
-    return value
 
 
 def _check_step(h: float) -> float:
@@ -289,8 +259,8 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
     """Derivative of the family at theta, per its derivative mode.
 
     The result is Hermitian and traceless within the mode tolerance
-    (1e-12 analytic, 1e-7 numerical) and finite; violations mean the family
-    itself is inconsistent and raise InvalidInput.
+    (1e-12 analytic, 1e-7 numerical) and finite; violations (the family is
+    inconsistent) and a step below theta's resolution raise InvalidInput.
     """
     mode = fam.derivative_mode
     if isinstance(mode, Analytic):
@@ -301,6 +271,8 @@ def eval_rho_prime(fam: StateFamily, theta: float) -> np.ndarray:
         theta = _check_finite(theta)
         h = _check_step(mode.step if mode.step is not None else default_step(theta))
         theta = _check_theta(fam, theta, pad=h)
+        if theta + h == theta or theta - h == theta:
+            raise InvalidInput(f"finite-difference step {h!r} is below the resolution of theta={theta!r}")
         rp = (np.asarray(fam.rho_of(theta + h)) - np.asarray(fam.rho_of(theta - h))) / (2.0 * h)
         tol = TRACE_TOL_NUMERIC
     if rp.shape != (fam.dim, fam.dim):
@@ -536,114 +508,3 @@ def branches_at(fam: StateFamily, theta: float) -> SpectralBranches:
     the eigensolver even when the family has a unitary_path.  The state and
     rho' are each checked once, by eval_rho and eval_rho_prime."""
     return _state_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
-
-
-@dataclass(frozen=True)
-class NonsmoothProjectionState:
-    """State whose eigenvalues are C-infinity flat at 0 while the
-    eigenprojections oscillate without a limit."""
-
-    rho: DensityMatrix
-    p1: np.ndarray
-    p2: np.ndarray
-    degenerate_at_zero: bool
-
-
-def nonsmooth_projection_state(theta: float) -> NonsmoothProjectionState:
-    """Two-level family with smooth spectrum but discontinuous projections.
-
-    lambda_1,2 = (1 ± exp(-1/theta^2))/2 and the eigenbasis rotates by the
-    angle 1/theta.  At theta = 0 every eigenvalue derivative vanishes and
-    rho = I/2, flagged degenerate_at_zero; the projections have no limit as
-    theta -> 0, which is why branch data cannot be assigned there.
-    """
-    theta = _real(theta, "theta")
-    if not (math.isfinite(theta) and abs(theta) <= 1.0):
-        raise DomainError("theta must lie in [-1, 1]", value=theta)
-    eye = np.eye(2)
-    if theta == 0.0:
-        rho = DensityMatrix(0.5 * eye)
-        return NonsmoothProjectionState(
-            rho=rho,
-            p1=np.diag([1.0, 0.0]),
-            p2=np.diag([0.0, 1.0]),
-            degenerate_at_zero=True,
-        )
-    gap = math.exp(-1.0 / theta**2)
-    lam1 = 0.5 * (1.0 + gap)
-    lam2 = 0.5 * (1.0 - gap)
-    c = math.cos(1.0 / theta)
-    s = math.sin(1.0 / theta)
-    p1 = np.array([[c * c, c * s], [c * s, s * s]])
-    p2 = eye - p1
-    rho = DensityMatrix(lam1 * p1 + lam2 * p2)
-    return NonsmoothProjectionState(rho=rho, p1=p1, p2=p2, degenerate_at_zero=theta == 0.0)
-
-
-def random_analytic_family(
-    dim: int,
-    rng: np.random.Generator,
-    commuting: bool = False,
-    min_rel_gap: float = 1e-2,
-) -> StateFamily:
-    """Random analytic full-rank family rho(theta) = exp(G0 + theta G1)/trace.
-
-    rho and rho' come from one eigh of G0 + theta G1 = V diag(h) V^dagger:
-    rho = V diag(p) V^dagger with p = e^h / sum(e^h), and by the
-    Daleckii-Krein formula (Bhatia, Matrix Analysis, Thm V.3.3)
-    rho' = V (Gamma o X - diag(p) sum_i p_i X_ii) V^dagger with X = V^dagger G1 V,
-    Gamma_ij = (p_i - p_j)/(h_i - h_j) and Gamma_ii = p_i; the off-diagonal
-    part does not commute with rho.  Draws are rejected until the spectrum
-    at theta = 0 has relative gaps of at least min_rel_gap (finite, >= 0),
-    keeping branch tracking well conditioned near 0.  With commuting=True
-    the generators share an eigenbasis, so [rho, rho'] = 0 for every theta.
-    """
-    min_rel_gap = _check_tolerance(min_rel_gap, "min_rel_gap")
-    for _ in range(200):
-        g0 = random_hermitian(dim, rng, scale=0.6)
-        if commuting:
-            # same eigenbasis, independent spectrum for the direction
-            _, v = np.linalg.eigh(g0)
-            g1 = (v * rng.standard_normal(dim)) @ v.conj().T
-        else:
-            g1 = random_hermitian(dim, rng, scale=0.6)
-        w = np.linalg.eigh(hermitize(g0))[0]
-        diam = w[-1] - w[0]
-        if diam <= 0 or np.min(np.diff(w)) < min_rel_gap * diam:
-            continue
-
-        # rho and rho' of one point share the decomposition
-        @_last_theta
-        def gibbs(theta: float, g0=g0, g1=g1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return _gibbs(g0 + theta * g1)
-
-        def rho_of(theta: float) -> np.ndarray:
-            v, _, p = gibbs(theta)
-            return (v * p) @ v.conj().T
-
-        def rho_prime_of(theta: float, g1=g1) -> np.ndarray:
-            v, h, p = gibbs(theta)
-            x = v.conj().T @ g1 @ v
-            # Gamma is symmetric; each entry is p_j expm1(h_i - h_j)/(h_i - h_j)
-            # of the pair ordered h_i <= h_j, whose exponent cannot overflow
-            d = -np.abs(h[:, None] - h)
-            ratio = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
-            gamma_x = np.maximum.outer(p, p) * ratio * x - np.diag(p * (p @ x.diagonal().real))
-            return v @ gamma_x @ v.conj().T
-
-        return StateFamily(
-            dim=dim,
-            theta_domain=(-1.0, 1.0),
-            rho_of=rho_of,
-            rho_prime_of=rho_prime_of,
-            name="random",
-        )
-    raise InvalidInput("failed to draw a well-separated random family")
-
-
-def _gibbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvectors, ascending eigenvalues h and weights e^h / sum(e^h) of
-    the Hermitian a, each exponent shifted by max(h) so that none overflows."""
-    h, v = np.linalg.eigh(a)
-    p = np.exp(h - h[-1])
-    return v, h, p / p.sum()

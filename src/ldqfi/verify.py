@@ -1,5 +1,5 @@
 """Verification suites: the paper's identities, reference tables and bounds
-checked on the reference families.
+checked on the reference families of ldqfi.zoo, seeded random ones among them.
 
 Each suite takes a seed (the deterministic suites ignore it) and returns its
 checks, in a fixed order, as Check records.  SUITES maps each suite name to
@@ -29,7 +29,7 @@ from .audits import (
     relent_limit,
 )
 from .errors import InvalidInput, QfiError, SingularState, TruncationError
-from .family import Analytic, StateFamily, branches_at, random_analytic_family
+from .family import Analytic, StateFamily, branches_at
 from .ldops import MODELS, ld_operator
 from .linalg import random_hermitian
 from .qfi import (
@@ -45,6 +45,7 @@ from .zoo import (
     counterexample_family,
     default_two_level_1,
     geometric_family,
+    random_analytic_family,
 )
 
 # cr.bound holds when the slack Var - u^2/QFI is at least -CR_SLACK_TOL.

@@ -7,7 +7,8 @@ truncated geometric family that commutes with its derivative, and a
 displaced thermal family on a truncated number basis whose eigenbasis
 rotates rigidly.  A fifth, pathological two-level family has a smooth
 spectrum but eigenprojections that oscillate without a limit at the
-origin.
+origin (nonsmooth_projection_state gives them), and random_analytic_family
+draws seeded Gibbs families exp(G0 + theta G1)/trace for the suites and tests.
 
 Each family carries the truncation bookkeeping (tail mass, rank floor,
 displacement accuracy) that makes the finite-dimensional surrogates
@@ -26,22 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidInput, SingularState, TruncationError
-from .family import (
-    RANK_TOL,
-    CentralDifference,
-    StateFamily,
-    UnitaryPath,
-    _check_finite,
-    _last_theta,
-    nonsmooth_projection_state,
+from .family import RANK_TOL, CentralDifference, DensityMatrix, StateFamily, UnitaryPath, _check_finite
+from .linalg import (
+    HermitianTridiagonal, TridiagonalExponential, _positive_int, _real, hermitize, random_hermitian
 )
-from .linalg import HermitianTridiagonal, TridiagonalExponential, _positive_int, _real
 
 # Geometric truncation: discarded tail target at the slow edge of the
 # parameter window, clamped so the smallest kept eigenvalue clears the
@@ -202,7 +197,8 @@ def geometric_trunc_dim(theta_lo: float, theta_hi: float) -> int:
     if not (0.0 < lo <= hi < math.inf):
         raise DomainError("parameter window must be positive", value=theta_lo)
     n_tail = math.ceil(math.log(1.0 / GEOMETRIC_TAIL) / lo)
-    n_rank = math.floor(math.log(math.expm1(hi) / (1.5 * RANK_TOL)) / hi)
+    # log(expm1(hi)) as hi + log(-expm1(-hi)), which cannot overflow
+    n_rank = math.floor((hi + math.log(-math.expm1(-hi)) - math.log(1.5 * RANK_TOL)) / hi)
     return max(2, min(n_tail, n_rank))
 
 
@@ -453,9 +449,7 @@ class CoherentFamily:
         return w @ self.rho0() @ w.T
 
     def family(self) -> StateFamily:
-        gen = self.generator()
-
-        @_last_theta
+        @lru_cache(maxsize=1)
         def rho_of(theta: float) -> np.ndarray:
             # rho_prime_of reads the state that eval_rho has just formed.
             # Read-only, since callers share it.
@@ -464,6 +458,8 @@ class CoherentFamily:
             return rho
 
         def rho_prime_of(theta: float) -> np.ndarray:
+            # the dense generator, formed on the first eigensolver point
+            gen = self.generator()
             rho = rho_of(theta)
             return gen @ rho - rho @ gen
 
@@ -581,6 +577,51 @@ def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> Coh
 # projection-oscillation counterexample
 
 
+@dataclass(frozen=True)
+class NonsmoothProjectionState:
+    """State whose eigenvalues are C-infinity flat at 0 while the
+    eigenprojections oscillate without a limit."""
+
+    rho: DensityMatrix
+    p1: np.ndarray
+    p2: np.ndarray
+    degenerate_at_zero: bool
+
+
+def nonsmooth_projection_state(theta: float) -> NonsmoothProjectionState:
+    """Two-level family with smooth spectrum but discontinuous projections.
+
+    lambda_1,2 = (1 ± exp(-1/theta^2))/2 and the eigenbasis rotates by the
+    angle 1/theta.  At theta = 0 every eigenvalue derivative vanishes and
+    rho = I/2, flagged degenerate_at_zero; the projections have no limit as
+    theta -> 0, which is why branch data cannot be assigned there.  A theta
+    outside [-1, 1], or so close to 0 that 1/theta overflows, raises
+    DomainError.
+    """
+    rho, p1 = _oscillating_state(theta)
+    return NonsmoothProjectionState(DensityMatrix(rho), p1, np.eye(2) - p1, bool(theta == 0.0))
+
+
+def _oscillating_state(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho and the projection P1 of nonsmooth_projection_state, unchecked
+    as a density matrix, for the counterexample family to evaluate."""
+    theta = _real(theta, "theta")
+    if not (math.isfinite(theta) and abs(theta) <= 1.0):
+        raise DomainError("theta must lie in [-1, 1]", value=theta)
+    if theta == 0.0:
+        return 0.5 * np.eye(2), np.diag([1.0, 0.0])
+    angle = 1.0 / theta
+    if math.isinf(angle):
+        raise DomainError(f"theta={theta!r} lies so close to 0 that the angle 1/theta overflows", value=theta)
+    # exp(-1/theta^2) is 0 long before theta^2 underflows to 0
+    gap = math.exp(-1.0 / theta**2) if theta**2 else 0.0
+    c = math.cos(angle)
+    s = math.sin(angle)
+    p1 = np.array([[c * c, c * s], [c * s, s * s]])
+    # the eigenvalues (1 +- gap)/2 on P1 and I - P1
+    return 0.5 * (1.0 + gap) * p1 + 0.5 * (1.0 - gap) * (np.eye(2) - p1), p1
+
+
 def counterexample_family(step: float | None = None) -> StateFamily:
     """Two-level family with smooth eigenvalues but eigenprojections that
     oscillate without a limit at theta = 0.
@@ -589,7 +630,7 @@ def counterexample_family(step: float | None = None) -> StateFamily:
     to symmetric differences of the state itself.
     """
     def rho_of(theta: float) -> np.ndarray:
-        return nonsmooth_projection_state(theta).rho.matrix
+        return _oscillating_state(theta)[0]
 
     return StateFamily(
         dim=2,
@@ -598,6 +639,79 @@ def counterexample_family(step: float | None = None) -> StateFamily:
         derivative_mode=CentralDifference(step=step),
         name="counterexample31",
     )
+
+
+# ---------------------------------------------------------------------------
+# random analytic families
+
+
+def random_analytic_family(
+    dim: int,
+    rng: np.random.Generator,
+    commuting: bool = False,
+    min_rel_gap: float = 1e-2,
+) -> StateFamily:
+    """Random analytic full-rank family rho(theta) = exp(G0 + theta G1)/trace.
+
+    rho and rho' come from one eigh of G0 + theta G1 = V diag(h) V^dagger:
+    rho = V diag(p) V^dagger with p = e^h / sum(e^h), and by the
+    Daleckii-Krein formula (Bhatia, Matrix Analysis, Thm V.3.3)
+    rho' = V (Gamma o X - diag(p) sum_i p_i X_ii) V^dagger with X = V^dagger G1 V,
+    Gamma_ij = (p_i - p_j)/(h_i - h_j) and Gamma_ii = p_i; the off-diagonal
+    part does not commute with rho.  Draws are rejected until the spectrum
+    at theta = 0 has relative gaps of at least min_rel_gap (finite, >= 0),
+    keeping branch tracking well conditioned near 0.  With commuting=True
+    the generators share an eigenbasis, so [rho, rho'] = 0 for every theta.
+    """
+    _NON_NEGATIVE.check("min_rel_gap", min_rel_gap)
+    for _ in range(200):
+        g0 = random_hermitian(dim, rng, scale=0.6)
+        if commuting:
+            # same eigenbasis, independent spectrum for the direction
+            _, v = np.linalg.eigh(g0)
+            g1 = (v * rng.standard_normal(dim)) @ v.conj().T
+        else:
+            g1 = random_hermitian(dim, rng, scale=0.6)
+        w = np.linalg.eigh(hermitize(g0))[0]
+        diam = w[-1] - w[0]
+        if diam <= 0 or np.min(np.diff(w)) < min_rel_gap * diam:
+            continue
+
+        # rho and rho' of one point share the decomposition
+        @lru_cache(maxsize=1)
+        def gibbs(theta: float, g0=g0, g1=g1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            return _gibbs(g0 + theta * g1)
+
+        def rho_of(theta: float) -> np.ndarray:
+            v, _, p = gibbs(theta)
+            return (v * p) @ v.conj().T
+
+        def rho_prime_of(theta: float, g1=g1) -> np.ndarray:
+            v, h, p = gibbs(theta)
+            x = v.conj().T @ g1 @ v
+            # Gamma is symmetric; each entry is p_j expm1(h_i - h_j)/(h_i - h_j)
+            # of the pair ordered h_i <= h_j, whose exponent cannot overflow
+            d = -np.abs(h[:, None] - h)
+            ratio = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
+            gamma_x = np.maximum.outer(p, p) * ratio * x - np.diag(p * (p @ x.diagonal().real))
+            return v @ gamma_x @ v.conj().T
+
+        return StateFamily(
+            dim=dim,
+            theta_domain=(-1.0, 1.0),
+            rho_of=rho_of,
+            rho_prime_of=rho_prime_of,
+            name="random",
+        )
+    raise InvalidInput("failed to draw a well-separated random family")
+
+
+def _gibbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvectors, ascending eigenvalues h and weights e^h / sum(e^h) of
+    the Hermitian a, each exponent shifted by max(h) so that none overflows."""
+    h, v = np.linalg.eigh(a)
+    p = np.exp(h - h[-1])
+    return v, h, p / p.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +771,7 @@ class FamilySpec:
 _TWO_LEVEL_THETA = Interval(*TWO_LEVEL_DOMAIN)
 _RADIUS = Interval(0.0, 1.0, closed_lo=True)
 _TRUNC_DIM = Interval(2.0, math.inf, closed_lo=True, integer=True)
+_NON_NEGATIVE = Interval(0.0, math.inf, closed_lo=True)
 
 # Admissible finite-difference steps, for counterexample31's step and a
 # sweep's central-difference step alike.

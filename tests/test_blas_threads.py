@@ -1,5 +1,6 @@
 """Output bytes do not depend on the BLAS thread count: the state's
-eigensolve and the KMB trace-norm SVD run on one OpenBLAS thread."""
+eigensolve and the KMB trace-norm SVD run on one OpenBLAS thread, and so
+does the whole of a ``qfi ld`` report."""
 
 from __future__ import annotations
 
@@ -47,13 +48,25 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def _run(threads: str, configs: list[Path]) -> str:
+LD_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from ldqfi import cli
+
+    for model in ("bvn", "sld"):
+        sys.stdout.flush()
+        cli.main(["ld", "--family", "coherent", "--theta", "0.1", "--model", model, "--param", "M=10"])
+    """
+)
+
+
+def _run(threads: str, args: list, script: str = SCRIPT) -> str:
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *map(str, configs)],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return done.stdout
@@ -76,6 +89,17 @@ def test_outputs_are_identical_for_one_and_two_blas_threads(tmp_path) -> None:
     one = _run("1", configs)
     assert one.count("\n") == 3 + 3 * 6
     assert _run("2", configs) == one
+
+
+def test_ld_report_is_identical_for_one_and_two_blas_threads() -> None:
+    # at M = 10 (N = 241) the eigensolve, the KMB residual and the split
+    # norms of an unpinned report printed different bytes at two threads
+    one = _run("1", [], LD_SCRIPT).splitlines()
+    assert one.count("family coherent theta 0.10000000000000001 model bvn") == 1
+    two = _run("2", [], LD_SCRIPT).splitlines()
+    # the line numbers that differ: a diff of the two outputs (2 MB each)
+    # would take pytest minutes to print
+    assert (len(two), [i for i, (a, b) in enumerate(zip(one, two)) if a != b]) == (len(one), [])
 
 
 def test_pinning_restores_the_thread_count() -> None:

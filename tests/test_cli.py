@@ -291,6 +291,24 @@ class TestConfigErrors:
         assert code == 2
         assert "config error" in err and "outside the admissible" in err
 
+    def test_family_step_and_sweep_step_together(self, tmp_path, capsys):
+        # the [sweep] step would silently replace the family's own
+        cfg = write_cfg(
+            tmp_path,
+            """\
+            [family]
+            name = counterexample31
+            step = 0.001
+            [sweep]
+            grid = 0.4
+            derivative_mode = central
+            step = 0.002
+            """,
+        )
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "config error: [family] step and [sweep] step are both set; set one\n"
+
     def test_fixed_parameter_that_is_also_swept(self, tmp_path, capsys):
         # r is the default sweep coordinate of two_level_2; fixing it as
         # well would be overwritten by every grid value
@@ -418,6 +436,34 @@ class TestRuntimeErrors:
             "leaves no bulk to validate at amplitude 0.2; enlarge trunc_dim\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "family, sweep",
+        [
+            ("name = two_level_1", "grid = 0.3\nderivative_mode = central\nstep = 1e-17"),
+            ("name = counterexample31\nstep = 1e-300", "grid = 0.4 0.5"),
+        ],
+        ids=["sweep_step", "family_step"],
+    )
+    def test_step_below_the_resolution_of_theta(self, tmp_path, capsys, family, sweep):
+        # theta + h == theta - h == theta gave a silent row of zeros
+        cfg = write_cfg(tmp_path, f"[family]\n{family}\n[sweep]\n{sweep}\n")
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 3 and out == ""
+        theta = "0.29999999999999999" if "0.3" in sweep else "0.40000000000000002"
+        assert err.startswith(f"runtime error at theta={theta}: InvalidInput: finite-difference step ")
+        assert "below the resolution of theta" in err
+
+    @pytest.mark.parametrize("theta", ["684", "700", "1e300"])
+    def test_far_geometric_window_is_singular(self, tmp_path, capsys, theta):
+        # the truncation's log(expm1(hi)) overflowed: a bare OverflowError
+        cfg = write_cfg(tmp_path, f"[family]\nname = geometric\n[sweep]\ngrid = {theta}\n")
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"runtime error at theta={float(theta):.17g}: SingularState: ")
+        code, out, err = run_cli(["ld", "--family", "geometric", "--theta", theta, "--model", "sld"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("runtime error: smallest eigenvalue ")
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +650,25 @@ class TestSweepOutput:
         for row, r in zip(rows, (0.0, 0.5, 0.9)):
             rep = compute_report(TwoLevelFamily2(r=r).family(), 0.4)
             assert (row["qfi_sld"], row["kmb_residual"]) == (rep.qfi["sld"], rep.kmb_residual)
+
+    def test_central_mode_keeps_the_family_step(self, tmp_path, capsys):
+        # derivative_mode = central replaced counterexample31's step by the
+        # default one
+        body = "[family]\nname = counterexample31\nstep = 0.001\n[sweep]\ngrid = 0.4\n"
+        _, out_own, _ = run_cli(["sweep", "--config", write_cfg(tmp_path, body, "own.ini")], capsys)
+        central = write_cfg(tmp_path, body + "derivative_mode = central\n", "central.ini")
+        code, out_central, _ = run_cli(["sweep", "--config", central], capsys)
+        assert code == 0 and out_central == out_own
+        assert out_own.splitlines()[1].startswith("0.40000000000000002,0.0042218767770107329,")
+
+    def test_counterexample_rows_where_theta_squared_underflows(self, tmp_path, capsys):
+        # 1/theta**2 divided by an underflowed zero: a bare ZeroDivisionError
+        cfg = write_cfg(tmp_path, "[family]\nname = counterexample31\n[sweep]\ngrid = 1e-300 -1e-300 1e-150\n")
+        code, out, _ = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [r.split(",", 1)[0] for r in rows] == ["1e-300", "-1e-300", "1e-150"]
+        assert {r.split(",", 1)[1] for r in rows} == {",".join(["0"] * (len(COLUMNS) - 1))}
 
     def test_central_differences_match_analytic(self, tmp_path, capsys):
         cfg_a = write_cfg(

@@ -1,5 +1,5 @@
-"""The package's public surface: the runtime exports the families and the
-pipeline, while the audits of the paper's identities and the closed-form
+"""The package's public surface: the runtime exports the families (all of
+them ldqfi.zoo's) and the pipeline, while the audits of the paper's identities and the closed-form
 references live next to their callers (ldqfi.audits and ldqfi.verify for
 the suites, tests/dense_oracles.py for the tests), and ``import ldqfi``
 loads the runtime modules alone."""
@@ -114,6 +114,42 @@ def test_only_the_suites_import_the_audits() -> None:
             if any("audits" in name.split(".") for name in names):
                 importers.add(path.name)
     assert importers == {"verify.py"}
+
+
+# The reference families that left family for zoo, and the helpers that
+# went with them: family keeps the pipeline.
+FAMILIES_IN_ZOO = ("random_analytic_family", "_gibbs", "NonsmoothProjectionState", "nonsmooth_projection_state")
+
+
+def _bound_names(path: Path) -> set[str]:
+    """Every name a module binds anywhere: defined, assigned or imported."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_the_reference_families_live_in_zoo() -> None:
+    left = {*FAMILIES_IN_ZOO, "_last_theta", "_check_tolerance", "random_hermitian", "hermitize"}
+    assert sorted(left & set(vars(family))) == []
+    assert sorted(left & _bound_names(Path(family.__file__))) == []
+    assert all(name in vars(zoo) for name in FAMILIES_IN_ZOO)
+    # the last-theta memo is functools.lru_cache
+    modules = sorted(Path(family.__file__).parent.glob("*.py"))
+    assert [p.name for p in modules if "_last_theta" in _bound_names(p)] == []
+    private = [
+        a.name
+        for node in ast.walk(ast.parse(inspect.getsource(zoo)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("family", "ldqfi.family")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == ["_check_finite"]
 
 
 def test_zoo_binds_nothing_from_the_information_layer() -> None:

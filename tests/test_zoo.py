@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,14 @@ class TestGeometric:
         with pytest.raises(DomainError):
             geometric_family(0.01)  # at or below the half width
 
+    @pytest.mark.parametrize("center", [684.0, 700.0, 1e300])
+    def test_far_window_is_singular_not_an_overflow(self, center: float) -> None:
+        # log(expm1(hi)) overflowed from hi of about 684 on, a bare
+        # OverflowError where a window just below raises SingularState
+        assert geometric_trunc_dim(center - 0.015, center + 0.015) == 2
+        with pytest.raises(SingularState, match="rank floor"):
+            geometric_family(center)
+
     def test_theta_independent_value_inside_window(self, geometric_ln2) -> None:
         theta = math.log(2.0)
         a = qfi_bvn(branches_at(geometric_ln2, theta - 0.01))
@@ -356,6 +365,18 @@ class TestDisplacementOperator:
         assert fam.generator() is gen and not gen.flags.writeable
         ad = np.diag(np.sqrt(np.arange(1.0, 12)), -1)
         np.testing.assert_array_equal(gen, ad - ad.T)
+
+    def test_family_forms_no_dense_generator(self) -> None:
+        # only the eigensolver route's rho' reads the generator, which at
+        # M = 100 (N = 2082) takes 35 MB
+        tracemalloc.start()
+        try:
+            fam = coherent_family(100.0).family()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.dim == 2082
+        assert peak < 1e6
 
 
 def _stepwise_closed_form(theta: float, dim: int) -> np.ndarray:
@@ -581,6 +602,24 @@ class TestCounterexampleFamily:
         from ldqfi.family import CentralDifference
 
         assert isinstance(fam.derivative_mode, CentralDifference)
+
+    @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-162])
+    def test_underflowing_square_is_the_merged_state(self, theta: float) -> None:
+        # 1/theta**2 divided by an underflowed zero: a bare ZeroDivisionError
+        st = nonsmooth_projection_state(theta)
+        np.testing.assert_allclose(st.rho.eigenvalues, [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(st.p1 + st.p2, np.eye(2), rtol=0, atol=1e-15)
+        assert not st.degenerate_at_zero
+        rep = compute_report(counterexample_family(), theta)
+        assert dataclasses.replace(rep, theta=1e-150) == compute_report(counterexample_family(), 1e-150)
+        assert max(rep.qfi.values()) == 0.0
+
+    @pytest.mark.parametrize("theta", [5e-324, -1e-310])
+    def test_overflowing_angle_is_a_domain_error(self, theta: float) -> None:
+        for evaluate in (nonsmooth_projection_state, counterexample_family().rho_of):
+            with pytest.raises(DomainError, match="overflows") as caught:
+                evaluate(theta)
+            assert caught.value.value == theta
 
 
 # ---------------------------------------------------------------------------
