@@ -46,10 +46,12 @@ from .linalg import (
     trace_product,
 )
 from .qfi import (
+    LdReport,
     QfiReport,
     classical_information,
     compute_report,
     compute_reports,
+    ld_report,
     qfi_bvn,
     qfi_value,
     second_moment,

@@ -18,12 +18,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import verify
 from .errors import InvalidInput, QfiError
-from .family import CentralDifference, StateFamily, branches_at
-from .ldops import MODELS, commuting_part, kmb_residual, ld_operator
-from .linalg import _one_blas_thread, trace_product
-from .qfi import compute_report, compute_reports
+from .family import CentralDifference, StateFamily
+from .ldops import MODELS
+from .qfi import compute_report, compute_reports, ld_report
 from .zoo import FAMILIES, STEP_DOMAIN, grid_domain
 
 COLUMNS = (
@@ -41,7 +39,8 @@ COLUMNS = (
     "max_zero_expectation",
 )
 
-SUITES = ("all", *verify.SUITES)
+# "all" and the names of ldqfi.verify.SUITES, which only cmd_verify imports
+SUITES = ("all", "lemma33", "kmb", "tables", "coherent", "cr", "entropy")
 
 _SWEEP_KEYS = {
     "start", "stop", "count", "grid", "models", "sweep_param",
@@ -283,6 +282,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     passed = 0
     failed = 0
@@ -324,42 +325,28 @@ def _parse_param(token: str) -> tuple[str, float]:
 
 
 def cmd_ld(args: argparse.Namespace) -> int:
-    try:
-        params = dict(_parse_param(t) for t in args.param)
-        if args.model not in MODELS:
-            raise InvalidInput(f"unknown model {args.model!r}; expected one of {MODELS}")
-        sweep_param, domain = grid_domain(args.family, params, "theta")
-        domain.check("theta", args.theta)
-    except InvalidInput as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
+    params = dict(_parse_param(t) for t in args.param)
+    if args.model not in MODELS:
+        raise InvalidInput(f"unknown model {args.model!r}; expected one of {MODELS}")
+    sweep_param, domain = grid_domain(args.family, params, "theta")
+    domain.check("theta", args.theta)
     fam, theta = FAMILIES[args.family].build({**params, sweep_param: args.theta})
-    # pinned as in compute_reports, so that no byte depends on the BLAS threads
-    return _one_blas_thread(_print_ld, fam, theta, args.family, args.model)
-
-
-def _print_ld(fam: StateFamily, theta: float, name: str, model: str) -> int:
-    br = branches_at(fam, theta)
-    if name == "counterexample31" and br.n_clusters < fam.dim:
+    rep = ld_report(fam, theta, args.model)
+    if rep.merged:
         print(
             "warning: DegenerateAtZero vicinity: spectral gap below resolution, "
             "projection branches unresolved and merged"
         )
-    h = ld_operator(br, model)
-    rho = br.rho()
-    print(f"family {name} theta {_g17(theta)} model {model}")
+    print(f"family {args.family} theta {_g17(theta)} model {args.model}")
     print("H (real part):")
-    for row in h.real:
+    for row in rep.operator.real:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))
     print("H (imag part):")
-    for row in h.imag:
+    for row in rep.operator.imag:
         print("  " + "  ".join(f"{v:18.12f}" for v in row))
-    print(f"Tr(rho H) = {_g17(trace_product(rho, h))}")
-    print(f"KMB residual = {_g17(kmb_residual(br, h))}")
-    h1 = commuting_part(br)
-    h1_norm, h2_norm = float(np.linalg.norm(h1)), float(np.linalg.norm(h - h1))
-    print(f"||H1||_F = {_g17(h1_norm)}  ||H2||_F = {_g17(h2_norm)}")
+    print(f"Tr(rho H) = {_g17(rep.mean)}")
+    print(f"KMB residual = {_g17(rep.kmb_residual)}")
+    print(f"||H1||_F = {_g17(rep.h1_norm)}  ||H2||_F = {_g17(rep.h2_norm)}")
     return 0
 
 

@@ -20,24 +20,11 @@ import numpy as np
 
 from .errors import InvalidInput
 from .family import (
-    Analytic,
-    SpectralBranches,
-    StateFamily,
-    _check_theta,
-    _state_branches,
-    eval_rho,
-    eval_rho_prime,
+    Analytic, SpectralBranches, StateFamily, UnitaryPath, _check_theta, _state_branches, branches_at,
+    eval_rho, eval_rho_prime,
 )
-from .ldops import (
-    MODELS,
-    expectations,
-    kernel_entries,
-    kernel_table,
-)
-from .linalg import (
-    _one_blas_thread,
-    trace_norms,
-)
+from .ldops import MODELS, commuting_part, expectations, kernel_entries, kernel_table, kmb_residual, ld_operator
+from .linalg import _one_blas_thread, trace_norms, trace_product
 
 
 def qfi_bvn(br: SpectralBranches) -> float:
@@ -158,9 +145,16 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
 _BLOCK_BYTES = 1 << 20
 
 
+def _path_of(fam: StateFamily) -> UnitaryPath | None:
+    """The unitary path a family's points are taken from: its own, when its
+    derivative mode is Analytic.  None sends each point through its state,
+    rho' and one eigensolve."""
+    return fam.unitary_path if isinstance(fam.derivative_mode, Analytic) else None
+
+
 def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[QfiReport]:
-    path = fam.unitary_path
-    if path is None or not isinstance(fam.derivative_mode, Analytic):
+    path = _path_of(fam)
+    if path is None:
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
     size = max(1, _BLOCK_BYTES // (16 * path.eigenvalues.size**2))
     reports = []
@@ -253,3 +247,43 @@ def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> Qf
     values = _values(br, models)
     [diagnostics] = _diagnostics(br, [br.basis], lambda v, gram: v.conj().T @ rho.matrix @ v, models)
     return _report(theta, values, *diagnostics)
+
+
+@dataclass(frozen=True)
+class LdReport:
+    """One model's LD operator H at a family point, with its diagnostics:
+    mean is Tr(rho H), kmb_residual the trace-norm defect of H in the KMB
+    equation (ldops.kmb_residual), h1_norm and h2_norm the Frobenius norms
+    of its commuting part H1 and of the remainder H2, and merged whether
+    the point's eigenvalues fell into fewer clusters than the dimension."""
+
+    operator: np.ndarray
+    mean: float
+    kmb_residual: float
+    h1_norm: float
+    h2_norm: float
+    merged: bool
+
+
+def ld_report(fam: StateFamily, theta: float, model: str) -> LdReport:
+    """The model's LD operator at theta and its diagnostics, from the
+    branches compute_reports takes for the point: the family's unitary path
+    when it has one and an Analytic derivative, else one eigensolve.  Runs
+    with numpy's OpenBLAS pinned to one thread, as compute_reports does.
+    An unknown model raises InvalidInput (from ldops.kernel_pairs)."""
+    return _one_blas_thread(_ld_report, fam, theta, model)
+
+
+def _ld_report(fam: StateFamily, theta: float, model: str) -> LdReport:
+    path = _path_of(fam)
+    br = branches_at(fam, theta) if path is None else path.branches(_check_theta(fam, theta))
+    h = ld_operator(br, model)
+    h1 = commuting_part(br)
+    return LdReport(
+        operator=h,
+        mean=trace_product(br.rho(), h),
+        kmb_residual=kmb_residual(br, h),
+        h1_norm=float(np.linalg.norm(h1)),
+        h2_norm=float(np.linalg.norm(h - h1)),
+        merged=br.n_clusters < br.dim,
+    )

@@ -226,9 +226,13 @@ def geometric_family(theta_center: float, trunc_dim: int | None = None) -> State
     n = geometric_trunc_dim(lo, hi) if trunc_dim is None else int(trunc_dim)
     lam_min_edge = math.exp(-(n - 1) * hi) * math.expm1(-hi) / math.expm1(-n * hi)
     if lam_min_edge <= RANK_TOL:
+        # at the floor of two levels the edge clears while 1 / (1 + e^hi) > RANK_TOL
+        top = math.log((1.0 - RANK_TOL) / RANK_TOL) - GEOMETRIC_HALF_WIDTH
+        advice = (f"the largest centre a two-level window clears is {top:.6g}" if n == 2
+                  else "reduce trunc_dim or the window")
         raise SingularState(
             f"smallest eigenvalue {lam_min_edge:.3e} at the window edge sits at or below the "
-            f"rank floor {RANK_TOL:g}; reduce trunc_dim or the window"
+            f"rank floor {RANK_TOL:g}; {advice}"
         )
     levels = np.arange(n)
 

@@ -22,7 +22,12 @@ from ldqfi import (
     coherent_family,
     compute_report,
     compute_reports,
+    branches_at,
+    cli,
+    commuting_part,
     kernel_matrix,
+    ld_operator,
+    ld_report,
     qfi_value,
 )
 from ldqfi.errors import DegenerateCrossing, DomainError, InvalidInput, TruncationError
@@ -382,6 +387,30 @@ def test_coherent_point_runs_no_eigh_and_one_displacement(monkeypatch) -> None:
         "TridiagonalExponential": 1,
         "expectations": 5,
     }
+
+
+def test_coherent_ld_report_runs_no_eigh_and_one_displacement(monkeypatch, capsys) -> None:
+    # qfi ld takes a coherent point from the unitary path, as the sweep
+    # does: its commuting part H1 is then exactly zero
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, np.linalg, "eigh", counts)
+    _counting(monkeypatch, CoherentFamily, "checked_displacement", counts)
+    code = cli.main(["ld", "--family", "coherent", "--theta", "0.1", "--model", "bvn", "--param", "M=2"])
+    out = capsys.readouterr().out.splitlines()
+    assert (code, counts) == (0, {"eigh": 0, "checked_displacement": 1})
+    assert out[-1].startswith("||H1||_F = 0  ||H2||_F = ")
+
+
+@pytest.mark.parametrize("m", [2.0, 10.0])
+@pytest.mark.parametrize("model", MODELS)
+def test_ld_report_matches_the_eigensolver(m: float, model: str) -> None:
+    fam = coherent_family(m).family()
+    rep = ld_report(fam, 0.1, model)
+    br = branches_at(fam, 0.1)
+    h = ld_operator(br, model)
+    assert rep.h1_norm == 0.0 and not rep.merged
+    assert rep.h2_norm == pytest.approx(float(np.linalg.norm(h - commuting_part(br))), rel=1e-10)
+    np.testing.assert_allclose(rep.operator, h, rtol=0, atol=1e-6)
 
 
 def test_hook_point_takes_the_mean_over_the_band(monkeypatch) -> None:

@@ -466,6 +466,31 @@ class TestRuntimeErrors:
         assert err.startswith("runtime error: smallest eigenvalue ")
 
 
+    def test_two_level_geometric_window_names_the_largest_centre(self, tmp_path, capsys):
+        # trunc_dim is at its floor of 2 and the window's width is fixed, so
+        # "reduce trunc_dim or the window" could not be followed
+        cfg = write_cfg(tmp_path, "[family]\nname = geometric\n[sweep]\ngrid = 28\n")
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 3 and out == ""
+        assert err == (
+            "runtime error at theta=28: SingularState: smallest eigenvalue 6.811e-13 at the window "
+            "edge sits at or below the rank floor 1e-12; the largest centre a two-level window "
+            "clears is 27.616\n"
+        )
+        cfg = write_cfg(tmp_path, "[family]\nname = geometric\n[sweep]\ngrid = 27.616\n")
+        code, out, _ = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 0 and len(parse_csv(out)) == 1
+
+    def test_wide_geometric_window_advises_fewer_levels(self, tmp_path, capsys):
+        body = "[family]\nname = geometric\ntrunc_dim = {}\n[sweep]\ngrid = 20\n"
+        code, out, err = run_cli(["sweep", "--config", write_cfg(tmp_path, body.format(5))], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("runtime error at theta=20: SingularState: smallest eigenvalue ")
+        assert err.endswith("at or below the rank floor 1e-12; reduce trunc_dim or the window\n")
+        # the advice can be followed
+        code, out, _ = run_cli(["sweep", "--config", write_cfg(tmp_path, body.format(2))], capsys)
+        assert code == 0 and len(parse_csv(out)) == 1
+
 # ---------------------------------------------------------------------------
 # sweep output: documented examples, formats, equality
 

@@ -162,14 +162,45 @@ def test_zoo_binds_nothing_from_the_information_layer() -> None:
     assert homes.isdisjoint({"ldqfi.qfi", "ldqfi.ldops"})
 
 
-def test_import_loads_only_the_runtime_modules() -> None:
+RUNTIME = ("errors", "family", "ldops", "linalg", "qfi", "zoo")
+
+
+def _loaded_by(module: str) -> list[str]:
+    """The ldqfi modules a fresh interpreter has loaded after importing module."""
     src = str(Path(ldqfi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import json, sys, ldqfi; print(json.dumps(sorted(m for m in sys.modules if 'ldqfi' in m)))"
+    code = f"import json, sys, {module}; print(json.dumps(sorted(m for m in sys.modules if 'ldqfi' in m)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    runtime = ("errors", "family", "ldops", "linalg", "qfi", "zoo")
-    assert json.loads(out.stdout) == ["ldqfi"] + [f"ldqfi.{m}" for m in runtime]
+    return json.loads(out.stdout)
+
+
+def test_import_loads_only_the_runtime_modules() -> None:
+    assert _loaded_by("ldqfi") == ["ldqfi"] + [f"ldqfi.{m}" for m in RUNTIME]
+
+
+# The point's route and BLAS pin of ``qfi ld``, which qfi.ld_report owns:
+# cli parses and prints.
+LD_ROUTE = ("branches_at", "_one_blas_thread", "ld_operator", "kmb_residual", "commuting_part", "trace_product")
+
+
+def test_cli_parses_and_prints_only() -> None:
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert sorted(set(LD_ROUTE) & _bound_names(Path(cli.__file__))) == []
+    # verify is imported by cmd_verify alone, and names the same suites
+    importers = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and "verify" in [a.name for a in node.names]
+    ]
+    top = [a.name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+    assert (importers, "verify" in top) == (["cmd_verify"], False)
+    assert cli.SUITES[1:] == tuple(verify.SUITES)
+
+
+def test_cli_import_loads_no_verification_code() -> None:
+    # neither ldqfi.verify nor ldqfi.audits
+    assert _loaded_by("ldqfi.cli") == ["ldqfi"] + [f"ldqfi.{m}" for m in sorted(("cli", *RUNTIME))]
 
 
 # Keywords and fields that no runtime caller set, each replaced by the one

@@ -25,6 +25,7 @@ from ldqfi import (
     default_two_level_1,
     geometric_family,
     kmb_residual,
+    ld_report,
     qfi_bvn,
     qfi_value,
     random_analytic_family,
@@ -413,6 +414,39 @@ class TestReport:
         # each raised a bare TypeError or ValueError
         with pytest.raises(InvalidInput):
             call(tanh_family)
+
+
+class TestLdReport:
+    @staticmethod
+    def _diagonal(split: float) -> StateFamily:
+        # diag(p - split, p + split, 1 - 2p) with p = 0.25 + 0.1 theta: at
+        # split 0 an exact doublet that rho' does not couple
+        def rho_of(t):
+            p = 0.25 + 0.1 * t
+            return np.diag([p - split, p + split, 1.0 - 2.0 * p])
+
+        return StateFamily(dim=3, theta_domain=(-1.0, 1.0), rho_of=rho_of,
+                           rho_prime_of=lambda t: np.diag([0.1, 0.1, -0.2]))
+
+    @pytest.mark.parametrize("split, merged", [(0.0, True), (0.05, False)])
+    def test_merged_counts_the_point_clusters(self, split, merged) -> None:
+        rep = ld_report(self._diagonal(split), 0.2, "bvn")
+        assert rep.merged is merged
+        # a commuting family: H is its commuting part, and H2 vanishes
+        assert rep.h2_norm <= 1e-15 and rep.h1_norm > 0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_eigensolver_point_is_the_oracle(self, tanh_family, model) -> None:
+        rep = ld_report(tanh_family, 0.3, model)
+        br = branches_at(tanh_family, 0.3)
+        h = ld_operator(br, model)
+        np.testing.assert_array_equal(rep.operator, h)
+        assert rep.mean == trace_product(br.rho(), h)
+        assert rep.kmb_residual == kmb_residual(br, h)
+
+    def test_rejects_unknown_model(self, tanh_family) -> None:
+        with pytest.raises(InvalidInput, match="unknown model"):
+            ld_report(tanh_family, 0.3, "rld")
 
 
 class TestOperandShapes:
