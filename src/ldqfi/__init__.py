@@ -37,7 +37,6 @@ from .ldops import (
     MODELS,
     commuting_part,
     kernel_matrix,
-    kmb_residual,
     ld_operator,
 )
 from .linalg import (

@@ -334,8 +334,8 @@ def cmd_ld(args: argparse.Namespace) -> int:
     rep = ld_report(fam, theta, args.model)
     if rep.merged:
         print(
-            "warning: DegenerateAtZero vicinity: spectral gap below resolution, "
-            "projection branches unresolved and merged"
+            "warning: the eigenvalues fall into fewer clusters than the dimension; "
+            "the projection branches inside a cluster are unresolved"
         )
     print(f"family {args.family} theta {_g17(theta)} model {args.model}")
     print("H (real part):")

@@ -301,12 +301,11 @@ class SpectralBranches:
     materializes a band on first use, for the readers that need the whole
     matrix.  The dense per-cluster projections are formed by the audits
     (ldqfi.audits) alone, so that the pipeline stays O(dim^2) in memory.
-    kernels holds the point's mean kernel table of each model, filled on
-    first use by ldops.kernel_table, and on a banded point the model's
-    kernel over the band's entries under ("band", model), filled by
-    ldops.kernel_entries, and rho' over that kernel under ("band_ld",
-    model), filled by ldops.expectations; all are shared by every later
-    reader of the point.
+    kernels holds each model's mean kernel over the point's stored entries
+    of rho', keyed by the model's name: the whole table of a dense point,
+    filled on first use by ldops.kernel_table, and the flat array over the
+    band's entries of a banded one, filled by ldops.kernel_entries; each is
+    shared by every later reader of the point.
     """
 
     def __init__(
@@ -331,7 +330,7 @@ class SpectralBranches:
         self.cluster_mults = cluster_mults
         self.cluster_values = cluster_values
         self.cluster_value_primes = cluster_value_primes
-        self.kernels: dict[str | tuple[str, str], np.ndarray] = {}
+        self.kernels: dict[str, np.ndarray] = {}
 
     @cached_property
     def basis(self) -> np.ndarray:

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput
 from .family import (
-    Analytic, SpectralBranches, StateFamily, UnitaryPath, _check_theta, _state_branches, branches_at,
-    eval_rho, eval_rho_prime,
+    Analytic, SpectralBranches, StateFamily, UnitaryPath, _check_theta, _state_branches, eval_rho, eval_rho_prime,
 )
-from .ldops import MODELS, commuting_part, expectations, kernel_entries, kernel_table, kmb_residual, ld_operator
-from .linalg import _one_blas_thread, trace_norms, trace_product
+from .ldops import MODELS, commuting_part, expectations, kernel_entries, kernel_table, ld_operator
+from .linalg import _one_blas_thread, trace_norms
 
 
 def qfi_bvn(br: SpectralBranches) -> float:
@@ -110,11 +109,12 @@ def compute_reports(fam: StateFamily, thetas: Iterable[float],
 
     Both diagnostics of a point read its own basis V through the Gram
     matrix G = V^dagger V, and no operator is assembled: max_zero_expectation
-    is the worst Tr(rho H) against rho in the basis (ldops.expectations,
+    is the worst |Tr(rho H)| against rho in the basis (ldops.expectations,
     one call a point), and kmb_residual is
     || herm(K o (G (X / K) G) - X) ||_1 with X = rho' in the basis and K the
-    bvn kernel table, which is kmb_residual of the assembled bvn operator
-    in exact arithmetic; the trace norm of that exactly Hermitian matrix
+    bvn kernel table, which is the trace-norm defect of the assembled bvn
+    operator in the KMB equation in exact arithmetic (tests/dense_oracles.py
+    has that route); the trace norm of that exactly Hermitian matrix
     is the sum of its |eigvalsh| (linalg.trace_norms, one call a block,
     of a point alone on the eigensolver route).  For an orthonormal V it
     vanishes up to rounding, so it measures the basis' orthogonality
@@ -158,7 +158,7 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
         return [_eigensolver_report(fam, theta, models) for theta in thetas]
     size = max(1, _BLOCK_BYTES // (16 * path.eigenvalues.size**2))
     reports = []
-    first = values = None
+    first = values = table = None
     for start in range(0, len(thetas), size):
         # Stage 1: each point's theta check and basis, in order.  An error
         # waits for the diagnostics of the points before it, which raise
@@ -175,12 +175,13 @@ def _reports(fam: StateFamily, thetas: list[float], models: list[str]) -> list[Q
         except Exception as exc:
             error = exc
         # Stage 2: the block's diagnostics, read against the first point's
-        # branches: the path's eigenvalues and rho', and the kernel tables
-        # they have already built.  The state is basis diag(lambda)
-        # basis^dagger; seen through the basis' own Gram matrix it carries
-        # the basis' orthogonality defect.
+        # branches: the path's eigenvalues and rho', the kernels they have
+        # already built, and the bvn table, which a banded point does not
+        # keep, so the call builds it once.
         if bases:
-            diagnostics = _diagnostics(first, bases, lambda v, gram: (gram * first.eigenvalues) @ gram, models)
+            if table is None:
+                table = kernel_table(first, "bvn")
+            diagnostics = _diagnostics(first, table, bases, models)
             reports += [_report(theta, values, *d) for theta, d in zip(checked, diagnostics)]
         if error is not None:
             raise error
@@ -194,23 +195,30 @@ def _values(br: SpectralBranches, models: list[str]) -> tuple[float, dict[str, f
     return i1, qfi, {m: qfi[m] - i1 for m in models}
 
 
-def _diagnostics(br: SpectralBranches, bases: list[np.ndarray],
-                 rho_in: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 models: list[str]) -> list[tuple[float, float]]:
-    """(max_zero_expectation, kmb_residual) of each basis V of a block, in
-    order, with G = V^dagger V its Gram matrix and rho_in(V, G) the state
-    in that basis; br gives the eigenvalues, rho' in the basis and the
-    kernel tables.  The residuals are formed in place in one (k, N, N)
-    buffer, and their trace norms come from one stacked eigvalsh
-    (linalg.trace_norms), which also checks them finite."""
-    table = kernel_table(br, "bvn")
+def _diagnostics(br: SpectralBranches, table: np.ndarray, bases: list[np.ndarray], models: list[str],
+                 rho: np.ndarray | None = None, model: str = "bvn") -> list[tuple[list[float], float]]:
+    """(means, residual) of each basis V of a block, in order, with
+    G = V^dagger V its Gram matrix; br gives the eigenvalues, rho' in the
+    basis and the kernels, and table is its bvn kernel table.  means is
+    Tr(rho H) of each of models, in order (ldops.expectations), against
+    the state in the basis: V^dagger rho V of the state's own matrix rho
+    when given (an eigensolver point), so that it also sees how well the
+    basis diagonalizes rho, else G diag(lambda) G, the state
+    V diag(lambda) V^dagger of a unitary path's point seen through G, so
+    that it carries the basis' orthogonality defect.  residual is the KMB
+    residual of model's operator, || herm(K o (G (X / K_model) G) - X) ||_1
+    with X = rho' in the basis and K the bvn table.  The residuals are
+    formed in place in one (k, N, N) buffer, and their trace norms come
+    from one stacked eigvalsh (linalg.trace_norms), which also checks them
+    finite."""
     x = br.rho_prime_eig
-    x_k = x / table
+    x_k = x / (table if model == "bvn" else kernel_table(br, model))
     res = np.empty((len(bases), br.dim, br.dim), np.result_type(x_k, *bases))
-    worst = []
+    means = []
     for v, r in zip(bases, res):
         gram = v.conj().T @ v
-        worst.append(max(abs(e) for e in expectations(br, rho_in(v, gram), models)))
+        rho_eig = (gram * br.eigenvalues) @ gram if rho is None else v.conj().T @ rho @ v
+        means.append(expectations(br, rho_eig, models))
         # herm(K o (G (X / K) G) - X), the bytes of hermitize
         np.matmul(gram @ x_k, gram, out=r)
         r *= table
@@ -221,11 +229,18 @@ def _diagnostics(br: SpectralBranches, bases: list[np.ndarray],
     for residual in norms:
         if not math.isfinite(residual):
             raise InvalidInput("KMB residual is not finite")
-    return list(zip(worst, norms))
+    return list(zip(means, norms))
+
+
+def _state_point(fam: StateFamily, theta: float) -> tuple[SpectralBranches, np.ndarray]:
+    """An eigensolver point's branches and its state's matrix.  The state
+    and rho' are each checked once, by eval_rho and eval_rho_prime."""
+    rho = eval_rho(fam, theta)
+    return _state_branches(rho, eval_rho_prime(fam, theta)), rho.matrix
 
 
 def _report(theta: float, values: tuple[float, dict[str, float], dict[str, float]],
-            worst_expect: float, residual: float) -> QfiReport:
+            means: list[float], residual: float) -> QfiReport:
     """The report of a point from its values and diagnostics."""
     i1, qfi, i2 = values
     return QfiReport(
@@ -234,28 +249,26 @@ def _report(theta: float, values: tuple[float, dict[str, float], dict[str, float
         i1=i1,
         i2=dict(i2),
         kmb_residual=residual,
-        max_zero_expectation=worst_expect,
+        max_zero_expectation=max(abs(e) for e in means),
     )
 
 
 def _eigensolver_report(fam: StateFamily, theta: float, models: list[str]) -> QfiReport:
-    # the state and rho' are each checked once, by eval_rho and eval_rho_prime
-    rho = eval_rho(fam, theta)
-    br = _state_branches(rho, eval_rho_prime(fam, theta))
-    # The state's own matrix in the eigenbasis, so that Tr(rho H) also
-    # sees how well the basis diagonalizes rho.
+    br, rho = _state_point(fam, theta)
     values = _values(br, models)
-    [diagnostics] = _diagnostics(br, [br.basis], lambda v, gram: v.conj().T @ rho.matrix @ v, models)
+    [diagnostics] = _diagnostics(br, kernel_table(br, "bvn"), [br.basis], models, rho)
     return _report(theta, values, *diagnostics)
 
 
 @dataclass(frozen=True)
 class LdReport:
     """One model's LD operator H at a family point, with its diagnostics:
-    mean is Tr(rho H), kmb_residual the trace-norm defect of H in the KMB
-    equation (ldops.kmb_residual), h1_norm and h2_norm the Frobenius norms
-    of its commuting part H1 and of the remainder H2, and merged whether
-    the point's eigenvalues fell into fewer clusters than the dimension."""
+    mean is Tr(rho H) and kmb_residual the trace-norm defect of H in the
+    KMB equation, both formed as compute_reports forms a point's (the
+    bvn residual and each model's mean of a report), h1_norm and h2_norm
+    the Frobenius norms of its commuting part H1 and of the remainder H2,
+    and merged whether the point's eigenvalues fell into fewer clusters
+    than the dimension."""
 
     operator: np.ndarray
     mean: float
@@ -276,13 +289,14 @@ def ld_report(fam: StateFamily, theta: float, model: str) -> LdReport:
 
 def _ld_report(fam: StateFamily, theta: float, model: str) -> LdReport:
     path = _path_of(fam)
-    br = branches_at(fam, theta) if path is None else path.branches(_check_theta(fam, theta))
+    br, rho = _state_point(fam, theta) if path is None else (path.branches(_check_theta(fam, theta)), None)
     h = ld_operator(br, model)
     h1 = commuting_part(br)
+    [([mean], residual)] = _diagnostics(br, kernel_table(br, "bvn"), [br.basis], [model], rho, model)
     return LdReport(
         operator=h,
-        mean=trace_product(br.rho(), h),
-        kmb_residual=kmb_residual(br, h),
+        mean=mean,
+        kmb_residual=residual,
         h1_norm=float(np.linalg.norm(h1)),
         h2_norm=float(np.linalg.norm(h - h1)),
         merged=br.n_clusters < br.dim,

@@ -278,6 +278,27 @@ def coherent_trunc_dim(mean_occupation: float) -> int:
     return max(2, min(n_tail, n_rank))
 
 
+def _smallest_weight(m: float, n: int) -> float:
+    """The smallest of n kept thermal weights, (1 - q) q^(n-1) before
+    renormalization, which coherent_family holds above the rank floor."""
+    q = m / (m + 1.0)
+    return (1.0 - q) * q ** (n - 1)
+
+
+def _rank_dim(m: float) -> int:
+    """The most levels whose smallest weight clears the rank floor (0 if
+    none does), counted up with the test coherent_family makes from two
+    below the float solution of (1 - q) q^(n-1) = RANK_TOL, taken with the
+    rounded q that test raises to a power."""
+    q = m / (m + 1.0)
+    if 1.0 - q <= RANK_TOL:
+        return 0
+    n = max(0, math.ceil(math.log(RANK_TOL / (1.0 - q)) / math.log(q)) - 2)
+    while _smallest_weight(m, n + 1) > RANK_TOL:
+        n += 1
+    return n
+
+
 def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.ndarray:
     """Matrix elements <m| e^{theta (a+ - a)} |n> of the untruncated
     displacement with real amplitude theta, on the first dim levels; for a
@@ -423,9 +444,15 @@ class CoherentFamily:
             return np.eye(n)
         bulk = n - _bulk_margin(theta, n)
         if bulk < 2:
-            raise TruncationError(
-                f"dimension {n} leaves no bulk to validate at amplitude {theta!r}; enlarge trunc_dim"
+            # the bulk grows with the dimension, so the largest one the rank
+            # floor admits decides whether any truncation validates theta
+            top = _rank_dim(self.mean_occupation)
+            advice = (
+                "enlarge trunc_dim" if top - _bulk_margin(theta, top) >= 2 else
+                f"no truncation of mean occupation {self.mean_occupation!r} validates it, "
+                f"as the rank floor admits at most {top} levels"
             )
+            raise TruncationError(f"dimension {n} leaves no bulk to validate at amplitude {theta!r}; {advice}")
         if closed_form is not None and min(np.shape(closed_form)) < bulk:
             raise InvalidInput(f"a closed form of shape {np.shape(closed_form)} does not cover the bulk {bulk}")
         w = self._exponential(theta)
@@ -563,13 +590,12 @@ def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> Coh
     if trunc_dim is not None:
         _TRUNC_DIM.check("trunc_dim", trunc_dim)
     n = coherent_trunc_dim(m) if trunc_dim is None else int(trunc_dim)
-    q = m / (m + 1.0)
-    tail = q**n
+    tail = (m / (m + 1.0))**n
     if tail > COHERENT_TAIL_HARD:
         raise TruncationError(
             f"thermal tail {tail:.3e} above {COHERENT_TAIL_HARD:g} at dimension {n}; enlarge trunc_dim"
         )
-    lam_min = (1.0 - q) * q ** (n - 1)
+    lam_min = _smallest_weight(m, n)
     if lam_min <= RANK_TOL:
         raise SingularState(
             f"smallest retained eigenvalue {lam_min:.3e} at or below the rank floor; reduce trunc_dim"

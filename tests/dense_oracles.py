@@ -6,8 +6,9 @@ The dense matrix exponential of a general square matrix (expm), against
 which the coherent displacement's banded one is tested.
 
 Also the lab-basis forms of what the library takes in the eigenbasis:
-rho' rotated back (rho_prime) and the ordinary second moment Tr(rho H^2)
-of an assembled operator (qfi_variance).  Then the per-item oracles of
+rho' rotated back (rho_prime), and the ordinary second moment Tr(rho H^2)
+(qfi_variance) and the KMB residual (kmb_residual) of an assembled
+operator.  Then the per-item oracles of
 the stacked checks: the local Cramer-Rao terms of one observable at a
 time, the projection audit as a loop over cluster pairs with each
 projection derivative assembled block by block, and the report of one
@@ -47,6 +48,7 @@ from ldqfi.linalg import (
     _positive_int,
     hermitize,
     require_hermitian,
+    schatten_norm,
     trace_product,
 )
 from ldqfi.qfi import QfiReport, classical_information, qfi_value
@@ -177,6 +179,26 @@ def qfi_variance(rho: DensityMatrix | np.ndarray, ld: np.ndarray) -> float:
     if abs(mean) > 1e-6 * scale:
         raise InvalidInput(f"Tr(rho H) = {mean:.3e} is not numerically zero")
     return trace_product(mat @ h, h)
+
+
+def kmb_residual(br: SpectralBranches, ld: np.ndarray) -> float:
+    """Trace-norm defect of a matrix H, such as ld_operator returns, as a
+    solution of the KMB equation,
+    || integral_0^1 rho^t H rho^(1-t) dt - rho' ||_1,
+    taken of the defect's Hermitian part, which it is in exact arithmetic
+    and whose trace norm never exceeds the defect's.
+
+    Zero (to rounding) exactly for the bvn operator; for the other models a
+    non-trivial residual measures how far their defining equation is from
+    the KMB one on a non-commuting family.  An operator that is not a
+    Hermitian matrix of the state's dimension raises InvalidInput.
+    """
+    h = require_hermitian(ld, "LD operator")
+    if h.shape != (br.dim, br.dim):
+        raise InvalidInput(f"LD operator of shape {h.shape} does not match dimension {br.dim}")
+    h_eig = br.basis.conj().T @ h @ br.basis
+    recon = h_eig * kernel_table(br, "bvn")
+    return schatten_norm(hermitize(recon - br.rho_prime_eig), 1)
 
 
 def cr_terms(br: SpectralBranches, obs: np.ndarray, model: str) -> tuple[float, float, float]:

@@ -416,7 +416,8 @@ class TestRuntimeErrors:
     def test_failure_inside_a_grid_names_its_first_failing_value(self, tmp_path, capsys):
         # the one-family sweep fails in its single call; the grid is then
         # evaluated value by value, and 0.2 is the first amplitude whose
-        # truncation leaves no bulk
+        # truncation leaves no bulk; the 12 levels are the most the rank
+        # floor admits at M = 0.1, so no truncation validates it
         out = tmp_path / "rows.csv"
         cfg = write_cfg(
             tmp_path,
@@ -433,7 +434,8 @@ class TestRuntimeErrors:
         assert code == 3 and stdout == ""
         assert err == (
             "runtime error at theta=0.20000000000000001: TruncationError: dimension 12 "
-            "leaves no bulk to validate at amplitude 0.2; enlarge trunc_dim\n"
+            "leaves no bulk to validate at amplitude 0.2; no truncation of mean occupation 0.1 "
+            "validates it, as the rank floor admits at most 12 levels\n"
         )
         assert not out.exists()
 
@@ -877,16 +879,29 @@ class TestLdReport:
         h2 = float(line.split()[5])
         assert h1 > 0 and h2 > 0
 
+    MERGED = (
+        "warning: the eigenvalues fall into fewer clusters than the dimension; "
+        "the projection branches inside a cluster are unresolved"
+    )
+
     def test_degenerate_vicinity_warning(self, capsys):
+        # the warning names the condition it reads, merged clusters
         theta = 1 / (2 * math.pi * 1e6)
         code, out, _ = run_cli(
             ["ld", "--family", "counterexample31", "--theta", str(theta), "--model", "sld"],
             capsys,
         )
         assert code == 0
-        warnings = [l for l in out.splitlines() if l.startswith("warning:")]
-        assert len(warnings) == 1
-        assert "DegenerateAtZero vicinity" in warnings[0]
+        assert [l for l in out.splitlines() if l.startswith("warning:")] == [self.MERGED]
+
+    def test_merged_warning_without_a_crossing(self, capsys):
+        # the maximally mixed state: an exact doublet, and no crossing
+        code, out, _ = run_cli(
+            ["ld", "--family", "two_level_2", "--theta", "0.3", "--param", "r=0", "--model", "bvn"],
+            capsys,
+        )
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith("warning:")] == [self.MERGED]
 
     def test_no_warning_away_from_crossing(self, capsys):
         code, out, _ = run_cli(

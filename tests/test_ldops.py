@@ -20,14 +20,13 @@ from scipy.integrate import quad_vec
 from scipy.linalg import fractional_matrix_power, sqrtm
 
 import dense_oracles
-from dense_oracles import ld1, ld2
+from dense_oracles import kmb_residual, ld1, ld2
 from ldqfi import (
     MODELS,
     branches_at,
     classical_information,
     commuting_part,
     kernel_matrix,
-    kmb_residual,
     ld_operator,
     random_analytic_family,
     random_hermitian,

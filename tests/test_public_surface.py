@@ -49,6 +49,9 @@ MOVED = {
     "coherent_branches": None,
     "qfi_variance": dense_oracles,
     "rho_prime": dense_oracles,
+    # the KMB residual of an assembled operator is the oracle of the one
+    # each report forms in its basis, which qfi ld prints too
+    "kmb_residual": dense_oracles,
     # UnitaryPath.basis_of(theta) became bases_of(thetas), one lazy basis per
     # theta of a grid
     "basis_of": None,
@@ -196,6 +199,36 @@ def test_cli_parses_and_prints_only() -> None:
     top = [a.name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
     assert (importers, "verify" in top) == (["cmd_verify"], False)
     assert cli.SUITES[1:] == tuple(verify.SUITES)
+
+
+def test_ld_report_reads_the_sweep_diagnostics() -> None:
+    # Tr(rho H) and the KMB residual of qfi ld come from qfi._diagnostics,
+    # the route of every sweep row, not from the assembled operator
+    tree = ast.parse(inspect.getsource(qfi._ld_report))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(names & {"trace_product", "kmb_residual"}) == []
+    assert "trace_product" not in _bound_names(Path(qfi.__file__))
+    for name in ("kmb_residual", "_band_ld"):
+        assert name not in _bound_names(Path(ldops.__file__)), name
+
+
+def test_a_point_keeps_one_kernel_per_model(monkeypatch) -> None:
+    # the keys of SpectralBranches.kernels are model names: a banded
+    # point's kernel over its band takes the name a dense point's table has
+    made = []
+    real = family.SpectralBranches.__init__
+
+    def recorded(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(family.SpectralBranches, "__init__", recorded)
+    ldqfi.compute_reports(ldqfi.coherent_family(2.0).family(), [0.0, 0.1, 0.2])
+    ldqfi.compute_report(ldqfi.default_two_level_1().family(), 0.3)
+    assert [br.band is None for br in made] == [False] * 3 + [True]
+    keys = [key for br in made for key in br.kernels]
+    assert keys and set(keys) <= set(ldqfi.MODELS)
 
 
 def test_cli_import_loads_no_verification_code() -> None:

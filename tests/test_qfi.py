@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dense_oracles
-from dense_oracles import ncopy_qfi, qfi_variance, rho_prime
+from dense_oracles import kmb_residual, ncopy_qfi, qfi_variance, rho_prime
 from ldqfi import (
     MODELS,
     CentralDifference,
@@ -22,9 +22,9 @@ from ldqfi import (
     compute_reports,
     ld_operator,
     coherent_family,
+    counterexample_family,
     default_two_level_1,
     geometric_family,
-    kmb_residual,
     ld_report,
     qfi_bvn,
     qfi_value,
@@ -437,16 +437,39 @@ class TestLdReport:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_eigensolver_point_is_the_oracle(self, tanh_family, model) -> None:
+        # the operator is the assembled one; its mean and KMB residual are
+        # the sweep's diagnostics of the point, bit for bit, and agree with
+        # the assembled operator's to rounding
         rep = ld_report(tanh_family, 0.3, model)
+        sweep = compute_report(tanh_family, 0.3, [model])
         br = branches_at(tanh_family, 0.3)
         h = ld_operator(br, model)
         np.testing.assert_array_equal(rep.operator, h)
-        assert rep.mean == trace_product(br.rho(), h)
-        assert rep.kmb_residual == kmb_residual(br, h)
+        assert abs(rep.mean) == sweep.max_zero_expectation
+        if model == "bvn":
+            assert rep.kmb_residual == sweep.kmb_residual
+        for value, oracle in ((rep.mean, trace_product(br.rho(), h)), (rep.kmb_residual, kmb_residual(br, h))):
+            assert abs(value - oracle) <= 1e-13 + 1e-12 * abs(oracle)
 
     def test_rejects_unknown_model(self, tanh_family) -> None:
         with pytest.raises(InvalidInput, match="unknown model"):
             ld_report(tanh_family, 0.3, "rld")
+
+    @pytest.mark.parametrize(
+        "fam, grid",
+        [
+            # 20 points of one block of the unitary path
+            (coherent_family(2.0).family(), np.linspace(-0.29, 0.29, 20).tolist()),
+            (default_two_level_1().family(), [0.2]),
+            (counterexample_family(), [0.4]),
+        ],
+        ids=["coherent", "two_level_1", "counterexample31"],
+    )
+    def test_reads_the_sweep_diagnostics(self, fam, grid) -> None:
+        # qfi ld prints, bit for bit, the diagnostics a sweep row carries
+        for theta, rep in zip(grid, compute_reports(fam, grid)):
+            assert ld_report(fam, theta, "bvn").kmb_residual == rep.kmb_residual
+            assert max(abs(ld_report(fam, theta, m).mean) for m in MODELS) == rep.max_zero_expectation
 
 
 class TestOperandShapes:

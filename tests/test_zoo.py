@@ -425,6 +425,35 @@ class TestCoherentFamily:
         with pytest.raises(SingularState):
             coherent_family(0.25, trunc_dim=60)
 
+    @pytest.mark.parametrize(
+        "m, advice",
+        [
+            # the rank floor admits at most 10 levels, and a bulk at
+            # amplitude 0.1 needs 12: "enlarge" was advice that could not
+            # be followed
+            (0.05, "no truncation of mean occupation 0.05 validates it, "
+                   "as the rank floor admits at most 10 levels"),
+            # the default 10 levels leave no bulk, and the 12 the floor
+            # admits leave one
+            (0.1, "enlarge trunc_dim"),
+        ],
+        ids=["no_truncation", "enlarge"],
+    )
+    def test_no_bulk_advice_can_be_followed(self, m: float, advice: str) -> None:
+        fam = coherent_family(m)
+        with pytest.raises(TruncationError) as err:
+            fam.checked_displacement(0.1)
+        assert str(err.value) == f"dimension {fam.trunc_dim} leaves no bulk to validate at amplitude 0.1; {advice}"
+        top = zoo._rank_dim(m)
+        with pytest.raises(SingularState):
+            coherent_family(m, trunc_dim=top + 1)
+        largest = coherent_family(m, trunc_dim=top)
+        if advice == "enlarge trunc_dim":
+            assert compute_report(largest.family(), 0.1).kmb_residual <= 1e-13
+        else:
+            with pytest.raises(TruncationError, match="no truncation of mean occupation"):
+                largest.checked_displacement(0.1)
+
     def test_report_point_forms_the_state_at_most_once(self, monkeypatch) -> None:
         # the unitary path forms no state; without it eval_rho forms the
         # displaced state and the derivative reads it back.  Either way the
