@@ -41,7 +41,6 @@ from .ldops import (
 )
 from .linalg import (
     random_hermitian,
-    schatten_norm,
     trace_product,
 )
 from .qfi import (

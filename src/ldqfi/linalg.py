@@ -1,10 +1,11 @@
 """Linear algebra primitives used by every higher layer.
 
-Hermiticity checks, the positive-spectrum check of every mean kernel, the
-elementwise logarithmic mean (``logmean_pairs``), the trace of a product,
-Schatten norms, Hermitian tridiagonal matrices, and the exponential
-theta -> e^(theta A) of a fixed tridiagonal A (``TridiagonalExponential``,
-the coherent displacement), from A's band powers formed once.
+The Hermiticity check, the positive-spectrum check of every mean kernel,
+the elementwise logarithmic mean (``logmean_pairs``), the trace of a
+product, the trace norms of a stack, Hermitian tridiagonal matrices, and
+the exponential theta -> e^(theta A) of a fixed real antisymmetric
+tridiagonal A (``TridiagonalExponential``, the coherent displacement),
+from A's band powers formed once.
 Everything here runs on numpy alone.  Other modules call numpy's
 eigensolvers directly, the state's own eigensolve pinned to one BLAS
 thread by ``_one_blas_thread``; the clustered spectral decomposition of a
@@ -133,68 +134,38 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Whether a matrix, or each matrix of a stack (the last two axes), is
-    Hermitian within tol relative to its largest entry (at least 1); a
-    bool matrix is read as its 0/1 values."""
-    a = np.asarray(a)
-    if a.dtype.kind == "b":
-        a = a.astype(float)
-    a, peaks, scale = _in_range(a)
-    return scale > 0.0 and _within(a, a.conj().swapaxes(-1, -2), tol, peaks, scale)
-
-
-def _peaks(a: np.ndarray) -> np.ndarray:
-    """The largest modulus of each matrix of a (the last two axes)."""
-    return np.abs(a).max(axis=(-2, -1), initial=0.0)
-
-
-def _in_range(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(a, _peaks(a), scale) with scale 1 where every largest modulus is
-    below _HUGE.  Otherwise, for finite entries, a / 4 and its peaks with
-    scale 0.25: an exact rescaling, under which no difference, sum or
-    modulus that the Hermiticity checks form overflows.  Scale 0 where an
-    entry is not finite (a NaN or infinite peak is caught by the same test)."""
-    peaks = _peaks(a)
-    if (peaks < _HUGE).all():
-        return a, peaks, 1.0
-    if not np.isfinite(a).all():
-        return a, peaks, 0.0
-    a = 0.25 * a
-    return a, _peaks(a), 0.25
-
-
-def _within(a: np.ndarray, a_h: np.ndarray, tol: float, peaks: np.ndarray, floor: float = 1.0) -> bool:
-    """is_hermitian of a, given its conjugate transpose a_h and _peaks(a);
-    floor is the least tolerance scale, 1 for a as given and 0.25 for a
-    quarter of it (see _in_range)."""
-    dev = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
-    return bool((dev <= tol * np.maximum(floor, peaks)).all())
-
-
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
     """The Hermitian part of a finite square matrix, or of a stack of them
-    of shape (k, d, d), checked Hermitian within tol >= 0 (see
-    is_hermitian).  The largest modulus of each matrix, which the check
-    reads, also finds a non-finite entry, so the entries are tested one by
-    one only when a largest modulus is not below _HUGE (|z| of a finite
-    complex entry may overflow); a matrix with such an entry is checked,
-    and its part formed, on a quarter of it (see _in_range).  A matrix
-    equal to its conjugate transpose, as a family's closed-form state or
-    random_hermitian's draw often is, passes without the tolerance test.
-    The conjugate transpose is formed once, for the check and the part.  A
-    bool matrix is read as its 0/1 values."""
+    of shape (k, d, d), checked Hermitian within tol >= 0: the largest
+    |a_ij - conj(a_ji)| of each matrix at most tol times its largest
+    modulus (at least 1).  The largest modulus of each matrix also finds a
+    non-finite entry, so the entries are tested one by one only when a
+    largest modulus is not below _HUGE (|z| of a finite complex entry may
+    overflow); a matrix with such an entry is checked, and its part formed,
+    on a quarter of it, an exact rescaling under which no difference, sum
+    or modulus of the check overflows.  A matrix equal to its conjugate
+    transpose, as a family's closed-form state or random_hermitian's draw
+    often is, passes without the tolerance test.  The conjugate transpose
+    is formed once, for the check and the part.  A bool matrix is read as
+    its 0/1 values."""
     a = _square(a, name, (2, 3))
     if not tol >= 0.0:
         raise InvalidInput(f"Hermiticity tolerance must be >= 0, got {tol!r}")
     if a.dtype.kind == "b":
         a = a.astype(float)
-    a, peaks, scale = _in_range(a)
-    if not scale:
-        raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
+    peaks = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    scale = 1.0
+    if not (peaks < _HUGE).all():
+        if not np.isfinite(a).all():
+            raise InvalidInput(f"{name} contains non-numeric or non-finite entries")
+        scale = 0.25
+        a = scale * a
+        peaks = np.abs(a).max(axis=(-2, -1), initial=0.0)
     a_h = a.conj().swapaxes(-1, -2)
-    if not ((a == a_h).all() or _within(a, a_h, tol, peaks, scale)):
-        raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
+    if not (a == a_h).all():
+        dev = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
+        if not (dev <= tol * np.maximum(scale, peaks)).all():
+            raise InvalidInput(f"{name} is not Hermitian within tolerance {tol:g}")
     part = 0.5 * (a + a_h)
     return part if scale == 1.0 else part / scale
 
@@ -254,39 +225,17 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T).real)
 
 
-def schatten_norm(a: np.ndarray, p: int | str) -> float:
-    """Schatten norm of a square matrix: p = 1 trace norm, p = 2 Frobenius,
-    p = "op" operator norm.
-
-    The trace norm is sum |eigvalsh(a)| and takes an exactly Hermitian
-    matrix, such as hermitize returns: any other raises InvalidInput, since
-    eigvalsh would read its lower triangle alone.  A matrix with a
-    non-numeric or non-finite entry raises InvalidInput at every order."""
-    a = _as_square_matrix(a)
-    if p == 1:
-        return float(_trace_norms(a[None])[0])
-    if p == 2:
-        return float(np.linalg.norm(a))
-    if p == "op":
-        return float(np.linalg.norm(a, 2))
-    raise InvalidInput(f"unsupported Schatten order {p!r}; use 1, 2 or 'op'")
-
-
 def trace_norms(a: np.ndarray) -> np.ndarray:
-    """The trace norm of each matrix of a stack of shape (k, d, d), as an
-    array of length k: schatten_norm(a[i], 1) of every i, bit for bit, from
-    one stacked eigvalsh, with the same checks: a non-numeric or non-finite
-    entry, or a matrix that is not exactly Hermitian, raises InvalidInput
-    with schatten_norm's message, and so does an array that is not such a
-    stack."""
+    """The trace norm sum |eigvalsh(a[i])| of each matrix of a stack of
+    shape (k, d, d), as an array of length k, from one stacked eigvalsh on
+    one BLAS thread.  Each matrix must be exactly Hermitian, such as
+    hermitize returns, since eigvalsh would read its lower triangle alone;
+    any other, a non-numeric or non-finite entry, or an array that is not
+    such a stack raises InvalidInput."""
     a = np.asarray(a)
     if a.ndim != 3:
         raise InvalidInput(f"the trace norms take a stack of shape (k, d, d), got shape {a.shape}")
-    return _trace_norms(_as_square_matrix(a, ndims=(3,)))
-
-
-def _trace_norms(a: np.ndarray) -> np.ndarray:
-    """trace_norms of a stack already checked square, numeric and finite."""
+    a = _as_square_matrix(a, ndims=(3,))
     if not np.array_equal(a, a.conj().swapaxes(-1, -2)):
         raise InvalidInput("the trace norm takes an exactly Hermitian matrix; hermitize it first")
     return np.abs(_one_blas_thread(np.linalg.eigvalsh, a)).sum(axis=-1)
@@ -324,9 +273,11 @@ class HermitianTridiagonal:
 
 
 class TridiagonalExponential:
-    """theta -> e^(theta A) for a fixed tridiagonal matrix A, given by its
-    subdiagonal, diagonal and superdiagonal: a callable that returns the
-    exponential as a dense matrix.
+    """theta -> e^(theta A) for a fixed real antisymmetric tridiagonal
+    matrix A, given by its one band off: A[n + 1, n] = off[n] =
+    -A[n, n + 1], as a + - a of the coherent displacement and -i J_y of a
+    spin rotation are.  A callable that returns the exponential as a dense
+    matrix.
 
     Each call runs the degree-13 Pade approximant, at every norm, with
     scaling and squaring above theta_13: the scaling s is the least with
@@ -343,43 +294,36 @@ class TridiagonalExponential:
     two dense matrices by one strided assignment; no power is multiplied at
     a call.
 
-    Bands of a dimension or dtype that do not fit raise InvalidInput, and
-    so does a theta that is not a finite real number; a norm
-    |theta| ||A||_1 that overflows double precision raises DomainError.
+    A band that is not a 1-d array of finite real numbers raises
+    InvalidInput, and so does a theta that is not a finite real number; a
+    norm |theta| ||A||_1 that overflows double precision raises DomainError.
     """
 
-    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        lower, diag, upper = (np.asarray(x) for x in (lower, diag, upper))
-        numeric = all(x.dtype.kind in "biufc" and np.all(np.isfinite(x)) for x in (lower, diag, upper))
-        n = diag.size
-        if not numeric or diag.shape != (n,) or n < 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,):
-            raise InvalidInput(
-                "a tridiagonal exponential needs finite numeric bands: a diagonal of length n and "
-                "sub- and superdiagonals of n - 1"
-            )
-        dtype = np.result_type(lower, diag, upper, float)
-        col = np.abs(diag).astype(float)
-        col[1:] += np.abs(upper)
-        col[:-1] += np.abs(lower)
+    def __init__(self, off: np.ndarray):
+        off = np.asarray(off)
+        if off.dtype.kind not in "biuf" or off.ndim != 1 or not np.isfinite(off).all():
+            raise InvalidInput("a tridiagonal exponential needs a 1-d band of finite real numbers")
+        n = off.size + 1
+        col = np.zeros(n)
+        col[1:] += np.abs(off)
+        col[:-1] += np.abs(off)
         self.dim = n
         self.norm = float(col.max())
-        # factors[:, i, c]: the entries (j - 1, j), (j, j) and (j + 1, j) of
-        # A that the recurrence reads for slot c of row i, at column
-        # j = i + c - 13; zero where j, or the row they name, is outside
+        # factors[:, i, c]: the entries (j - 1, j) and (j + 1, j) of A that
+        # the recurrence reads for slot c of row i, at column j = i + c - 13;
+        # zero where j, or the row they name, is outside
         hw = _PADE_DEGREE
         j = np.arange(n)[:, None] + np.arange(-hw, hw + 1)
         inside = (j >= 0) & (j < n)
-        cols = np.where(inside, j, 0)
-        padded = np.zeros((3, n), dtype)
-        padded[0, 1:], padded[1], padded[2, :-1] = upper, diag, lower
-        factors = np.where(inside, padded[:, cols], 0)
-        powers = np.zeros((hw + 1, n, 2 * hw + 1), dtype)
+        padded = np.zeros((2, n))
+        padded[0, 1:], padded[1, :-1] = -off, off
+        factors = np.where(inside, padded[:, np.where(inside, j, 0)], 0.0)
+        powers = np.zeros((hw + 1, n, 2 * hw + 1))
         powers[0, :, hw] = 1.0
         for k in range(hw):
             nxt = powers[k + 1]
-            np.multiply(powers[k], factors[1], out=nxt)
-            nxt[:, 1:] += powers[k, :, :-1] * factors[0, :, 1:]
-            nxt[:, :-1] += powers[k, :, 1:] * factors[2, :, :-1]
+            np.multiply(powers[k, :, :-1], factors[0, :, 1:], out=nxt[:, 1:])
+            nxt[:, :-1] += powers[k, :, 1:] * factors[1, :, :-1]
         powers.flags.writeable = False
         self.powers = powers
 

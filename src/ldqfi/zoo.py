@@ -299,6 +299,18 @@ def _rank_dim(m: float) -> int:
     return n
 
 
+def _two_level_floor() -> float:
+    """The smallest mean occupation whose two kept weights clear the rank
+    floor, counted with the test coherent_family makes from the float
+    solution of (1 - q) q = m / (m + 1)^2 = RANK_TOL."""
+    m = 2.0 * RANK_TOL / (1.0 - 2.0 * RANK_TOL + math.sqrt(1.0 - 4.0 * RANK_TOL))
+    while _smallest_weight(m, 2) > RANK_TOL:
+        m = math.nextafter(m, 0.0)
+    while _smallest_weight(m, 2) <= RANK_TOL:
+        m = math.nextafter(m, math.inf)
+    return m
+
+
 def displacement_closed_form(theta: float | Sequence[float], dim: int) -> np.ndarray:
     """Matrix elements <m| e^{theta (a+ - a)} |n> of the untruncated
     displacement with real amplitude theta, on the first dim levels; for a
@@ -396,28 +408,21 @@ class CoherentFamily:
         w = (1.0 - self.q) * self.q ** np.arange(self.trunc_dim)
         return w / w.sum()
 
-    def rho0(self) -> np.ndarray:
-        return np.diag(self.eigenvalues())
-
-    def generator(self) -> np.ndarray:
-        """a+ - a on the truncation, real antisymmetric; formed once per
-        family and read-only, since every caller shares it."""
-        return self._generator
-
     @cached_property
-    def _generator(self) -> np.ndarray:
+    def _off(self) -> np.ndarray:
+        """The one band of the generator A = a+ - a on the truncation,
+        A[n + 1, n] = sqrt(n + 1) = -A[n, n + 1], formed once per family and
+        read-only: the exponential, the path's rho' band and the eigensolver
+        route's rho' all read it."""
         off = np.sqrt(np.arange(1.0, self.trunc_dim))
-        ad = np.diag(off, -1)
-        gen = ad - ad.T
-        gen.flags.writeable = False
-        return gen
+        off.flags.writeable = False
+        return off
 
     @cached_property
     def _exponential(self) -> TridiagonalExponential:
         """theta -> e^{theta (a+ - a)}: the generator's band powers, formed
         once per family, which every displacement combines."""
-        off = np.sqrt(np.arange(1.0, self.trunc_dim))
-        return TridiagonalExponential(off, np.zeros(self.trunc_dim), -off)
+        return TridiagonalExponential(self._off)
 
     def checked_displacement(self, theta: float, closed_form: np.ndarray | None = None) -> np.ndarray:
         """e^{theta (a+ - a)} of the truncated generator, validated on the
@@ -475,9 +480,10 @@ class CoherentFamily:
         return w
 
     def state(self, theta: float) -> np.ndarray:
-        """Displaced thermal state D rho0 D^T with D the checked displacement."""
+        """Displaced thermal state D diag(lambda) D^T with D the checked
+        displacement and lambda the thermal weights."""
         w = self.checked_displacement(theta)
-        return w @ self.rho0() @ w.T
+        return (w * self.eigenvalues()) @ w.T
 
     def family(self) -> StateFamily:
         @lru_cache(maxsize=1)
@@ -489,10 +495,14 @@ class CoherentFamily:
             return rho
 
         def rho_prime_of(theta: float) -> np.ndarray:
-            # the dense generator, formed on the first eigensolver point
-            gen = self.generator()
+            # [A, rho] = B + B^T with B = A rho, since rho is symmetric and A
+            # antisymmetric; row n of B is off[n-1] rho[n-1] - off[n] rho[n+1]
+            off = self._off[:, None]
             rho = rho_of(theta)
-            return gen @ rho - rho @ gen
+            b = np.zeros_like(rho)
+            b[1:] = off * rho[:-1]
+            b[:-1] -= off * rho[1:]
+            return b + b.T
 
         return StateFamily(
             dim=self.trunc_dim,
@@ -520,7 +530,7 @@ class CoherentFamily:
         The weights and the band are built once per family.  The path
         itself is not kept: its bases_of refers to the family, and a kept
         one would make a reference cycle that holds the family, with its
-        N x N generator, until a full garbage collection.
+        band powers, until a full garbage collection.
         """
         eigenvalues, band = self._path_data
         return UnitaryPath(eigenvalues, band, self._bases_of)
@@ -534,17 +544,13 @@ class CoherentFamily:
         all their closed forms, at the largest bulk
         (displacement_closed_form of them all), and each point's check
         reads its own, the closed form it would have computed alone, bit
-        for bit.  Any other value, and a grid with fewer than two such
-        amplitudes, is checked on its own, and raises there what
-        checked_displacement raises.
+        for bit.  Any other value is checked on its own, and raises there
+        what checked_displacement raises.
         """
         thetas = list(thetas)
         bulks = [self._block_bulk(t) for t in thetas]
         shared = [t for t, bulk in zip(thetas, bulks) if bulk]
-        if len(shared) < 2:
-            yield from (partial(self._basis, t) for t in thetas)
-            return
-        block = cache(partial(displacement_closed_form, shared, max(bulks)))
+        block = cache(partial(displacement_closed_form, shared, max(bulks, default=0)))
         slots = iter(range(len(shared)))
         for theta, bulk in zip(thetas, bulks):
             yield partial(self._basis, theta, block, next(slots)) if bulk else partial(self._basis, theta)
@@ -569,11 +575,10 @@ class CoherentFamily:
 
     @cached_property
     def _path_data(self) -> tuple[np.ndarray, HermitianTridiagonal]:
-        n = self.trunc_dim
         lam = self.eigenvalues()
-        root = np.sqrt(np.arange(1.0, n))
-        comm = root * lam[:-1] - lam[1:] * root
-        return lam[::-1], HermitianTridiagonal(np.zeros(n), comm[::-1])
+        off = self._off
+        comm = off * lam[:-1] - lam[1:] * off
+        return lam[::-1], HermitianTridiagonal(np.zeros(self.trunc_dim), comm[::-1])
 
 
 def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> CoherentFamily:
@@ -597,9 +602,10 @@ def coherent_family(mean_occupation: float, trunc_dim: int | None = None) -> Coh
         )
     lam_min = _smallest_weight(m, n)
     if lam_min <= RANK_TOL:
-        raise SingularState(
-            f"smallest retained eigenvalue {lam_min:.3e} at or below the rank floor; reduce trunc_dim"
-        )
+        # two levels are the floor of trunc_dim, where fewer cannot be advised
+        advice = (f"the smallest mean occupation two levels admit is {_two_level_floor()!r}" if n == 2
+                  else "reduce trunc_dim")
+        raise SingularState(f"smallest retained eigenvalue {lam_min:.3e} at or below the rank floor; {advice}")
     return CoherentFamily(mean_occupation=m, trunc_dim=n)
 
 

@@ -3,7 +3,9 @@ their defining matrix equations, and the spectral matrix function that ld2
 needs.  The library builds every operator as rho'_eig divided by a kernel
 table; these build them without it, so the tests can compare the two.
 The dense matrix exponential of a general square matrix (expm), against
-which the coherent displacement's banded one is tested.
+which the coherent displacement's banded one is tested, and the dense
+generator a+ - a of that displacement (coherent_generator), whose one band
+the displaced thermal family keeps.
 
 Also the lab-basis forms of what the library takes in the eigenbasis:
 rho' rotated back (rho_prime), and the ordinary second moment Tr(rho H^2)
@@ -16,11 +18,12 @@ unitary-path point with its KMB residual taken from the assembled
 operator.  The random Hermitian draw through hermitize (random_hermitian),
 whose bytes the library's in-place draw keeps.
 
-And three references that only the tests use: the geometric family's
+And four references that only the tests use: the geometric family's
 closed-form information with the check that all four models reach it on
-the truncation, the information of n copies from the explicit tensor
-product state, and the qubit family on a quadratic Bloch curve with its
-closed-form information parts."""
+the truncation, the displaced thermal family's closed-form information of
+each model on its truncation, the information of n copies from the
+explicit tensor product state, and the qubit family on a quadratic Bloch
+curve with its closed-form information parts."""
 
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from ldqfi.linalg import (
     _positive_int,
     hermitize,
     require_hermitian,
-    schatten_norm,
+    trace_norms,
     trace_product,
 )
 from ldqfi.qfi import QfiReport, classical_information, qfi_value
@@ -127,6 +130,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def coherent_generator(n: int) -> np.ndarray:
+    """a+ - a on n number levels as a dense real antisymmetric matrix, with
+    entries sqrt(k + 1) at (k + 1, k) and -sqrt(k + 1) at (k, k + 1)."""
+    ad = np.diag(np.sqrt(np.arange(1.0, n)), -1)
+    return ad - ad.T
+
+
 def ld1(rho: DensityMatrix, rho_prime: np.ndarray) -> np.ndarray:
     """Symmetrized one-sided derivative, (rho^-1 rho' + rho' rho^-1)/2,
     in direct matrix form without spectral data."""
@@ -198,7 +208,7 @@ def kmb_residual(br: SpectralBranches, ld: np.ndarray) -> float:
         raise InvalidInput(f"LD operator of shape {h.shape} does not match dimension {br.dim}")
     h_eig = br.basis.conj().T @ h @ br.basis
     recon = h_eig * kernel_table(br, "bvn")
-    return schatten_norm(hermitize(recon - br.rho_prime_eig), 1)
+    return float(trace_norms(hermitize(recon - br.rho_prime_eig)[None])[0])
 
 
 def cr_terms(br: SpectralBranches, obs: np.ndarray, model: str) -> tuple[float, float, float]:
@@ -326,6 +336,27 @@ def geometric_qfi(theta: float, trunc_dim: int | None = None) -> float:
             f"exceed 1e-8 at dimension {fam.dim}; enlarge trunc_dim"
         )
     return vals[0]
+
+
+# The displaced thermal family's information of each model at mean
+# occupation M, untruncated.
+COHERENT_CLOSED_FORMS: dict[str, Callable[[float], float]] = {
+    "sld": lambda m: 4.0 / (2.0 * m + 1.0),
+    "bvn": lambda m: 2.0 * math.log1p(1.0 / m),
+    "ld2": lambda m: (2.0 * m + 1.0) / (m * (m + 1.0)),
+    "ld1": lambda m: (2.0 * m + 1.0) ** 3 / (4.0 * m**2 * (m + 1.0) ** 2),
+}
+
+
+def coherent_information(mean_occupation: float, model: str, eigenvalues: np.ndarray) -> float:
+    """The model's information of the displaced thermal family truncated to
+    the renormalized weights eigenvalues (lambda_0 .. lambda_(N-1), in
+    level order): the closed form times 1 - N lambda_(N-1).  Every model's
+    value is a fixed multiple of (1 - q) sum_n (n + 1) lambda_n over the
+    bands n, n + 1 that the truncation keeps (n < N - 1), a sum that is 1
+    untruncated and 1 - N lambda_(N-1) on N levels."""
+    n = len(eigenvalues)
+    return COHERENT_CLOSED_FORMS[model](mean_occupation) * (1.0 - n * float(eigenvalues[-1]))
 
 
 def _embed(h: np.ndarray, slot: int, n: int) -> np.ndarray:

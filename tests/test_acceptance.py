@@ -33,7 +33,6 @@ from ldqfi import (
     nonsmooth_projection_state,
     qfi_bvn,
     qfi_value,
-    schatten_norm,
     TwoLevelFamily2,
     default_two_level_1,
 )
@@ -350,8 +349,9 @@ def test_criterion_12_nonsmooth_projections():
     theta_b = 1.0 / (2.0 * math.pi * n + math.pi / 2.0)
     sa = nonsmooth_projection_state(theta_a)
     sb = nonsmooth_projection_state(theta_b)
-    state_gap = schatten_norm(sa.rho.matrix - sb.rho.matrix, 1)
-    proj_gap = schatten_norm(sa.p1 - sb.p1, "op")
+    # the trace norm as the sum of singular values, the op norm as the largest
+    state_gap = float(np.linalg.svd(sa.rho.matrix - sb.rho.matrix, compute_uv=False).sum())
+    proj_gap = float(np.linalg.norm(sa.p1 - sb.p1, 2))
     ok = state_gap <= 1e-10 and abs(proj_gap - 1.0) <= 1e-12
     report(
         "12",

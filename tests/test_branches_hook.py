@@ -37,7 +37,7 @@ from ldqfi.linalg import HermitianTridiagonal, logmean_pairs
 from ldqfi.verify import coherent_qfi_bvn, coherent_qfi_ld2
 from ldqfi.zoo import DISPLACEMENT_TOL, displacement_closed_form
 
-from dense_oracles import hook_report
+from dense_oracles import coherent_generator, hook_report
 
 THETAS = np.linspace(-0.29, 0.29, 13)
 
@@ -189,7 +189,7 @@ def test_path_data_is_read_only_and_sized_by_the_family(dense: bool) -> None:
 
 def test_coherent_family_is_freed_without_a_collection() -> None:
     # the path refers to the family; were it kept on the family, the pair
-    # would hold the N x N generator until a full garbage collection
+    # would hold the generator's band powers until a full garbage collection
     gc.disable()
     try:
         fam = coherent_family(1.0)
@@ -235,7 +235,8 @@ def test_failing_point_of_a_grid_raises_its_own_error(monkeypatch, margin, grid,
         compute_reports(fam, grid)
     assert str(many.value) == str(single.value)
     if margin is not None:
-        assert blocks == [grid] and "deviates from the closed form" in str(many.value)
+        # the lone point reads a block of one, the grid one of its own
+        assert blocks == [[0.23], grid] and "deviates from the closed form" in str(many.value)
     if bad == 0.2:
         assert "amplitude 0.2;" in str(many.value)
 
@@ -516,8 +517,8 @@ def test_band_is_the_dense_commutator() -> None:
     fam = coherent_family(1.0)
     br = fam.path.branches(0.1)
     assert br.band is not None
-    gen = fam.generator()
-    rho0 = fam.rho0()
+    gen = coherent_generator(fam.trunc_dim)
+    rho0 = np.diag(fam.eigenvalues())
     comm = (gen @ rho0 - rho0 @ gen)[::-1, ::-1]
     np.testing.assert_array_equal(br.rho_prime_eig, comm)
 

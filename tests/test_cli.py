@@ -483,6 +483,22 @@ class TestRuntimeErrors:
         code, out, _ = run_cli(["sweep", "--config", cfg], capsys)
         assert code == 0 and len(parse_csv(out)) == 1
 
+    def test_two_level_coherent_truncation_names_the_smallest_occupation(self, tmp_path, capsys):
+        # M = 1e-13 already takes the floor of two levels, where "reduce
+        # trunc_dim" could not be followed
+        advice = ("smallest retained eigenvalue 1.000e-13 at or below the rank floor; "
+                  "the smallest mean occupation two levels admit is 1.0000000000020003e-12\n")
+        body = "[family]\nname = coherent\nM = {}\n[sweep]\ngrid = 0\n"
+        code, out, err = run_cli(["sweep", "--config", write_cfg(tmp_path, body.format("1e-13"))], capsys)
+        assert (code, out, err) == (3, "", "runtime error at theta=0: SingularState: " + advice)
+        code, out, err = run_cli(["ld", "--family", "coherent", "--theta", "0", "--model", "bvn",
+                                  "--param", "M=1e-13"], capsys)
+        assert (code, out, err) == (3, "", "runtime error: " + advice)
+        # the advice can be followed
+        cfg = write_cfg(tmp_path, body.format("1.0000000000020003e-12"))
+        code, out, _ = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 0 and len(parse_csv(out)) == 1
+
     def test_wide_geometric_window_advises_fewer_levels(self, tmp_path, capsys):
         body = "[family]\nname = geometric\ntrunc_dim = {}\n[sweep]\ngrid = 20\n"
         code, out, err = run_cli(["sweep", "--config", write_cfg(tmp_path, body.format(5))], capsys)

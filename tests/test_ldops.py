@@ -30,7 +30,6 @@ from ldqfi import (
     ld_operator,
     random_analytic_family,
     random_hermitian,
-    schatten_norm,
     spectral_branches,
     trace_product,
 )
@@ -211,7 +210,7 @@ def test_kmb_residual_of_a_large_norm_bvn_operator() -> None:
     h = ld_operator(br, "bvn")
     assert np.abs(h).max() > 1e5
     residual = kmb_residual(br, h)
-    assert 0.0 <= residual <= 1e-11 * schatten_norm(rp, 1)
+    assert 0.0 <= residual <= 1e-11 * float(np.linalg.svd(rp, compute_uv=False).sum())
 
 
 def test_split_reassembles_operator(random_branches) -> None:

@@ -1,7 +1,7 @@
 """Scalar and matrix helpers: logarithmic-mean kernel and its table, the
-dense oracles' spectral matrix function, Schatten norms, the tridiagonal
-exponential of the coherent displacement, and the dense oracle's general
-matrix exponential it is tested against."""
+dense oracles' spectral matrix function, the trace norms, the Hermiticity
+check, the tridiagonal exponential of the coherent displacement, and the
+dense oracle's general matrix exponential it is tested against."""
 
 from __future__ import annotations
 
@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 import ldqfi
 import dense_oracles
-from dense_oracles import expm, matrix_function
+from dense_oracles import coherent_generator, expm, matrix_function
 from ldqfi import (
     CoherentFamily,
     kernel_matrix,
     random_analytic_family,
     random_hermitian,
-    schatten_norm,
     trace_product,
 )
 from ldqfi.linalg import (
@@ -30,7 +29,6 @@ from ldqfi.linalg import (
     HermitianTridiagonal,
     TridiagonalExponential,
     hermitize,
-    is_hermitian,
     logmean_pairs,
     require_hermitian,
     trace_norms,
@@ -116,35 +114,25 @@ def test_matrix_function_matches_scipy_sqrt(rng) -> None:
     assert np.linalg.norm(ours - ref) <= 1e-10
 
 
-def test_schatten_norms(rng) -> None:
-    a = random_hermitian(4, rng)
-    w = np.linalg.eigvalsh(a)
-    assert schatten_norm(a, 1) == pytest.approx(np.sum(np.abs(w)), rel=1e-12)
-    assert schatten_norm(a, 2) == pytest.approx(np.linalg.norm(a), rel=1e-12)
-    assert schatten_norm(a, "op") == pytest.approx(np.max(np.abs(w)), rel=1e-12)
-    with pytest.raises(InvalidInput):
-        schatten_norm(a, 3)
-    # every order takes one matrix
-    stack = random_hermitian(57, rng, count=5)
-    for p in (1, 2, "op"):
-        with pytest.raises(InvalidInput):
-            schatten_norm(stack, p)
+def _trace_norm(a: np.ndarray) -> float:
+    """The trace norm of one matrix: trace_norms of the stack of it."""
+    return float(trace_norms(a[None])[0])
 
 
 def test_trace_norm_needs_an_exactly_hermitian_matrix(rng) -> None:
     # eigvalsh would read the lower triangle alone, so a matrix Hermitian
     # only to rounding, or not at all, is refused rather than measured
     a = random_hermitian(6, rng)
-    assert schatten_norm(a, 1) == pytest.approx(float(np.linalg.svd(a, compute_uv=False).sum()), rel=1e-13)
-    assert schatten_norm(a.real, 1) == pytest.approx(float(np.linalg.svd(a.real, compute_uv=False).sum()),
-                                                     rel=1e-13)
+    assert _trace_norm(a) == pytest.approx(float(np.linalg.svd(a, compute_uv=False).sum()), rel=1e-13)
+    assert _trace_norm(a.real) == pytest.approx(float(np.linalg.svd(a.real, compute_uv=False).sum()),
+                                                rel=1e-13)
     near = a.copy()
     near[0, 3] *= 1.0 + 1e-15
     skew = np.triu(a) - np.triu(a, 1).conj().T
     for bad in (near, skew, rng.standard_normal((4, 4)), np.array([[1.0, 0.0], [0.0, 1j]])):
         with pytest.raises(InvalidInput, match="exactly Hermitian"):
-            schatten_norm(bad, 1)
-    assert schatten_norm(hermitize(near), 1) == pytest.approx(schatten_norm(a, 1), rel=1e-13)
+            _trace_norm(bad)
+    assert _trace_norm(hermitize(near)) == pytest.approx(_trace_norm(a), rel=1e-13)
 
 
 def test_trace_norm_of_a_non_finite_matrix_is_invalid_input(rng) -> None:
@@ -153,16 +141,16 @@ def test_trace_norm_of_a_non_finite_matrix_is_invalid_input(rng) -> None:
         bad = a.copy()
         bad[1, 1] = value
         with pytest.raises(InvalidInput, match="non-finite"):
-            schatten_norm(bad, 1)
+            _trace_norm(bad)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 12, 57])
 def test_trace_norms_equal_the_trace_norm_of_each_matrix(dim: int, rng) -> None:
-    # one stacked eigvalsh, the bytes of schatten_norm(., 1) matrix by matrix
+    # one stacked eigvalsh, the bytes of the trace norm matrix by matrix
     for stack in (random_hermitian(dim, rng, count=5), random_hermitian(dim, rng, count=5).real.copy()):
         norms = trace_norms(stack)
         assert norms.shape == (5,)
-        assert [float(n) for n in norms] == [schatten_norm(a, 1) for a in stack]
+        assert [float(n) for n in norms] == [_trace_norm(a) for a in stack]
     assert trace_norms(np.zeros((0, dim, dim))).shape == (0,)
 
 
@@ -179,7 +167,7 @@ def test_trace_norms_raise_the_messages_of_the_trace_norm(rng) -> None:
         with pytest.raises(InvalidInput, match=match) as stacked:
             trace_norms(b)
         with pytest.raises(InvalidInput) as one:
-            schatten_norm(b[1 if match == "non-finite" else 2], 1)
+            _trace_norm(b[1 if match == "non-finite" else 2])
         assert str(stacked.value) == str(one.value)
     for shape in ((4, 4), (2, 3, 4), (1, 2, 2, 2)):
         with pytest.raises(InvalidInput):
@@ -199,7 +187,6 @@ _HUGE_NOT_HERMITIAN = [
 
 @pytest.mark.parametrize("a", _HUGE_NOT_HERMITIAN, ids=["modulus", "imaginary_diagonal", "antisymmetric"])
 def test_hermitian_check_refuses_a_huge_non_hermitian_matrix(a: np.ndarray) -> None:
-    assert not is_hermitian(a) and not is_hermitian(a[None])
     for x in (a, a[None], np.stack([np.eye(2), a])):
         with pytest.raises(InvalidInput, match="not Hermitian"):
             require_hermitian(x)
@@ -209,29 +196,28 @@ def test_hermitian_check_of_a_huge_matrix_keeps_its_scale() -> None:
     # checked and halved on a quarter of it: the part of a Hermitian matrix
     # is itself, and a relative deviation below the tolerance still passes
     h = np.array([[1.7e308, 1.3e308 * (1 + 1j)], [1.3e308 * (1 - 1j), -1.7e308]])
-    assert is_hermitian(h)
     np.testing.assert_array_equal(require_hermitian(h), h)
     near = h.copy()
     near[0, 1] += 1e296
-    assert is_hermitian(near) and not is_hermitian(near, tol=1e-13)
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        require_hermitian(near, tol=1e-13)
     np.testing.assert_array_equal(require_hermitian(near), 4.0 * hermitize(0.25 * near))
-    assert not is_hermitian(np.array([[math.inf, 0.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidInput, match="non-finite"):
+        require_hermitian(np.array([[math.inf, 0.0], [0.0, 0.0]]))
 
 
 def test_hermitian_helpers(rng) -> None:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = hermitize(a)
-    assert is_hermitian(h)
-    assert not is_hermitian(a + np.diag([0, 1j, 0]))
     require_hermitian(h)
-    with pytest.raises(InvalidInput):
-        require_hermitian(a + 0.1 * np.diag([0, 1j, 0]))
+    for bad in (a + np.diag([0, 1j, 0]), a + 0.1 * np.diag([0, 1j, 0])):
+        with pytest.raises(InvalidInput):
+            require_hermitian(bad)
     # within tolerance, the checked part is hermitize's to the bit
     near = h + 1e-13 * a
     np.testing.assert_array_equal(require_hermitian(near), hermitize(near))
     # a bool matrix is its 0/1 values, where numpy refuses to subtract it
     flags = np.array([[True, False], [True, True]])
-    assert is_hermitian(np.eye(2, dtype=bool)) and not is_hermitian(flags)
     np.testing.assert_array_equal(require_hermitian(np.eye(2, dtype=bool)), np.eye(2))
     with pytest.raises(InvalidInput, match="not Hermitian"):
         require_hermitian(flags)
@@ -248,13 +234,12 @@ def test_hermitian_check_of_a_stack_scales_each_matrix() -> None:
     # 5e-13) and fails in a matrix whose largest entry is 1
     dev = np.array([[0.0, 5e-10], [0.0, 0.0]])
     big, small = np.diag([1e3, -1e3]) + dev, np.eye(2) + dev
-    assert is_hermitian(big) and not is_hermitian(small)
-    assert is_hermitian(np.stack([big, big]))
-    assert not is_hermitian(np.stack([big, small]))
+    np.testing.assert_array_equal(require_hermitian(big), hermitize(big))
     np.testing.assert_array_equal(require_hermitian(np.stack([big, big])),
                                   np.stack([hermitize(big)] * 2))
-    with pytest.raises(InvalidInput, match="not Hermitian"):
-        require_hermitian(np.stack([big, small]))
+    for bad in (small, np.stack([big, small])):
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            require_hermitian(bad)
     for bad in (np.ones((2, 2, 3)), np.ones((2, 2, 2, 2)), np.full((2, 2, 2), np.nan)):
         with pytest.raises(InvalidInput):
             require_hermitian(bad)
@@ -322,7 +307,7 @@ def test_hermitian_check_of_a_matrix_equals_that_of_its_one_matrix_stack(a: np.n
 
 def test_random_hermitian_is_hermitian(rng) -> None:
     a = random_hermitian(6, rng)
-    assert is_hermitian(a)
+    np.testing.assert_array_equal(require_hermitian(a), a)
     assert a.shape == (6, 6)
 
 
@@ -525,7 +510,7 @@ def test_expm_of_coherent_generator_matches_scipy(dim: int, theta: float) -> Non
     from scipy.linalg import expm as scipy_expm
 
     fam = CoherentFamily(1.0, dim)
-    assert _rel_err(fam._exponential(theta), scipy_expm(theta * fam.generator())) <= EXPM_RTOL
+    assert _rel_err(fam._exponential(theta), scipy_expm(theta * coherent_generator(dim))) <= EXPM_RTOL
 
 
 def _from_band(band: np.ndarray) -> np.ndarray:
@@ -544,8 +529,9 @@ def _from_band(band: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("dim", [2, 3, 14, 57])
 def test_band_powers_equal_dense_powers(dim: int) -> None:
     # below 14 levels the band is wider than the matrix, and its slots
-    # outside the matrix hold zero
-    gen = CoherentFamily(1.0, dim).generator()
+    # outside the matrix hold zero; the powers of a + - a are sums of
+    # products of integers' square roots, each formed in one order
+    gen = coherent_generator(dim)
     powers = CoherentFamily(1.0, dim)._exponential.powers
     assert powers.shape == (14, dim, 27)
     dense = np.eye(dim)
@@ -559,32 +545,25 @@ def test_band_powers_equal_dense_powers(dim: int) -> None:
 def test_tridiagonal_exponential_matches_the_dense_oracle(dim: int, theta: float) -> None:
     # 0.29 at N = 241 (M = 10) and 1.3 from N = 34 on are scaled and squared
     fam = CoherentFamily(1.0, dim)
-    assert _rel_err(fam._exponential(theta), expm(theta * fam.generator())) <= EXPM_RTOL
-
-
-def test_tridiagonal_exponential_of_a_complex_band_with_a_diagonal(rng) -> None:
-    n = 19
-    lower, upper = (rng.standard_normal((2, n - 1)) + 1j * rng.standard_normal((2, n - 1)))
-    diag = rng.standard_normal(n)
-    a = np.diag(diag).astype(complex) + np.diag(lower, -1) + np.diag(upper, 1)
-    exp = TridiagonalExponential(lower, diag, upper)
+    assert _rel_err(fam._exponential(theta), expm(theta * coherent_generator(dim))) <= EXPM_RTOL
+    # any real band, of either sign, is the subdiagonal of its matrix
+    off = np.random.default_rng(dim).standard_normal(dim - 1)
+    a = np.diag(off, -1) - np.diag(off, 1)
+    exp = TridiagonalExponential(off)
     assert exp.norm == pytest.approx(np.abs(a).sum(axis=0).max(), rel=1e-15)
-    for theta in (0.3, -2.0, 7.5):
-        assert _rel_err(exp(theta), expm(theta * a)) <= EXPM_RTOL
-    one = TridiagonalExponential(np.zeros(0), np.array([2.5]), np.zeros(0))
-    assert one(-1.5)[0, 0] == pytest.approx(math.exp(-3.75), rel=EXPM_RTOL)
+    assert _rel_err(exp(theta), expm(theta * a)) <= EXPM_RTOL
 
 
-@pytest.mark.parametrize("bands", [
-    (np.ones(2), np.ones(2), np.ones(1)),
-    (np.ones(1), np.ones((2, 1)), np.ones(1)),
-    (np.ones(0), np.ones(0), np.ones(0)),
-    (np.ones(1), np.array([1.0, np.nan]), np.ones(1)),
-    (np.array(["a"]), np.ones(2), np.ones(1)),
-], ids=["lower_too_long", "diag_2d", "empty", "nan", "strings"])
-def test_tridiagonal_exponential_rejects_bad_bands(bands) -> None:
+@pytest.mark.parametrize("band", [
+    np.ones((2, 1)),
+    np.array([1.0, np.nan]),
+    np.array([1.0, np.inf]),
+    np.array(["a"]),
+    np.array([1.0, 1j]),
+], ids=["band_2d", "nan", "inf", "strings", "complex"])
+def test_tridiagonal_exponential_rejects_bad_bands(band) -> None:
     with pytest.raises(InvalidInput):
-        TridiagonalExponential(*bands)
+        TridiagonalExponential(band)
 
 
 def test_tridiagonal_exponential_rejects_bad_amplitudes() -> None:
@@ -606,7 +585,7 @@ def test_expm_small_entries_match_high_precision(theta: float) -> None:
 
     dim = 34
     fam = CoherentFamily(1.0, dim)
-    a = theta * fam.generator()
+    a = theta * coherent_generator(dim)
     with mpmath.workdps(30):
         exact = mpmath.expm(mpmath.matrix(a.tolist()))
         ref = np.array([[float(exact[i, j]) for j in range(dim)] for i in range(dim)])

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dense_oracles
@@ -58,6 +59,10 @@ MOVED = {
     # the general dense exponential is the oracle of the coherent family's
     # TridiagonalExponential
     "expm": dense_oracles,
+    # the trace norm is trace_norms, the other Schatten orders numpy's
+    # norms; the Hermiticity check is require_hermitian
+    "schatten_norm": None,
+    "is_hermitian": None,
     # expectation(br, rho_eig, model) became expectations(br, rho_eig,
     # models), one call for every model of a point
     "expectation": None,
@@ -272,6 +277,50 @@ def test_branches_at_takes_no_keywords() -> None:
 @pytest.mark.parametrize("cls", list(REMOVED_FIELDS), ids=lambda cls: cls.__name__)
 def test_removed_fields_are_gone(cls) -> None:
     assert REMOVED_FIELDS[cls] not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_every_public_linalg_routine_has_a_runtime_caller() -> None:
+    # one routine per job: a public function or class of linalg that no
+    # other module of the package names is a duplicate or dead
+    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    named = set()
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(a.name for a in node.names)
+    assert public and sorted(public - named) == []
+    for name in ("is_hermitian", "schatten_norm", "_peaks", "_in_range", "_within"):
+        assert name not in vars(linalg), name
+
+
+def test_coherent_family_keeps_no_dense_generator() -> None:
+    # a + - a is the family's one band, which the exponential, the path's
+    # rho' band and the eigensolver route's rho' read
+    for name in ("generator", "_generator", "rho0"):
+        assert name not in vars(zoo.CoherentFamily), name
+    assert list(inspect.signature(linalg.TridiagonalExponential).parameters) == ["off"]
+
+
+@pytest.mark.parametrize("m", [1.0, 10.0])
+def test_eigensolver_route_rho_prime_is_the_dense_commutator(m: float) -> None:
+    cf = ldqfi.coherent_family(m)
+    fam = cf.family()
+    gen = dense_oracles.coherent_generator(cf.trunc_dim)
+    for theta in (0.0, 0.1, -0.2):
+        rho = fam.rho_of(theta)
+        want = gen @ rho - rho @ gen
+        got = fam.rho_prime_of(theta)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), theta
 
 
 def test_one_pade_degree_and_no_unused_members() -> None:

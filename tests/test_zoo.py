@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dense_oracles import geometric_information, geometric_qfi, qfi_variance
+from dense_oracles import coherent_information, geometric_information, geometric_qfi, qfi_variance
 from ldqfi import (
     MODELS,
     CoherentFamily,
@@ -25,6 +25,7 @@ from ldqfi import (
     commuting_part,
     coherent_trunc_dim,
     compute_report,
+    compute_reports,
     counterexample_family,
     default_two_level_1,
     displacement_closed_form,
@@ -360,15 +361,16 @@ class TestDisplacementOperator:
             zoo.CoherentFamily(1.0, 34).checked_displacement(1e308)
 
     def test_generator_is_formed_once_per_family(self) -> None:
+        # as its one band, which every reader of a + - a shares
         fam = zoo.CoherentFamily(1.0, 12)
-        gen = fam.generator()
-        assert fam.generator() is gen and not gen.flags.writeable
-        ad = np.diag(np.sqrt(np.arange(1.0, 12)), -1)
-        np.testing.assert_array_equal(gen, ad - ad.T)
+        off = fam._off
+        assert fam._off is off and not off.flags.writeable
+        np.testing.assert_array_equal(off, np.sqrt(np.arange(1.0, 12)))
+        assert fam._exponential.dim == 12
 
     def test_family_forms_no_dense_generator(self) -> None:
-        # only the eigensolver route's rho' reads the generator, which at
-        # M = 100 (N = 2082) takes 35 MB
+        # the family keeps a + - a as its band; a dense copy at M = 100
+        # (N = 2082) would take 35 MB
         tracemalloc.start()
         try:
             fam = coherent_family(100.0).family()
@@ -454,6 +456,46 @@ class TestCoherentFamily:
             with pytest.raises(TruncationError, match="no truncation of mean occupation"):
                 largest.checked_displacement(0.1)
 
+    def test_two_level_rank_floor_names_the_smallest_occupation(self) -> None:
+        # two levels are the floor of trunc_dim, so "reduce trunc_dim" could
+        # not be followed there; the named occupation is the smallest the
+        # guard admits
+        with pytest.raises(SingularState) as err:
+            coherent_family(1e-13)
+        floor = zoo._two_level_floor()
+        assert str(err.value) == (
+            "smallest retained eigenvalue 1.000e-13 at or below the rank floor; "
+            f"the smallest mean occupation two levels admit is {floor!r}"
+        )
+        assert coherent_family(floor).trunc_dim == 2
+        with pytest.raises(SingularState, match="two levels admit"):
+            coherent_family(math.nextafter(floor, 0.0))
+        # above two levels the advice is unchanged
+        with pytest.raises(SingularState, match="rank floor; reduce trunc_dim$"):
+            coherent_family(0.25, trunc_dim=60)
+
+    @pytest.mark.parametrize("m", [2.0, 10.0, 30.0])
+    def test_state_is_the_displaced_weights_bit_for_bit(self, m: float) -> None:
+        fam = coherent_family(m)
+        for theta in (0.0, 0.1, -0.25):
+            w = fam.checked_displacement(theta)
+            want = w @ np.diag(fam.eigenvalues()) @ w.T
+            assert fam.state(theta).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 10.0, 100.0])
+    def test_information_is_the_truncated_closed_form(self, m: float) -> None:
+        # the closed forms of all four models, times the share
+        # 1 - N lambda_(N-1) that the truncation keeps
+        fam = coherent_family(m)
+        want = {model: coherent_information(m, model, fam.eigenvalues()) for model in MODELS}
+        br = fam.path.branches(0.0)
+        for model in MODELS:
+            assert qfi_value(br, model) == pytest.approx(want[model], rel=1e-13), model
+        if m <= 10.0:
+            for rep in compute_reports(fam.family(), [0.0, 0.1, -0.25]):
+                for model in MODELS:
+                    assert rep.qfi[model] == pytest.approx(want[model], rel=1e-13), (rep.theta, model)
+
     def test_report_point_forms_the_state_at_most_once(self, monkeypatch) -> None:
         # the unitary path forms no state; without it eval_rho forms the
         # displaced state and the derivative reads it back.  Either way the
@@ -462,9 +504,9 @@ class TestCoherentFamily:
         for name, seen in calls.items():
             real = getattr(CoherentFamily, name)
 
-            def counted(self, theta, real=real, seen=seen):
+            def counted(self, theta, real=real, seen=seen, **kwargs):
                 seen.append(theta)
-                return real(self, theta)
+                return real(self, theta, **kwargs)
 
             monkeypatch.setattr(CoherentFamily, name, counted)
         fam = coherent_family(1.0).family()
