@@ -80,7 +80,8 @@ def load_sweep_config(path: str, out_override: str | None, fmt_override: str | N
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # family parameter names are case-sensitive (e.g. M)
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors write first
+        with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=path)
     except OSError as exc:
         raise InvalidInput(f"cannot read config {path}: {exc}") from None

@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     HermitianTridiagonal,
     _one_blas_thread,
+    _positive_int,
     _real,
     require_hermitian,
 )
@@ -113,8 +114,8 @@ class UnitaryPath:
     eigendecomposition is known in closed form.
 
     Only the basis moves: the eigenvalues (ascending) and rho' in the
-    moving basis, a dense matrix or a HermitianTridiagonal, are the same at
-    every theta, and bases_of(thetas) returns, for a grid of thetas, one
+    moving basis, a HermitianTridiagonal (InvalidInput otherwise), are the
+    same at every theta, and bases_of(thetas) returns, for a grid of thetas, one
     callable per theta, in order, that returns the basis columns at that
     theta in the eigenvalues' order.  The callables may share work between
     the points of the grid, and may raise what the basis at their own theta
@@ -127,17 +128,15 @@ class UnitaryPath:
     """
 
     eigenvalues: np.ndarray
-    rho_prime_eig: np.ndarray | HermitianTridiagonal
+    rho_prime_eig: HermitianTridiagonal
     bases_of: Callable[[list[float]], Iterable[Callable[[], np.ndarray]]]
 
     def __post_init__(self):
         rp = self.rho_prime_eig
-        if isinstance(rp, HermitianTridiagonal):
-            rp = HermitianTridiagonal(_read_only(rp.diag), _read_only(rp.upper))
-        else:
-            rp = _read_only(rp)
+        if not isinstance(rp, HermitianTridiagonal):
+            raise InvalidInput(f"a unitary path's rho' must be a HermitianTridiagonal, got {type(rp).__name__}")
         object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
-        object.__setattr__(self, "rho_prime_eig", rp)
+        object.__setattr__(self, "rho_prime_eig", HermitianTridiagonal(_read_only(rp.diag), _read_only(rp.upper)))
 
     def branches(self, theta: float) -> SpectralBranches:
         """The spectral branches at theta: branches_over of the one point."""
@@ -178,8 +177,9 @@ class StateFamily:
     unitary_path, when given, describes the same family as a UnitaryPath;
     compute_report then takes each point's branches from it in place of
     eigendecomposing rho_of(theta), as long as the derivative mode is
-    Analytic.  A path whose eigenvalues or rho' do not have the family's
-    dimension raises InvalidInput.
+    Analytic.  A dim that is not a positive integer, and a path whose
+    eigenvalues or rho' do not have the family's dimension, raise
+    InvalidInput.
     """
 
     dim: int
@@ -191,6 +191,7 @@ class StateFamily:
     unitary_path: UnitaryPath | None = None
 
     def __post_init__(self):
+        _positive_int(self.dim, "family dimension")
         try:
             lo, hi = self.theta_domain
             interval = math.isfinite(lo) and math.isfinite(hi) and lo < hi
@@ -201,14 +202,11 @@ class StateFamily:
         if isinstance(self.derivative_mode, Analytic) and self.rho_prime_of is None:
             raise InvalidInput("analytic derivative mode requires rho_prime_of")
         path = self.unitary_path
-        if path is not None:
-            rp = path.rho_prime_eig
-            rp_shape = (rp.dim, rp.dim) if isinstance(rp, HermitianTridiagonal) else rp.shape
-            if path.eigenvalues.shape != (self.dim,) or rp_shape != (self.dim, self.dim):
-                raise InvalidInput(
-                    f"unitary path with eigenvalues of shape {path.eigenvalues.shape} and "
-                    f"rho' of shape {rp_shape} does not have the family's dimension {self.dim}"
-                )
+        if path is not None and (path.eigenvalues.shape != (self.dim,) or path.rho_prime_eig.dim != self.dim):
+            raise InvalidInput(
+                f"unitary path with eigenvalues of shape {path.eigenvalues.shape} and "
+                f"rho' of dimension {path.rho_prime_eig.dim} does not have the family's dimension {self.dim}"
+            )
 
 
 def _check_step(h: float) -> float:
@@ -504,6 +502,13 @@ def _branches(
 
 def branches_at(fam: StateFamily, theta: float) -> SpectralBranches:
     """Convenience: branches of (rho, rho') evaluated from a family, through
-    the eigensolver even when the family has a unitary_path.  The state and
-    rho' are each checked once, by eval_rho and eval_rho_prime."""
-    return _state_branches(eval_rho(fam, theta), eval_rho_prime(fam, theta))
+    the eigensolver even when the family has a unitary_path: those of
+    _state_point."""
+    return _state_point(fam, theta)[0]
+
+
+def _state_point(fam: StateFamily, theta: float) -> tuple[SpectralBranches, np.ndarray]:
+    """An eigensolver point's branches and its state's matrix.  The state
+    and rho' are each checked once, by eval_rho and eval_rho_prime."""
+    rho = eval_rho(fam, theta)
+    return _state_branches(rho, eval_rho_prime(fam, theta)), rho.matrix

@@ -19,9 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .family import (
-    Analytic, SpectralBranches, StateFamily, UnitaryPath, _check_theta, _state_branches, eval_rho, eval_rho_prime,
-)
+from .family import Analytic, SpectralBranches, StateFamily, UnitaryPath, _check_theta, _state_point
 from .ldops import MODELS, commuting_part, expectations, kernel_entries, kernel_table, ld_operator
 from .linalg import _one_blas_thread, trace_norms
 
@@ -230,13 +228,6 @@ def _diagnostics(br: SpectralBranches, table: np.ndarray, bases: list[np.ndarray
         if not math.isfinite(residual):
             raise InvalidInput("KMB residual is not finite")
     return list(zip(means, norms))
-
-
-def _state_point(fam: StateFamily, theta: float) -> tuple[SpectralBranches, np.ndarray]:
-    """An eigensolver point's branches and its state's matrix.  The state
-    and rho' are each checked once, by eval_rho and eval_rho_prime."""
-    rho = eval_rho(fam, theta)
-    return _state_branches(rho, eval_rho_prime(fam, theta)), rho.matrix
 
 
 def _report(theta: float, values: tuple[float, dict[str, float], dict[str, float]],

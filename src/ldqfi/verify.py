@@ -40,6 +40,7 @@ from .qfi import (
     second_moment,
 )
 from .zoo import (
+    TwoLevelFamily1,
     TwoLevelFamily2,
     coherent_family,
     counterexample_family,
@@ -231,12 +232,10 @@ def two_level_closed_forms(lam: float, lam_prime: float) -> TwoLevelForms:
     return TwoLevelForms(i1=i1, i2=i2)
 
 
-def _table_checks(
-    tag: str,
-    weights: Sequence[tuple[float, float]],
-    points: Sequence[tuple[StateFamily, float]],
-) -> list[Check]:
-    """Compare pipeline values against the closed-form reference table.
+def _table_checks(tag: str, points: Sequence[tuple[TwoLevelFamily1 | TwoLevelFamily2, float]]) -> list[Check]:
+    """Compare pipeline values against the closed-form reference table at
+    each (two-level family, theta) point, which gives its weight and its
+    state family.
 
     Each model's second part is qfi.second_moment less
     classical_information; for bvn the ordinary moment of its operator, not
@@ -248,9 +247,9 @@ def _table_checks(
     err_i1 = 0.0
     err_i2 = {m: 0.0 for m in MODELS}
     min_order_slack = math.inf
-    for (lam, dlam), (fam, theta) in zip(weights, points):
-        forms = two_level_closed_forms(lam, dlam)
-        br = branches_at(fam, theta)
+    for two_level, theta in points:
+        forms = two_level_closed_forms(*two_level.weight(theta))
+        br = branches_at(two_level.family(), theta)
         i1 = classical_information(br)
         err_i1 = max(err_i1, abs(i1 - forms.i1))
         var_i2 = {}
@@ -297,16 +296,9 @@ def tables(seed: int) -> list[Check]:
     """The two two-level families against their closed-form tables."""
     del seed
     fam1 = default_two_level_1()
-    sf1 = fam1.family()
-    grid1 = [float(t) for t in np.linspace(-1.0, 1.0, 50)]
-    checks = _table_checks("table1", [fam1.weight(t) for t in grid1], [(sf1, t) for t in grid1])
-    weights2 = []
-    points2 = []
-    for r in np.linspace(0.0, 0.95, 50):
-        f2 = TwoLevelFamily2(r=float(r))
-        weights2.append(f2.weight(0.4))
-        points2.append((f2.family(), 0.4))
-    checks.extend(_table_checks("table2", weights2, points2))
+    checks = _table_checks("table1", [(fam1, float(t)) for t in np.linspace(-1.0, 1.0, 50)])
+    radii = np.linspace(0.0, 0.95, 50)
+    checks.extend(_table_checks("table2", [(TwoLevelFamily2(r=float(r)), 0.4) for r in radii]))
     origin = compute_report(TwoLevelFamily2(r=0.0).family(), 0.4)
     worst0 = max(
         [abs(v) for v in origin.qfi.values()]

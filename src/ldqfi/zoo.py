@@ -34,9 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput, SingularState, TruncationError
 from .family import RANK_TOL, CentralDifference, DensityMatrix, StateFamily, UnitaryPath, _check_finite
-from .linalg import (
-    HermitianTridiagonal, TridiagonalExponential, _positive_int, _real, hermitize, random_hermitian
-)
+from .linalg import HermitianTridiagonal, TridiagonalExponential, _positive_int, _real, random_hermitian
 
 # Geometric truncation: discarded tail target at the slow edge of the
 # parameter window, clamped so the smallest kept eigenvalue clears the
@@ -569,9 +567,7 @@ class CoherentFamily:
     def _basis(self, theta: float, block: Callable[[], np.ndarray] | None = None, i: int = 0) -> np.ndarray:
         """The basis at theta, checked against matrix i of the block's
         shared closed forms when there is one."""
-        if block is None:
-            return self.checked_displacement(theta)[:, ::-1]
-        return self.checked_displacement(theta, closed_form=block()[i])[:, ::-1]
+        return self.checked_displacement(theta, closed_form=None if block is None else block()[i])[:, ::-1]
 
     @cached_property
     def _path_data(self) -> tuple[np.ndarray, HermitianTridiagonal]:
@@ -651,9 +647,7 @@ def _oscillating_state(theta: float) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"theta={theta!r} lies so close to 0 that the angle 1/theta overflows", value=theta)
     # exp(-1/theta^2) is 0 long before theta^2 underflows to 0
     gap = math.exp(-1.0 / theta**2) if theta**2 else 0.0
-    c = math.cos(angle)
-    s = math.sin(angle)
-    p1 = np.array([[c * c, c * s], [c * s, s * s]])
+    p1 = rotating_projection(angle)
     # the eigenvalues (1 +- gap)/2 on P1 and I - P1
     return 0.5 * (1.0 + gap) * p1 + 0.5 * (1.0 - gap) * (np.eye(2) - p1), p1
 
@@ -702,13 +696,12 @@ def random_analytic_family(
     _NON_NEGATIVE.check("min_rel_gap", min_rel_gap)
     for _ in range(200):
         g0 = random_hermitian(dim, rng, scale=0.6)
+        w, v = np.linalg.eigh(g0)
         if commuting:
             # same eigenbasis, independent spectrum for the direction
-            _, v = np.linalg.eigh(g0)
             g1 = (v * rng.standard_normal(dim)) @ v.conj().T
         else:
             g1 = random_hermitian(dim, rng, scale=0.6)
-        w = np.linalg.eigh(hermitize(g0))[0]
         diam = w[-1] - w[0]
         if diam <= 0 or np.min(np.diff(w)) < min_rel_gap * diam:
             continue

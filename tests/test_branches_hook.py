@@ -84,13 +84,12 @@ def _raise(error: Exception):
     return basis
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_a_failing_diagnostic_raises_before_a_later_basis(dense: bool) -> None:
+def test_a_failing_diagnostic_raises_before_a_later_basis() -> None:
     # the second point's basis is not finite, so its diagnostics raise; the
     # fourth point's basis raises on its read, which a block makes before
     # the diagnostics of its points: the second point's error comes first,
     # as point by point
-    fam = _fixed_basis_family(dense)
+    fam = _fixed_basis_family()
     path = fam.unitary_path
 
     def with_bases(*bases):
@@ -112,7 +111,7 @@ def test_a_failing_diagnostic_raises_before_a_later_basis(dense: bool) -> None:
 
 @pytest.mark.parametrize("basis", [np.eye(3), np.ones(4), np.full((4, 4), "a")], ids=["shape", "1-d", "text"])
 def test_a_basis_that_is_not_a_numeric_square_matrix_is_invalid(basis) -> None:
-    fam = _fixed_basis_family(dense=False)
+    fam = _fixed_basis_family()
     path = fam.unitary_path
     bad = dataclasses.replace(fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig,
                                                             _fixed_bases(basis)))
@@ -151,9 +150,8 @@ def test_hook_residual_sees_a_basis_defect(eps: float) -> None:
     assert rep.kmb_residual == pytest.approx(ref.kmb_residual, rel=1e-6, abs=0.0)
 
 
-def _fixed_basis_family(dense: bool) -> StateFamily:
-    """A four-level unitary path on a fixed basis, rho' given as a band or,
-    when dense is set, as a dense matrix."""
+def _fixed_basis_family() -> StateFamily:
+    """A four-level unitary path on a fixed basis, rho' given as a band."""
     w = np.array([0.1, 0.2, 0.3, 0.4])
     band = HermitianTridiagonal(np.zeros(4), np.full(3, 0.02))
     return StateFamily(
@@ -161,23 +159,28 @@ def _fixed_basis_family(dense: bool) -> StateFamily:
         theta_domain=(-1.0, 1.0),
         rho_of=lambda theta: np.diag(w),
         rho_prime_of=lambda theta: np.zeros((4, 4)),
-        unitary_path=UnitaryPath(w, band.dense() if dense else band, _fixed_bases(np.eye(4))),
+        unitary_path=UnitaryPath(w, band, _fixed_bases(np.eye(4))),
     )
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_path_reports_equal_the_reports_of_single_points(dense: bool) -> None:
-    fam = _fixed_basis_family(dense)
+def test_a_path_takes_rho_prime_as_a_band() -> None:
+    # every unitary path builds rho' in its moving basis as a band; a dense
+    # one is for an Eigenframe, through spectral_branches
+    path = _fixed_basis_family().unitary_path
+    with pytest.raises(InvalidInput, match="HermitianTridiagonal, got ndarray"):
+        UnitaryPath(path.eigenvalues, path.rho_prime_eig.dense(), path.bases_of)
+
+
+def test_path_reports_equal_the_reports_of_single_points() -> None:
+    fam = _fixed_basis_family()
     grid = [0.1, 0.3, -0.5]
     assert compute_reports(fam, grid) == [compute_report(fam, t) for t in grid]
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_path_data_is_read_only_and_sized_by_the_family(dense: bool) -> None:
-    fam = _fixed_basis_family(dense)
+def test_path_data_is_read_only_and_sized_by_the_family() -> None:
+    fam = _fixed_basis_family()
     path = fam.unitary_path
-    arrays = (path.rho_prime_eig,) if dense else (path.rho_prime_eig.diag, path.rho_prime_eig.upper)
-    for a in (path.eigenvalues, *arrays):
+    for a in (path.eigenvalues, path.rho_prime_eig.diag, path.rho_prime_eig.upper):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     with pytest.raises(InvalidInput, match="dimension 3"):
@@ -243,7 +246,7 @@ def test_failing_point_of_a_grid_raises_its_own_error(monkeypatch, margin, grid,
 
 def test_a_grid_point_without_a_basis_raises() -> None:
     # zip would have cut the grid short without a word
-    fam = _fixed_basis_family(dense=False)
+    fam = _fixed_basis_family()
     path = fam.unitary_path
     short = dataclasses.replace(
         fam, unitary_path=UnitaryPath(path.eigenvalues, path.rho_prime_eig, lambda thetas: [lambda: np.eye(4)])
@@ -585,7 +588,7 @@ def test_eigenframe_needs_finite_ascending_eigenvalues(w: list[float]) -> None:
     rp = HermitianTridiagonal(np.zeros(3), np.array([0.1, 0.1]))
     with pytest.raises(InvalidInput, match="finite and ascending"):
         spectral_branches(Eigenframe(np.eye(3), w), rp)
-    path = UnitaryPath(w, rp.dense(), _fixed_bases(np.eye(3)))
+    path = UnitaryPath(w, rp, _fixed_bases(np.eye(3)))
     with pytest.raises(InvalidInput, match="finite and ascending"):
         qfi_value(path.branches(0.0), "sld")
 

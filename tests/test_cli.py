@@ -549,6 +549,15 @@ class TestSweepOutput:
         for row in rows:
             assert row["qfi_bvn"] == pytest.approx(2 * math.log(2.0), rel=1e-6)
 
+    def test_a_byte_order_mark_is_not_text(self, tmp_path, capsys):
+        # a config saved with a UTF-8 byte-order mark, as some editors save
+        # one, gives the bytes of the same config without it
+        plain = write_cfg(tmp_path, COHERENT_CFG)
+        marked = tmp_path / "bom.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        runs = [run_cli(["sweep", "--config", str(cfg)], capsys) for cfg in (plain, marked)]
+        assert runs[0][0] == 0 and runs[1] == runs[0]
+
     def test_model_subset_leaves_other_columns_blank(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_oracles
-from ldqfi import audits, verify
+from ldqfi import audits, family, verify
 from ldqfi import (
     Analytic,
     CentralDifference,
@@ -19,6 +19,7 @@ from ldqfi import (
     StateFamily,
     branches_at,
     coherent_family,
+    counterexample_family,
     default_two_level_1,
     nonsmooth_projection_state,
     random_analytic_family,
@@ -284,6 +285,23 @@ class TestBranchesAt:
         assert np.linalg.norm(br.rho() - manual.rho()) <= 1e-12
         assert np.linalg.norm(dense_oracles.rho_prime(br) - dense_oracles.rho_prime(manual)) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["two_level_1", "random", "counterexample31"])
+    def test_is_the_eigensolver_point(self, name: str) -> None:
+        # the branches of family._state_point, which compute_reports takes
+        # for a point without a unitary path, bit for bit
+        fam = {
+            "two_level_1": default_two_level_1().family,
+            "random": lambda: random_analytic_family(4, np.random.default_rng(5)),
+            "counterexample31": counterexample_family,
+        }[name]()
+        for theta in (-0.3, 0.1, 0.7):
+            br = branches_at(fam, theta)
+            ref, rho = family._state_point(fam, theta)
+            for attr in ("basis", "eigenvalues", "rho_prime_eig", "cluster_mults", "cluster_values",
+                         "cluster_value_primes"):
+                assert getattr(br, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+            assert rho.tobytes() == eval_rho(fam, theta).matrix.tobytes()
+
     def test_rho_roundtrip(self, random_branches) -> None:
         br = random_branches
         rho = br.rho()
@@ -378,6 +396,17 @@ def _replayed_generators(dim: int, rng: np.random.Generator, commuting: bool,
         w = np.linalg.eigh(g0)[0]
         if np.min(np.diff(w)) >= min_rel_gap * (w[-1] - w[0]):
             return g0, g1
+
+
+@pytest.mark.parametrize("dim", ["2", 0, -1, 2.5, True, None])
+def test_family_dimension_must_be_a_positive_integer(dim) -> None:
+    # unchecked, a string constructs and the first point raises "family
+    # returned shape (2, 2), expected ('2', '2')"
+    with pytest.raises(InvalidInput, match="family dimension must be a positive integer"):
+        StateFamily(dim=dim, theta_domain=(-1.0, 1.0), rho_of=lambda t: np.eye(2) / 2,
+                    rho_prime_of=lambda t: np.zeros((2, 2)))
+    assert StateFamily(dim=np.int64(2), theta_domain=(-1.0, 1.0), rho_of=lambda t: np.eye(2) / 2,
+                       rho_prime_of=lambda t: np.zeros((2, 2))).dim == 2
 
 
 def test_family_requires_domain_membership() -> None:

@@ -311,6 +311,21 @@ def test_coherent_family_keeps_no_dense_generator() -> None:
     assert list(inspect.signature(linalg.TridiagonalExponential).parameters) == ["off"]
 
 
+def test_an_eigensolver_point_has_one_route() -> None:
+    # family._state_point evaluates, checks and decomposes an eigensolver
+    # point, for branches_at and qfi alike; qfi binds none of its parts
+    tree = ast.parse(Path(qfi.__file__).read_text(encoding="utf-8"))
+    assert "_state_point" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    parts = {"_state_branches", "eval_rho", "eval_rho_prime"}
+    assert sorted(parts & _bound_names(Path(qfi.__file__))) == []
+
+
+def test_zoo_does_not_hermitize_an_exact_hermitian_draw() -> None:
+    # random_hermitian returns an exactly Hermitian matrix, and eigh reads
+    # one triangle: hermitize would copy the draw to the same bytes
+    assert "hermitize" not in _bound_names(Path(zoo.__file__))
+
+
 @pytest.mark.parametrize("m", [1.0, 10.0])
 def test_eigensolver_route_rho_prime_is_the_dense_commutator(m: float) -> None:
     cf = ldqfi.coherent_family(m)
